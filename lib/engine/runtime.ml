@@ -1088,7 +1088,7 @@ let run (cfg : config) : result =
   (* a crash takes the log down with the site: the unsynced tail is lost
      (with whatever storage faults are armed) and the log rebuilds itself
      from the durable image *)
-  Sim.World.set_crash_hook world (fun site ->
+  Sim.World.add_crash_hook world (fun site ->
       match Wal.crash (Wal.Store.log store ~site) with
       | None -> ()
       | Some rep ->

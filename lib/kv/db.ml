@@ -171,7 +171,7 @@ let run (cfg : config) (workload : (float * Txn.t) list) : result =
       | [] -> ()
       | injections -> Kv_wal.set_faults wal injections)
     (Array.to_list wals);
-  Sim.World.set_crash_hook world (fun site ->
+  Sim.World.add_crash_hook world (fun site ->
       match Kv_wal.crash wals.(site - 1) with
       | None -> ()
       | Some rep ->

@@ -38,6 +38,9 @@ type 'msg t = {
   on_unsuspect : 'msg World.ctx -> site -> unit;
   state : 'msg per_site array;  (** index: the observing site *)
   crashed_at : float array;  (** last real crash instant per site, -1 if never *)
+  peers : site list array;  (** index: site; every other site *)
+  check_due : float array;
+      (** index: site; when its pending check timer is due to fire *)
 }
 
 let create ?(heartbeat_period = 1.0) ?(suspicion_timeout = 5.0) ~world ~heartbeat ~is_heartbeat
@@ -58,6 +61,8 @@ let create ?(heartbeat_period = 1.0) ?(suspicion_timeout = 5.0) ~world ~heartbea
         Array.init (n + 1) (fun _ ->
             { last_heard = Array.make (n + 1) 0.0; suspected = Array.make (n + 1) false });
       crashed_at = Array.make (n + 1) (-1.0);
+      peers = Array.init (n + 1) (fun self -> List.filter (fun p -> p <> self) (World.sites world));
+      check_due = Array.make (n + 1) 0.0;
     }
   in
   World.add_crash_hook world (fun s -> t.crashed_at.(s) <- World.now world);
@@ -71,7 +76,7 @@ let suspects t ~self =
 
 let is_suspected t ~self ~peer = t.state.(self).suspected.(peer)
 
-let peers t self = List.filter (fun p -> p <> self) (World.sites t.world)
+let peers t self = t.peers.(self)
 
 let suspect t (ctx : 'msg World.ctx) peer =
   let st = t.state.(ctx.World.self) in
@@ -79,10 +84,12 @@ let suspect t (ctx : 'msg World.ctx) peer =
   let m = World.metrics t.world in
   if World.is_alive t.world peer then begin
     Metrics.incr m "false_suspicions";
-    World.record t.world "site %d FALSELY suspects site %d (timeout)" ctx.World.self peer
+    if World.tracing t.world then
+      World.record t.world "site %d FALSELY suspects site %d (timeout)" ctx.World.self peer
   end
   else begin
-    World.record t.world "site %d suspects site %d (timeout)" ctx.World.self peer;
+    if World.tracing t.world then
+      World.record t.world "site %d suspects site %d (timeout)" ctx.World.self peer;
     if t.crashed_at.(peer) >= 0.0 then
       Metrics.observe m "suspicion_latency" (World.now t.world -. t.crashed_at.(peer))
   end;
@@ -91,7 +98,8 @@ let suspect t (ctx : 'msg World.ctx) peer =
 let unsuspect t (ctx : 'msg World.ctx) peer =
   let st = t.state.(ctx.World.self) in
   st.suspected.(peer) <- false;
-  World.record t.world "site %d retracts suspicion of site %d" ctx.World.self peer;
+  if World.tracing t.world then
+    World.record t.world "site %d retracts suspicion of site %d" ctx.World.self peer;
   t.on_unsuspect ctx peer
 
 (* Evidence of life: every delivered message counts, whatever its kind. *)
@@ -106,41 +114,41 @@ let beat t (ctx : 'msg World.ctx) =
   if not (World.hb_suppressed t.world ctx.World.self) then
     World.broadcast ctx ~dsts:(peers t ctx.World.self) t.heartbeat
 
-let rec arm_heartbeat t (ctx : 'msg World.ctx) =
-  ignore
-    (World.set_timer ctx ~delay:t.heartbeat_period (fun () ->
-         beat t ctx;
-         arm_heartbeat t ctx))
+let rec refresh st now = function
+  | [] -> ()
+  | p :: rest ->
+      st.last_heard.(p) <- now;
+      refresh st now rest
+
+let rec suspect_silent t ctx st now = function
+  | [] -> ()
+  | p :: rest ->
+      if (not st.suspected.(p)) && now -. st.last_heard.(p) > t.suspicion_timeout then
+        suspect t ctx p;
+      suspect_silent t ctx st now rest
 
 (* Lateness beyond this means the timer was deferred (a stall window):
    discrete-event timers otherwise fire exactly on schedule. *)
 let stall_grace = 1e-9
 
-let rec arm_check t (ctx : 'msg World.ctx) =
-  let expected = World.now t.world +. t.heartbeat_period in
-  ignore
-    (World.set_timer ctx ~delay:t.heartbeat_period (fun () ->
-         let self = ctx.World.self in
-         let st = t.state.(self) in
-         let now = World.now t.world in
-         if now > expected +. stall_grace then begin
-           (* waking from a stall: our silence was ours, not theirs *)
-           World.record t.world "site %d wakes from a stall; refreshing peer clocks" self;
-           List.iter (fun p -> st.last_heard.(p) <- now) (peers t self)
-         end
-         else
-           List.iter
-             (fun p ->
-               if (not st.suspected.(p)) && now -. st.last_heard.(p) > t.suspicion_timeout then
-                 suspect t ctx p)
-             (peers t self);
-         arm_check t ctx))
+let check t (ctx : 'msg World.ctx) =
+  let self = ctx.World.self in
+  let st = t.state.(self) in
+  let now = World.now t.world in
+  if now > t.check_due.(self) +. stall_grace then begin
+    (* waking from a stall: our silence was ours, not theirs *)
+    if World.tracing t.world then
+      World.record t.world "site %d wakes from a stall; refreshing peer clocks" self;
+    refresh st now (peers t self)
+  end
+  else suspect_silent t ctx st now (peers t self)
 
 (** Call exactly once per incarnation — from [on_start] and again from
     [on_restart].  Resets the site's view (a recovering site starts from a
     clean, unsuspecting slate) and arms the heartbeat/check timer chains;
     the previous incarnation's chains died with the crash (the world's
-    timer generation check), so re-arming cannot double them. *)
+    timer generation check), so re-arming cannot double them.  Each chain
+    re-arms one callback built here, once per incarnation. *)
 let start t (ctx : 'msg World.ctx) =
   let self = ctx.World.self in
   let st = t.state.(self) in
@@ -150,6 +158,17 @@ let start t (ctx : 'msg World.ctx) =
       st.last_heard.(p) <- now;
       st.suspected.(p) <- false)
     (peers t self);
+  let rec heartbeat () =
+    beat t ctx;
+    ignore (World.set_timer ctx ~delay:t.heartbeat_period heartbeat)
+  in
+  let rec arm_check () =
+    t.check_due.(self) <- World.now t.world +. t.heartbeat_period;
+    ignore (World.set_timer ctx ~delay:t.heartbeat_period on_check)
+  and on_check () =
+    check t ctx;
+    arm_check ()
+  in
   beat t ctx;
-  arm_heartbeat t ctx;
-  arm_check t ctx
+  ignore (World.set_timer ctx ~delay:t.heartbeat_period heartbeat);
+  arm_check ()

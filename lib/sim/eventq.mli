@@ -1,5 +1,7 @@
 (** A binary min-heap of timestamped events.  Ties on time are broken by
-    insertion sequence, making the schedule fully deterministic. *)
+    insertion sequence, making the schedule fully deterministic.  Pushes
+    allocate nothing once the heap has grown to the queue's depth, and a
+    popped payload is never retained by the heap. *)
 
 type 'a t
 
@@ -14,3 +16,12 @@ val pop : 'a t -> (float * 'a) option
 (** Removes and returns the earliest event. *)
 
 val peek_time : 'a t -> float option
+
+val top_time : 'a t -> float
+(** The earliest event's time, without the option: with {!pop_top}, the
+    allocation-free way to drain the queue.
+    @raise Invalid_argument if the queue is empty. *)
+
+val pop_top : 'a t -> 'a
+(** Removes the earliest event and returns its payload.
+    @raise Invalid_argument if the queue is empty. *)

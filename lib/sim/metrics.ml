@@ -78,6 +78,28 @@ let incr ?(by = 1) t name =
   | Some r -> r := !r + by
   | None -> Hashtbl.add t.counters name (ref by)
 
+(* A handle starts on the shared [unregistered] cell and registers its
+   label on the first bump — never earlier, so a label nobody bumps stays
+   out of [counters] and [to_json] exactly as if the handle did not
+   exist.  Registration reuses a cell that [incr] created meanwhile, so
+   bumps through the handle and by name land on the same count. *)
+type counter = { reg : t; name : string; mutable cell : int ref }
+
+let unregistered = ref 0
+
+let counter_handle t name = { reg = t; name; cell = unregistered }
+
+let bump h =
+  if h.cell == unregistered then
+    h.cell <-
+      (match Hashtbl.find_opt h.reg.counters h.name with
+      | Some r -> r
+      | None ->
+          let r = ref 0 in
+          Hashtbl.add h.reg.counters h.name r;
+          r);
+  h.cell := !(h.cell) + 1
+
 let counter t name = match Hashtbl.find_opt t.counters name with Some r -> !r | None -> 0
 
 let counters t = Hashtbl.fold (fun k v acc -> (k, !v) :: acc) t.counters [] |> List.sort compare

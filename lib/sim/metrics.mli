@@ -27,6 +27,20 @@ val counter : t -> string -> int
 val counters : t -> (string * int) list
 (** All counters, sorted by name. *)
 
+type counter
+(** A pre-resolved handle to one counter, for hot paths such as the
+    simulator's per-event dispatch counters: no string-keyed lookup per
+    bump. *)
+
+val counter_handle : t -> string -> counter
+(** A handle on the named counter.  The label is registered lazily, on
+    the first {!bump}: a handle that is never bumped leaves {!counters}
+    and {!to_json} unchanged. *)
+
+val bump : counter -> unit
+(** Add one, exactly as [incr t name] would: bumps through a handle and
+    [incr] by name on the same label sum. *)
+
 (** {1 Gauges (high-water marks)} *)
 
 val gauge_max : t -> string -> int -> unit

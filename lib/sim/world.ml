@@ -45,7 +45,14 @@ and 'msg t = {
   queue : 'msg event Eventq.t;
   alive : bool array;
   generation : int array;  (** incarnation number; bumped on crash *)
-  mutable handlers : (site -> 'msg handlers) option;
+  mutable handlers : 'msg handlers array;
+      (** index: site, resolved once by {!run}; slot 0 (the environment)
+          is unused *)
+  mutable ctxs : 'msg ctx array;
+      (** index: site, built once by {!create}; slot 0 is the
+          environment *)
+  site_list : site list;
+  hot : hot_counters;
   latency : 'msg t -> src:site -> dst:site -> float;
   detection_delay : float;
   rng : Rng.t;
@@ -77,6 +84,18 @@ and 'msg t = {
       (** heartbeat-loss bursts, queried by the failure detector *)
 }
 
+(* Handles for the counters bumped on every event, resolved once per
+   world.  Labels register on first bump, so a run's counters are exactly
+   those it bumped. *)
+and hot_counters = {
+  messages_sent : Metrics.counter;
+  events_deliver : Metrics.counter;
+  messages_delivered : Metrics.counter;
+  messages_dropped : Metrics.counter;
+  events_timer : Metrics.counter;
+  timers_cancelled : Metrics.counter;
+}
+
 and window = { w_site : site; w_from : float; w_until : float; w_extra : float }
 
 and partition = { p_from : float; p_until : float; p_group : (site * int) list }
@@ -93,44 +112,60 @@ let default_latency world ~src:_ ~dst:_ = 1.0 +. Rng.float world.rng 0.1
            default 2.0 *)
 let create ?(latency = default_latency) ?(detection_delay = 2.0) ~n_sites ~seed ~msg_to_string () =
   if n_sites < 1 then invalid_arg "World.create: need at least one site";
-  {
-    n_sites;
-    now = 0.0;
-    queue = Eventq.create ();
-    alive = Array.make (n_sites + 1) true;
-    generation = Array.make (n_sites + 1) 0;
-    handlers = None;
-    latency;
-    detection_delay;
-    rng = Rng.create ~seed;
-    metrics = Metrics.create ();
-    msg_to_string;
-    trace = [];
-    tracing = false;
-    next_timer_id = 0;
-    cancelled_timers = Hashtbl.create 64;
-    stopped = false;
-    partitions = [];
-    send_seq = 0;
-    msg_faults = Hashtbl.create 16;
-    crash_hooks = [];
-    delay_windows = [];
-    stall_windows = [];
-    hb_loss_windows = [];
-  }
+  let metrics = Metrics.create () in
+  let w =
+    {
+      n_sites;
+      now = 0.0;
+      queue = Eventq.create ();
+      alive = Array.make (n_sites + 1) true;
+      generation = Array.make (n_sites + 1) 0;
+      handlers = [||];
+      ctxs = [||];
+      site_list = List.init n_sites (fun i -> i + 1);
+      hot =
+        {
+          messages_sent = Metrics.counter_handle metrics "messages_sent";
+          events_deliver = Metrics.counter_handle metrics "events_deliver";
+          messages_delivered = Metrics.counter_handle metrics "messages_delivered";
+          messages_dropped = Metrics.counter_handle metrics "messages_dropped";
+          events_timer = Metrics.counter_handle metrics "events_timer";
+          timers_cancelled = Metrics.counter_handle metrics "timers_cancelled";
+        };
+      latency;
+      detection_delay;
+      rng = Rng.create ~seed;
+      metrics;
+      msg_to_string;
+      trace = [];
+      tracing = false;
+      next_timer_id = 0;
+      cancelled_timers = Hashtbl.create 64;
+      stopped = false;
+      partitions = [];
+      send_seq = 0;
+      msg_faults = Hashtbl.create 16;
+      crash_hooks = [];
+      delay_windows = [];
+      stall_windows = [];
+      hb_loss_windows = [];
+    }
+  in
+  w.ctxs <- Array.init (n_sites + 1) (fun self -> { world = w; self });
+  w
 
 let now w = w.now
 let rng w = w.rng
 let metrics w = w.metrics
-let sites w = List.init w.n_sites (fun i -> i + 1)
+let sites w = w.site_list
 let set_tracing w b = w.tracing <- b
+let tracing w = w.tracing
 
 let trace_entries w = List.rev w.trace
 
-(* Check [tracing] before formatting: with tracing off (the common case —
-   every send/deliver/drop on every simulated event goes through here)
-   the format arguments must cost nothing.  [ikfprintf] consumes them
-   without rendering. *)
+(* [record] renders nothing with tracing off, but its caller has already
+   evaluated the arguments (a [msg_to_string] call, the format closures),
+   so every per-event call site checks [w.tracing] first. *)
 let record w fmt =
   if w.tracing then
     Fmt.kstr (fun s -> w.trace <- { at = w.now; what = s } :: w.trace) fmt
@@ -146,17 +181,22 @@ let is_alive w s =
 
 let operational_sites w = List.filter (is_alive w) (sites w)
 
+(* The group index of site [s] in a partition, -1 if it is in none. *)
+let rec group_of s = function [] -> -1 | (s', g) :: rest -> if s' = s then g else group_of s rest
+
+(* Top-level walks with explicit arguments: a local closure over [w]
+   would be allocated on every send. *)
+let rec separated_in w a b = function
+  | [] -> false
+  | p :: rest ->
+      (w.now >= p.p_from && w.now < p.p_until
+      &&
+      let ga = group_of a p.p_group and gb = group_of b p.p_group in
+      ga >= 0 && gb >= 0 && ga <> gb)
+      || separated_in w a b rest
+
 (* Are [a] and [b] currently separated by an active partition? *)
-let separated w a b =
-  a <> b
-  && List.exists
-       (fun p ->
-         w.now >= p.p_from && w.now < p.p_until
-         &&
-         match (List.assoc_opt a p.p_group, List.assoc_opt b p.p_group) with
-         | Some ga, Some gb -> ga <> gb
-         | _ -> false)
-       w.partitions
+let separated w a b = a <> b && separated_in w a b w.partitions
 
 (** [schedule_partition w ~from_t ~until_t groups] splits the network into
     the given site groups during [from_t, until_t): messages between
@@ -181,11 +221,6 @@ let schedule_partition w ~from_t ~until_t groups =
         p_group)
     p_group
 
-let handlers_for w s =
-  match w.handlers with
-  | Some f -> f s
-  | None -> invalid_arg "World: no handlers registered"
-
 (** [send ctx ~dst msg] puts [msg] on the wire.  Messages from a crashed
     sender are dropped (models partial transmission when a handler crashes
     itself mid-broadcast); messages sent across an active partition are
@@ -200,12 +235,14 @@ let set_msg_faults w faults =
 
 let sends_attempted w = w.send_seq
 let add_crash_hook w f = w.crash_hooks <- w.crash_hooks @ [ f ]
-let set_crash_hook w f = add_crash_hook w f
 
 (* ---- detector-fault windows ---- *)
 
-let in_window w site windows =
-  List.exists (fun win -> win.w_site = site && w.now >= win.w_from && w.now < win.w_until) windows
+let open_at w win = w.now >= win.w_from && w.now < win.w_until
+
+let rec in_window w site = function
+  | [] -> false
+  | win :: rest -> (win.w_site = site && open_at w win) || in_window w site rest
 
 (** [schedule_latency_spike w ~site ~from_t ~until_t ~extra] adds [extra]
     latency to every message sent from or to [site] while the window is
@@ -215,15 +252,16 @@ let schedule_latency_spike w ~site ~from_t ~until_t ~extra =
   check_site w site;
   w.delay_windows <- { w_site = site; w_from = from_t; w_until = until_t; w_extra = extra } :: w.delay_windows
 
-let spike_extra w ~src ~dst =
-  List.fold_left
-    (fun acc win ->
-      if
-        (win.w_site = src || win.w_site = dst)
-        && w.now >= win.w_from && w.now < win.w_until
-      then acc +. win.w_extra
-      else acc)
-    0.0 w.delay_windows
+(* Summed in list order from 0.0, so the delivery time is bit-identical
+   whatever the number of windows (exactly 0.0 with none armed). *)
+let rec sum_spikes w ~src ~dst acc = function
+  | [] -> acc
+  | win :: rest ->
+      let hit = (win.w_site = src || win.w_site = dst) && open_at w win in
+      let acc = if hit then acc +. win.w_extra else acc in
+      sum_spikes w ~src ~dst acc rest
+
+let spike_extra w ~src ~dst = sum_spikes w ~src ~dst 0.0 w.delay_windows
 
 (** [schedule_stall w ~site ~from_t ~until_t] freezes [site] — a "GC
     pause": deliveries and timers targeting it while the window is open
@@ -233,15 +271,15 @@ let schedule_stall w ~site ~from_t ~until_t =
   check_site w site;
   w.stall_windows <- { w_site = site; w_from = from_t; w_until = until_t; w_extra = 0.0 } :: w.stall_windows
 
-let stalled_until w site =
-  List.fold_left
-    (fun acc win ->
-      if win.w_site = site && w.now >= win.w_from && w.now < win.w_until then
-        match acc with
-        | Some u -> Some (Float.max u win.w_until)
-        | None -> Some win.w_until
-      else acc)
-    None w.stall_windows
+(* The latest end of an open stall window at [site]; [neg_infinity] when
+   none is open. *)
+let rec latest_stall_end w site acc = function
+  | [] -> acc
+  | win :: rest ->
+      let acc = if win.w_site = site && open_at w win then Float.max acc win.w_until else acc in
+      latest_stall_end w site acc rest
+
+let stalled_until w site = latest_stall_end w site neg_infinity w.stall_windows
 
 (** [schedule_hb_loss w ~site ~from_t ~until_t] suppresses failure-detector
     heartbeats sent by [site] during the window.  Protocol messages are
@@ -253,52 +291,58 @@ let schedule_hb_loss w ~site ~from_t ~until_t =
 
 let hb_suppressed w site = in_window w site w.hb_loss_windows
 
+(* Latency spikes are judged at send time, like partitions. *)
+let enqueue_delivery w ~src ~dst ~extra msg =
+  let delay = w.latency w ~src ~dst in
+  let spike = spike_extra w ~src ~dst in
+  Eventq.push w.queue ~time:(w.now +. delay +. extra +. spike)
+    (Deliver { src; dst; dst_gen = w.generation.(dst); msg })
+
 let send ctx ~dst msg =
-  let w = ctx.world in
+  let w = ctx.world and src = ctx.self in
   check_site w dst;
-  if w.alive.(ctx.self) then begin
+  if w.alive.(src) then begin
     (* Every send attempt from a live sender consumes one index of the
        fault schedule, whether or not a partition then drops it — the
        numbering must not depend on partition state. *)
     let nth = w.send_seq in
     w.send_seq <- nth + 1;
-    Metrics.incr w.metrics "messages_sent";
-    if separated w ctx.self dst then begin
+    Metrics.bump w.hot.messages_sent;
+    if separated w src dst then begin
       Metrics.incr w.metrics "messages_partitioned";
-      record w "partition drops %d->%d %s" ctx.self dst (w.msg_to_string msg)
+      if w.tracing then record w "partition drops %d->%d %s" src dst (w.msg_to_string msg)
     end
-    else begin
-      let enqueue ?(extra = 0.0) () =
-        let delay = w.latency w ~src:ctx.self ~dst in
-        (* latency spikes are judged at send time, like partitions; with no
-           windows armed the sum is exactly 0.0 and the delivery time is
-           bit-identical to a spike-free run *)
-        let spike = spike_extra w ~src:ctx.self ~dst in
-        Eventq.push w.queue ~time:(w.now +. delay +. extra +. spike)
-          (Deliver { src = ctx.self; dst; dst_gen = w.generation.(dst); msg })
-      in
-      match Hashtbl.find_opt w.msg_faults nth with
+    else
+      match if Hashtbl.length w.msg_faults = 0 then None else Hashtbl.find_opt w.msg_faults nth with
       | Some Fault_drop ->
           Metrics.incr w.metrics "messages_chaos_dropped";
-          record w "chaos drops send #%d %d->%d %s" nth ctx.self dst (w.msg_to_string msg)
+          if w.tracing then
+            record w "chaos drops send #%d %d->%d %s" nth src dst (w.msg_to_string msg)
       | Some Fault_duplicate ->
           Metrics.incr w.metrics "messages_duplicated";
-          record w "send %d->%d %s (chaos duplicates #%d)" ctx.self dst (w.msg_to_string msg) nth;
-          enqueue ();
-          enqueue ()
+          if w.tracing then
+            record w "send %d->%d %s (chaos duplicates #%d)" src dst (w.msg_to_string msg) nth;
+          enqueue_delivery w ~src ~dst ~extra:0.0 msg;
+          enqueue_delivery w ~src ~dst ~extra:0.0 msg
       | Some (Fault_delay extra) ->
           Metrics.incr w.metrics "messages_chaos_delayed";
-          record w "send %d->%d %s (chaos delays #%d by %.2f)" ctx.self dst (w.msg_to_string msg)
-            nth extra;
-          enqueue ~extra ()
+          if w.tracing then
+            record w "send %d->%d %s (chaos delays #%d by %.2f)" src dst (w.msg_to_string msg) nth
+              extra;
+          enqueue_delivery w ~src ~dst ~extra msg
       | None ->
-          record w "send %d->%d %s" ctx.self dst (w.msg_to_string msg);
-          enqueue ()
-    end
+          if w.tracing then record w "send %d->%d %s" src dst (w.msg_to_string msg);
+          enqueue_delivery w ~src ~dst ~extra:0.0 msg
   end
-  else record w "send-dropped (sender %d down) ->%d %s" ctx.self dst (w.msg_to_string msg)
+  else if w.tracing then
+    record w "send-dropped (sender %d down) ->%d %s" src dst (w.msg_to_string msg)
 
-let broadcast ctx ~dsts msg = List.iter (fun dst -> send ctx ~dst msg) dsts
+let rec broadcast ctx ~dsts msg =
+  match dsts with
+  | [] -> ()
+  | dst :: rest ->
+      send ctx ~dst msg;
+      broadcast ctx ~dsts:rest msg
 
 (** [inject w ~dst ~at msg] delivers [msg] to [dst] at absolute time [at],
     from outside the system (the environment/client, site 0).  Used for the
@@ -333,7 +377,7 @@ let do_crash w s =
     w.alive.(s) <- false;
     w.generation.(s) <- w.generation.(s) + 1;
     Metrics.incr w.metrics "crashes";
-    record w "CRASH site %d" s;
+    if w.tracing then record w "CRASH site %d" s;
     List.iter (fun f -> f s) w.crash_hooks;
     (* The network reliably reports the failure to every operational site
        after the detection delay. *)
@@ -354,8 +398,8 @@ let do_recover w s =
   if not w.alive.(s) then begin
     w.alive.(s) <- true;
     Metrics.incr w.metrics "recoveries";
-    record w "RECOVER site %d" s;
-    (handlers_for w s).on_restart { world = w; self = s };
+    if w.tracing then record w "RECOVER site %d" s;
+    w.handlers.(s).on_restart w.ctxs.(s);
     List.iter
       (fun observer ->
         if observer <> s then
@@ -366,36 +410,35 @@ let do_recover w s =
 
 let stop w = w.stopped <- true
 
-(* The site an event executes at, for stall deferral.  Crashes and
-   recoveries are acts of the environment, not of the site's processor,
-   so a stalled site still crashes (and recovers) on time. *)
+(* The site an event executes at, for stall deferral; 0 for crashes and
+   recoveries, which are acts of the environment, not of the site's
+   processor, so a stalled site still crashes (and recovers) on time. *)
 let event_target = function
-  | Deliver { dst; _ } -> Some dst
-  | Timer { site; _ } -> Some site
-  | Detect_down { observer; _ } | Detect_up { observer; _ } | False_down { observer; _ } ->
-      Some observer
-  | Crash _ | Recover _ -> None
+  | Deliver { dst; _ } -> dst
+  | Timer { site; _ } -> site
+  | Detect_down { observer; _ } | Detect_up { observer; _ } | False_down { observer; _ } -> observer
+  | Crash _ | Recover _ -> 0
 
 let dispatch_now w = function
   | Deliver { src; dst; dst_gen; msg } ->
       (* the partition check happened at send time: a message on the wire
          is past the network's drop decision *)
-      Metrics.incr w.metrics "events_deliver";
+      Metrics.bump w.hot.events_deliver;
       if w.alive.(dst) && w.generation.(dst) = dst_gen then begin
-        Metrics.incr w.metrics "messages_delivered";
-        record w "deliver %d->%d %s" src dst (w.msg_to_string msg);
-        (handlers_for w dst).on_message { world = w; self = dst } ~src msg
+        Metrics.bump w.hot.messages_delivered;
+        if w.tracing then record w "deliver %d->%d %s" src dst (w.msg_to_string msg);
+        w.handlers.(dst).on_message w.ctxs.(dst) ~src msg
       end
       else begin
-        Metrics.incr w.metrics "messages_dropped";
-        record w "drop %d->%d %s" src dst (w.msg_to_string msg)
+        Metrics.bump w.hot.messages_dropped;
+        if w.tracing then record w "drop %d->%d %s" src dst (w.msg_to_string msg)
       end
   | Timer { site; gen; id; callback } ->
-      Metrics.incr w.metrics "events_timer";
-      let cancelled = Hashtbl.mem w.cancelled_timers id in
+      Metrics.bump w.hot.events_timer;
+      let cancelled = Hashtbl.length w.cancelled_timers > 0 && Hashtbl.mem w.cancelled_timers id in
       if cancelled then begin
         Hashtbl.remove w.cancelled_timers id;
-        Metrics.incr w.metrics "timers_cancelled"
+        Metrics.bump w.hot.timers_cancelled
       end;
       if (not cancelled) && w.alive.(site) && w.generation.(site) = gen then callback ()
   | Crash s ->
@@ -407,8 +450,8 @@ let dispatch_now w = function
   | Detect_down { observer; failed } ->
       Metrics.incr w.metrics "events_detect_down";
       if w.alive.(observer) && not w.alive.(failed) then begin
-        record w "site %d detects failure of site %d" observer failed;
-        (handlers_for w observer).on_peer_down { world = w; self = observer } failed
+        if w.tracing then record w "site %d detects failure of site %d" observer failed;
+        w.handlers.(observer).on_peer_down w.ctxs.(observer) failed
       end
   | False_down { observer; suspect } ->
       Metrics.incr w.metrics "events_false_down";
@@ -416,58 +459,61 @@ let dispatch_now w = function
          partition that healed before detection stays invisible *)
       if w.alive.(observer) && separated w observer suspect then begin
         Metrics.incr w.metrics "false_suspicions";
-        record w "site %d FALSELY suspects site %d (partition)" observer suspect;
-        (handlers_for w observer).on_peer_down { world = w; self = observer } suspect
+        if w.tracing then record w "site %d FALSELY suspects site %d (partition)" observer suspect;
+        w.handlers.(observer).on_peer_down w.ctxs.(observer) suspect
       end
   | Detect_up { observer; recovered } ->
       Metrics.incr w.metrics "events_detect_up";
       if w.alive.(observer) && w.alive.(recovered) then begin
-        record w "site %d detects recovery of site %d" observer recovered;
-        (handlers_for w observer).on_peer_up { world = w; self = observer } recovered
+        if w.tracing then record w "site %d detects recovery of site %d" observer recovered;
+        w.handlers.(observer).on_peer_up w.ctxs.(observer) recovered
       end
 
 (* A stalled site's processor does nothing while the window is open:
    events targeting it are parked and re-enqueued at the window's end,
    where they dispatch in one burst — the wake-up after a GC pause. *)
 let dispatch w ev =
-  let deferred =
-    match event_target ev with
-    | Some s -> (
-        match stalled_until w s with
-        | Some until_t when until_t > w.now ->
-            Metrics.incr w.metrics "events_stalled";
-            record w "stall defers an event at site %d to %.2f" s until_t;
-            Eventq.push w.queue ~time:until_t ev;
-            true
-        | _ -> false)
-    | None -> false
-  in
-  if not deferred then dispatch_now w ev
+  match w.stall_windows with
+  | [] -> dispatch_now w ev
+  | _ ->
+      let s = event_target ev in
+      let until_t = if s = 0 then neg_infinity else stalled_until w s in
+      if until_t > w.now then begin
+        Metrics.incr w.metrics "events_stalled";
+        if w.tracing then record w "stall defers an event at site %d to %.2f" s until_t;
+        Eventq.push w.queue ~time:until_t ev
+      end
+      else dispatch_now w ev
 
 (** [run w ~handlers ?until ()] registers handlers, starts every site, and
     processes events in timestamp order until quiescence, [until] (default
     100_000.0 time units), or {!stop}.  Returns the final simulation
-    time. *)
+    time.  [handlers] is called once per site, here: dispatch then looks
+    each site's record up in an array. *)
 let run w ~handlers ?(until = 100_000.0) () =
-  w.handlers <- Some handlers;
-  List.iter (fun s -> if w.alive.(s) then (handlers s).on_start { world = w; self = s }) (sites w);
+  w.handlers <- Array.make (w.n_sites + 1) (handlers 1);
+  for s = 2 to w.n_sites do
+    w.handlers.(s) <- handlers s
+  done;
+  for s = 1 to w.n_sites do
+    if w.alive.(s) then w.handlers.(s).on_start w.ctxs.(s)
+  done;
   let queue_depth_hwm = Metrics.gauge_handle w.metrics "queue_depth_hwm" in
-  let rec loop () =
-    if w.stopped then ()
+  let q = w.queue in
+  let running = ref true in
+  while !running && not w.stopped do
+    Metrics.gauge_record queue_depth_hwm (Eventq.length q);
+    if Eventq.is_empty q then running := false
     else begin
-      Metrics.gauge_record queue_depth_hwm (Eventq.length w.queue);
-      match Eventq.pop w.queue with
-      | None -> ()
-      | Some (time, ev) ->
-          if time > until then ()
-          else begin
-            w.now <- max w.now time;
-            dispatch w ev;
-            loop ()
-          end
+      let time = Eventq.top_time q in
+      let ev = Eventq.pop_top q in
+      if time > until then running := false
+      else begin
+        if w.now < time then w.now <- time;
+        dispatch w ev
+      end
     end
-  in
-  loop ();
+  done;
   w.now
 
 let pp_trace ppf w =

@@ -77,10 +77,6 @@ val add_crash_hook : 'msg t -> (site -> unit) -> unit
     accounting.  Hooks compose: each registration appends, and all hooks
     run in registration order on every crash. *)
 
-val set_crash_hook : 'msg t -> (site -> unit) -> unit
-(** Deprecated alias for {!add_crash_hook} (it no longer replaces prior
-    hooks — registrations accumulate). *)
-
 val schedule_latency_spike :
   'msg t -> site:site -> from_t:float -> until_t:float -> extra:float -> unit
 (** Add [extra] latency to every message sent from or to [site] while the
@@ -137,9 +133,16 @@ val stop : 'msg t -> unit
 val run : 'msg t -> handlers:(site -> 'msg handlers) -> ?until:float -> unit -> float
 (** Registers handlers, starts every site, processes events in timestamp
     order until quiescence, [until] (default 100_000.0), or {!stop}.
-    Returns the final simulation time. *)
+    Returns the final simulation time.  [handlers] is called once per
+    site, before any site starts; every later event at that site
+    dispatches to the same record. *)
 
 val set_tracing : 'msg t -> bool -> unit
+
+val tracing : 'msg t -> bool
+(** Is tracing on?  Hot paths check this before calling {!record}, whose
+    arguments would otherwise be evaluated for nothing. *)
+
 val trace_entries : 'msg t -> trace_entry list
 val record : 'msg t -> ('a, Format.formatter, unit, unit) format4 -> 'a
 (** Append a formatted line to the trace (no-op unless tracing). *)

@@ -214,6 +214,37 @@ let test_fencing_counterexample_shrinks_and_replays () =
   in
   Alcotest.(check bool) "reloaded plan still splits the brain" true (has C.Atomicity violations)
 
+(* ---------------- pinned trace ---------------- *)
+
+(* One detector run that walks every traced path of the simulator: a
+   partition with false suspicion and healing, chaos drop / duplicate /
+   delay, a latency spike, a stall, heartbeat loss, a crash and a
+   recovery.  The digest pins the rendered trace (exact timestamps) and
+   the deterministic metrics, so a rewrite of the event loop must
+   reproduce the run byte for byte. *)
+let pinned_trace_plan =
+  "partition from=3 until=6 groups=1|2,3; msg nth=2 fault=drop; msg nth=4 fault=dup; msg nth=6 \
+   fault=delay:2.5; delay site=2 from=1 until=12 extra=1.5; stall site=3 from=14 until=19; hb-loss \
+   site=2 from=20 until=28; crash site=1 at=9; recover site=1 at=30"
+
+let pinned_trace_digest = "16947840819c78373308c98758f18c9b"
+
+let test_pinned_trace () =
+  let result, _ =
+    C.run_plan (Lazy.force rb_c3) ~detector:true ~tracing:true ~plan:(plan_of pinned_trace_plan)
+      ~seed:7 ()
+  in
+  let rendered =
+    String.concat "\n"
+      (List.map
+         (fun (e : Sim.World.trace_entry) -> Fmt.str "%h  %s" e.Sim.World.at e.Sim.World.what)
+         result.R.trace)
+    ^ "\n"
+    ^ Sim.Json.to_string (M.to_json ~drop_wall:true result.R.run_metrics)
+  in
+  Alcotest.(check string) "trace and metrics digest" pinned_trace_digest
+    (Digest.to_hex (Digest.string rendered))
+
 (* ---------------- the database harness under the detector ---------------- *)
 
 let kv_safety_violations (s : Kv.Chaos_db.summary) =
@@ -245,5 +276,6 @@ let suite =
     Alcotest.test_case "fencing ablation: pinned split-brain" `Quick test_fencing_ablation_pinned;
     Alcotest.test_case "fencing counterexample shrinks and replays" `Quick
       test_fencing_counterexample_shrinks_and_replays;
+    Alcotest.test_case "pinned detector trace is byte-identical" `Quick test_pinned_trace;
     Alcotest.test_case "kv: detector sweep is safe" `Quick test_kv_detector_sweep_safe;
   ]

@@ -253,6 +253,66 @@ let prop_merge_equals_single =
              | _ -> false)
            hist_names)
 
+(* ---------------- counter handles ---------------- *)
+
+let test_counter_handle_lazy () =
+  let m = M.create () in
+  M.incr m "a";
+  let before = J.to_string (M.to_json m) in
+  let _never = M.counter_handle m "never" in
+  let _a = M.counter_handle m "a" in
+  Alcotest.(check (list (pair string int))) "counters unchanged" [ ("a", 1) ] (M.counters m);
+  Alcotest.(check string) "to_json unchanged" before (J.to_string (M.to_json m));
+  Alcotest.(check int) "unbumped label reads 0" 0 (M.counter m "never")
+
+let test_counter_handle_sums_with_incr () =
+  let m = M.create () in
+  (* the label exists by name before the handle's first bump *)
+  let h = M.counter_handle m "a" in
+  M.incr m "a";
+  M.bump h;
+  M.bump h;
+  M.incr ~by:3 m "a";
+  M.bump h;
+  Alcotest.(check int) "name first: bumps and incr sum" 7 (M.counter m "a");
+  (* the handle registers the label; incr by name and a second handle join it *)
+  let h1 = M.counter_handle m "b" and h2 = M.counter_handle m "b" in
+  M.bump h1;
+  M.incr ~by:2 m "b";
+  M.bump h2;
+  M.bump h1;
+  Alcotest.(check int) "handle first: bumps and incr sum" 5 (M.counter m "b");
+  Alcotest.(check (list (pair string int)))
+    "one entry per label" [ ("a", 7); ("b", 5) ] (M.counters m)
+
+(* The same update stream applied with every counter bump going through
+   a handle, and with [incr] by name: the registries, and their merges
+   into a common destination, must be indistinguishable. *)
+let prop_counter_handles_merge_like_names =
+  Helpers.qtest ~count:150 "merge: registries filled through handles = filled by name" gen_ops
+    (fun (ops, k) ->
+      let by_handle = M.create () and by_name = M.create () in
+      let handles = Array.map (fun name -> M.counter_handle by_handle ("c_" ^ name)) hist_names in
+      List.iter
+        (function
+          | Incr (i, n) ->
+              for _ = 1 to n do
+                M.bump handles.(i)
+              done
+          | op -> apply by_handle op)
+        ops;
+      List.iter (apply by_name) ops;
+      let base () =
+        let b = M.create () in
+        List.iteri (fun ix op -> if ix mod k = 0 then apply b op) ops;
+        b
+      in
+      let merged_handle = base () and merged_name = base () in
+      M.merge merged_handle by_handle;
+      M.merge merged_name by_name;
+      J.to_string (M.to_json by_handle) = J.to_string (M.to_json by_name)
+      && J.to_string (M.to_json merged_handle) = J.to_string (M.to_json merged_name))
+
 let test_drain_timers () =
   let m = M.create () in
   M.timer_start m "op" ~key:1 ~at:1.0;
@@ -326,6 +386,9 @@ let suite =
     Alcotest.test_case "json parse errors" `Quick test_json_parse_errors;
     Alcotest.test_case "run metrics deterministic" `Quick test_run_deterministic;
     prop_merge_equals_single;
+    Alcotest.test_case "counter handle registers lazily" `Quick test_counter_handle_lazy;
+    Alcotest.test_case "counter handle and incr sum" `Quick test_counter_handle_sums_with_incr;
+    prop_counter_handles_merge_like_names;
     Alcotest.test_case "drain_timers accounts leaks" `Quick test_drain_timers;
     Alcotest.test_case "merge drains in-flight timers" `Quick test_merge_drains_in_flight;
     Alcotest.test_case "to_json ~drop_wall filters wall_ series" `Quick test_drop_wall;

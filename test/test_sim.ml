@@ -109,6 +109,78 @@ let prop_eventq_sorted =
       let popped = drain [] in
       popped = List.sort compare popped && List.length popped = List.length times)
 
+(* Interleaved pushes and pops against a sorted-list model keyed by
+   (time, insertion index).  Times come from five values, so most keys
+   tie on time and the insertion order decides; the payload is the
+   insertion index, so the exact (time, payload) pop sequence is pinned.
+   Pops alternate between [pop] and [top_time] + [pop_top]. *)
+let prop_eventq_model =
+  Helpers.qtest "interleaved push/pop matches a sorted-list model"
+    QCheck2.Gen.(
+      list_size (int_range 0 300)
+        (frequency
+           [ (3, map (fun t -> `Push t) (int_range 0 4)); (1, pure `Pop); (1, pure `Pop_top) ]))
+    (fun ops ->
+      let q = Sim.Eventq.create () in
+      let model = ref [] and next = ref 0 in
+      let take () =
+        match !model with
+        | [] -> None
+        | x :: rest ->
+            model := rest;
+            Some x
+      in
+      let step = function
+        | `Push t ->
+            let time = 0.5 *. float_of_int t in
+            Sim.Eventq.push q ~time !next;
+            model := List.merge compare !model [ (time, !next) ];
+            incr next;
+            Sim.Eventq.length q = List.length !model
+        | `Pop -> Sim.Eventq.pop q = take ()
+        | `Pop_top -> (
+            match take () with
+            | None -> Sim.Eventq.is_empty q
+            | Some (time, v) ->
+                let t' = Sim.Eventq.top_time q in
+                t' = time && Sim.Eventq.pop_top q = v)
+      in
+      let rec drain () =
+        match take () with
+        | None -> Sim.Eventq.pop q = None
+        | Some x -> Sim.Eventq.pop q = Some x && drain ()
+      in
+      List.for_all step ops && drain ())
+
+(* Slots [A(0); C(5); T(1)]: popping A re-inserts T from the last slot,
+   popping T leaves C.  T has then passed through two vacated slots, and
+   neither may keep it alive.  Built out of line so no stack slot of the
+   caller holds T. *)
+let[@inline never] pop_tracked_past_vacated_slots q ~pop =
+  let tracked = Weak.create 1 in
+  let t = ref 1 in
+  Weak.set tracked 0 (Some t);
+  Sim.Eventq.push q ~time:0.0 (ref 0);
+  Sim.Eventq.push q ~time:5.0 (ref 5);
+  Sim.Eventq.push q ~time:1.0 t;
+  pop q;
+  pop q;
+  tracked
+
+let test_eventq_no_retention () =
+  List.iter
+    (fun (name, pop) ->
+      let q = Sim.Eventq.create () in
+      let tracked = pop_tracked_past_vacated_slots q ~pop in
+      Gc.full_major ();
+      Alcotest.(check bool) (name ^ ": popped payload is collectable") false (Weak.check tracked 0);
+      Alcotest.(check (option (float 0.0))) (name ^ ": the later entry remains") (Some 5.0)
+        (Sim.Eventq.peek_time q))
+    [
+      ("pop", fun q -> ignore (Sim.Eventq.pop q));
+      ("pop_top", fun q -> ignore (Sim.Eventq.pop_top q));
+    ]
+
 (* ---------------- Metrics ---------------- *)
 
 let test_metrics () =
@@ -301,6 +373,62 @@ let test_world_trace_and_pp () =
   in
   Alcotest.(check bool) "pp_trace mentions the send" true (contains "send 1->2 ping" rendered)
 
+(* One run through every message path that traces a message: plain
+   send, delivery, drop at a crashed destination, partition drop, chaos
+   drop, duplicate, delay, and a send from a crashed sender.  Returns how
+   often [msg_to_string] ran and the run's counters. *)
+let message_paths_run ~tracing =
+  let calls = ref 0 in
+  let w =
+    Sim.World.create ~n_sites:3 ~seed:1
+      ~msg_to_string:(fun m ->
+        incr calls;
+        wmsg_str m)
+      ()
+  in
+  Sim.World.set_tracing w tracing;
+  Sim.World.schedule_partition w ~from_t:0.0 ~until_t:50.0 [ [ 1; 2 ]; [ 3 ] ];
+  Sim.World.set_msg_faults w
+    [ (0, Sim.World.Fault_drop); (1, Sim.World.Fault_duplicate); (2, Sim.World.Fault_delay 2.5) ];
+  (* the delayed copy arrives after site 2 has crashed *)
+  Sim.World.schedule_crash w ~at:2.0 2;
+  let handlers =
+    quiet_handlers
+      ~on_start:(fun ctx ->
+        match ctx.Sim.World.self with
+        | 1 ->
+            for _ = 1 to 4 do
+              Sim.World.send ctx ~dst:2 Ping
+            done;
+            Sim.World.send ctx ~dst:3 Ping
+        | 3 ->
+            Sim.World.crash_self ctx;
+            Sim.World.send ctx ~dst:1 Pong
+        | _ -> ())
+      ()
+  in
+  ignore (Sim.World.run w ~handlers ());
+  (!calls, Sim.Metrics.counters (Sim.World.metrics w))
+
+let test_world_untraced_never_renders () =
+  let calls, counters = message_paths_run ~tracing:false in
+  let count name = Option.value ~default:0 (List.assoc_opt name counters) in
+  List.iter
+    (fun (name, n) -> Alcotest.(check int) ("path taken: " ^ name) n (count name))
+    [
+      ("messages_sent", 5);
+      ("messages_delivered", 3);
+      ("messages_dropped", 1);
+      ("messages_partitioned", 1);
+      ("messages_chaos_dropped", 1);
+      ("messages_duplicated", 1);
+      ("messages_chaos_delayed", 1);
+    ];
+  Alcotest.(check int) "msg_to_string never called with tracing off" 0 calls;
+  let traced_calls, traced_counters = message_paths_run ~tracing:true in
+  Alcotest.(check int) "traced: one rendering per traced message line" 10 traced_calls;
+  Alcotest.(check (list (pair string int))) "tracing changes no counter" counters traced_counters
+
 let test_metrics_pp () =
   let m = Sim.Metrics.create () in
   Sim.Metrics.incr m "events";
@@ -347,6 +475,8 @@ let suite =
     Alcotest.test_case "eventq empty" `Quick test_eventq_empty;
     Alcotest.test_case "eventq bad time" `Quick test_eventq_bad_time;
     prop_eventq_sorted;
+    prop_eventq_model;
+    Alcotest.test_case "eventq retains no popped payload" `Quick test_eventq_no_retention;
     Alcotest.test_case "metrics" `Quick test_metrics;
     Alcotest.test_case "world delivery" `Quick test_world_delivery;
     Alcotest.test_case "crash drops in-flight messages" `Quick test_world_crash_drops_messages;
@@ -359,5 +489,7 @@ let suite =
     Alcotest.test_case "inject and incarnations" `Quick test_world_inject_and_generations;
     Alcotest.test_case "run until bound" `Quick test_world_until;
     Alcotest.test_case "tracing and pp_trace" `Quick test_world_trace_and_pp;
+    Alcotest.test_case "untraced runs never render a message" `Quick
+      test_world_untraced_never_renders;
     Alcotest.test_case "metrics pp" `Quick test_metrics_pp;
   ]
