@@ -97,8 +97,8 @@ let engine_2pc () =
 let engine_3pc () =
   Engine.Explore.engine_harness ~k:1 (Engine.Rulebook.compile (Core.Catalog.central_3pc 3))
 
-let kv_2pc () = Helpers_bench.kv_harness ~protocol:Kv.Node.Two_phase ~fencing:true ~k:1 ()
-let kv_3pc () = Helpers_bench.kv_harness ~protocol:Kv.Node.Three_phase ~fencing:true ~k:1 ()
+let kv_2pc () = Kv.Chaos_db.harness ~protocol:Kv.Node.Two_phase ~k:1 ()
+let kv_3pc () = Kv.Chaos_db.harness ~protocol:Kv.Node.Three_phase ~k:1 ()
 
 (* ---------------- full bench ---------------- *)
 

@@ -162,36 +162,26 @@ let matrix_cell family (class_name, plan_of) =
 
 let engine_sweep_row ~f ~k ~seeds =
   Fmt.epr "paxos sweep (engine) n=%d f=%d k=%d seeds=%d...@." n_sites f k seeds;
-  let s, wall = time (fun () -> EP.sweep ~n_sites ~f ~k ~seeds ()) in
-  ( List.length s.EP.ps_failing,
+  let (runs, s), wall = time (fun () -> EC.sweep_target (EP.target ~n_sites ~f ()) ~k ~seeds) in
+  let failing = Array.fold_left (fun n (o : EC.run_outcome) -> if o.violations = [] then n else n + 1) 0 runs in
+  ( failing,
     Sim.Json.Obj
       [
         ("harness", Sim.Json.Str "engine");
         ("f", Sim.Json.Int f);
         ("n", Sim.Json.Int n_sites);
         ("k", Sim.Json.Int k);
-        ("seeds", Sim.Json.Int s.EP.ps_seeds_run);
-        ("failing", Sim.Json.Int (List.length s.EP.ps_failing));
+        ("seeds", Sim.Json.Int s.EC.seeds_run);
+        ("failing", Sim.Json.Int failing);
         ("wall_s", Sim.Json.Float wall);
         ("schedules_per_sec", Sim.Json.Float (rate seeds wall));
       ] )
-
-(* aim faults at the replicated-coordinator state: the KV harness puts
-   the 2f+1 acceptors on the lowest-numbered sites *)
-let kv_paxos_profile ~f =
-  {
-    Kv.Chaos_db.default_profile with
-    Sim.Nemesis.p_acceptor_crash = 0.5;
-    acceptor_sites = List.init ((2 * f) + 1) (fun i -> i + 1);
-    max_acceptor_crashes = f;
-    p_lease_fault = 0.3;
-  }
 
 let kv_sweep_row ~f ~k ~seeds =
   Fmt.epr "paxos sweep (kv) n=%d f=%d k=%d seeds=%d...@." n_sites f k seeds;
   let s, wall =
     time (fun () ->
-        Kv.Chaos_db.sweep ~profile:(kv_paxos_profile ~f) ~protocol:(Kv.Node.Paxos f) ~n_sites ~k
+        Kv.Chaos_db.sweep ~profile:(Kv.Chaos_db.paxos_profile ~f Kv.Chaos_db.default_profile) ~protocol:(Kv.Node.Paxos f) ~n_sites ~k
           ~seeds ())
   in
   ( List.length s.Kv.Chaos_db.failing,

@@ -29,76 +29,3 @@ let arg_int flag ~default argv =
 let cs_ids graph state =
   let cs = Core.Concurrency.compute graph in
   Core.Concurrency.String_set.elements (Core.Concurrency.merged_ids cs ~state)
-
-(** The database harness for {!Engine.Explore}, shared by `skeen
-    explore --kv` and the explore bench.  It lives here rather than in
-    lib/kv because kv does not depend on engine: plans cross the
-    boundary through {!Engine.Failure_plan.to_schedule}.  [random_plan]
-    reproduces {!Kv.Chaos_db.run_one}'s seed discipline (workload
-    stream split first, schedule stream second), so the [`Random]
-    baseline is exactly the classic kv chaos sweep. *)
-let kv_harness ?(protocol = Kv.Node.Two_phase) ?termination ?presumption ?(n_sites = 4) ?until
-    ?durable_wal ?detector ?fencing ?(profile = Kv.Chaos_db.default_profile) ?(k = 1) () =
-  let open Engine.Explore in
-  let name =
-    "kv-"
-    ^
-    match protocol with
-    | Kv.Node.Two_phase -> "2pc"
-    | Kv.Node.Three_phase -> "3pc"
-    | Kv.Node.Paxos f -> Printf.sprintf "paxos-f%d" f
-  in
-  let run ~seed plan =
-    let schedule = Engine.Failure_plan.to_schedule plan in
-    let result, violations =
-      Kv.Chaos_db.run_schedule ~protocol ?termination ?presumption ~n_sites ?until ?durable_wal
-        ?detector ?fencing ~seed schedule
-    in
-    {
-      fingerprint = Kv.Chaos_db.fingerprint_of result;
-      violations =
-        List.map
-          (fun (v : Kv.Chaos_db.violation) -> (Kv.Chaos_db.oracle_name v.oracle, v.detail))
-          violations;
-    }
-  in
-  let shrink ~seed ~oracle plan =
-    let named =
-      List.find_opt
-        (fun o -> Kv.Chaos_db.oracle_name o = oracle)
-        [
-          Kv.Chaos_db.Atomicity; Kv.Chaos_db.Conservation; Kv.Chaos_db.Progress;
-          Kv.Chaos_db.Durability; Kv.Chaos_db.Split_brain;
-        ]
-    in
-    match named with
-    | None -> (plan, 0)
-    | Some oracle ->
-        let minimal, runs =
-          Kv.Chaos_db.shrink ~protocol ?termination ?presumption ~n_sites ?until ?durable_wal
-            ?detector ?fencing ~seed ~oracle
-            (Engine.Failure_plan.to_schedule plan)
-        in
-        (Engine.Failure_plan.of_schedule minimal, runs)
-  in
-  let random_plan ~seed =
-    let root = Sim.Rng.create ~seed in
-    ignore (Sim.Rng.split root) (* the workload stream, consumed by [Kv.Chaos_db.workload_of] *);
-    let sched_rng = Sim.Rng.split root in
-    Engine.Failure_plan.of_schedule (Sim.Nemesis.generate sched_rng ~n_sites ~k profile)
-  in
-  let families =
-    [ Timed_crashes; Recoveries; Msg_faults; Delay_spikes; Stalls; Hb_losses; Storms ]
-    @ match protocol with
-      | Kv.Node.Paxos _ -> [ Acceptor_crashes; Lease_faults ]
-      | Kv.Node.Two_phase | Kv.Node.Three_phase -> []
-  in
-  {
-    name;
-    n_sites;
-    horizon = profile.Sim.Nemesis.horizon;
-    families;
-    run;
-    shrink;
-    random_plan;
-  }

@@ -33,6 +33,17 @@ let sites_arg =
 
 let build label n = (Core.Catalog.find label).Core.Catalog.build n
 
+let kv_protocol ~cmd label f =
+  match label with
+  | "central-2pc" -> Kv.Node.Two_phase
+  | "central-3pc" -> Kv.Node.Three_phase
+  | "paxos-commit" -> Kv.Node.Paxos f
+  | other ->
+      Fmt.epr
+        "skeen %s --kv: unsupported protocol %s (use central-2pc, central-3pc or paxos-commit)@."
+        cmd other;
+      exit 2
+
 (* ---------------- analyze ---------------- *)
 
 let analyze_cmd =
@@ -320,8 +331,8 @@ let chaos_cmd =
       & info [ "kv" ]
           ~doc:
             "Drive the database harness instead of a bare protocol instance: the same schedules \
-             against a bank-transfer workload, judged by the atomicity, conservation and \
-             nonblocking-progress oracles (central-2pc and central-3pc only).")
+             and plans against a bank-transfer workload, judged by the same oracles plus \
+             conservation of the bank total (central-2pc, central-3pc or paxos-commit).")
   in
   let detector_arg =
     Arg.(
@@ -427,106 +438,24 @@ let chaos_cmd =
       { base with Sim.Nemesis.p_disk_fault = 0.6; lost_flush_weight = lost_flush }
     else base
   in
-  (* --plan goes through the family check before anything runs: a clause the
-     selected protocol cannot execute (e.g. move-crash outside 3PC,
-     acceptor-crash outside Paxos Commit) would otherwise be silently
-     ignored and the run would vacuously pass. *)
-  let parse_plan ~label s =
+  (* --plan goes through the target's family gate before anything runs: a
+     clause the selected target cannot execute (e.g. move-crash outside
+     3PC, acceptor-crash outside Paxos Commit, any step crash on the
+     database) would otherwise be silently ignored and the run would
+     vacuously pass. *)
+  let parse_plan ~families ~target s =
     match Engine.Failure_plan.of_string s with
     | Error msg ->
         Fmt.epr "skeen chaos: bad --plan: %s@." msg;
         exit 2
     | Ok plan -> (
-        match Engine.Failure_plan.unsupported_clauses ~protocol:label plan with
+        match Engine.Explore.unsupported ~families plan with
         | [] -> plan
-        | msgs ->
-            List.iter (fun m -> Fmt.epr "skeen chaos: %s@." m) msgs;
+        | clauses ->
+            List.iter
+              (fun c -> Fmt.epr "skeen chaos: %s: %s does not execute this clause@." c target)
+              clauses;
             exit 2)
-  in
-  let run_kv label n f k seeds seed_base workers until replay partitions drops quorum ~disk_faults
-      ~lost_flush ~detector ~fencing ~detector_faults ~presumption ~read_only_opt ~group_commit
-      ~pipeline_depth ~sync_latency =
-    let presumption =
-      Option.map
-        (function `Abort -> Kv.Node.Presume_abort | `Commit -> Kv.Node.Presume_commit)
-        presumption
-    in
-    let group_commit =
-      if group_commit > 0 then Some { Kv.Kv_wal.max_batch = group_commit; max_wait = 0.05 }
-      else None
-    in
-    let protocol =
-      match label with
-      | "central-2pc" -> Kv.Node.Two_phase
-      | "central-3pc" -> Kv.Node.Three_phase
-      | "paxos-commit" -> Kv.Node.Paxos f
-      | other ->
-          Fmt.epr
-            "skeen chaos --kv: unsupported protocol %s (use central-2pc, central-3pc or \
-             paxos-commit)@."
-            other;
-          exit 2
-    in
-    let termination =
-      if quorum then Kv.Node.T_quorum (Engine.Runtime.majority n) else Kv.Node.T_skeen
-    in
-    let profile =
-      storage_profile ~disk_faults ~lost_flush
-        {
-          Kv.Chaos_db.default_profile with
-          Sim.Nemesis.p_partition = (if partitions then 0.35 else 0.0);
-          drop_weight = drops;
-        }
-    in
-    let profile = if detector_faults then detector_profile profile else profile in
-    let profile =
-      match protocol with
-      | Kv.Node.Paxos f ->
-          (* aim faults at the replicated-coordinator state: the KV harness
-             puts the 2f+1 acceptors on the lowest-numbered sites *)
-          {
-            profile with
-            Sim.Nemesis.p_acceptor_crash = 0.5;
-            acceptor_sites = List.init ((2 * f) + 1) (fun i -> i + 1);
-            max_acceptor_crashes = f;
-            p_lease_fault = 0.3;
-          }
-      | _ -> profile
-    in
-    match replay with
-    | Some seed ->
-        let o =
-          Kv.Chaos_db.run_one ~profile ~protocol ~termination ~n_sites:n ~until ~tracing:true
-            ~detector ~fencing ?presumption ~read_only_opt ?group_commit ~sync_latency
-            ~pipeline_depth ~k ~seed ()
-        in
-        Fmt.pr "seed %d schedule:@.%s@." seed
-          (match Sim.Nemesis.to_string o.Kv.Chaos_db.schedule with "" -> "(no faults)" | s -> s);
-        Fmt.pr "%a@." Kv.Db.pp_result o.Kv.Chaos_db.result;
-        List.iter (fun v -> Fmt.pr "VIOLATION %a@." Kv.Chaos_db.pp_violation v) o.Kv.Chaos_db.violations;
-        List.iter
-          (fun e -> Fmt.pr "%8.2f  %s@." e.Sim.World.at e.Sim.World.what)
-          o.Kv.Chaos_db.result.Kv.Db.trace;
-        if o.Kv.Chaos_db.violations <> [] then exit 1
-    | None ->
-        let summary, wall =
-          Sim.Clock.time (fun () ->
-              Kv.Chaos_db.sweep ~profile ~protocol ~termination ~n_sites:n ~until ~detector
-                ~fencing ?presumption ~read_only_opt ?group_commit ~sync_latency ~pipeline_depth
-                ~seed_base ~workers ~k ~seeds ())
-        in
-        Fmt.pr "%a@." Kv.Chaos_db.pp_summary summary;
-        Fmt.pr "%.0f schedules/sec (%.2f s wall)@."
-          (if wall > 0.0 then float_of_int seeds /. wall else 0.0)
-          wall;
-        List.iter
-          (fun (seed, vs, shrunk) ->
-            Fmt.pr "@.seed %d:@." seed;
-            List.iter (fun v -> Fmt.pr "  %a@." Kv.Chaos_db.pp_violation v) vs;
-            Fmt.pr "  shrunk schedule: %s@."
-              (match Sim.Nemesis.to_string shrunk with "" -> "(no faults)" | s -> s))
-          summary.Kv.Chaos_db.failing;
-        if summary.Kv.Chaos_db.violations_by_oracle <> [] then exit 1
   in
   let run label n f k seeds seed_base workers until replay plan_str partitions drops quorum
       disk_faults lost_flush kv detector_flag no_fencing detector_faults heartbeat_period
@@ -534,152 +463,114 @@ let chaos_cmd =
       sync_latency metrics_json =
     let detector = detector_flag || no_fencing || detector_faults in
     let fencing = not no_fencing in
-    if kv then run_kv label n f k seeds seed_base workers until replay partitions drops quorum
-        ~disk_faults ~lost_flush ~detector ~fencing ~detector_faults ~presumption ~read_only_opt
-        ~group_commit ~pipeline_depth ~sync_latency
-    else if label = "paxos-commit" then begin
-      let module EP = Engine.Paxos in
-      let profile =
+    let profile base =
+      let p =
         storage_profile ~disk_faults ~lost_flush
           {
-            (EP.sweep_profile ~n_sites:n ~f) with
+            base with
             Sim.Nemesis.p_partition = (if partitions then 0.35 else 0.0);
             drop_weight = drops;
           }
       in
-      let profile = if detector_faults then detector_profile profile else profile in
+      if detector_faults then detector_profile p else p
+    in
+    (* One code path for every target: --plan runs one plan once, --replay
+       runs one seed's generated plan, otherwise a seed sweep. *)
+    let drive (t : _ Engine.Chaos.target) ~families ~pp_result ~run_metrics =
+      let plan_text p =
+        match Engine.Failure_plan.to_string p with "" -> "(no faults)" | s -> s
+      in
+      let run_once header plan ~seed =
+        let result, violations = t.run ~metrics:None ~tracing:true ~seed plan in
+        Fmt.pr "%s %s@." header (plan_text plan);
+        Fmt.pr "%a@." pp_result result;
+        List.iter (fun v -> Fmt.pr "VIOLATION %a@." Engine.Chaos.pp_violation v) violations;
+        List.iter (fun e -> Fmt.pr "%8.2f  %s@." e.Sim.World.at e.Sim.World.what) (t.trace result);
+        Option.iter
+          (fun f -> write_metrics_json f (Sim.Metrics.to_json (run_metrics result)))
+          metrics_json;
+        if violations <> [] then exit 1
+      in
       match (plan_str, replay) with
-      | Some s, _ ->
-          let plan = parse_plan ~label s in
-          let cfg = EP.config ~plan ~seed:seed_base ~tracing:true ~until ~n_sites:n ~f () in
-          let result = EP.run cfg in
-          let violations = EP.violations ~cfg result in
-          Fmt.pr "plan: %s@." (Engine.Failure_plan.to_string plan);
-          Fmt.pr "%a@." Engine.Runtime.pp_result result;
-          List.iter (fun v -> Fmt.pr "VIOLATION %a@." Engine.Chaos.pp_violation v) violations;
-          List.iter
-            (fun e -> Fmt.pr "%8.2f  %s@." e.Sim.World.at e.Sim.World.what)
-            result.Engine.Runtime.trace;
-          if violations <> [] then exit 1
+      | Some s, _ -> run_once "plan:" (parse_plan ~families ~target:t.name s) ~seed:seed_base
       | None, Some seed ->
-          let o = EP.run_one ~profile ~until ~n_sites:n ~f ~k ~seed () in
-          let cfg =
-            EP.config ~plan:o.EP.ro_plan ~seed ~tracing:true ~until ~n_sites:n ~f ()
-          in
-          let result = EP.run cfg in
-          Fmt.pr "seed %d generates: %s@." seed
-            (match Engine.Failure_plan.to_string o.EP.ro_plan with
-            | "" -> "(no faults)"
-            | s -> s);
-          Fmt.pr "%a@." Engine.Runtime.pp_result result;
-          List.iter
-            (fun v -> Fmt.pr "VIOLATION %a@." Engine.Chaos.pp_violation v)
-            o.EP.ro_violations;
-          List.iter
-            (fun e -> Fmt.pr "%8.2f  %s@." e.Sim.World.at e.Sim.World.what)
-            result.Engine.Runtime.trace
+          run_once
+            (Printf.sprintf "seed %d generates:" seed)
+            (Engine.Failure_plan.of_schedule (Engine.Chaos.schedule t ~k ~seed))
+            ~seed
       | None, None ->
-          let summary, wall =
-            Sim.Clock.time (fun () ->
-                EP.sweep ~profile ~until ~seed_base ~n_sites:n ~f ~k ~seeds ())
+          let (_, summary), wall =
+            Sim.Clock.time (fun () -> Engine.Chaos.sweep_target ~seed_base ~workers t ~k ~seeds)
           in
-          Fmt.pr "paxos-commit n=%d f=%d (%d acceptors) k=%d: %d seeds run, %d failing@." n f
-            (List.length (EP.acceptors ~n_sites:n ~f))
-            k summary.EP.ps_seeds_run
-            (List.length summary.EP.ps_failing);
+          Fmt.pr "%a@." Engine.Chaos.pp_summary summary;
           Fmt.pr "%.0f schedules/sec (%.2f s wall)@."
             (if wall > 0.0 then float_of_int seeds /. wall else 0.0)
             wall;
           List.iter
-            (fun (seed, vs, plan) ->
-              Fmt.pr "@.seed %d:@." seed;
-              List.iter (fun v -> Fmt.pr "  %a@." Engine.Chaos.pp_violation v) vs;
-              Fmt.pr "  plan: %s@."
-                (match Engine.Failure_plan.to_string plan with "" -> "(no faults)" | s -> s))
-            summary.EP.ps_failing;
+            (fun cx -> Fmt.pr "@.%a@." Engine.Chaos.pp_counterexample cx)
+            summary.Engine.Chaos.counterexamples;
           Option.iter
-            (fun file -> write_metrics_json file (Sim.Metrics.to_json summary.EP.ps_metrics))
+            (fun f -> write_metrics_json f (Sim.Metrics.to_json summary.Engine.Chaos.metrics))
             metrics_json;
-          if summary.EP.ps_failing <> [] then exit 1
+          if summary.Engine.Chaos.violations_by_oracle <> [] then exit 1
+    in
+    let families = Engine.Explore.protocol_families ~protocol:label
+    and engine_metrics (r : Engine.Runtime.result) = r.run_metrics in
+    if kv then begin
+      let protocol = kv_protocol ~cmd:"chaos" label f in
+      let cfg =
+        Kv.Chaos_db.config ~protocol
+          ~termination:
+            (if quorum then Kv.Node.T_quorum (Engine.Runtime.majority n) else Kv.Node.T_skeen)
+          ?presumption:
+            (Option.map
+               (function `Abort -> Kv.Node.Presume_abort | `Commit -> Kv.Node.Presume_commit)
+               presumption)
+          ~read_only_opt
+          ?group_commit:
+            (if group_commit > 0 then Some { Kv.Kv_wal.max_batch = group_commit; max_wait = 0.05 }
+             else None)
+          ~sync_latency ~pipeline_depth ~n_sites:n ~until ~detector ~fencing ()
+      in
+      let profile = profile Kv.Chaos_db.default_profile in
+      let profile =
+        match protocol with
+        | Kv.Node.Paxos f -> Kv.Chaos_db.paxos_profile ~f profile
+        | Kv.Node.Two_phase | Kv.Node.Three_phase -> profile
+      in
+      drive (Kv.Chaos_db.target ~profile cfg) ~families:(Kv.Chaos_db.families protocol)
+        ~pp_result:Kv.Db.pp_result ~run_metrics:(fun r -> r.Kv.Db.run_metrics)
     end
+    else if label = "paxos-commit" then
+      drive
+        (Engine.Paxos.target
+           ~profile:(profile (Engine.Paxos.sweep_profile ~n_sites:n ~f))
+           ~until ~n_sites:n ~f ())
+        ~families ~pp_result:Engine.Runtime.pp_result ~run_metrics:engine_metrics
     else begin
-    if pipeline_depth <> 1 then
-      Fmt.epr "skeen chaos: --pipeline applies only to --kv (the bare protocol engine runs one \
-               transaction); ignoring it@.";
-    let presumption =
-      Option.map
-        (function `Abort -> Engine.Runtime.Presume_abort | `Commit -> Engine.Runtime.Presume_commit)
-        presumption
-    in
-    let group_commit =
-      if group_commit > 0 then Some { Engine.Wal.max_batch = group_commit; max_wait = 0.05 }
-      else None
-    in
-    let read_only = if read_only_opt then Some [ n ] else None in
-    let rb = Engine.Rulebook.compile (build label n) in
-    let termination =
-      if quorum then Engine.Runtime.Quorum (Engine.Runtime.majority n) else Engine.Runtime.Skeen
-    in
-    let profile =
-      storage_profile ~disk_faults ~lost_flush
-        {
-          Sim.Nemesis.default_profile with
-          Sim.Nemesis.p_partition = (if partitions then 0.35 else 0.0);
-          drop_weight = drops;
-        }
-    in
-    let profile = if detector_faults then detector_profile profile else profile in
-    match (plan_str, replay) with
-    | Some s, _ ->
-        let plan = parse_plan ~label s in
-        let result, violations =
-          Engine.Chaos.run_plan ~until ~termination ~tracing:true ~detector ~heartbeat_period
-            ~suspicion_timeout ~election_timeout ~fencing ?presumption ?read_only ?group_commit
-            ~sync_latency rb ~plan ~seed:seed_base ()
-        in
-        Fmt.pr "plan: %s@." (Engine.Failure_plan.to_string plan);
-        Fmt.pr "%a@." Engine.Runtime.pp_result result;
-        List.iter (fun v -> Fmt.pr "VIOLATION %a@." Engine.Chaos.pp_violation v) violations;
-        List.iter
-          (fun e -> Fmt.pr "%8.2f  %s@." e.Sim.World.at e.Sim.World.what)
-          result.Engine.Runtime.trace;
-        if violations <> [] then exit 1
-    | None, Some seed ->
-        let { Engine.Chaos.plan; violations; _ } =
-          Engine.Chaos.run_one ~profile ~until ~termination ~detector ~heartbeat_period
-            ~suspicion_timeout ~election_timeout ~fencing ?presumption ?read_only ?group_commit
-            ~sync_latency rb ~k ~seed ()
-        in
-        let result, _ =
-          Engine.Chaos.run_plan ~until ~termination ~tracing:true ~detector ~heartbeat_period
-            ~suspicion_timeout ~election_timeout ~fencing ?presumption ?read_only ?group_commit
-            ~sync_latency rb ~plan ~seed ()
-        in
-        Fmt.pr "seed %d generates: %s@." seed
-          (match Engine.Failure_plan.to_string plan with "" -> "(no faults)" | s -> s);
-        Fmt.pr "%a@." Engine.Runtime.pp_result result;
-        List.iter (fun v -> Fmt.pr "VIOLATION %a@." Engine.Chaos.pp_violation v) violations;
-        List.iter
-          (fun e -> Fmt.pr "%8.2f  %s@." e.Sim.World.at e.Sim.World.what)
-          result.Engine.Runtime.trace
-    | None, None ->
-        let summary, wall =
-          Sim.Clock.time (fun () ->
-              Engine.Chaos.sweep ~profile ~until ~termination ~detector ~heartbeat_period
-                ~suspicion_timeout ~election_timeout ~fencing ?presumption ?read_only
-                ?group_commit ~sync_latency ~seed_base ~workers rb ~k ~seeds ())
-        in
-        Fmt.pr "%a@." Engine.Chaos.pp_summary summary;
-        Fmt.pr "%.0f schedules/sec (%.2f s wall)@."
-          (if wall > 0.0 then float_of_int seeds /. wall else 0.0)
-          wall;
-        List.iter
-          (fun cx -> Fmt.pr "@.%a@." Engine.Chaos.pp_counterexample cx)
-          summary.Engine.Chaos.counterexamples;
-        Option.iter
-          (fun f -> write_metrics_json f (Sim.Metrics.to_json summary.Engine.Chaos.metrics))
-          metrics_json;
-        if summary.Engine.Chaos.violations_by_oracle <> [] then exit 1
+      if pipeline_depth <> 1 then
+        Fmt.epr "skeen chaos: --pipeline applies only to --kv (the bare protocol engine runs one \
+                 transaction); ignoring it@.";
+      let cfg =
+        Engine.Runtime.config ~until
+          ~termination:
+            (if quorum then Engine.Runtime.Quorum (Engine.Runtime.majority n)
+             else Engine.Runtime.Skeen)
+          ?presumption:
+            (Option.map
+               (function
+                 | `Abort -> Engine.Runtime.Presume_abort | `Commit -> Engine.Runtime.Presume_commit)
+               presumption)
+          ?read_only:(if read_only_opt then Some [ n ] else None)
+          ?group_commit:
+            (if group_commit > 0 then Some { Engine.Wal.max_batch = group_commit; max_wait = 0.05 }
+             else None)
+          ~sync_latency ~detector ~heartbeat_period ~suspicion_timeout ~election_timeout ~fencing
+          (Engine.Rulebook.compile (build label n))
+      in
+      drive
+        (Engine.Chaos.target ~profile:(profile Sim.Nemesis.default_profile) cfg)
+        ~families ~pp_result:Engine.Runtime.pp_result ~run_metrics:engine_metrics
     end
   in
   Cmd.v
@@ -781,24 +672,12 @@ let explore_cmd =
       if storms then { base with Sim.Nemesis.p_storm = 0.7 } else base
     in
     let harness =
-      if kv then begin
-        let protocol =
-          match label with
-          | "central-2pc" -> Kv.Node.Two_phase
-          | "central-3pc" -> Kv.Node.Three_phase
-          | "paxos-commit" -> Kv.Node.Paxos f
-          | other ->
-              Fmt.epr
-                "skeen explore --kv: unsupported protocol %s (use central-2pc, central-3pc \
-                 or paxos-commit)@."
-                other;
-              exit 2
-        in
-        let n_sites = if n = 3 then 4 else n in
-        Helpers_bench.kv_harness ~protocol ~n_sites ~fencing:true
+      if kv then
+        Kv.Chaos_db.harness
+          ~protocol:(kv_protocol ~cmd:"explore" label f)
+          ~n_sites:(if n = 3 then 4 else n)
           ~profile:(storm_profile Kv.Chaos_db.default_profile)
           ~k ()
-      end
       else if label = "paxos-commit" then begin
         Fmt.epr
           "skeen explore: the engine harness does not cover paxos-commit; use --kv \

@@ -1,11 +1,12 @@
-(** Chaos harness: randomized fault schedules, consistency oracles, and
-    counterexample shrinking.
+(** The chaos harness: randomized fault schedules, consistency oracles,
+    seed sweeps and counterexample shrinking, shared by every system
+    under test ({!target}).
 
-    Each run is a pure function of [(protocol, n, k, seed)]: the seed
-    feeds a {!Sim.Rng.split} stream to {!Sim.Nemesis.generate}, the
-    schedule lowers to a {!Failure_plan.t}, and one protocol instance
-    executes it on the simulator.  After quiescence three oracles judge
-    the history:
+    On the engine each run is a pure function of [(protocol, n, k, seed)]:
+    the seed feeds a {!Sim.Rng.split} stream to {!Sim.Nemesis.generate},
+    the schedule lowers to a {!Failure_plan.t}, and one protocol instance
+    executes it on the simulator.  After quiescence five oracles judge the
+    history:
 
     - {e atomicity}: no history where one site commits and another
       aborts; crashed sites are judged by their last WAL-forced state
@@ -27,6 +28,7 @@
       log cannot reproduce after crash + repair, means the site acted
       before its forced write was stable — a repaired-away record must
       never resurrect (or un-decide) a transaction.
+    - {e split brain}: no election epoch is claimed by two sites.
 
     On violation the schedule is greedily shrunk — drop faults one at a
     time, then round fault times — re-running after each candidate until
@@ -34,7 +36,9 @@
     as a {!Failure_plan.to_string} value that pastes straight into a
     regression test, together with the event trace of its run. *)
 
-type oracle = Atomicity | Progress | Recovery_convergence | Durability | Split_brain
+(* [Conservation] is the database harness's bank-total invariant; it comes
+   last so that sorted tallies of the engine's oracles keep their order. *)
+type oracle = Atomicity | Progress | Recovery_convergence | Durability | Split_brain | Conservation
 [@@deriving show { with_path = false }, eq]
 
 let oracle_name = function
@@ -43,8 +47,16 @@ let oracle_name = function
   | Recovery_convergence -> "recovery"
   | Durability -> "durability"
   | Split_brain -> "split-brain"
+  | Conservation -> "conservation"
 
-type violation = { oracle : oracle; detail : string } [@@deriving show { with_path = false }, eq]
+let oracle_of_name name =
+  List.find_opt
+    (fun o -> oracle_name o = name)
+    [ Atomicity; Progress; Recovery_convergence; Durability; Split_brain; Conservation ]
+
+type violation = { oracle : oracle; detail : string }
+
+let pp_violation ppf v = Fmt.pf ppf "%s violation: %s" (oracle_name v.oracle) v.detail
 
 type run_outcome = {
   seed : int;
@@ -211,26 +223,22 @@ let check_durability ?(presumption = Runtime.No_presumption) ?(read_only = [])
    election round — exactly what fencing is meant to exclude.  (The
    observable damage of a split brain — contradictory decisions — is the
    atomicity oracle's finding; this one pins the structural invariant.) *)
+let split_brain ~epoch ~site ~detail claims =
+  let owner = Hashtbl.create 16 in
+  List.find_opt
+    (fun c ->
+      match Hashtbl.find_opt owner (epoch c) with
+      | Some s -> s <> site c
+      | None ->
+          Hashtbl.replace owner (epoch c) (site c);
+          false)
+    claims
+  |> Option.map (fun c -> { oracle = Split_brain; detail = detail c })
+
 let check_split_brain (result : Runtime.result) =
-  let owner = Hashtbl.create 8 in
-  let dup =
-    List.find_opt
-      (fun (site, e) ->
-        match Hashtbl.find_opt owner e with
-        | Some s -> s <> site
-        | None ->
-            Hashtbl.replace owner e site;
-            false)
-      result.Runtime.directive_epochs
-  in
-  match dup with
-  | None -> None
-  | Some (site, e) ->
-      Some
-        {
-          oracle = Split_brain;
-          detail = Printf.sprintf "epoch %d claimed by two sites, e.g. site %d" e site;
-        }
+  split_brain ~epoch:snd ~site:fst
+    ~detail:(fun (site, e) -> Printf.sprintf "epoch %d claimed by two sites, e.g. site %d" e site)
+    result.Runtime.directive_epochs
 
 (* Run the five oracles, timing each into [metrics] when provided.  The
    timing histograms carry the reserved [wall_] prefix: they are host
@@ -336,39 +344,83 @@ let fingerprint_of (result : Runtime.result) =
       (fun name -> feat name (bucket (Sim.Metrics.counter result.run_metrics name)))
       detector_counter_names
 
-let run_plan ?metrics ?(until = 1500.0) ?(termination = Runtime.Skeen) ?(tracing = false)
-    ?presumption ?read_only ?group_commit ?sync_latency ?(late_force = false) ?detector
-    ?heartbeat_period ?suspicion_timeout ?election_timeout ?fencing rulebook ~plan ~seed () =
-  let result =
-    Runtime.run
-      (Runtime.config ~plan ~seed ~tracing ~until ~termination ?presumption ?read_only
-         ?group_commit ?sync_latency ~late_force ?detector ?heartbeat_period ?suspicion_timeout
-         ?election_timeout ?fencing rulebook)
-  in
-  (match metrics with Some m -> aggregate_run_metrics m result | None -> ());
-  (result, violations_of ?metrics ?presumption ?read_only result)
+(* ---------------- targets ---------------- *)
 
-let run_one ?metrics ?(profile = Sim.Nemesis.default_profile) ?until ?termination ?presumption
-    ?read_only ?group_commit ?sync_latency ?late_force ?detector ?heartbeat_period
-    ?suspicion_timeout ?election_timeout ?fencing rulebook ~k ~seed () =
-  let n_sites = Core.Protocol.n_sites rulebook.Rulebook.protocol in
-  (* The seed's randomness splits: the schedule draws from its own
-     stream, the world's latency draws from another, so the schedule
-     never perturbs message timing beyond the faults it injects. *)
-  let sched_rng = Sim.Rng.split (Sim.Rng.create ~seed) in
-  let schedule = Sim.Nemesis.generate sched_rng ~n_sites ~k profile in
-  let plan = Failure_plan.of_schedule schedule in
-  (match metrics with
-  | Some m ->
-      Sim.Metrics.incr m "chaos_runs";
-      Sim.Metrics.observe m "schedule_faults" (float_of_int (Failure_plan.fault_count plan))
-  | None -> ());
-  let result, violations =
-    run_plan ?metrics ?until ?termination ?presumption ?read_only ?group_commit ?sync_latency
-      ?late_force ?detector ?heartbeat_period ?suspicion_timeout ?election_timeout ?fencing
-      rulebook ~plan ~seed ()
+(* What the harness needs from a system under test: how a seed's schedule
+   is drawn and judged (phase 1 of a sweep), and how one explicit plan is
+   judged (shrinking, replay, the explorer).  ['o] is the system's per-seed
+   outcome record, ['r] its result. *)
+type ('o, 'r) target = {
+  name : string;
+  n_sites : int;
+  profile : Sim.Nemesis.profile;
+  nemesis_rng : int -> Sim.Rng.t;
+  run_seed : metrics:Sim.Metrics.t option -> seed:int -> Sim.Nemesis.schedule -> 'o;
+  verdict : 'o -> violation list;
+  plan_of : 'o -> Failure_plan.t;
+  run :
+    metrics:Sim.Metrics.t option -> tracing:bool -> seed:int -> Failure_plan.t -> 'r * violation list;
+  trace : 'r -> Sim.World.trace_entry list;
+}
+
+let stall_budget = 1500.0
+
+let schedule t ~k ~seed =
+  Sim.Nemesis.generate (t.nemesis_rng seed) ~n_sites:t.n_sites ~k t.profile
+
+let run_seed ?metrics t ~k ~seed = t.run_seed ~metrics ~seed (schedule t ~k ~seed)
+
+(* A target whose seeds lower to a plan before they run: the protocol
+   engine and Paxos Commit.  The seed's randomness splits: the schedule
+   draws from its own stream, the world's latency draws from another, so
+   the schedule never perturbs message timing beyond the faults it
+   injects. *)
+let plan_target ~name ~n_sites ~profile run =
+  let run_seed ~metrics ~seed schedule =
+    let plan = Failure_plan.of_schedule schedule in
+    (match metrics with
+    | Some m ->
+        Sim.Metrics.incr m "chaos_runs";
+        Sim.Metrics.observe m "schedule_faults" (float_of_int (Failure_plan.fault_count plan))
+    | None -> ());
+    let result, violations = run ~metrics ~tracing:false ~seed plan in
+    { seed; plan; result; violations }
   in
-  { seed; plan; result; violations }
+  {
+    name;
+    n_sites;
+    profile;
+    nemesis_rng = (fun seed -> Sim.Rng.split (Sim.Rng.create ~seed));
+    run_seed;
+    verdict = (fun o -> o.violations);
+    plan_of = (fun o -> o.plan);
+    run;
+    trace = (fun r -> r.Runtime.trace);
+  }
+
+let target ?(profile = Sim.Nemesis.default_profile) (cfg : Runtime.config) =
+  let judge ~metrics ~tracing ~seed plan =
+    let result = Runtime.run { cfg with plan; seed; tracing } in
+    (match metrics with Some m -> aggregate_run_metrics m result | None -> ());
+    (result, violations_of ?metrics ~presumption:cfg.presumption ~read_only:cfg.read_only result)
+  in
+  plan_target ~name:cfg.rulebook.Rulebook.protocol.Core.Protocol.name
+    ~n_sites:(Core.Protocol.n_sites cfg.rulebook.Rulebook.protocol)
+    ~profile judge
+
+(* The engine calls below build one config each, from the options their
+   callers set. *)
+let run_plan ?(tracing = false) ?late_force ?detector ?fencing rulebook ~plan ~seed () =
+  (target (Runtime.config ~until:stall_budget ?late_force ?detector ?fencing rulebook)).run
+    ~metrics:None ~tracing ~seed plan
+
+let run_one ?metrics ?profile ?presumption ?read_only ?sync_latency ?late_force ?detector
+    ?suspicion_timeout rulebook ~k ~seed () =
+  run_seed ?metrics
+    (target ?profile
+       (Runtime.config ~until:stall_budget ?presumption ?read_only ?sync_latency ?late_force
+          ?detector ?suspicion_timeout rulebook))
+    ~k ~seed
 
 (* ---------------- shrinking ---------------- *)
 
@@ -482,18 +534,12 @@ let rounding_candidates (p : Failure_plan.t) =
       (fun l -> { p with storms = l })
       p.storms
 
-let shrink ?metrics ?until ?termination ?presumption ?read_only ?group_commit ?sync_latency
-    ?late_force ?detector ?heartbeat_period ?suspicion_timeout ?election_timeout ?fencing
-    rulebook ~seed ~oracle plan =
+let shrink_target ?metrics t ~seed ~oracle plan =
   let runs = ref 0 in
   let still_fails p =
     incr runs;
     (match metrics with Some m -> Sim.Metrics.incr m "shrink_runs" | None -> ());
-    let _, vs =
-      run_plan ?metrics ?until ?termination ?presumption ?read_only ?group_commit ?sync_latency
-        ?late_force ?detector ?heartbeat_period ?suspicion_timeout ?election_timeout ?fencing
-        rulebook ~plan:p ~seed ()
-    in
+    let _, vs = t.run ~metrics ~tracing:false ~seed p in
     List.exists (fun v -> v.oracle = oracle) vs
   in
   let rec reduce candidates_of p =
@@ -505,55 +551,43 @@ let shrink ?metrics ?until ?termination ?presumption ?read_only ?group_commit ?s
   let p = reduce rounding_candidates p in
   (p, !runs)
 
-let counterexample_of ?metrics ?until ?termination ?presumption ?read_only ?group_commit
-    ?sync_latency ?late_force ?detector ?heartbeat_period ?suspicion_timeout ?election_timeout
-    ?fencing rulebook (run : run_outcome) violation =
-  let cx_plan, cx_shrink_runs =
-    shrink ?metrics ?until ?termination ?presumption ?read_only ?group_commit ?sync_latency
-      ?late_force ?detector ?heartbeat_period ?suspicion_timeout ?election_timeout ?fencing
-      rulebook ~seed:run.seed ~oracle:violation.oracle run.plan
-  in
+let shrink ?metrics ?late_force ?detector ?fencing rulebook ~seed ~oracle plan =
+  shrink_target ?metrics
+    (target (Runtime.config ~until:stall_budget ?late_force ?detector ?fencing rulebook))
+    ~seed ~oracle plan
+
+let counterexample_of t ~metrics ~seed plan violation =
+  let cx_plan, cx_shrink_runs = shrink_target ?metrics t ~seed ~oracle:violation.oracle plan in
   (* replay the minimal plan with tracing to capture the evidence *)
-  let result, vs =
-    run_plan ?until ?termination ~tracing:true ?presumption ?read_only ?group_commit
-      ?sync_latency ?late_force ?detector ?heartbeat_period ?suspicion_timeout ?election_timeout
-      ?fencing rulebook ~plan:cx_plan ~seed:run.seed ()
-  in
+  let result, vs = t.run ~metrics:None ~tracing:true ~seed cx_plan in
   let cx_violation =
     match List.find_opt (fun v -> v.oracle = violation.oracle) vs with
     | Some v -> v
     | None -> violation (* unreachable: shrinking preserved the oracle *)
   in
   {
-    cx_seed = run.seed;
+    cx_seed = seed;
     cx_violation;
     cx_plan;
-    cx_original_faults = Failure_plan.fault_count run.plan;
+    cx_original_faults = Failure_plan.fault_count plan;
     cx_shrunk_faults = Failure_plan.fault_count cx_plan;
     cx_shrink_runs;
-    cx_trace = result.Runtime.trace;
+    cx_trace = t.trace result;
   }
 
 (* ---------------- seed sweeps ---------------- *)
 
-let sweep ?(profile = Sim.Nemesis.default_profile) ?until ?termination ?presumption ?read_only
-    ?group_commit ?sync_latency ?late_force ?detector ?heartbeat_period ?suspicion_timeout
-    ?election_timeout ?fencing ?(seed_base = 0) ?(max_counterexamples = 5) ?(workers = 1)
-    rulebook ~k ~seeds () =
+let sweep_target ?(seed_base = 0) ?(max_counterexamples = 5) ?(workers = 1) t ~k ~seeds =
   (* Phase 1, embarrassingly parallel: each seed runs in full isolation —
      its own World, Metrics registry and Rng stream, sharing only the
-     read-only compiled rulebook — so worker assignment is unobservable. *)
+     target's read-only configuration — so worker assignment is
+     unobservable. *)
   let runs, metrics =
     Sim.Sweep.sweep ~workers ~seed_base ~seeds (fun ~metrics ~seed ->
-        let run =
-          run_one ~metrics ~profile ?until ?termination ?presumption ?read_only ?group_commit
-            ?sync_latency ?late_force ?detector ?heartbeat_period ?suspicion_timeout
-            ?election_timeout ?fencing rulebook ~k ~seed ()
-        in
+        let run = t.run_seed ~metrics:(Some metrics) ~seed (schedule t ~k ~seed) in
         List.iter
-          (fun v ->
-            Sim.Metrics.incr metrics (Printf.sprintf "violations_%s" (oracle_name v.oracle)))
-          run.violations;
+          (fun v -> Sim.Metrics.incr metrics ("violations_" ^ oracle_name v.oracle))
+          (t.verdict run);
         run)
   in
   (* Phase 2, sequential and seed-ordered: aggregate verdicts and shrink
@@ -561,30 +595,38 @@ let sweep ?(profile = Sim.Nemesis.default_profile) ?until ?termination ?presumpt
      results whatever the worker count. *)
   let counterexamples = ref [] in
   let by_oracle = Hashtbl.create 4 in
-  Array.iter
-    (fun run ->
+  Array.iteri
+    (fun i run ->
       List.iter
         (fun v ->
           Hashtbl.replace by_oracle v.oracle
             (1 + Option.value ~default:0 (Hashtbl.find_opt by_oracle v.oracle));
           if List.length !counterexamples < max_counterexamples then
             counterexamples :=
-              counterexample_of ~metrics ?until ?termination ?presumption ?read_only
-                ?group_commit ?sync_latency ?late_force ?detector ?heartbeat_period
-                ?suspicion_timeout ?election_timeout ?fencing rulebook run v
+              counterexample_of t ~metrics:(Some metrics) ~seed:(seed_base + i) (t.plan_of run) v
               :: !counterexamples)
-        run.violations)
+        (t.verdict run))
     runs;
-  {
-    protocol = rulebook.Rulebook.protocol.Core.Protocol.name;
-    n_sites = Core.Protocol.n_sites rulebook.Rulebook.protocol;
-    k;
-    seeds_run = seeds;
-    counterexamples = List.rev !counterexamples;
-    violations_by_oracle =
-      Hashtbl.fold (fun o c acc -> (o, c) :: acc) by_oracle [] |> List.sort compare;
-    metrics;
-  }
+  ( runs,
+    {
+      protocol = t.name;
+      n_sites = t.n_sites;
+      k;
+      seeds_run = seeds;
+      counterexamples = List.rev !counterexamples;
+      violations_by_oracle =
+        Hashtbl.fold (fun o c acc -> (o, c) :: acc) by_oracle [] |> List.sort compare;
+      metrics;
+    } )
+
+let sweep ?profile ?presumption ?read_only ?group_commit ?sync_latency ?detector ?seed_base
+    ?max_counterexamples ?workers rulebook ~k ~seeds () =
+  snd
+    (sweep_target ?seed_base ?max_counterexamples ?workers
+       (target ?profile
+          (Runtime.config ~until:stall_budget ?presumption ?read_only ?group_commit
+             ?sync_latency ?detector rulebook))
+       ~k ~seeds)
 
 let pp_counterexample ppf cx =
   Fmt.pf ppf "@[<v>seed %d: %s violation — %s@,shrunk %d -> %d fault(s) in %d re-run(s)@,plan: %s@,trace:@,%a@]"

@@ -13,11 +13,10 @@
     are auto-shrunk with the harness's greedy shrinker and the corpus
     persists as replayable {!Failure_plan} text files.
 
-    The module is generic over a {!harness} record, so the engine
-    harness (built here, over {!Chaos}) and the database harness (built
-    at the bin/bench layer, over [Kv.Chaos_db] — the kv library does not
-    depend on this one) explore through the same loop and are comparable
-    in the same report.
+    The module is generic over a {!harness} record, and every harness is
+    {!of_target} over a {!Chaos.target}: the engine's is built here, the
+    database's in [Kv.Chaos_db].  Both explore through the same loop and
+    are comparable in the same report.
 
     Determinism: candidates are derived sequentially from the search's
     own {!Sim.Rng} stream, evaluated in parallel via {!Sim.Sweep.map}
@@ -56,6 +55,33 @@ let protocol_families ~protocol =
   [ Step_crashes; Timed_crashes; Recoveries; Msg_faults; Delay_spikes; Stalls; Hb_losses; Storms ]
   @ (if is_3pc then [ Move_crashes; Decide_crashes ] else [])
   @ if is_paxos then [ Decide_crashes; Acceptor_crashes; Lease_faults ] else []
+
+(* A plan's clauses of one family, as a plan of their own. *)
+let clauses_of (p : Failure_plan.t) family =
+  let none = Failure_plan.none in
+  match family with
+  | Step_crashes -> { none with step_crashes = p.step_crashes }
+  | Timed_crashes -> { none with timed_crashes = p.timed_crashes }
+  | Recoveries -> { none with recoveries = p.recoveries }
+  | Move_crashes -> { none with move_crashes = p.move_crashes }
+  | Decide_crashes -> { none with decide_crashes = p.decide_crashes }
+  | Msg_faults -> { none with msg_faults = p.msg_faults }
+  | Delay_spikes -> { none with delay_spikes = p.delay_spikes }
+  | Stalls -> { none with stalls = p.stalls }
+  | Hb_losses -> { none with hb_losses = p.hb_losses }
+  | Acceptor_crashes -> { none with acceptor_crashes = p.acceptor_crashes }
+  | Lease_faults -> { none with lease_faults = p.lease_faults }
+  | Storms -> { none with storms = p.storms }
+
+let unsupported ~families plan =
+  List.filter_map
+    (fun family ->
+      if List.mem family families then None
+      else match Failure_plan.to_string (clauses_of plan family) with "" -> None | s -> Some s)
+    [
+      Step_crashes; Timed_crashes; Recoveries; Move_crashes; Decide_crashes; Msg_faults;
+      Delay_spikes; Stalls; Hb_losses; Acceptor_crashes; Lease_faults; Storms;
+    ]
 
 (* ------------------------------------------------------------------ *)
 
@@ -410,48 +436,36 @@ let load_corpus ~dir =
            (f, Failure_plan.of_string_exn s))
 
 (* ------------------------------------------------------------------ *)
-(* The engine harness, mirroring {!Chaos.run_one}'s seed discipline so
-   `--mode random` is exactly the classic chaos sweep per seed. *)
+(* Harnesses over chaos targets: [run] and [shrink] are the target's, and
+   [random_plan] draws exactly the plan a chaos-sweep seed would run. *)
 
-let oracle_of_name name =
-  List.find_opt
-    (fun o -> Chaos.oracle_name o = name)
-    [ Chaos.Atomicity; Chaos.Progress; Chaos.Recovery_convergence; Chaos.Durability; Chaos.Split_brain ]
-
-let engine_harness ?until ?termination ?presumption ?read_only ?group_commit ?sync_latency
-    ?detector ?heartbeat_period ?suspicion_timeout ?election_timeout ?fencing
-    ?(profile = Sim.Nemesis.default_profile) ?(k = 1) rulebook =
-  let n_sites = Core.Protocol.n_sites rulebook.Rulebook.protocol in
+let of_target (t : _ Chaos.target) ~fingerprint ~families ~k =
   let run ~seed plan =
-    let result, violations =
-      Chaos.run_plan ?until ?termination ?presumption ?read_only ?group_commit ?sync_latency
-        ?detector ?heartbeat_period ?suspicion_timeout ?election_timeout ?fencing rulebook ~plan
-        ~seed ()
-    in
+    let result, violations = t.run ~metrics:None ~tracing:false ~seed plan in
     {
-      fingerprint = Chaos.fingerprint_of result;
+      fingerprint = fingerprint result;
       violations =
         List.map (fun (v : Chaos.violation) -> (Chaos.oracle_name v.oracle, v.detail)) violations;
     }
   in
   let shrink ~seed ~oracle plan =
-    match oracle_of_name oracle with
+    match Chaos.oracle_of_name oracle with
     | None -> (plan, 0)
-    | Some oracle ->
-        Chaos.shrink ?until ?termination ?presumption ?read_only ?group_commit ?sync_latency
-          ?detector ?heartbeat_period ?suspicion_timeout ?election_timeout ?fencing rulebook
-          ~seed ~oracle plan
-  in
-  let random_plan ~seed =
-    let sched_rng = Sim.Rng.split (Sim.Rng.create ~seed) in
-    Failure_plan.of_schedule (Sim.Nemesis.generate sched_rng ~n_sites ~k profile)
+    | Some oracle -> Chaos.shrink_target t ~seed ~oracle plan
   in
   {
-    name = rulebook.Rulebook.protocol.Core.Protocol.name;
-    n_sites;
-    horizon = profile.Sim.Nemesis.horizon;
-    families = protocol_families ~protocol:rulebook.Rulebook.protocol.Core.Protocol.name;
+    name = t.name;
+    n_sites = t.n_sites;
+    horizon = t.profile.Sim.Nemesis.horizon;
+    families;
     run;
     shrink;
-    random_plan;
+    random_plan = (fun ~seed -> Failure_plan.of_schedule (Chaos.schedule t ~k ~seed));
   }
+
+let engine_harness ?profile ?(k = 1) rulebook =
+  of_target
+    (Chaos.target ?profile (Runtime.config ~until:Chaos.stall_budget rulebook))
+    ~fingerprint:Chaos.fingerprint_of
+    ~families:(protocol_families ~protocol:rulebook.Rulebook.protocol.Core.Protocol.name)
+    ~k

@@ -35,6 +35,12 @@ val protocol_families : protocol:string -> family list
     Paxos Commit adds decide crashes, acceptor crashes and lease
     faults. *)
 
+val unsupported : families:family list -> Failure_plan.t -> string list
+(** The plan's clauses outside [families], one {!Failure_plan.to_string}
+    line per offending family — the gate a pasted plan passes before it
+    runs on a target.  Partitions and disk faults belong to no family and
+    always pass. *)
+
 type report = {
   fingerprint : string list;  (** {!Sim.Coverage} features of the run *)
   violations : (string * string) list;  (** (oracle name, detail) *)
@@ -51,9 +57,9 @@ type harness = {
       (** the equal-budget baseline: what one classic chaos-sweep seed
           would have executed *)
 }
-(** What the search needs from a target system.  The engine harness is
-    {!engine_harness}; the database harness is built at the bin/bench
-    layer (the kv library does not depend on this one). *)
+(** What the search needs from a target system.  Both harnesses are
+    {!of_target} over a {!Chaos.target}: {!engine_harness} here, and the
+    database's [Kv.Chaos_db.harness] in the kv library. *)
 
 val mutate :
   Sim.Rng.t -> n_sites:int -> horizon:float -> families:family list -> Failure_plan.t -> Failure_plan.t
@@ -127,23 +133,19 @@ val load_corpus : dir:string -> (string * Failure_plan.t) list
     [dir] does not exist.
     @raise Failure_plan.Parse_error on a malformed entry. *)
 
-val engine_harness :
-  ?until:float ->
-  ?termination:Runtime.termination_rule ->
-  ?presumption:Runtime.presumption ->
-  ?read_only:Core.Types.site list ->
-  ?group_commit:Wal.group_commit ->
-  ?sync_latency:float ->
-  ?detector:bool ->
-  ?heartbeat_period:float ->
-  ?suspicion_timeout:float ->
-  ?election_timeout:float ->
-  ?fencing:bool ->
-  ?profile:Sim.Nemesis.profile ->
-  ?k:int ->
-  Rulebook.t ->
+val of_target :
+  ('o, 'r) Chaos.target ->
+  fingerprint:('r -> string list) ->
+  families:family list ->
+  k:int ->
   harness
-(** The protocol-engine harness over {!Chaos}: [run] executes a plan
-    under the five oracles and fingerprints it ({!Chaos.fingerprint_of});
-    [random_plan] reproduces {!Chaos.run_one}'s seed discipline, so the
+(** A harness over a chaos target: [run] judges a plan with the target
+    and fingerprints its result, [shrink] is {!Chaos.shrink_target},
+    [horizon] is the target profile's, and [random_plan] is the plan the
+    target's chaos-sweep seed would run at concurrency bound [k] — so the
     [`Random] baseline is exactly the classic chaos sweep. *)
+
+val engine_harness : ?profile:Sim.Nemesis.profile -> ?k:int -> Rulebook.t -> harness
+(** The protocol engine ({!Chaos.target}, default config) fingerprinted
+    by {!Chaos.fingerprint_of}, over the protocol's
+    {!protocol_families}.  [k] defaults to 1. *)

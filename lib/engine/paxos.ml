@@ -806,35 +806,12 @@ let sweep_profile ~n_sites ~f =
     p_lease_fault = 0.3;
   }
 
-type run_outcome = {
-  ro_seed : int;
-  ro_plan : Failure_plan.t;
-  ro_result : Runtime.result;
-  ro_violations : Chaos.violation list;
-}
-
-let run_one ?metrics:m ?profile ?(until = 1500.0) ~n_sites ~f ~k ~seed () =
+let target ?profile ?(until = Chaos.stall_budget) ~n_sites ~f () =
   let profile = match profile with Some p -> p | None -> sweep_profile ~n_sites ~f in
-  let sched_rng = Sim.Rng.split (Sim.Rng.create ~seed) in
-  let schedule = Sim.Nemesis.generate sched_rng ~n_sites ~k profile in
-  let plan = Failure_plan.of_schedule schedule in
-  let cfg = config ~plan ~seed ~until ~n_sites ~f () in
-  let result = run cfg in
-  (match m with Some m -> Sim.Metrics.incr m "chaos_runs" | None -> ());
-  { ro_seed = seed; ro_plan = plan; ro_result = result; ro_violations = violations ?metrics:m ~cfg result }
-
-type sweep_summary = {
-  ps_seeds_run : int;
-  ps_failing : (int * Chaos.violation list * Failure_plan.t) list;
-  ps_metrics : Sim.Metrics.t;
-}
-
-let sweep ?metrics:m ?profile ?until ?(seed_base = 0) ~n_sites ~f ~k ~seeds () =
-  let m = match m with Some m -> m | None -> Sim.Metrics.create () in
-  let failing = ref [] in
-  for i = 0 to seeds - 1 do
-    let seed = seed_base + i in
-    let ro = run_one ~metrics:m ?profile ?until ~n_sites ~f ~k ~seed () in
-    if ro.ro_violations <> [] then failing := (seed, ro.ro_violations, ro.ro_plan) :: !failing
-  done;
-  { ps_seeds_run = seeds; ps_failing = List.rev !failing; ps_metrics = m }
+  Chaos.plan_target
+    ~name:(Printf.sprintf "paxos-commit-f%d" f)
+    ~n_sites ~profile
+    (fun ~metrics ~tracing ~seed plan ->
+      let cfg = config ~plan ~seed ~tracing ~until ~n_sites ~f () in
+      let result = run cfg in
+      (result, violations ?metrics ~cfg result))

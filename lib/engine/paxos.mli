@@ -78,43 +78,14 @@ val sweep_profile : n_sites:int -> f:int -> Sim.Nemesis.profile
     plus acceptor crashes (capped at [f]) and lease faults; backup-phase
     crashes (a termination-protocol notion) are off. *)
 
-type run_outcome = {
-  ro_seed : int;
-  ro_plan : Failure_plan.t;
-  ro_result : Runtime.result;
-  ro_violations : Chaos.violation list;
-}
-
-val run_one :
-  ?metrics:Sim.Metrics.t ->
+val target :
   ?profile:Sim.Nemesis.profile ->
   ?until:float ->
   n_sites:int ->
   f:int ->
-  k:int ->
-  seed:int ->
   unit ->
-  run_outcome
-(** Generate the seed's fault schedule from the profile (default
-    {!sweep_profile}), lower it to a plan, run it, judge it.
-    Deterministic. *)
-
-type sweep_summary = {
-  ps_seeds_run : int;
-  ps_failing : (int * Chaos.violation list * Failure_plan.t) list;
-      (** seeds with surviving violations, in seed order *)
-  ps_metrics : Sim.Metrics.t;
-}
-
-val sweep :
-  ?metrics:Sim.Metrics.t ->
-  ?profile:Sim.Nemesis.profile ->
-  ?until:float ->
-  ?seed_base:int ->
-  n_sites:int ->
-  f:int ->
-  k:int ->
-  seeds:int ->
-  unit ->
-  sweep_summary
-(** Run seeds [seed_base .. seed_base + seeds - 1] sequentially. *)
+  (Chaos.run_outcome, Runtime.result) Chaos.target
+(** Paxos Commit as a {!Chaos} target: seeds draw from [profile]
+    (default {!sweep_profile}) and run under {!violations}; [until]
+    defaults to {!Chaos.stall_budget}.  Sweep it with
+    {!Chaos.sweep_target}, shrink with {!Chaos.shrink_target}. *)

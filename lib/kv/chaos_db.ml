@@ -1,6 +1,7 @@
-(** Chaos driver for the database harness: the same nemesis schedules the
-    protocol-level harness uses ({!Sim.Nemesis}), lowered onto a {!Db} run
-    of the bank-transfer workload, judged by end-to-end oracles.
+(** The database harness as a chaos target: the same nemesis schedules
+    the protocol engine uses ({!Sim.Nemesis}), lowered onto a {!Db} run of
+    the bank-transfer workload and judged by end-to-end oracles.  Seed
+    sweeps, shrinking and the oracle vocabulary are {!Engine.Chaos}'s.
 
     The step- and backup-pinned crash kinds are protocol-engine notions
     with no meaning on a multi-transaction database, so the default
@@ -9,24 +10,23 @@
 
     Every run is a pure function of [(protocol, n_sites, k, seed)]: the
     seed derives both the workload and the schedule through split
-    {!Sim.Rng} streams.  A violating schedule is greedily shrunk — drop
-    one fault at a time, then round fault times — to a minimal
-    counterexample that {!Sim.Nemesis.to_string} renders ready to pin in
-    a regression test. *)
+    {!Sim.Rng} streams. *)
 
-type oracle = Atomicity | Conservation | Progress | Durability | Split_brain
-[@@deriving show { with_path = false }, eq]
+module Chaos = Engine.Chaos
+module FP = Engine.Failure_plan
 
-let oracle_name = function
-  | Atomicity -> "atomicity"
-  | Conservation -> "conservation"
-  | Progress -> "progress"
-  | Durability -> "durability"
-  | Split_brain -> "split-brain"
+type oracle = Chaos.oracle =
+  | Atomicity
+  | Progress
+  | Recovery_convergence
+  | Durability
+  | Split_brain
+  | Conservation
 
-type violation = { oracle : oracle; detail : string }
+type violation = Chaos.violation = { oracle : oracle; detail : string }
 
-let pp_violation ppf v = Fmt.pf ppf "%s violation: %s" (oracle_name v.oracle) v.detail
+let oracle_name = Chaos.oracle_name
+let pp_violation = Chaos.pp_violation
 
 (* Timed faults only: the engine interprets step-pinned crashes, the
    database cannot.  A longer horizon and send window than the protocol
@@ -42,6 +42,17 @@ let default_profile =
     max_msg_faults = 4;
     send_window = 150;
     delay_max = 10.0;
+  }
+
+(* Aim faults at the replicated-coordinator state: the database puts the
+   2f+1 acceptors on the lowest-numbered sites. *)
+let paxos_profile ~f base =
+  {
+    base with
+    Sim.Nemesis.p_acceptor_crash = 0.5;
+    acceptor_sites = List.init ((2 * f) + 1) (fun i -> i + 1);
+    max_acceptor_crashes = f;
+    p_lease_fault = 0.3;
   }
 
 let accounts = 8
@@ -101,20 +112,11 @@ let lower (schedule : Sim.Nemesis.schedule) =
   |> fun (c, r, p, m, d, w, l) ->
   (List.rev c, List.rev r, List.rev p, List.rev m, List.rev d, List.rev w, List.rev l)
 
-let crash_sites schedule =
-  List.filter_map
-    (function
-      | Sim.Nemesis.Crash { site; _ }
-      | Sim.Nemesis.Acceptor_crash { site; _ }
-      | Sim.Nemesis.Storm { site; _ } ->
-          Some site
-      | _ -> None)
-    schedule
-
-let storm_pairs schedule = List.concat_map Sim.Nemesis.storm_events schedule
-
-let violations ~(protocol : Node.protocol) ~schedule (r : Db.result) =
-  let crashed = crash_sites schedule in
+(* Judged against the faults the run was lowered to: [cfg.crashes] and
+   [cfg.recoveries] already carry acceptor crashes and every storm's
+   crash/recover pairs. *)
+let violations (cfg : Db.config) (r : Db.result) =
+  let crashed = List.map fst cfg.crashes in
   (* A site is down at the end iff its last crash postdates its last
      recovery — membership tests alone would count a crash/recover/crash
      site as "back" and mis-arm the conservation oracle. *)
@@ -122,22 +124,8 @@ let violations ~(protocol : Node.protocol) ~schedule (r : Db.result) =
     let last events site =
       List.fold_left (fun a (s, at) -> if s = site then Float.max a at else a) neg_infinity events
     in
-    let crash_times =
-      List.filter_map
-        (function
-          | Sim.Nemesis.Crash { site; at } | Sim.Nemesis.Acceptor_crash { site; at } ->
-              Some (site, at)
-          | _ -> None)
-        schedule
-      @ List.map (fun (s, c, _) -> (s, c)) (storm_pairs schedule)
-    and recover_times =
-      List.filter_map
-        (function Sim.Nemesis.Recover { site; at } -> Some (site, at) | _ -> None)
-        schedule
-      @ List.map (fun (s, _, r) -> (s, r)) (storm_pairs schedule)
-    in
     List.filter
-      (fun s -> last crash_times s > last recover_times s)
+      (fun s -> last cfg.crashes s > last cfg.recoveries s)
       (List.sort_uniq compare crashed)
   in
   (* Paxos Commit promises liveness only up to f acceptor failures: a
@@ -145,7 +133,7 @@ let violations ~(protocol : Node.protocol) ~schedule (r : Db.result) =
      is beyond the fault model, and blocking there is legitimate (safety
      oracles still apply in full). *)
   let beyond_paxos_f =
-    match protocol with
+    match cfg.protocol with
     | Node.Two_phase | Node.Three_phase -> false
     | Node.Paxos f ->
         let acceptors = List.init ((2 * f) + 1) (fun i -> i + 1) in
@@ -227,31 +215,16 @@ let violations ~(protocol : Node.protocol) ~schedule (r : Db.result) =
           };
         ]
   in
-  (* Split-brain: election epochs are globally unique per site by
-     construction ([round * n_sites + (site - 1)]), so two distinct sites
-     sharing a (txn, epoch) pair means two backups believed they owned
-     the same election round — exactly what fencing is meant to exclude. *)
+  (* Split-brain: two distinct sites sharing a (txn, epoch) pair means
+     two backups believed they owned the same election round. *)
   let split_brain =
-    let owner = Hashtbl.create 16 in
-    let dup =
-      List.find_opt
-        (fun (txn, site, e) ->
-          match Hashtbl.find_opt owner (txn, e) with
-          | Some s -> s <> site
-          | None ->
-              Hashtbl.replace owner (txn, e) site;
-              false)
-        r.Db.directive_epochs
-    in
-    match dup with
-    | None -> []
-    | Some (txn, site, e) ->
-        [
-          {
-            oracle = Split_brain;
-            detail = Fmt.str "epoch %d of txn %d claimed by two sites, e.g. site %d" e txn site;
-          };
-        ]
+    Chaos.split_brain
+      ~epoch:(fun (txn, _, e) -> (txn, e))
+      ~site:(fun (_, site, _) -> site)
+      ~detail:(fun (txn, site, e) ->
+        Fmt.str "epoch %d of txn %d claimed by two sites, e.g. site %d" e txn site)
+      r.Db.directive_epochs
+    |> Option.to_list
   in
   atomicity @ progress @ conservation @ durability @ split_brain
 
@@ -286,22 +259,36 @@ let fingerprint_of (r : Db.result) =
     ]
   @ List.map (fun (name, v) -> feat name (bucket v)) r.Db.metrics
 
-let run_schedule ?(protocol = Node.Three_phase) ?(termination = Node.T_skeen) ?presumption
+(* One Db.config per public call: the schedule's faults and the run's
+   seed and tracing are set per run. *)
+let config ?(protocol = Node.Three_phase) ?(termination = Node.T_skeen) ?presumption
     ?read_only_opt ?group_commit ?sync_latency ?pipeline_depth ?(n_sites = 4) ?(until = 3000.0)
-    ?(tracing = false) ?(durable_wal = true) ?detector ?fencing ~seed
-    (schedule : Sim.Nemesis.schedule) =
+    ?(durable_wal = true) ?detector ?fencing () =
+  Db.config ~n_sites ~protocol ~termination ?presumption ?read_only_opt ?group_commit
+    ?sync_latency ?pipeline_depth ~until ~durable_wal ?detector ?fencing
+    ~initial_data:(Workload.bank_initial ~accounts ~initial_balance)
+    ()
+
+let judge (cfg : Db.config) ~tracing ~seed schedule =
   let crashes, recoveries, partitions, msg_faults, disk_faults, detector_faults, lease_faults =
     lower schedule
   in
   let cfg =
-    Db.config ~n_sites ~protocol ~termination ?presumption ?read_only_opt ?group_commit
-      ?sync_latency ?pipeline_depth ~seed ~until ~tracing ~crashes ~recoveries ~partitions
-      ~msg_faults ~durable_wal ~disk_faults ~detector_faults ~lease_faults ?detector ?fencing
-      ~initial_data:(Workload.bank_initial ~accounts ~initial_balance)
-      ()
+    {
+      cfg with
+      seed;
+      tracing;
+      crashes;
+      recoveries;
+      partitions;
+      msg_faults;
+      disk_faults;
+      detector_faults;
+      lease_faults;
+    }
   in
   let r = Db.run cfg (workload_of ~seed) in
-  (r, violations ~protocol ~schedule r)
+  (r, violations cfg r)
 
 type run_outcome = {
   seed : int;
@@ -310,114 +297,57 @@ type run_outcome = {
   violations : violation list;
 }
 
-let run_one ?(profile = default_profile) ?protocol ?termination ?presumption ?read_only_opt
-    ?group_commit ?sync_latency ?pipeline_depth ?(n_sites = 4) ?until ?tracing ?durable_wal
-    ?detector ?fencing ~k ~seed () =
-  let root = Sim.Rng.create ~seed in
-  ignore (Sim.Rng.split root) (* the workload stream, consumed by [workload_of] *);
-  let sched_rng = Sim.Rng.split root in
-  let schedule = Sim.Nemesis.generate sched_rng ~n_sites ~k profile in
-  let result, violations =
-    run_schedule ?protocol ?termination ?presumption ?read_only_opt ?group_commit ?sync_latency
-      ?pipeline_depth ~n_sites ?until ?tracing ?durable_wal ?detector ?fencing ~seed schedule
+let name = function
+  | Node.Two_phase -> "kv-2pc"
+  | Node.Three_phase -> "kv-3pc"
+  | Node.Paxos f -> Printf.sprintf "kv-paxos-f%d" f
+
+(* Phase 1 runs the generated schedule directly; plans exist only for the
+   shrinker and the explorer, through {!Engine.Failure_plan}'s schedule
+   bridge. *)
+let target ?(profile = default_profile) (cfg : Db.config) : (run_outcome, Db.result) Chaos.target =
+  {
+    name = name cfg.protocol;
+    n_sites = cfg.n_sites;
+    profile;
+    nemesis_rng =
+      (fun seed ->
+        let root = Sim.Rng.create ~seed in
+        ignore (Sim.Rng.split root) (* the workload stream, consumed by [workload_of] *);
+        Sim.Rng.split root);
+    run_seed =
+      (fun ~metrics ~seed schedule ->
+        let result, violations = judge cfg ~tracing:false ~seed schedule in
+        (match metrics with
+        | Some m ->
+            Sim.Metrics.incr m "chaos_runs";
+            Sim.Metrics.merge m result.Db.run_metrics
+        | None -> ());
+        { seed; schedule; result; violations });
+    verdict = (fun o -> o.violations);
+    plan_of = (fun o -> FP.of_schedule o.schedule);
+    run = (fun ~metrics:_ ~tracing ~seed plan -> judge cfg ~tracing ~seed (FP.to_schedule plan));
+    trace = (fun r -> r.Db.trace);
+  }
+
+(* The calls below build one config each, from the options their callers
+   set. *)
+let run_schedule ?n_sites ~seed schedule = judge (config ?n_sites ()) ~tracing:false ~seed schedule
+
+let run_one ?protocol ?presumption ?read_only_opt ?sync_latency ?pipeline_depth ?n_sites
+    ?durable_wal ~k ~seed () =
+  Chaos.run_seed
+    (target
+       (config ?protocol ?presumption ?read_only_opt ?sync_latency ?pipeline_depth ?n_sites
+          ?durable_wal ()))
+    ~k ~seed
+
+let shrink ?protocol ?n_sites ~seed ~oracle schedule =
+  let minimal, runs =
+    Chaos.shrink_target (target (config ?protocol ?n_sites ())) ~seed ~oracle
+      (FP.of_schedule schedule)
   in
-  { seed; schedule; result; violations }
-
-(* ---- counterexample shrinking, at schedule granularity ---- *)
-
-let remove_nth i l = List.filteri (fun j _ -> j <> i) l
-
-let round_candidates (schedule : Sim.Nemesis.schedule) =
-  let non_integral x = Float.round x <> x in
-  List.concat
-    (List.mapi
-       (fun i fault ->
-         let replace f' = List.mapi (fun j f -> if j = i then f' else f) schedule in
-         match fault with
-         | Sim.Nemesis.Crash { site; at } when non_integral at ->
-             [ replace (Sim.Nemesis.Crash { site; at = Float.round at }) ]
-         | Sim.Nemesis.Recover { site; at } when non_integral at ->
-             [ replace (Sim.Nemesis.Recover { site; at = Float.round at }) ]
-         | Sim.Nemesis.Partition { from_t; until_t; groups }
-           when non_integral from_t || non_integral until_t ->
-             [
-               replace
-                 (Sim.Nemesis.Partition
-                    { from_t = Float.round from_t; until_t = Float.round until_t; groups });
-             ]
-         | Sim.Nemesis.Msg { nth; fault = Sim.World.Fault_delay d } when non_integral d ->
-             [
-               replace
-                 (Sim.Nemesis.Msg
-                    { nth; fault = Sim.World.Fault_delay (Float.max 1.0 (Float.round d)) });
-             ]
-         | Sim.Nemesis.Delay_window { site; from_t; until_t; extra }
-           when non_integral from_t || non_integral until_t || non_integral extra ->
-             [
-               replace
-                 (Sim.Nemesis.Delay_window
-                    {
-                      site;
-                      from_t = Float.round from_t;
-                      until_t = Float.round until_t;
-                      extra = Float.max 1.0 (Float.round extra);
-                    });
-             ]
-         | Sim.Nemesis.Stall { site; from_t; until_t }
-           when non_integral from_t || non_integral until_t ->
-             [
-               replace
-                 (Sim.Nemesis.Stall
-                    { site; from_t = Float.round from_t; until_t = Float.round until_t });
-             ]
-         | Sim.Nemesis.Hb_loss { site; from_t; until_t }
-           when non_integral from_t || non_integral until_t ->
-             [
-               replace
-                 (Sim.Nemesis.Hb_loss
-                    { site; from_t = Float.round from_t; until_t = Float.round until_t });
-             ]
-         | Sim.Nemesis.Acceptor_crash { site; at } when non_integral at ->
-             [ replace (Sim.Nemesis.Acceptor_crash { site; at = Float.round at }) ]
-         | Sim.Nemesis.Lease_fault { at } when non_integral at ->
-             [ replace (Sim.Nemesis.Lease_fault { at = Float.round at }) ]
-         | Sim.Nemesis.Storm { site; first; waves; period; down } ->
-             (* a storm is one discrete fault, so give the shrinker a way
-                inside it: fewer waves first, then a rounded start time
-                (period/down stay put — rounding could break down < period) *)
-             (if waves > 1 then
-                [ replace (Sim.Nemesis.Storm { site; first; waves = waves - 1; period; down }) ]
-              else [])
-             @
-             if non_integral first then
-               [ replace (Sim.Nemesis.Storm { site; first = Float.round first; waves; period; down }) ]
-             else []
-         | _ -> [])
-       schedule)
-
-let shrink ?protocol ?termination ?presumption ?read_only_opt ?group_commit ?sync_latency
-    ?pipeline_depth ?n_sites ?until ?durable_wal ?detector ?fencing ~seed ~oracle
-    (schedule : Sim.Nemesis.schedule) =
-  let runs = ref 0 in
-  let still_fails candidate =
-    incr runs;
-    let _, vs =
-      run_schedule ?protocol ?termination ?presumption ?read_only_opt ?group_commit ?sync_latency
-        ?pipeline_depth ?n_sites ?until ?durable_wal ?detector ?fencing ~seed candidate
-    in
-    List.exists (fun v -> v.oracle = oracle) vs
-  in
-  let rec reduce current =
-    let removals = List.mapi (fun i _ -> remove_nth i current) current in
-    match List.find_opt still_fails removals with
-    | Some smaller -> reduce smaller
-    | None -> (
-        match List.find_opt still_fails (round_candidates current) with
-        | Some rounded -> reduce rounded
-        | None -> current)
-  in
-  let minimal = reduce schedule in
-  (minimal, !runs)
+  (FP.to_schedule minimal, runs)
 
 type summary = {
   protocol : Node.protocol;
@@ -425,75 +355,47 @@ type summary = {
   k : int;
   seeds_run : int;
   failing : (int * violation list * Sim.Nemesis.schedule) list;
-      (** (seed, violations, shrunk schedule) for each failing seed, at
-          most [max_counterexamples] of them shrunk *)
   violations_by_oracle : (oracle * int) list;
   metrics : Sim.Metrics.t;
-      (** per-seed registries (chaos_runs / violations_* / shrink_runs
-          counters plus every {!Db.result}.run_metrics — commit
-          latencies, lock waits, message counts) merged in seed order *)
 }
 
-let sweep ?(profile = default_profile) ?(protocol = Node.Three_phase) ?termination ?presumption
-    ?read_only_opt ?group_commit ?sync_latency ?pipeline_depth ?(n_sites = 4) ?until ?durable_wal
-    ?detector ?fencing ?(seed_base = 0) ?(max_counterexamples = 3) ?(workers = 1) ~k ~seeds () =
-  (* Phase 1, Domain-sharded: one isolated Db run (own World, Metrics,
-     Rng) per seed — see {!Sim.Sweep} for the isolation contract. *)
-  let outcomes, metrics =
-    Sim.Sweep.sweep ~workers ~seed_base ~seeds (fun ~metrics ~seed ->
-        let o =
-          run_one ~profile ~protocol ?termination ?presumption ?read_only_opt ?group_commit
-            ?sync_latency ?pipeline_depth ~n_sites ?until ?durable_wal ?detector ?fencing ~k
-            ~seed ()
-        in
-        Sim.Metrics.incr metrics "chaos_runs";
-        List.iter
-          (fun v -> Sim.Metrics.incr metrics ("violations_" ^ oracle_name v.oracle))
-          o.violations;
-        Sim.Metrics.merge metrics o.result.Db.run_metrics;
-        o)
+let sweep ?profile ?protocol ?presumption ?read_only_opt ?group_commit ?sync_latency
+    ?pipeline_depth ?n_sites ?durable_wal ?detector ?seed_base ?workers ~k ~seeds () =
+  let cfg =
+    config ?protocol ?presumption ?read_only_opt ?group_commit ?sync_latency ?pipeline_depth
+      ?n_sites ?durable_wal ?detector ()
   in
-  (* Phase 2, sequential in seed order: aggregate and shrink the first
-     [max_counterexamples] failing seeds — worker-count independent. *)
-  let by_oracle = Hashtbl.create 4 in
-  let failing = ref [] in
-  Array.iter
-    (fun (o : run_outcome) ->
-      if o.violations <> [] then begin
-        List.iter
-          (fun v ->
-            Hashtbl.replace by_oracle v.oracle
-              (1 + Option.value ~default:0 (Hashtbl.find_opt by_oracle v.oracle)))
-          o.violations;
-        let shrunk =
-          if List.length !failing < max_counterexamples then begin
-            let v = List.hd o.violations in
-            let minimal, runs =
-              shrink ~protocol ?termination ?presumption ?read_only_opt ?group_commit
-                ?sync_latency ?pipeline_depth ~n_sites ?until ?durable_wal ?detector ?fencing
-                ~seed:o.seed ~oracle:v.oracle o.schedule
-            in
-            Sim.Metrics.incr ~by:runs metrics "shrink_runs";
-            minimal
-          end
-          else o.schedule
-        in
-        failing := (o.seed, o.violations, shrunk) :: !failing
-      end)
-    outcomes;
+  let runs, s =
+    Chaos.sweep_target ?seed_base ~max_counterexamples:3 ?workers (target ?profile cfg) ~k ~seeds
+  in
+  let shrunk (o : run_outcome) =
+    match List.find_opt (fun (cx : Chaos.counterexample) -> cx.cx_seed = o.seed) s.Chaos.counterexamples with
+    | Some cx -> FP.to_schedule cx.cx_plan
+    | None -> o.schedule
+  in
   {
-    protocol;
-    n_sites;
+    protocol = cfg.protocol;
+    n_sites = cfg.n_sites;
     k;
     seeds_run = seeds;
-    failing = List.rev !failing;
-    violations_by_oracle = Hashtbl.fold (fun o n acc -> (o, n) :: acc) by_oracle [];
-    metrics;
+    failing =
+      List.filter_map
+        (fun (o : run_outcome) ->
+          if o.violations = [] then None else Some (o.seed, o.violations, shrunk o))
+        (Array.to_list runs);
+    violations_by_oracle = s.Chaos.violations_by_oracle;
+    metrics = s.Chaos.metrics;
   }
 
-let pp_summary ppf (s : summary) =
-  Fmt.pf ppf "kv chaos %s n=%d k=%d: %d seed(s), %d failing%a"
-    (Node.show_protocol s.protocol) s.n_sites s.k s.seeds_run (List.length s.failing)
-    Fmt.(
-      list ~sep:nop (fun ppf (o, n) -> Fmt.pf ppf ", %d %s" n (oracle_name o)))
-    s.violations_by_oracle
+let families protocol =
+  Engine.Explore.
+    [ Timed_crashes; Recoveries; Msg_faults; Delay_spikes; Stalls; Hb_losses; Storms ]
+  @
+  match protocol with
+  | Node.Paxos _ -> [ Engine.Explore.Acceptor_crashes; Engine.Explore.Lease_faults ]
+  | Node.Two_phase | Node.Three_phase -> []
+
+let harness ~protocol ?n_sites ?profile ?(k = 1) () =
+  Engine.Explore.of_target
+    (target ?profile (config ~protocol ?n_sites ()))
+    ~fingerprint:fingerprint_of ~families:(families protocol) ~k

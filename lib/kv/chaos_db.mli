@@ -1,22 +1,27 @@
-(** Chaos driver for the database harness: {!Sim.Nemesis} schedules
-    lowered onto a {!Db} bank-transfer run, judged by end-to-end oracles —
-    atomicity (outcome logs agree, committed writes applied), conservation
-    (the bank total is invariant once every site is back and nothing is in
-    doubt), nonblocking progress (no operational site ends the run
-    holding locks in doubt unless its transaction's whole participant set
-    crashed), and durability (every yes vote and announced outcome must
-    be justified by the announcing site's repaired stable log).
-    Violating schedules shrink greedily to a minimal counterexample.
-    Deterministic in [(protocol, n_sites, k, seed)]. *)
+(** The database harness as an {!Engine.Chaos} target: {!Sim.Nemesis}
+    schedules lowered onto a {!Db} bank-transfer run, judged by
+    end-to-end oracles — atomicity (outcome logs agree, committed writes
+    applied), conservation (the bank total is invariant once every site
+    is back and nothing is in doubt), nonblocking progress (no
+    operational site ends the run holding locks in doubt unless its
+    transaction's whole participant set crashed), durability (every yes
+    vote and announced outcome must be justified by the announcing site's
+    repaired stable log) and split brain.  Sweeps and shrinking are the
+    shared harness's; plans cross into schedules through
+    {!Engine.Failure_plan.to_schedule}.  Deterministic in
+    [(protocol, n_sites, k, seed)]. *)
 
-type oracle = Atomicity | Conservation | Progress | Durability | Split_brain
+type oracle = Engine.Chaos.oracle =
+  | Atomicity
+  | Progress
+  | Recovery_convergence  (** never raised here *)
+  | Durability
+  | Split_brain
+  | Conservation
 
-val pp_oracle : Format.formatter -> oracle -> unit
-val equal_oracle : oracle -> oracle -> bool
+type violation = Engine.Chaos.violation = { oracle : oracle; detail : string }
+
 val oracle_name : oracle -> string
-
-type violation = { oracle : oracle; detail : string }
-
 val pp_violation : Format.formatter -> violation -> unit
 
 val default_profile : Sim.Nemesis.profile
@@ -24,24 +29,11 @@ val default_profile : Sim.Nemesis.profile
     backup-pinned crashes are protocol-engine notions the database cannot
     interpret. *)
 
-val workload_of : seed:int -> (float * Txn.t) list
-(** The seed's bank-transfer workload (a split stream of the seed's root
-    rng, independent of the schedule stream). *)
-
-val lower :
-  Sim.Nemesis.schedule ->
-  (Core.Types.site * float) list
-  * (Core.Types.site * float) list
-  * (float * float * Core.Types.site list list) list
-  * (int * Sim.World.msg_fault) list
-  * (Core.Types.site * Sim.Disk.injection) list
-  * Sim.Nemesis.fault list
-  * float list
-(** Schedule → (crashes, recoveries, partitions, msg_faults, disk_faults,
-    detector_faults, lease_faults) as {!Db.config} takes them.  Step- and
-    backup-pinned crashes are dropped; acceptor crashes lower to plain
-    crashes; the detector-provoking windows (latency spikes, stalls,
-    heartbeat loss) pass through verbatim. *)
+val paxos_profile : f:int -> Sim.Nemesis.profile -> Sim.Nemesis.profile
+(** [base] with acceptor crashes (capped at [f]) aimed at the [2f+1]
+    lowest-numbered sites, where the database puts its acceptors, and
+    lease faults — the database counterpart of
+    {!Engine.Paxos.sweep_profile}. *)
 
 val fingerprint_of : Db.result -> string list
 (** The run's behavioural signature for the coverage-guided explorer
@@ -50,7 +42,7 @@ val fingerprint_of : Db.result -> string list
     near-miss flags, read post hoc from the result — pinned metrics stay
     byte-identical.  Deterministic in the run. *)
 
-val run_schedule :
+val config :
   ?protocol:Node.protocol ->
   ?termination:Node.termination ->
   ?presumption:Node.presumption ->
@@ -60,15 +52,14 @@ val run_schedule :
   ?pipeline_depth:int ->
   ?n_sites:int ->
   ?until:float ->
-  ?tracing:bool ->
   ?durable_wal:bool ->
   ?detector:bool ->
   ?fencing:bool ->
-  seed:int ->
-  Sim.Nemesis.schedule ->
-  Db.result * violation list
-(** Execute one explicit schedule (e.g. a pinned counterexample) against
-    the seed's workload and judge it. *)
+  unit ->
+  Db.config
+(** The chaos runs' {!Db.config}: 3PC on 4 sites, a 3000.0 stall budget,
+    the durable WAL and the bank's initial data.  Faults, seed and
+    tracing are set per run. *)
 
 type run_outcome = {
   seed : int;
@@ -77,21 +68,45 @@ type run_outcome = {
   violations : violation list;
 }
 
-val run_one :
+val target :
+  ?profile:Sim.Nemesis.profile -> Db.config -> (run_outcome, Db.result) Engine.Chaos.target
+(** The database under [config].  A seed draws its schedule from
+    [profile] (default {!default_profile}) on the second split of its
+    root rng — the first feeds the workload — and phase 1 runs that
+    schedule directly, counting [chaos_runs] and merging every run's
+    {!Db.result}[.run_metrics]. *)
+
+val families : Node.protocol -> Engine.Explore.family list
+(** The clause families the database executes: timed crashes,
+    recoveries, message faults, detector windows and storms, plus
+    acceptor crashes and lease faults under Paxos Commit. *)
+
+val harness :
+  protocol:Node.protocol ->
+  ?n_sites:int ->
   ?profile:Sim.Nemesis.profile ->
+  ?k:int ->
+  unit ->
+  Engine.Explore.harness
+(** The database harness for {!Engine.Explore} over {!target}: the
+    [`Random] baseline is exactly the classic kv chaos sweep. *)
+
+(** {1 Shorthands}
+
+    Each builds one {!config} from the options its callers set. *)
+
+val run_schedule : ?n_sites:int -> seed:int -> Sim.Nemesis.schedule -> Db.result * violation list
+(** Execute one explicit schedule (e.g. a pinned counterexample) against
+    the seed's workload and judge it. *)
+
+val run_one :
   ?protocol:Node.protocol ->
-  ?termination:Node.termination ->
   ?presumption:Node.presumption ->
   ?read_only_opt:bool ->
-  ?group_commit:Kv_wal.group_commit ->
   ?sync_latency:float ->
   ?pipeline_depth:int ->
   ?n_sites:int ->
-  ?until:float ->
-  ?tracing:bool ->
   ?durable_wal:bool ->
-  ?detector:bool ->
-  ?fencing:bool ->
   k:int ->
   seed:int ->
   unit ->
@@ -100,24 +115,15 @@ val run_one :
 
 val shrink :
   ?protocol:Node.protocol ->
-  ?termination:Node.termination ->
-  ?presumption:Node.presumption ->
-  ?read_only_opt:bool ->
-  ?group_commit:Kv_wal.group_commit ->
-  ?sync_latency:float ->
-  ?pipeline_depth:int ->
   ?n_sites:int ->
-  ?until:float ->
-  ?durable_wal:bool ->
-  ?detector:bool ->
-  ?fencing:bool ->
   seed:int ->
   oracle:oracle ->
   Sim.Nemesis.schedule ->
   Sim.Nemesis.schedule * int
-(** Greedy minimisation: drop single faults, then round fault times,
-    keeping any candidate that still trips [oracle] under the same seed.
-    Returns the minimal schedule and the number of re-runs spent. *)
+(** {!Engine.Chaos.shrink_target} on the schedule's plan
+    ({!Engine.Failure_plan.of_schedule}); the minimal plan comes back as
+    a schedule grouped by fault family.  Returns it and the number of
+    re-runs spent. *)
 
 type summary = {
   protocol : Node.protocol;
@@ -125,10 +131,9 @@ type summary = {
   k : int;
   seeds_run : int;
   failing : (int * violation list * Sim.Nemesis.schedule) list;
-      (** (seed, violations, shrunk schedule) per failing seed; at most
-          [max_counterexamples] of them are shrunk, the rest keep their
-          full schedule *)
-  violations_by_oracle : (oracle * int) list;
+      (** (seed, violations, schedule) per failing seed, in seed order; a
+          seed with a counterexample carries its shrunk schedule *)
+  violations_by_oracle : (oracle * int) list;  (** sorted *)
   metrics : Sim.Metrics.t;
       (** per-seed registries (chaos_runs / violations_* / shrink_runs
           counters plus every {!Db.result}.run_metrics) merged in seed
@@ -138,28 +143,19 @@ type summary = {
 val sweep :
   ?profile:Sim.Nemesis.profile ->
   ?protocol:Node.protocol ->
-  ?termination:Node.termination ->
   ?presumption:Node.presumption ->
   ?read_only_opt:bool ->
   ?group_commit:Kv_wal.group_commit ->
   ?sync_latency:float ->
   ?pipeline_depth:int ->
   ?n_sites:int ->
-  ?until:float ->
   ?durable_wal:bool ->
   ?detector:bool ->
-  ?fencing:bool ->
   ?seed_base:int ->
-  ?max_counterexamples:int ->
   ?workers:int ->
   k:int ->
   seeds:int ->
   unit ->
   summary
-(** [workers] (default 1) shards the seed range across OCaml domains via
-    {!Sim.Sweep}; every seed runs in an isolated World/Metrics/Rng and
-    the summary (shrunk counterexamples included) is byte-identical
-    whatever the worker count.  Shrinking runs sequentially after the
-    sharded phase. *)
-
-val pp_summary : Format.formatter -> summary -> unit
+(** {!Engine.Chaos.sweep_target} on {!target}, shrinking at most three
+    violations. *)

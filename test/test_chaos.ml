@@ -62,11 +62,14 @@ let test_2pc_pinned_blocking_seed () =
 
 let test_2pc_counterexample_shrinks_to_one_fault () =
   let o = C.run_one (Lazy.force rb_c2) ~k:1 ~seed:35 () in
-  let minimal, _runs = C.shrink (Lazy.force rb_c2) ~seed:35 ~oracle:C.Progress o.C.plan in
+  let minimal, runs = C.shrink (Lazy.force rb_c2) ~seed:35 ~oracle:C.Progress o.C.plan in
   Alcotest.(check int) "one fault suffices" 1 (FP.fault_count minimal);
   (* the textbook schedule: the coordinator dies at its commit point *)
   Alcotest.(check string) "the textbook counterexample" "step-crash site=1 step=1 mode=before"
-    (FP.to_string minimal)
+    (FP.to_string minimal);
+  (* the shrinker's candidate order (removals to a fixpoint, then
+     roundings) pins the re-run count too *)
+  Alcotest.(check int) "three re-runs" 3 runs
 
 let test_shrunk_plan_replays_through_text () =
   (* a counterexample pasted into a report must reproduce: round-trip the
@@ -162,6 +165,45 @@ let test_kv_run_one_deterministic () =
   Alcotest.(check int) "same messages" a.Kv.Chaos_db.result.Kv.Db.messages_sent
     b.Kv.Chaos_db.result.Kv.Db.messages_sent
 
+(* The schedule/plan bridge the shared shrinker and the kv explorer stand
+   on: a schedule and its plan round trip must run identically.  (Disk
+   faults ride along, but under the force discipline they never change a
+   kv run, so only storms, windows and crashes can tell a broken bridge
+   apart; heartbeat-loss windows only with the detector on.) *)
+let test_kv_schedule_plan_round_trip () =
+  let module KC = Kv.Chaos_db in
+  let blank = Sim.Metrics.create () in
+  let json (r : Kv.Db.result) = Sim.Json.to_string (Sim.Metrics.to_json ~drop_wall:true r.run_metrics) in
+  let stormy =
+    {
+      KC.default_profile with
+      Sim.Nemesis.p_storm = 0.7;
+      p_delay_spike = 0.4;
+      p_stall = 0.45;
+      p_hb_loss = 0.5;
+      p_disk_fault = 0.6;
+      lost_flush_weight = 1;
+    }
+  in
+  List.iter
+    (fun (name, profile, detector, seeds) ->
+      let t = KC.target ~profile (KC.config ~detector ()) in
+      for seed = 0 to seeds - 1 do
+        let o = C.run_seed t ~k:1 ~seed in
+        let r, vs = t.C.run ~metrics:None ~tracing:false ~seed (t.C.plan_of o) in
+        let label = Fmt.str "%s seed %d" name seed in
+        Alcotest.(check bool) (label ^ ": result") true
+          ({ o.KC.result with run_metrics = blank } = { r with run_metrics = blank });
+        Alcotest.(check string) (label ^ ": metrics") (json o.KC.result) (json r);
+        Alcotest.(check bool) (label ^ ": violations") true (o.KC.violations = vs)
+      done)
+    (* detector runs cost ~20 ms each (heartbeats to the stall budget) *)
+    [
+      ("default", KC.default_profile, false, 400);
+      ("storms+windows+disk", stormy, false, 400);
+      ("storms+windows+disk, detector on", stormy, true, 60);
+    ]
+
 let suite =
   [
     Alcotest.test_case "run_one is deterministic" `Quick test_run_one_deterministic;
@@ -178,4 +220,6 @@ let suite =
     Alcotest.test_case "kv: 3PC corpus clean" `Quick test_kv_3pc_corpus_clean;
     Alcotest.test_case "kv: 2PC blocks and shrinks" `Quick test_kv_2pc_blocks_and_shrinks;
     Alcotest.test_case "kv: run_one deterministic" `Quick test_kv_run_one_deterministic;
+    Alcotest.test_case "kv: schedule and plan round trip run identically" `Quick
+      test_kv_schedule_plan_round_trip;
   ]

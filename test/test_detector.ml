@@ -252,7 +252,7 @@ let kv_safety_violations (s : Kv.Chaos_db.summary) =
     (fun (o, _) ->
       match o with
       | Kv.Chaos_db.Atomicity | Kv.Chaos_db.Conservation | Kv.Chaos_db.Split_brain -> true
-      | Kv.Chaos_db.Progress | Kv.Chaos_db.Durability -> false)
+      | Kv.Chaos_db.Progress | Kv.Chaos_db.Durability | Kv.Chaos_db.Recovery_convergence -> false)
     s.Kv.Chaos_db.violations_by_oracle
 
 let test_kv_detector_sweep_safe () =

@@ -64,10 +64,14 @@ let test_late_force_found_and_shrunk_by_sweep () =
   in
   let seed, plan = first_breach 0 in
   Alcotest.(check int) "seed 34 is the first breach" 34 seed;
-  let minimal, _runs =
+  let minimal, runs =
     C.shrink ~late_force:true (Lazy.force rb_c3) ~seed ~oracle:C.Durability plan
   in
   Alcotest.(check bool) "shrunk to at most 2 faults" true (FP.fault_count minimal <= 2);
+  Alcotest.(check (pair string int))
+    "exact shrunk plan and re-run count"
+    ("step-crash site=1 step=1 mode=after-logging:3", 3)
+    (FP.to_string minimal, runs);
   let reloaded = FP.of_string_exn (FP.to_string minimal) in
   let _, violations = C.run_plan ~late_force:true (Lazy.force rb_c3) ~plan:reloaded ~seed () in
   Alcotest.(check bool) "reloaded minimal plan still trips the oracle" true

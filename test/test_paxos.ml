@@ -266,14 +266,13 @@ let test_engine_family_validation () =
     (List.length (FP.unsupported_clauses ~protocol:"paxos-commit" mv))
 
 let test_engine_sweep_clean () =
-  let s = EP.sweep ~n_sites:4 ~f:1 ~k:1 ~seeds:50 () in
-  Alcotest.(check int) "all seeds ran" 50 s.EP.ps_seeds_run;
-  match s.EP.ps_failing with
+  let _, s = EC.sweep_target (EP.target ~n_sites:4 ~f:1 ()) ~k:1 ~seeds:50 in
+  Alcotest.(check int) "all seeds ran" 50 s.EC.seeds_run;
+  match s.EC.counterexamples with
   | [] -> ()
-  | (seed, vs, plan) :: _ ->
-      Alcotest.failf "seed %d violates %a under %s" seed
-        (Fmt.list ~sep:Fmt.comma EC.pp_violation)
-        vs (FP.to_string plan)
+  | cx :: _ ->
+      Alcotest.failf "seed %d violates %a under %s" cx.EC.cx_seed EC.pp_violation
+        cx.EC.cx_violation (FP.to_string cx.EC.cx_plan)
 
 let suite =
   [

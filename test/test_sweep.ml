@@ -82,22 +82,33 @@ let test_sweep_merges_in_seed_order () =
 
 (* ---------------- chaos sweeps: workers unobservable ---------------- *)
 
-(* central-2pc blocks, so this exercises the interesting paths — violation
+(* central-2pc blocks, and Paxos Commit under a short stall budget misses
+   liveness, so both targets exercise the interesting paths — violation
    aggregation, shrinking, counterexample tracing — not just clean runs. *)
-let engine_summary ~workers =
-  let rb = Engine.Rulebook.compile (Core.Catalog.central_2pc 3) in
-  C.sweep rb ~workers ~k:1 ~seeds:60 ()
+let engine_summaries =
+  [
+    ( "central-2pc",
+      fun ~workers ->
+        C.sweep (Engine.Rulebook.compile (Core.Catalog.central_2pc 3)) ~workers ~k:1 ~seeds:60 () );
+    ( "paxos-commit",
+      fun ~workers ->
+        snd (C.sweep_target ~workers (Engine.Paxos.target ~until:30.0 ~n_sites:4 ~f:1 ()) ~k:2 ~seeds:60)
+    );
+  ]
 
 let test_engine_sweep_workers_unobservable () =
-  let seq = engine_summary ~workers:1 in
-  Alcotest.(check bool) "corpus has counterexamples" true (seq.C.counterexamples <> []);
-  let par = engine_summary ~workers:4 in
-  Alcotest.(check bool) "violation counts" true
-    (par.C.violations_by_oracle = seq.C.violations_by_oracle);
-  Alcotest.(check bool) "counterexamples (plans, traces, shrink cost)" true
-    (par.C.counterexamples = seq.C.counterexamples);
-  Alcotest.(check string) "merged deterministic metrics"
-    (det_json seq.C.metrics) (det_json par.C.metrics)
+  List.iter
+    (fun (name, summary) ->
+      let seq = summary ~workers:1 in
+      Alcotest.(check bool) (name ^ ": corpus has counterexamples") true (seq.C.counterexamples <> []);
+      let par = summary ~workers:4 in
+      Alcotest.(check bool) (name ^ ": violation counts") true
+        (par.C.violations_by_oracle = seq.C.violations_by_oracle);
+      Alcotest.(check bool) (name ^ ": counterexamples (plans, traces, shrink cost)") true
+        (par.C.counterexamples = seq.C.counterexamples);
+      Alcotest.(check string) (name ^ ": merged deterministic metrics")
+        (det_json seq.C.metrics) (det_json par.C.metrics))
+    engine_summaries
 
 let kv_summary ~workers =
   KC.sweep ~protocol:Kv.Node.Three_phase ~n_sites:4 ~workers ~k:1 ~seeds:20 ()
