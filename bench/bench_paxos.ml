@@ -162,8 +162,8 @@ let matrix_cell family (class_name, plan_of) =
 
 let engine_sweep_row ~f ~k ~seeds =
   Fmt.epr "paxos sweep (engine) n=%d f=%d k=%d seeds=%d...@." n_sites f k seeds;
-  let (runs, s), wall = time (fun () -> EC.sweep_target (EP.target ~n_sites ~f ()) ~k ~seeds) in
-  let failing = Array.fold_left (fun n (o : EC.run_outcome) -> if o.violations = [] then n else n + 1) 0 runs in
+  let (failing, s), wall = time (fun () -> EC.sweep_target (EP.target ~n_sites ~f ()) ~k ~seeds) in
+  let failing = List.length failing in
   ( failing,
     Sim.Json.Obj
       [

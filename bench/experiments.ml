@@ -360,7 +360,7 @@ let e12_kv_ablation () =
                   (* full metrics of the seed-1 run: counters, gauges and
                      the commit-latency / phase-split histograms with
                      p50/p90/p99 *)
-                  ("metrics", (List.hd results).Kv.Db.metrics_json);
+                  ("metrics", Sim.Metrics.to_json (List.hd results).Kv.Db.run_metrics);
                 ] )
             :: !rows;
           List.iter
@@ -406,13 +406,13 @@ let e13_partition_ablation () =
            J.Obj
              [
                ("consistent", J.Bool r3.Engine.Runtime.consistent);
-               ("metrics", r3.Engine.Runtime.metrics_json);
+               ("metrics", Sim.Metrics.to_json r3.Engine.Runtime.run_metrics);
              ] );
          ( "central_2pc",
            J.Obj
              [
                ("consistent", J.Bool r2.Engine.Runtime.consistent);
-               ("metrics", r2.Engine.Runtime.metrics_json);
+               ("metrics", Sim.Metrics.to_json r2.Engine.Runtime.run_metrics);
              ] );
        ]);
   Fmt.pr
@@ -440,7 +440,7 @@ let e14_quorum_termination () =
     (J.Obj
        [
          ("consistent", J.Bool rq.Engine.Runtime.consistent);
-         ("metrics", rq.Engine.Runtime.metrics_json);
+         ("metrics", Sim.Metrics.to_json rq.Engine.Runtime.run_metrics);
        ]);
   (* the liveness price: a lone survivor blocks under the quorum rule and
      decides under Skeen's rule *)
@@ -627,13 +627,13 @@ let e17_db_partition () =
            J.Obj
              [
                ("atomicity_ok", J.Bool skeen.Kv.Db.atomicity_ok);
-               ("metrics", skeen.Kv.Db.metrics_json);
+               ("metrics", Sim.Metrics.to_json skeen.Kv.Db.run_metrics);
              ] );
          ( "quorum",
            J.Obj
              [
                ("atomicity_ok", J.Bool quorum.Kv.Db.atomicity_ok);
-               ("metrics", quorum.Kv.Db.metrics_json);
+               ("metrics", Sim.Metrics.to_json quorum.Kv.Db.run_metrics);
              ] );
        ])
 

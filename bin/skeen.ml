@@ -217,7 +217,9 @@ let simulate_cmd =
     Fmt.pr "%a@." Engine.Runtime.pp_result r;
     if trace then
       List.iter (fun e -> Fmt.pr "%8.2f  %s@." e.Sim.World.at e.Sim.World.what) r.Engine.Runtime.trace;
-    Option.iter (fun f -> write_metrics_json f r.Engine.Runtime.metrics_json) metrics_json
+    Option.iter
+      (fun f -> write_metrics_json f (Sim.Metrics.to_json r.Engine.Runtime.run_metrics))
+      metrics_json
   in
   Cmd.v
     (Cmd.info "simulate" ~doc:"Execute one distributed transaction on the simulator.")
@@ -463,6 +465,28 @@ let chaos_cmd =
       sync_latency metrics_json =
     let detector = detector_flag || no_fencing || detector_faults in
     let fencing = not no_fencing in
+    (* Every numeric flag is checked here, before any target is built or
+       any seed runs: bad input gets one line and exit 2, never an
+       exception escaping from deep inside a run. *)
+    let refuse reason =
+      Fmt.epr "skeen chaos: %s@." reason;
+      exit 2
+    in
+    let require ok reason = if not ok then refuse reason in
+    require (seeds >= 0) "--seeds must be >= 0";
+    require (workers >= 1) "--workers must be >= 1";
+    require (n >= 2) "-n must be >= 2";
+    require (k >= 0) "-k must be >= 0";
+    require
+      (label <> "paxos-commit" || (f >= 0 && n >= (2 * f) + 1))
+      (Printf.sprintf "paxos-commit with -f %d needs -f >= 0 and -n >= 2f+1" f);
+    require (Float.is_finite until && until > 0.0) "--until must be positive and finite";
+    require (Float.is_finite sync_latency && sync_latency >= 0.0) "--sync-latency must be >= 0";
+    require (group_commit >= 0) "--group-commit must be >= 0";
+    require (pipeline_depth >= 1) "--pipeline must be >= 1";
+    require (drops >= 0) "--drops must be >= 0";
+    require (lost_flush >= 0) "--lost-flush must be >= 0";
+    Result.iter_error refuse (Sim.Detector.check_timing ~heartbeat_period ~suspicion_timeout);
     let profile base =
       let p =
         storage_profile ~disk_faults ~lost_flush
@@ -518,6 +542,9 @@ let chaos_cmd =
     and engine_metrics (r : Engine.Runtime.result) = r.run_metrics in
     if kv then begin
       let protocol = kv_protocol ~cmd:"chaos" label f in
+      if election_timeout <> 4.0 then
+        Fmt.epr "skeen chaos: --election-timeout applies only to the protocol engine (the \
+                 database elects no backup coordinator); ignoring it@.";
       let cfg =
         Kv.Chaos_db.config ~protocol
           ~termination:
@@ -530,7 +557,8 @@ let chaos_cmd =
           ?group_commit:
             (if group_commit > 0 then Some { Kv.Kv_wal.max_batch = group_commit; max_wait = 0.05 }
              else None)
-          ~sync_latency ~pipeline_depth ~n_sites:n ~until ~detector ~fencing ()
+          ~sync_latency ~pipeline_depth ~n_sites:n ~until ~detector ~fencing ~heartbeat_period
+          ~suspicion_timeout ()
       in
       let profile = profile Kv.Chaos_db.default_profile in
       let profile =
@@ -951,7 +979,7 @@ let bank_cmd =
     Fmt.pr "bank total: expected %d, measured %d@."
       (Kv.Workload.bank_total ~accounts ~initial_balance)
       r.Kv.Db.storage_totals;
-    Option.iter (fun f -> write_metrics_json f r.Kv.Db.metrics_json) metrics_json
+    Option.iter (fun f -> write_metrics_json f (Sim.Metrics.to_json r.Kv.Db.run_metrics)) metrics_json
   in
   Cmd.v
     (Cmd.info "bank" ~doc:"Run the bank-transfer workload on the distributed KV store.")

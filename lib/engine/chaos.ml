@@ -253,16 +253,16 @@ let violations_of ?metrics ?presumption ?read_only result =
     | None -> f result
     | Some m ->
         let v, dt = Sim.Clock.time (fun () -> f result) in
-        Sim.Metrics.observe m (Printf.sprintf "wall_oracle_%s_s" name) dt;
+        Sim.Metrics.observe m name dt;
         v
   in
   List.filter_map Fun.id
     [
-      timed "atomicity" check_atomicity;
-      timed "progress" (check_progress ?read_only);
-      timed "recovery" (check_recovery ?read_only);
-      timed "durability" (check_durability ?presumption ?read_only);
-      timed "split_brain" check_split_brain;
+      timed "wall_oracle_atomicity_s" check_atomicity;
+      timed "wall_oracle_progress_s" (check_progress ?read_only);
+      timed "wall_oracle_recovery_s" (check_recovery ?read_only);
+      timed "wall_oracle_durability_s" (check_durability ?presumption ?read_only);
+      timed "wall_oracle_split_brain_s" check_split_brain;
     ]
 
 (* The per-run detector counters worth aggregating across a sweep: they
@@ -581,33 +581,40 @@ let sweep_target ?(seed_base = 0) ?(max_counterexamples = 5) ?(workers = 1) t ~k
   (* Phase 1, embarrassingly parallel: each seed runs in full isolation —
      its own World, Metrics registry and Rng stream, sharing only the
      target's read-only configuration — so worker assignment is
-     unobservable. *)
-  let runs, metrics =
+     unobservable.  Only a violating seed's outcome survives its run;
+     every registry is merged in seed order as soon as it can be. *)
+  let outcomes, metrics =
     Sim.Sweep.sweep ~workers ~seed_base ~seeds (fun ~metrics ~seed ->
         let run = t.run_seed ~metrics:(Some metrics) ~seed (schedule t ~k ~seed) in
-        List.iter
-          (fun v -> Sim.Metrics.incr metrics ("violations_" ^ oracle_name v.oracle))
-          (t.verdict run);
-        run)
+        match t.verdict run with
+        | [] -> None
+        | vs ->
+            List.iter (fun v -> Sim.Metrics.incr metrics ("violations_" ^ oracle_name v.oracle)) vs;
+            Some run)
+  in
+  let failing =
+    Array.to_seqi outcomes
+    |> Seq.filter_map (fun (i, o) -> Option.map (fun run -> (seed_base + i, run)) o)
+    |> List.of_seq
   in
   (* Phase 2, sequential and seed-ordered: aggregate verdicts and shrink
      the first [max_counterexamples] violations — identical selection and
      results whatever the worker count. *)
   let counterexamples = ref [] in
   let by_oracle = Hashtbl.create 4 in
-  Array.iteri
-    (fun i run ->
+  List.iter
+    (fun (seed, run) ->
       List.iter
         (fun v ->
           Hashtbl.replace by_oracle v.oracle
             (1 + Option.value ~default:0 (Hashtbl.find_opt by_oracle v.oracle));
           if List.length !counterexamples < max_counterexamples then
             counterexamples :=
-              counterexample_of t ~metrics:(Some metrics) ~seed:(seed_base + i) (t.plan_of run) v
+              counterexample_of t ~metrics:(Some metrics) ~seed (t.plan_of run) v
               :: !counterexamples)
         (t.verdict run))
-    runs;
-  ( runs,
+    failing;
+  ( failing,
     {
       protocol = t.name;
       n_sites = t.n_sites;

@@ -172,20 +172,25 @@ val sweep_target :
   ('o, 'r) target ->
   k:int ->
   seeds:int ->
-  'o array * summary
-(** Run seeds [seed_base .. seed_base + seeds - 1] (outcomes in seed
-    order) and shrink (and trace) at most [max_counterexamples]
-    violations (default 5).  Every seed counts [violations_<oracle>];
-    [violations_by_oracle] is sorted.
+  (int * 'o) list * summary
+(** Run seeds [seed_base .. seed_base + seeds - 1] and shrink (and trace)
+    at most [max_counterexamples] violations (default 5).  Returns the
+    violating seeds with their outcomes, in seed order, and the summary.
+    Every seed counts [violations_<oracle>]; [violations_by_oracle] is
+    sorted.
 
-    [workers] (default 1) shards the seed range across OCaml domains via
-    {!Sim.Sweep}: each seed runs in a fully isolated World/Metrics/Rng
-    instance and per-seed registries merge in seed order, so the summary
-    — counterexamples included — and the deterministic projection of
-    [metrics] ({!Sim.Metrics.to_json} [~drop_wall:true]) are
-    byte-identical whatever the worker count.  Only [wall_]-prefixed
+    A sweep costs one run per seed and keeps none of it: a passing
+    seed's outcome is dropped as soon as it is judged, and each seed's
+    metrics registry is {!Sim.Metrics.merge}d into the summary's in seed
+    order as soon as every earlier seed has been ({!Sim.Sweep.sweep}).
+
+    [workers] (default 1) shards the seed range across OCaml domains:
+    each seed runs in a fully isolated World/Metrics/Rng instance, so the
+    summary — counterexamples included — and the deterministic
+    projection of [metrics] ({!Sim.Metrics.to_json} [~drop_wall:true])
+    are byte-identical whatever the worker count.  Only [wall_]-prefixed
     timing histograms vary run to run.  Shrinking runs in a sequential
-    seed-ordered phase after the sharded runs. *)
+    seed-ordered phase after every seed has run. *)
 
 (** {1 The engine}
 

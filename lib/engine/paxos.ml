@@ -771,7 +771,6 @@ let run (cfg : config) : Runtime.result =
     store;
     directive_epochs = List.rev t.directive_epochs;
     trace = Sim.World.trace_entries world;
-    metrics_json = Sim.Metrics.to_json metrics;
     run_metrics = metrics;
   }
 

@@ -240,12 +240,7 @@ type result = {
           split-brain oracle checks that no epoch is shared by two
           distinct sites. *)
   trace : Sim.World.trace_entry list;
-  metrics_json : Sim.Json.t;
-      (** full metrics snapshot of the run ({!Sim.Metrics.to_json}):
-          counters, gauges and latency histograms *)
   run_metrics : Sim.Metrics.t;
-      (** the run's live metrics registry (the source of [metrics_json]),
-          so sweeps can aggregate detector counters across runs *)
 }
 
 let planned_vote cfg site =
@@ -1246,7 +1241,6 @@ let run (cfg : config) : result =
     store;
     directive_epochs = List.rev exec.Exec.directive_epochs;
     trace = Sim.World.trace_entries world;
-    metrics_json = Sim.Metrics.to_json metrics;
     run_metrics = metrics;
   }
 

@@ -154,14 +154,14 @@ type result = {
           when the site began issuing directives.  The split-brain oracle
           checks no epoch is shared by two distinct sites. *)
   trace : Sim.World.trace_entry list;
-  metrics_json : Sim.Json.t;
-      (** full metrics snapshot of the run ({!Sim.Metrics.to_json}):
-          counters, gauges and latency histograms — decision latency,
-          messages-to-decision, WAL appends, termination rounds, event
-          counts and queue-depth high-water mark *)
   run_metrics : Sim.Metrics.t;
-      (** the run's live metrics registry (the source of [metrics_json]),
-          so sweeps can aggregate detector counters across runs *)
+      (** the run's metrics registry, timer-drained and no longer written
+          to: counters, gauges and latency histograms — decision latency,
+          messages-to-decision, WAL appends, termination rounds, event
+          counts and queue-depth high-water mark.  Nothing is snapshotted
+          per run; export with {!Sim.Metrics.to_json} or read with
+          {!Sim.Metrics.counters} on demand, and sweeps
+          {!Sim.Metrics.merge} it. *)
 }
 
 val run : config -> result

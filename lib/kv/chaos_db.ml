@@ -257,16 +257,16 @@ let fingerprint_of (r : Db.result) =
               (List.sort_uniq compare (List.map (fun (_, s, _) -> s) r.Db.directive_epochs))));
       feat "blocked-time" (bucket (int_of_float r.Db.blocked_time));
     ]
-  @ List.map (fun (name, v) -> feat name (bucket v)) r.Db.metrics
+  @ List.map (fun (name, v) -> feat name (bucket v)) (Sim.Metrics.counters r.Db.run_metrics)
 
 (* One Db.config per public call: the schedule's faults and the run's
    seed and tracing are set per run. *)
 let config ?(protocol = Node.Three_phase) ?(termination = Node.T_skeen) ?presumption
     ?read_only_opt ?group_commit ?sync_latency ?pipeline_depth ?(n_sites = 4) ?(until = 3000.0)
-    ?(durable_wal = true) ?detector ?fencing () =
+    ?(durable_wal = true) ?detector ?fencing ?heartbeat_period ?suspicion_timeout () =
   Db.config ~n_sites ~protocol ~termination ?presumption ?read_only_opt ?group_commit
-    ?sync_latency ?pipeline_depth ~until ~durable_wal ?detector ?fencing
-    ~initial_data:(Workload.bank_initial ~accounts ~initial_balance)
+    ?sync_latency ?pipeline_depth ~until ~durable_wal ?detector ?fencing ?heartbeat_period
+    ?suspicion_timeout ~initial_data:(Workload.bank_initial ~accounts ~initial_balance)
     ()
 
 let judge (cfg : Db.config) ~tracing ~seed schedule =
@@ -365,7 +365,7 @@ let sweep ?profile ?protocol ?presumption ?read_only_opt ?group_commit ?sync_lat
     config ?protocol ?presumption ?read_only_opt ?group_commit ?sync_latency ?pipeline_depth
       ?n_sites ?durable_wal ?detector ()
   in
-  let runs, s =
+  let failing, s =
     Chaos.sweep_target ?seed_base ~max_counterexamples:3 ?workers (target ?profile cfg) ~k ~seeds
   in
   let shrunk (o : run_outcome) =
@@ -378,11 +378,7 @@ let sweep ?profile ?protocol ?presumption ?read_only_opt ?group_commit ?sync_lat
     n_sites = cfg.n_sites;
     k;
     seeds_run = seeds;
-    failing =
-      List.filter_map
-        (fun (o : run_outcome) ->
-          if o.violations = [] then None else Some (o.seed, o.violations, shrunk o))
-        (Array.to_list runs);
+    failing = List.map (fun (seed, o) -> (seed, o.violations, shrunk o)) failing;
     violations_by_oracle = s.Chaos.violations_by_oracle;
     metrics = s.Chaos.metrics;
   }

@@ -55,11 +55,14 @@ val config :
   ?durable_wal:bool ->
   ?detector:bool ->
   ?fencing:bool ->
+  ?heartbeat_period:float ->
+  ?suspicion_timeout:float ->
   unit ->
   Db.config
 (** The chaos runs' {!Db.config}: 3PC on 4 sites, a 3000.0 stall budget,
-    the durable WAL and the bank's initial data.  Faults, seed and
-    tracing are set per run. *)
+    the durable WAL and the bank's initial data.  The detector knobs
+    default as in {!Db.config}.  Faults, seed and tracing are set per
+    run. *)
 
 type run_outcome = {
   seed : int;

@@ -139,14 +139,7 @@ type result = {
           pair is shared by two distinct sites. *)
   storage_totals : int;  (** sum of all values across all sites *)
   trace : Sim.World.trace_entry list;  (** empty unless [tracing] *)
-  metrics : (string * int) list;
-  metrics_json : Sim.Json.t;
-      (** full metrics snapshot ({!Sim.Metrics.to_json}): counters, gauges
-          and latency histograms — commit latency and its
-          lock-wait/vote/decision phase split, blocked durations *)
   run_metrics : Sim.Metrics.t;
-      (** the run's live registry (the source of [metrics_json]), so
-          sweeps can {!Sim.Metrics.merge} per-run registries *)
 }
 
 (** [run cfg workload] executes [workload] (arrival-time, transaction)
@@ -434,8 +427,6 @@ let run (cfg : config) (workload : (float * Txn.t) list) : result =
       |> List.sort compare;
     storage_totals = Array.to_list storages |> List.fold_left (fun a s -> a + Storage.total s) 0;
     trace = Sim.World.trace_entries world;
-    metrics = Sim.Metrics.counters metrics;
-    metrics_json = Sim.Metrics.to_json metrics;
     run_metrics = metrics;
   }
 

@@ -144,14 +144,13 @@ type result = {
           pair is shared by two distinct sites. *)
   storage_totals : int;
   trace : Sim.World.trace_entry list;  (** empty unless [tracing] *)
-  metrics : (string * int) list;
-  metrics_json : Sim.Json.t;
-      (** full metrics snapshot ({!Sim.Metrics.to_json}): counters, gauges
-          and latency histograms — commit latency and its
-          lock-wait/vote/decision phase split, blocked durations *)
   run_metrics : Sim.Metrics.t;
-      (** the run's live registry (the source of [metrics_json]), so
-          sweeps can {!Sim.Metrics.merge} per-run registries *)
+      (** the run's metrics registry, timer-drained and no longer written
+          to: counters, gauges and latency histograms — commit latency and
+          its lock-wait/vote/decision phase split, blocked durations.
+          Nothing is snapshotted per run; export with
+          {!Sim.Metrics.to_json} or read with {!Sim.Metrics.counters} on
+          demand, and sweeps {!Sim.Metrics.merge} it. *)
 }
 
 val run : config -> (float * Txn.t) list -> result

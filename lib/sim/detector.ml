@@ -43,10 +43,20 @@ type 'msg t = {
       (** index: site; when its pending check timer is due to fire *)
 }
 
+(* A heartbeat timer with a zero period re-arms at the instant it fires,
+   so the clock never advances and the run never ends. *)
+let check_timing ~heartbeat_period ~suspicion_timeout =
+  if not (Float.is_finite heartbeat_period && heartbeat_period > 0.0) then
+    Error "heartbeat_period must be positive and finite"
+  else if not (suspicion_timeout > heartbeat_period) then
+    Error "suspicion_timeout must exceed heartbeat_period"
+  else Ok ()
+
 let create ?(heartbeat_period = 1.0) ?(suspicion_timeout = 5.0) ~world ~heartbeat ~is_heartbeat
     ~on_suspect ~on_unsuspect () =
-  if suspicion_timeout <= heartbeat_period then
-    invalid_arg "Detector.create: suspicion_timeout must exceed heartbeat_period";
+  (match check_timing ~heartbeat_period ~suspicion_timeout with
+  | Error reason -> invalid_arg ("Detector.create: " ^ reason)
+  | Ok () -> ());
   let n = List.length (World.sites world) in
   let t =
     {

@@ -30,7 +30,12 @@ val create :
   'msg t
 (** Defaults: heartbeat every 1.0, suspect after 5.0 of silence.
     Registers a crash hook on [world] for latency accounting.
-    @raise Invalid_argument if [suspicion_timeout <= heartbeat_period]. *)
+    @raise Invalid_argument when {!check_timing} refuses the two. *)
+
+val check_timing : heartbeat_period:float -> suspicion_timeout:float -> (unit, string) result
+(** [Error reason] unless [heartbeat_period] is positive and finite and
+    [suspicion_timeout] exceeds it.  {!create} enforces this; front ends
+    call it to refuse bad input before a run starts. *)
 
 val start : 'msg t -> 'msg World.ctx -> unit
 (** Arm the calling site's heartbeat and check timers and reset its view.

@@ -238,36 +238,44 @@ let drain_timers t =
   (* A timer started and never stopped — a site that crashed mid-measure —
      must not silently vanish from the registry: account each one under a
      per-label counter, then clear, so [merge] never sees a dangling
-     start.  Idempotent once drained. *)
-  List.iter
-    (fun (name, n) -> incr ~by:n t ("timers_in_flight_" ^ name))
-    (timers_in_flight t);
-  Hashtbl.reset t.timers
+     start.  Idempotent once drained, and free when nothing is in
+     flight (every sweep drains every seed's registry). *)
+  if Hashtbl.length t.timers > 0 then begin
+    List.iter
+      (fun (name, n) -> incr ~by:n t ("timers_in_flight_" ^ name))
+      (timers_in_flight t);
+    Hashtbl.reset t.timers
+  end
 
 (* ---------------- merge ---------------- *)
 
 let merge dst src =
   (* Counters sum; gauges keep the overall high-water mark; histograms
      add bucket arrays element-wise with exact count/total and the
-     combined min/max.  Deterministic: folding the same source
-     registries in the same order always produces the same [dst], so a
-     sharded sweep merged in seed order is reproducible whatever the
-     worker count.  In-flight timers on either side are drained first —
-     an interrupted measurement becomes a [timers_in_flight_<label>]
-     counter instead of silently disappearing. *)
+     combined min/max.  The source tables are walked in hash order: every
+     combination here is order-free (integer sums, max, min) except the
+     histogram total, and that gets exactly one float addition per source
+     registry whatever the walk order.  So folding the same sources in
+     the same order always produces the same [dst], and a sharded sweep
+     merged in seed order is reproducible whatever the worker count.
+     In-flight timers on either side are drained first — an interrupted
+     measurement becomes a [timers_in_flight_<label>] counter instead of
+     silently disappearing. *)
   drain_timers dst;
-  List.iter (fun (name, n) -> incr ~by:n dst ("timers_in_flight_" ^ name)) (timers_in_flight src);
-  List.iter (fun (name, v) -> incr ~by:v dst name) (Hashtbl.fold (fun k v acc -> (k, !v) :: acc) src.counters [] |> List.sort compare);
-  List.iter (fun (name, v) -> gauge_max dst name v) (Hashtbl.fold (fun k v acc -> (k, !v) :: acc) src.gauges [] |> List.sort compare);
-  List.iter
-    (fun (name, h) ->
+  Hashtbl.iter (fun (name, _) _ -> incr dst ("timers_in_flight_" ^ name)) src.timers;
+  Hashtbl.iter (fun name v -> incr ~by:!v dst name) src.counters;
+  Hashtbl.iter (fun name v -> gauge_max dst name !v) src.gauges;
+  Hashtbl.iter
+    (fun name h ->
       let d = find_or_create_hist dst name in
       d.h_count <- d.h_count + h.h_count;
       d.h_total <- d.h_total +. h.h_total;
       if h.h_min < d.h_min then d.h_min <- h.h_min;
       if h.h_max > d.h_max then d.h_max <- h.h_max;
-      Array.iteri (fun i c -> d.counts.(i) <- d.counts.(i) + c) h.counts)
-    (Hashtbl.fold (fun k v acc -> (k, v) :: acc) src.hists [] |> List.sort compare)
+      for i = 0 to n_buckets - 1 do
+        d.counts.(i) <- d.counts.(i) + h.counts.(i)
+      done)
+    src.hists
 
 let merge_all srcs =
   let t = create () in

@@ -46,4 +46,5 @@ let () =
       ("paxos", Test_paxos.suite);
       ("backoff", Test_backoff.suite);
       ("explore", Test_explore.suite);
+      ("alloc", Test_alloc.suite);
     ]

@@ -256,9 +256,7 @@ let test_kv_group_commit_amortizes_syncs () =
   Alcotest.(check bool) "levers commit at least as much" true
     (levers.Kv.Db.committed >= base.Kv.Db.committed);
   Alcotest.(check bool) "both atomic" true (base.Kv.Db.atomicity_ok && levers.Kv.Db.atomicity_ok);
-  let counter r name =
-    match List.assoc_opt name r.Kv.Db.metrics with Some v -> v | None -> 0
-  in
+  let counter r name = Sim.Metrics.counter r.Kv.Db.run_metrics name in
   let forces = counter levers "wal_forces" and flushes = counter levers "wal_group_flushes" in
   Alcotest.(check bool) "forces happened" true (forces > 0);
   Alcotest.(check bool)
@@ -283,11 +281,7 @@ let test_kv_orphan_prepare_is_refused () =
       ~sync_latency:0.3 ~k:1 ~seed:0 ()
   in
   Alcotest.(check int) "no violations" 0 (List.length o.KC.violations);
-  let refused =
-    match List.assoc_opt "orphan_prepare_refused" o.KC.result.Kv.Db.metrics with
-    | Some v -> v
-    | None -> 0
-  in
+  let refused = Sim.Metrics.counter o.KC.result.Kv.Db.run_metrics "orphan_prepare_refused" in
   Alcotest.(check bool)
     (Fmt.str "the orphaned prepare was exercised (%d refused)" refused)
     true (refused > 0)

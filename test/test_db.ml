@@ -137,7 +137,7 @@ let test_refuse_when_participant_down () =
       (bank_wl ~seed:29 ~n_txns:60 ())
   in
   Alcotest.(check bool) "some refused" true
-    (List.mem_assoc "refused_participant_down" r.Kv.Db.metrics);
+    (List.mem_assoc "refused_participant_down" (Sim.Metrics.counters r.Kv.Db.run_metrics));
   Alcotest.(check bool) "atomicity" true r.Kv.Db.atomicity_ok
 
 let suite =

@@ -191,7 +191,7 @@ let test_run_deterministic () =
       Engine.Failure_plan.crash_at_step ~site:1 ~step:2 ~mode:(Engine.Failure_plan.After_logging 0)
     in
     let r = Engine.Runtime.run (Engine.Runtime.config ~plan ~seed:5 rb) in
-    J.to_string r.Engine.Runtime.metrics_json
+    J.to_string (Sim.Metrics.to_json r.Engine.Runtime.run_metrics)
   in
   Alcotest.(check string) "same seed, same metrics" (snapshot ()) (snapshot ())
 
@@ -252,6 +252,47 @@ let prop_merge_equals_single =
                     <= 1e-9 *. Float.max 1.0 (Float.abs b.M.total)
              | _ -> false)
            hist_names)
+
+(* [merge] walks each source's tables in hash order.  Registries holding
+   the same per-label updates, with the labels first touched in different
+   orders (so different table layouts and walk orders), must merge to
+   byte-identical output: every combination is order-free except a
+   histogram's total, which takes one float addition per source. *)
+let prop_merge_independent_of_insertion_order =
+  let open QCheck2.Gen in
+  let gen_op =
+    oneof
+      [
+        map2 (fun i v -> Obs (i, v)) (int_range 0 39) (float_range 0.0005 5000.0);
+        map2 (fun i n -> Incr (i, n)) (int_range 0 39) (int_range 1 5);
+        map2 (fun i n -> Gauge (i, n)) (int_range 0 39) (int_range 0 100);
+      ]
+  in
+  Helpers.qtest ~count:100 "merge: output independent of label insertion order"
+    (pair (list_size (int_range 1 5) (list_size (int_range 0 150) gen_op)) int)
+    (fun (shards, shuffle_seed) ->
+      let label = function Obs (i, _) | Incr (i, _) | Gauge (i, _) -> i in
+      let apply m = function
+        | Obs (i, v) -> M.observe m (Fmt.str "h%d" i) v
+        | Incr (i, n) -> M.incr ~by:n m (Fmt.str "c%d" i)
+        | Gauge (i, n) -> M.gauge_max m (Fmt.str "g%d" i) n
+      in
+      let in_order ops =
+        let m = M.create () in
+        List.iter (apply m) ops;
+        m
+      in
+      (* each label's updates in their own order, labels in a shuffled one *)
+      let regrouped ops =
+        let rng = Random.State.make [| shuffle_seed |] in
+        let labels = List.sort_uniq compare (List.map label ops) in
+        let labels =
+          List.map (fun l -> (Random.State.bits rng, l)) labels |> List.sort compare |> List.map snd
+        in
+        in_order (List.concat_map (fun l -> List.filter (fun op -> label op = l) ops) labels)
+      in
+      let merged build = J.to_string (M.to_json ~drop_wall:true (M.merge_all (List.map build shards))) in
+      merged in_order = merged regrouped)
 
 (* ---------------- counter handles ---------------- *)
 
@@ -386,6 +427,7 @@ let suite =
     Alcotest.test_case "json parse errors" `Quick test_json_parse_errors;
     Alcotest.test_case "run metrics deterministic" `Quick test_run_deterministic;
     prop_merge_equals_single;
+    prop_merge_independent_of_insertion_order;
     Alcotest.test_case "counter handle registers lazily" `Quick test_counter_handle_lazy;
     Alcotest.test_case "counter handle and incr sum" `Quick test_counter_handle_sums_with_incr;
     prop_counter_handles_merge_like_names;

@@ -46,7 +46,7 @@ let test_read_only_optimization () =
   Alcotest.(check int) "read-only saves two messages" (std.Kv.Db.messages_sent - 2)
     ro.Kv.Db.messages_sent;
   Alcotest.(check bool) "read-only vote counted" true
-    (List.mem_assoc "read_only_votes" ro.Kv.Db.metrics)
+    (List.mem_assoc "read_only_votes" (Sim.Metrics.counters ro.Kv.Db.run_metrics))
 
 let test_all_read_only () =
   (* every participant read-only: phase 2 disappears entirely *)

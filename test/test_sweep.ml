@@ -57,16 +57,35 @@ let test_map_propagates_exceptions () =
 (* ---------------- Sweep.sweep: isolated registries, seed-order merge ---------------- *)
 
 let test_sweep_merges_in_seed_order () =
-  let run ~workers =
-    Sim.Sweep.sweep ~workers ~seeds:50 (fun ~metrics ~seed ->
-        M.incr metrics "runs";
-        M.observe metrics "v" (float_of_int (seed + 1));
-        (* one deliberately leaked timer per run: sweep must drain it
-           into the per-seed registry before merging *)
-        M.timer_start metrics "leak" ~key:seed ~at:0.0;
-        seed)
+  let fill ~metrics ~seed =
+    M.incr metrics "runs";
+    M.observe metrics "v" (float_of_int (seed + 1));
+    (* several observations per seed, fractional and of mixed magnitude,
+       so the merged total depends on float association: it matches only
+       if every seed's total is added once, in seed order, whatever the
+       worker count *)
+    for j = 1 to 3 do
+      M.observe metrics "multi"
+        (float_of_int ((seed * 7) + j) /. 3.0 *. if seed mod 3 = 0 then 1e6 else 1e-3)
+    done;
+    (* one deliberately leaked timer per run: sweep must drain it
+       into the per-seed registry before merging *)
+    M.timer_start metrics "leak" ~key:seed ~at:0.0;
+    seed
   in
+  let run ~workers = Sim.Sweep.sweep ~workers ~seeds:50 fill in
   let seq_results, seq_metrics = run ~workers:1 in
+  (* streaming changes nothing: the merge equals a post-hoc fold of every
+     seed's drained registry in seed order *)
+  let post_hoc =
+    M.merge_all
+      (List.init 50 (fun seed ->
+           let metrics = M.create () in
+           ignore (fill ~metrics ~seed);
+           M.drain_timers metrics;
+           metrics))
+  in
+  Alcotest.(check string) "= post-hoc seed-order fold" (det_json post_hoc) (det_json seq_metrics);
   Alcotest.(check int) "runs counted" 50 (M.counter seq_metrics "runs");
   Alcotest.(check int) "leaks drained and counted" 50 (M.counter seq_metrics "timers_in_flight_leak");
   Alcotest.(check (list (pair string int))) "merged registry has no open timers" []
@@ -109,6 +128,33 @@ let test_engine_sweep_workers_unobservable () =
       Alcotest.(check string) (name ^ ": merged deterministic metrics")
         (det_json seq.C.metrics) (det_json par.C.metrics))
     engine_summaries
+
+(* A sweep keeps exactly the violating seeds' outcomes, in seed order:
+   the seeds whose own run, repeated alone, has a verdict. *)
+let test_sweep_target_keeps_violating_seeds () =
+  let check name t ~k ~seeds =
+    let expected =
+      List.filter (fun seed -> t.C.verdict (C.run_seed t ~k ~seed) <> []) (List.init seeds Fun.id)
+    in
+    Alcotest.(check bool) (name ^ ": corpus has violating seeds") true (expected <> []);
+    List.iter
+      (fun workers ->
+        let failing, _ = C.sweep_target ~workers t ~k ~seeds in
+        Alcotest.(check (list int))
+          (Fmt.str "%s: violating seeds in order, workers=%d" name workers)
+          expected (List.map fst failing);
+        List.iter
+          (fun (seed, o) ->
+            Alcotest.(check bool) (Fmt.str "%s: seed %d kept with its verdict" name seed) true
+              (t.C.verdict o <> []))
+          failing)
+      [ 1; 4 ]
+  in
+  check "central-2pc"
+    (C.target (Engine.Runtime.config ~until:C.stall_budget
+       (Engine.Rulebook.compile (Core.Catalog.central_2pc 3))))
+    ~k:1 ~seeds:60;
+  check "paxos-commit" (Engine.Paxos.target ~until:30.0 ~n_sites:4 ~f:1 ()) ~k:2 ~seeds:60
 
 let kv_summary ~workers =
   KC.sweep ~protocol:Kv.Node.Three_phase ~n_sites:4 ~workers ~k:1 ~seeds:20 ()
@@ -155,6 +201,8 @@ let suite =
     Alcotest.test_case "engine chaos: workers unobservable" `Quick
       test_engine_sweep_workers_unobservable;
     Alcotest.test_case "kv chaos: workers unobservable" `Quick test_kv_sweep_workers_unobservable;
+    Alcotest.test_case "sweep_target keeps exactly the violating seeds" `Quick
+      test_sweep_target_keeps_violating_seeds;
     Alcotest.test_case "per-seed rng independent of sharding" `Quick
       test_seed_stream_worker_independent;
   ]
