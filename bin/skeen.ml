@@ -33,16 +33,24 @@ let sites_arg =
 
 let build label n = (Core.Catalog.find label).Core.Catalog.build n
 
+(* Subcommands check their numeric flags before anything runs: bad input
+   gets one line and exit 2, never an exception escaping from deep inside
+   a run. *)
+let refuse cmd reason =
+  Fmt.epr "skeen %s: %s@." cmd reason;
+  exit 2
+
+let require cmd ok reason = if not ok then refuse cmd reason
+
 let kv_protocol ~cmd label f =
   match label with
   | "central-2pc" -> Kv.Node.Two_phase
   | "central-3pc" -> Kv.Node.Three_phase
   | "paxos-commit" -> Kv.Node.Paxos f
   | other ->
-      Fmt.epr
-        "skeen %s --kv: unsupported protocol %s (use central-2pc, central-3pc or paxos-commit)@."
-        cmd other;
-      exit 2
+      refuse (cmd ^ " --kv")
+        (Printf.sprintf
+           "unsupported protocol %s (use central-2pc, central-3pc or paxos-commit)" other)
 
 (* ---------------- analyze ---------------- *)
 
@@ -447,9 +455,7 @@ let chaos_cmd =
      vacuously pass. *)
   let parse_plan ~families ~target s =
     match Engine.Failure_plan.of_string s with
-    | Error msg ->
-        Fmt.epr "skeen chaos: bad --plan: %s@." msg;
-        exit 2
+    | Error msg -> refuse "chaos" ("bad --plan: " ^ msg)
     | Ok plan -> (
         match Engine.Explore.unsupported ~families plan with
         | [] -> plan
@@ -465,14 +471,8 @@ let chaos_cmd =
       sync_latency metrics_json =
     let detector = detector_flag || no_fencing || detector_faults in
     let fencing = not no_fencing in
-    (* Every numeric flag is checked here, before any target is built or
-       any seed runs: bad input gets one line and exit 2, never an
-       exception escaping from deep inside a run. *)
-    let refuse reason =
-      Fmt.epr "skeen chaos: %s@." reason;
-      exit 2
-    in
-    let require ok reason = if not ok then refuse reason in
+    (* every numeric flag, before any target is built or any seed runs *)
+    let require = require "chaos" in
     require (seeds >= 0) "--seeds must be >= 0";
     require (workers >= 1) "--workers must be >= 1";
     require (n >= 2) "-n must be >= 2";
@@ -486,7 +486,8 @@ let chaos_cmd =
     require (pipeline_depth >= 1) "--pipeline must be >= 1";
     require (drops >= 0) "--drops must be >= 0";
     require (lost_flush >= 0) "--lost-flush must be >= 0";
-    Result.iter_error refuse (Sim.Detector.check_timing ~heartbeat_period ~suspicion_timeout);
+    Result.iter_error (refuse "chaos")
+      (Sim.Detector.check_timing ~heartbeat_period ~suspicion_timeout);
     let profile base =
       let p =
         storage_profile ~disk_faults ~lost_flush
@@ -706,12 +707,9 @@ let explore_cmd =
           ~n_sites:(if n = 3 then 4 else n)
           ~profile:(storm_profile Kv.Chaos_db.default_profile)
           ~k ()
-      else if label = "paxos-commit" then begin
-        Fmt.epr
-          "skeen explore: the engine harness does not cover paxos-commit; use --kv \
-           --protocol paxos-commit@.";
-        exit 2
-      end
+      else if label = "paxos-commit" then
+        refuse "explore"
+          "the engine harness does not cover paxos-commit; use --kv --protocol paxos-commit"
       else
         Engine.Explore.engine_harness
           ~profile:(storm_profile Sim.Nemesis.default_profile)
@@ -720,15 +718,10 @@ let explore_cmd =
     in
     if replay then begin
       match corpus with
-      | None ->
-          Fmt.epr "skeen explore: --replay needs --corpus DIR@.";
-          exit 2
+      | None -> refuse "explore" "--replay needs --corpus DIR"
       | Some dir ->
           let entries = Engine.Explore.load_corpus ~dir in
-          if entries = [] then begin
-            Fmt.epr "skeen explore: no *.plan files under %s@." dir;
-            exit 2
-          end;
+          if entries = [] then refuse "explore" (Printf.sprintf "no *.plan files under %s" dir);
           let reports = Engine.Explore.replay ~workers harness (List.map snd entries) in
           let tripped = ref 0 in
           List.iter2
@@ -945,6 +938,22 @@ let bank_cmd =
   in
   let run n three_phase txns crash_site crash_at recover_at seed quorum isolate presumption
       read_only_opt group_commit pipeline_depth sync_latency metrics_json =
+    let require = require "bank" in
+    let is_site s = s >= 1 && s <= n in
+    let is_time t = Float.is_finite t && t >= 0.0 in
+    require (txns >= 0) "--txns must be >= 0";
+    require (n >= 1) "-n must be >= 1";
+    require (Option.fold ~none:true ~some:is_site crash_site)
+      (Printf.sprintf "--crash-site must be a site in 1..%d" n);
+    require (is_time crash_at) "--crash-at must be finite and >= 0";
+    require
+      (Option.fold ~none:true ~some:is_time recover_at)
+      "--recover-at must be finite and >= 0";
+    require (Option.fold ~none:true ~some:is_site isolate)
+      (Printf.sprintf "--isolate must be a site in 1..%d" n);
+    require (group_commit >= 0) "--group-commit must be >= 0";
+    require (pipeline_depth >= 1) "--pipeline must be >= 1";
+    require (Float.is_finite sync_latency && sync_latency >= 0.0) "--sync-latency must be >= 0";
     let accounts = 32 and initial_balance = 100 in
     let rng = Sim.Rng.create ~seed in
     let wl = Kv.Workload.bank rng ~n_txns:txns ~accounts ~arrival_rate:1.0 in

@@ -178,7 +178,8 @@ let config ?(votes = []) ?(plan = Failure_plan.none) ?(seed = 1) ?(tracing = fal
     ?(sync_latency = 0.0) ?(durable_wal = true) ?(late_force = false) ?(detector = false)
     ?(heartbeat_period = 1.0) ?(suspicion_timeout = 5.0) ?(election_timeout = 4.0)
     ?(fencing = true) rulebook =
-  if sync_latency < 0.0 then invalid_arg "Runtime.config: sync_latency must be >= 0";
+  if not (Float.is_finite sync_latency && sync_latency >= 0.0) then
+    invalid_arg "Runtime.config: sync_latency must be finite and >= 0";
   {
     rulebook;
     votes;

@@ -68,7 +68,8 @@ type config = {
           not a throughput one *)
   sync_latency : float;
       (** simulated seconds per WAL sync (0.0: synchronous forces,
-          byte-identical replay of every prior run) *)
+          byte-identical replay of every prior run); {!config} rejects a
+          negative or non-finite latency with [Invalid_argument] *)
   durable_wal : bool;
       (** [false]: the PR 3 in-memory log (sync free, crash lossless) —
           kept as the benchmark baseline *)

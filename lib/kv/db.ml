@@ -59,6 +59,10 @@ let config ?(n_sites = 4) ?(protocol = Node.Three_phase) ?(presumption = Node.No
     ?(disk_faults = []) ?(initial_data = []) ?(detector = false) ?(fencing = true)
     ?(heartbeat_period = 1.0) ?(suspicion_timeout = 5.0) ?(detector_faults = [])
     ?(lease_faults = []) () =
+  if n_sites < 1 then invalid_arg "Db.config: n_sites must be >= 1";
+  if pipeline_depth < 1 then invalid_arg "Db.config: pipeline_depth must be >= 1";
+  if not (Float.is_finite sync_latency && sync_latency >= 0.0) then
+    invalid_arg "Db.config: sync_latency must be finite and >= 0";
   {
     n_sites;
     protocol;
@@ -141,6 +145,58 @@ type result = {
   trace : Sim.World.trace_entry list;  (** empty unless [tracing] *)
   run_metrics : Sim.Metrics.t;
 }
+
+(* The first index [i] of the sorted-by-[key] array [a] with
+   [key a.(i) >= k]. *)
+let lower_bound a key (k : int) =
+  let lo = ref 0 and hi = ref (Array.length a) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    if key a.(mid) < k then lo := mid + 1 else hi := mid
+  done;
+  !lo
+
+let mem a (x : int) =
+  let i = lower_bound a Fun.id x in
+  i < Array.length a && a.(i) = x
+
+(* One site's repaired log as the judgement reads it, built in two walks
+   of the log's newest-first cache (count, then fill) into flat int
+   arrays, with no copy of the log.  [prepared] holds the ids with a
+   [P_prepared] record, sorted.  [resolved] holds [(txn lsl 1) lor
+   commit] for every [C_decided] / [P_outcome] record, sorted by id and
+   oldest record first within an id. *)
+type log_index = { prepared : int array; resolved : int array }
+
+let index_log wal =
+  let n_prepared = ref 0 and n_resolved = ref 0 in
+  Kv_wal.iter_newest_first wal (function
+    | Kv_wal.P_prepared _ -> incr n_prepared
+    | Kv_wal.C_decided _ | Kv_wal.P_outcome _ -> incr n_resolved
+    | _ -> ());
+  let prepared = Array.make !n_prepared 0 and resolved = Array.make !n_resolved 0 in
+  (* fill from the back, so the arrays start in log order and the stable
+     sort keeps one id's outcomes oldest first *)
+  Kv_wal.iter_newest_first wal (function
+    | Kv_wal.P_prepared { txn; _ } ->
+        decr n_prepared;
+        prepared.(!n_prepared) <- txn
+    | Kv_wal.C_decided { txn; commit } | Kv_wal.P_outcome { txn; commit } ->
+        decr n_resolved;
+        resolved.(!n_resolved) <- (txn lsl 1) lor Bool.to_int commit
+    | _ -> ());
+  Array.sort Int.compare prepared;
+  Array.stable_sort (fun a b -> Int.compare (a asr 1) (b asr 1)) resolved;
+  { prepared; resolved }
+
+(* Did [log] resolve [txn] with outcome [commit]? *)
+let resolved_as log ~txn ~commit =
+  let r = log.resolved and want = (txn lsl 1) lor Bool.to_int commit in
+  let i = ref (lower_bound r (fun x -> x asr 1) txn) in
+  while !i < Array.length r && r.(!i) asr 1 = txn && r.(!i) <> want do
+    incr i
+  done;
+  !i < Array.length r && r.(!i) = want
 
 (** [run cfg workload] executes [workload] (arrival-time, transaction)
     pairs and reports aggregate behaviour.  Deterministic in [cfg.seed]. *)
@@ -277,7 +333,9 @@ let run (cfg : config) (workload : (float * Txn.t) list) : result =
           | None -> ())
         n.Node.p_txns)
     nodes;
-  (* ---- collect outcomes across all stable logs ---- *)
+  (* ---- the judgement: one pass over the workload and one over each
+     site's repaired log ---- *)
+  let logs = Array.map index_log wals in
   let fate_tbl : (int, txn_fate) Hashtbl.t = Hashtbl.create 64 in
   let contradiction = ref false in
   let note txn fate =
@@ -289,25 +347,33 @@ let run (cfg : config) (workload : (float * Txn.t) list) : result =
     | Some _ -> contradiction := true
   in
   List.iter (fun (_, txn) -> note txn.Txn.id Fate_pending) workload;
+  (* site by site, each site's outcomes for a txn oldest first: the first
+     outcome noted wins, as in log order *)
   Array.iter
-    (fun wal ->
-      List.iter
-        (fun r ->
-          match r with
-          | Kv_wal.C_decided { txn; commit } | Kv_wal.P_outcome { txn; commit } ->
-              note txn (if commit then Fate_committed else Fate_aborted)
-          | _ -> ())
-        (Kv_wal.records wal))
-    wals;
+    (fun log ->
+      Array.iter
+        (fun r -> note (r asr 1) (if r land 1 = 1 then Fate_committed else Fate_aborted))
+        log.resolved)
+    logs;
+  (* the workload by txn id, first listed first: ids may repeat in a
+     hand-built workload, and the first listed is the one judged *)
+  let by_id = Array.of_list workload in
+  let id (_, t) = t.Txn.id in
+  Array.stable_sort (fun a b -> Int.compare (id a) (id b)) by_id;
+  let find_txn txn =
+    let i = lower_bound by_id id txn in
+    if i < Array.length by_id && id by_id.(i) = txn then Some (snd by_id.(i)) else None
+  in
+  let applied = Array.map Storage.applied_txns storages in
   (* committed writes must be applied at every participant site that is
      currently operational (a down site applies them on recovery) *)
   let missing_applied = ref [] in
   Hashtbl.iter
     (fun txn fate ->
       if fate = Fate_committed then
-        match List.find_opt (fun (_, t) -> t.Txn.id = txn) workload with
+        match find_txn txn with
         | None -> ()
-        | Some (_, t) ->
+        | Some t ->
             let participants = Txn.participants ~n_sites:cfg.n_sites t in
             List.iter
               (fun site ->
@@ -315,7 +381,7 @@ let run (cfg : config) (workload : (float * Txn.t) list) : result =
                   Sim.World.is_alive world site
                   && Txn.ops_for ~n_sites:cfg.n_sites t ~site
                      |> List.exists (function Txn.Put _ | Txn.Add _ -> true | Txn.Get _ -> false)
-                  && not (Storage.has_applied storages.(site - 1) ~txn)
+                  && not (mem applied.(site - 1) txn)
                 then missing_applied := (txn, site, participants) :: !missing_applied)
               participants)
     fate_tbl;
@@ -349,15 +415,11 @@ let run (cfg : config) (workload : (float * Txn.t) list) : result =
   let durability_breaches =
     Array.to_list nodes
     |> List.concat_map (fun (n : Node.t) ->
-           let recs = Kv_wal.records n.Node.wal in
+           let log = logs.(n.Node.site - 1) in
            let unjustified_votes =
              Hashtbl.fold
                (fun txn () acc ->
-                 if
-                   List.exists
-                     (function Kv_wal.P_prepared { txn = x; _ } -> x = txn | _ -> false)
-                     recs
-                 then acc
+                 if mem log.prepared txn then acc
                  else
                    (n.Node.site, txn, "yes vote on the wire with no prepared record on the log")
                    :: acc)
@@ -366,16 +428,7 @@ let run (cfg : config) (workload : (float * Txn.t) list) : result =
            let contradicted_announcements =
              Hashtbl.fold
                (fun txn commit acc ->
-                 let opposite =
-                   List.exists
-                     (function
-                       | Kv_wal.C_decided { txn = x; commit = c }
-                       | Kv_wal.P_outcome { txn = x; commit = c } ->
-                           x = txn && c <> commit
-                       | _ -> false)
-                     recs
-                 in
-                 if opposite then
+                 if resolved_as log ~txn ~commit:(not commit) then
                    ( n.Node.site,
                      txn,
                      Printf.sprintf "announced %s but the log resolved the other way"

@@ -90,12 +90,21 @@ val config :
   ?lease_faults:float list ->
   unit ->
   config
+(** Raises [Invalid_argument "Db.config: ..."] on [n_sites < 1],
+    [pipeline_depth < 1] or a negative or non-finite [sync_latency]. *)
 
 type txn_fate = Fate_committed | Fate_aborted | Fate_pending
 
 val pp_txn_fate : Format.formatter -> txn_fate -> unit
 val equal_txn_fate : txn_fate -> txn_fate -> bool
 
+(** What a run did and the end-of-run judgement of it.  The judgement
+    fields ([atomicity_ok], [outcome_contradiction], [missing_applied],
+    [in_doubt], [durability_breaches], [fates]) cost O(n log n) in the
+    workload and in each site's log, on top of the simulation: one sort of
+    the workload by txn id, and per site two walks of the log, one sort of
+    its ids and one of its applied set.  They do not grow with txns × log
+    length. *)
 type result = {
   committed : int;
   aborted : int;
@@ -155,6 +164,7 @@ type result = {
 
 val run : config -> (float * Txn.t) list -> result
 (** Executes the workload ((arrival time, transaction) pairs).
-    Deterministic in the seed. *)
+    Deterministic in the seed.  Where a txn id repeats, the judgement
+    reads the first listed transaction with that id. *)
 
 val pp_result : Format.formatter -> result -> unit

@@ -320,6 +320,7 @@ let crash t =
 
 let repairs t = List.rev t.repair_log
 let records t = List.rev t.cache
+let iter_newest_first t f = List.iter f t.cache
 let length t = List.length t.cache
 
 (** Participant-side classification of [txn] from the log. *)

@@ -110,7 +110,9 @@ val disk : t -> Sim.Disk.t option
 val repairs : t -> repair list
 (** Oldest first; one entry per crash that lost records or bytes. *)
 
-val records : t -> record list
+val iter_newest_first : t -> (record -> unit) -> unit
+(** Visit the live view, newest record first, without copying it. *)
+
 val length : t -> int
 
 (** Participant-side classification of a transaction from the log. *)

@@ -29,9 +29,23 @@ let apply t ~txn writes =
   t.version <- t.version + 1;
   t.applied <- (txn, writes) :: t.applied
 
-let applied_txns t = List.rev_map fst t.applied |> List.sort_uniq compare
-
-let has_applied t ~txn = List.mem_assoc txn t.applied
+(** Sorted in place in one flat array: the end-of-run judgement takes this
+    for every site, and a sorted copy of the journal list would cost the
+    run's peak heap. *)
+let applied_txns t =
+  let a = Array.make (List.length t.applied) 0 in
+  List.iteri (fun i (txn, _) -> a.(i) <- txn) t.applied;
+  Array.sort Int.compare a;
+  (* squeeze out repeats in place *)
+  let n = ref 0 in
+  Array.iter
+    (fun x ->
+      if !n = 0 || a.(!n - 1) <> x then begin
+        a.(!n) <- x;
+        incr n
+      end)
+    a;
+  if !n = Array.length a then a else Array.sub a 0 !n
 
 let keys t = Hashtbl.fold (fun k _ acc -> k :: acc) t.table [] |> List.sort compare
 

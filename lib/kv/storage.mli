@@ -16,8 +16,9 @@ val load : t -> (key * int) list -> unit
 val apply : t -> txn:int -> (key * int) list -> unit
 (** Atomically install a committed write set on behalf of [txn]. *)
 
-val applied_txns : t -> int list
-val has_applied : t -> txn:int -> bool
+val applied_txns : t -> int array
+(** Every transaction applied here, sorted, without duplicates. *)
+
 val keys : t -> key list
 val total : t -> int
 (** Sum of all values — the bank-invariant probe. *)

@@ -140,6 +140,167 @@ let test_refuse_when_participant_down () =
     (List.mem_assoc "refused_participant_down" (Sim.Metrics.counters r.Kv.Db.run_metrics));
   Alcotest.(check bool) "atomicity" true r.Kv.Db.atomicity_ok
 
+(* ---- the end-of-run judgement, pinned as a golden table ---- *)
+
+(* Storage faults as [skeen chaos --kv --disk-faults --lost-flush W]
+   draws them. *)
+let storage_profile ~lost_flush =
+  {
+    Kv.Chaos_db.default_profile with
+    Sim.Nemesis.p_disk_fault = 0.6;
+    lost_flush_weight = lost_flush;
+  }
+
+let chaos_case ~protocol ~lost_flush ~k ~seed () =
+  let target =
+    Kv.Chaos_db.target ~profile:(storage_profile ~lost_flush) (Kv.Chaos_db.config ~protocol ())
+  in
+  (Engine.Chaos.run_seed target ~k ~seed).Kv.Chaos_db.result
+
+(* 2,000 mixed transactions at the [kv-mixed] settings; site 2 crashes at
+   t=100 with its 223rd sync lying, and recovers at t=140. *)
+let mixed_crash_case () =
+  let spec =
+    {
+      Kv.Workload.n_txns = 2_000;
+      arrival_rate = 5.0;
+      keys = 512;
+      ops_per_txn = 3;
+      write_ratio = 0.5;
+      zipf_skew = 0.0;
+    }
+  in
+  Kv.Db.run
+    (Kv.Db.config ~n_sites:4 ~protocol:Kv.Node.Three_phase ~seed:7 ~sync_latency:0.4
+       ~group_commit:{ Kv.Kv_wal.max_batch = 8; max_wait = 0.05 }
+       ~pipeline_depth:8 ~crashes:[ (2, 100.0) ] ~recoveries:[ (2, 140.0) ]
+       ~disk_faults:[ (2, { Sim.Disk.fault = Sim.Disk.Lost_flush; nth = 223 }) ]
+       ())
+    (Kv.Workload.mixed (Sim.Rng.create ~seed:7) spec)
+
+(* Txn id 7 twice.  The first listed arrives after the run ends and would
+   write at sites 1 and 2; the second runs, writing at sites 3 and 4.  The
+   judgement reads the first listed, so sites 1 and 2 miss txn 7's
+   writes. *)
+let repeated_id_case () =
+  let n_sites = 4 in
+  let key_at site =
+    List.find (fun k -> Kv.Txn.owner ~n_sites k = site) (List.init 100 Kv.Workload.key_name)
+  in
+  let transfer id a b =
+    { Kv.Txn.id; ops = [ Kv.Txn.Add (key_at a, -5); Kv.Txn.Add (key_at b, 5) ] }
+  in
+  let wl =
+    [
+      (500.0, transfer 7 1 2);
+      (1.0, transfer 7 3 4);
+      (2.0, transfer 1 1 3);
+      (3.0, transfer 2 2 4);
+      (4.0, { Kv.Txn.id = 3; ops = [ Kv.Txn.Get (key_at 1); Kv.Txn.Put (key_at 4, 9) ] });
+    ]
+  in
+  Kv.Db.run
+    (Kv.Db.config ~n_sites ~protocol:Kv.Node.Three_phase ~seed:5 ~until:100.0
+       ~initial_data:(List.init n_sites (fun i -> (key_at (i + 1), 100)))
+       ())
+    wl
+
+let judgement_cases =
+  List.concat_map
+    (fun (label, protocol, lost_flush, k, seeds) ->
+      List.map
+        (fun seed ->
+          ( Printf.sprintf "chaos %s lost-flush=%d k=%d seed %d" label lost_flush k seed,
+            chaos_case ~protocol ~lost_flush ~k ~seed ))
+        seeds)
+    [
+      ("2pc", Kv.Node.Two_phase, 1, 1, [ 1; 92 ]);
+      ("2pc", Kv.Node.Two_phase, 1, 2, [ 194; 6647; 8990; 13447 ]);
+      ("2pc", Kv.Node.Two_phase, 8, 2, [ 191; 2608 ]);
+      ("3pc", Kv.Node.Three_phase, 0, 1, [ 1; 129 ]);
+      ("3pc", Kv.Node.Three_phase, 1, 2, [ 194; 8916 ]);
+      ("3pc", Kv.Node.Three_phase, 8, 2, [ 9501 ]);
+    ]
+  @ [
+      ("mixed 2000 txns, crash + lost flush", mixed_crash_case);
+      ("repeated txn id", repeated_id_case);
+    ]
+
+(* (case, atomicity_ok, outcome_contradiction, |missing_applied|,
+   |durability_breaches|, |in_doubt|, |fates|, digest of all six) *)
+let judgement_row (name, case) =
+  let r : Kv.Db.result = case () in
+  let b = Buffer.create 4096 in
+  let sites ps = String.concat ";" (List.map string_of_int ps) in
+  Printf.bprintf b "atomicity_ok %b contradiction %b\n" r.atomicity_ok r.outcome_contradiction;
+  List.iter
+    (fun (txn, site, ps) -> Printf.bprintf b "missing %d %d [%s]\n" txn site (sites ps))
+    r.missing_applied;
+  List.iter
+    (fun (site, txn, what) -> Printf.bprintf b "breach %d %d %s\n" site txn what)
+    r.durability_breaches;
+  List.iter
+    (fun (site, txn, ps) -> Printf.bprintf b "in_doubt %d %d [%s]\n" site txn (sites ps))
+    r.in_doubt;
+  List.iter
+    (fun (txn, f) -> Printf.bprintf b "fate %d %s\n" txn (Fmt.str "%a" Kv.Db.pp_txn_fate f))
+    r.fates;
+  ( name,
+    r.atomicity_ok,
+    r.outcome_contradiction,
+    List.length r.missing_applied,
+    List.length r.durability_breaches,
+    List.length r.in_doubt,
+    List.length r.fates,
+    Digest.to_hex (Digest.string (Buffer.contents b)) )
+
+(* Captured before the judgement was indexed; every field must stay
+   byte-identical. *)
+let judgement_golden =
+  [
+    ("chaos 2pc lost-flush=1 k=1 seed 1", true, false, 0, 0, 0, 10, "ba8899b08dfe06bca514237e31093ba5");
+    ("chaos 2pc lost-flush=1 k=1 seed 92", true, false, 0, 1, 2, 10, "4891db50a186ce082d13e7709c4a7d95");
+    ("chaos 2pc lost-flush=1 k=2 seed 194", false, false, 1, 1, 0, 10, "f544919d8e6be4be6c71743d8dc643e3");
+    ("chaos 2pc lost-flush=1 k=2 seed 6647", false, false, 1, 1, 1, 10, "1e532643e45df8771c57b5745b3197bc");
+    ("chaos 2pc lost-flush=1 k=2 seed 8990", false, true, 0, 1, 0, 10, "122a004af702a582756becd4c872af23");
+    ("chaos 2pc lost-flush=1 k=2 seed 13447", true, false, 0, 1, 0, 10, "0e273236e18723e50a5c3891bb402087");
+    ("chaos 2pc lost-flush=8 k=2 seed 191", false, true, 1, 1, 0, 10, "7ebf3df7d8d996f8b462554eb9cd6b8f");
+    ("chaos 2pc lost-flush=8 k=2 seed 2608", false, true, 0, 1, 0, 10, "b56ff59051824985c1ccabe5a75e2e7d");
+    ("chaos 3pc lost-flush=0 k=1 seed 1", true, false, 0, 0, 0, 10, "ba8899b08dfe06bca514237e31093ba5");
+    ("chaos 3pc lost-flush=0 k=1 seed 129", false, false, 1, 0, 1, 10, "fa81e272afa5658109325df131cfeab7");
+    ("chaos 3pc lost-flush=1 k=2 seed 194", false, false, 1, 1, 0, 10, "f544919d8e6be4be6c71743d8dc643e3");
+    ("chaos 3pc lost-flush=1 k=2 seed 8916", false, false, 1, 1, 0, 10, "1e898d65269f83bda2c47c034e0fbcc8");
+    ("chaos 3pc lost-flush=8 k=2 seed 9501", false, false, 1, 1, 1, 10, "afacdbe1e613e70df0deca81dc66e527");
+    ("mixed 2000 txns, crash + lost flush", false, true, 0, 0, 0, 2000, "e6c9fa6931e2f0bd41b45a062078e6c9");
+    ("repeated txn id", false, false, 2, 0, 0, 4, "8fd55f11ddff1c0ae43ed167ad559f90");
+  ]
+
+let test_judgement_golden () =
+  let show (name, ok, contra, missing, breaches, in_doubt, fates, digest) =
+    Printf.sprintf
+      "%s: atomicity_ok=%b contradiction=%b missing=%d breaches=%d in_doubt=%d fates=%d %s" name ok
+      contra missing breaches in_doubt fates digest
+  in
+  Alcotest.(check (list string))
+    "judgement rows" (List.map show judgement_golden)
+    (List.map (fun c -> show (judgement_row c)) judgement_cases);
+  (* the table must exercise both halves the index replaced *)
+  Alcotest.(check bool) "some row breaches durability" true
+    (List.exists (fun (_, _, _, _, b, _, _, _) -> b > 0) judgement_golden);
+  Alcotest.(check bool) "some row misses an applied write set" true
+    (List.exists (fun (_, _, _, m, _, _, _, _) -> m > 0) judgement_golden)
+
+let test_config_rejects_bad_numbers () =
+  let rejects what f =
+    Alcotest.check_raises what (Invalid_argument ("Db.config: " ^ what)) (fun () -> ignore (f ()))
+  in
+  rejects "n_sites must be >= 1" (fun () -> Kv.Db.config ~n_sites:0 ());
+  rejects "pipeline_depth must be >= 1" (fun () -> Kv.Db.config ~pipeline_depth:0 ());
+  List.iter
+    (fun sync_latency ->
+      rejects "sync_latency must be finite and >= 0" (fun () -> Kv.Db.config ~sync_latency ()))
+    [ -1.0; Float.nan; Float.infinity ]
+
 let suite =
   [
     Alcotest.test_case "bank, 3PC, no failures" `Quick test_bank_no_failures_3pc;
@@ -156,4 +317,7 @@ let suite =
       test_deadlocks_cause_unilateral_aborts;
     Alcotest.test_case "determinism" `Quick test_determinism;
     Alcotest.test_case "down participants refused" `Quick test_refuse_when_participant_down;
+    Alcotest.test_case "end-of-run judgement matches the golden table" `Quick
+      test_judgement_golden;
+    Alcotest.test_case "config rejects bad numbers" `Quick test_config_rejects_bad_numbers;
   ]

@@ -16,9 +16,10 @@ let test_storage_apply () =
   Kv.Storage.apply s ~txn:7 [ ("a", 5); ("c", 1) ];
   Alcotest.(check (option int)) "a overwritten" (Some 5) (Kv.Storage.get s "a");
   Alcotest.(check (option int)) "c created" (Some 1) (Kv.Storage.get s "c");
-  Alcotest.(check bool) "txn journaled" true (Kv.Storage.has_applied s ~txn:7);
-  Alcotest.(check bool) "other txn absent" false (Kv.Storage.has_applied s ~txn:8);
-  Alcotest.(check (list int)) "applied txns" [ 7 ] (Kv.Storage.applied_txns s)
+  Alcotest.(check (array int)) "applied txns" [| 7 |] (Kv.Storage.applied_txns s);
+  Kv.Storage.apply s ~txn:3 [ ("a", 6) ];
+  Kv.Storage.apply s ~txn:3 [ ("a", 6) ];
+  Alcotest.(check (array int)) "sorted, repeats dropped" [| 3; 7 |] (Kv.Storage.applied_txns s)
 
 (* ---------------- Txn ---------------- *)
 

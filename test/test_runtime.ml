@@ -201,6 +201,14 @@ let test_duration_reported () =
   let r = run rb_c3 in
   Alcotest.(check bool) "positive duration" true (r.R.duration > 0.0)
 
+let test_config_rejects_bad_sync_latency () =
+  List.iter
+    (fun sync_latency ->
+      Alcotest.check_raises (Fmt.str "sync_latency %g" sync_latency)
+        (Invalid_argument "Runtime.config: sync_latency must be finite and >= 0") (fun () ->
+          ignore (R.config ~sync_latency (Lazy.force rb_c3))))
+    [ -1.0; Float.nan; Float.infinity ]
+
 let suite =
   [
     Alcotest.test_case "failure-free commit (all protocols)" `Quick test_failure_free_commit;
@@ -225,4 +233,6 @@ let suite =
     Alcotest.test_case "message counts" `Quick test_message_counts_failure_free;
     Alcotest.test_case "determinism" `Quick test_determinism;
     Alcotest.test_case "duration reported" `Quick test_duration_reported;
+    Alcotest.test_case "config rejects a bad sync latency" `Quick
+      test_config_rejects_bad_sync_latency;
   ]
