@@ -42,6 +42,14 @@ let refuse cmd reason =
 
 let require cmd ok reason = if not ok then refuse cmd reason
 
+let is_time t = Float.is_finite t && t >= 0.0
+
+(* [flag] names sites, each of which must be one of the run's [n]. *)
+let require_sites cmd ~n flag sites =
+  require cmd
+    (List.for_all (fun s -> s >= 1 && s <= n) sites)
+    (Printf.sprintf "%s must be a site in 1..%d" flag n)
+
 let kv_protocol ~cmd label f =
   match label with
   | "central-2pc" -> Kv.Node.Two_phase
@@ -194,6 +202,14 @@ let simulate_cmd =
   in
   let run label n crash_site crash_step crash_sent recover_at no_votes trace seed quorum isolate
       metrics_json =
+    let require = require "simulate" and require_sites = require_sites "simulate" ~n in
+    require (n >= 2) "-n must be >= 2";
+    require_sites "--crash-site" (Option.to_list crash_site);
+    require (crash_step >= 0) "--crash-step must be >= 0";
+    require (Option.fold ~none:true ~some:(fun j -> j >= 0) crash_sent) "--sent must be >= 0";
+    require (Option.fold ~none:true ~some:is_time recover_at) "--recover-at must be finite and >= 0";
+    require_sites "--no-vote" no_votes;
+    require_sites "--isolate" (Option.to_list isolate);
     let rb = Engine.Rulebook.compile (build label n) in
     let plan =
       match crash_site with
@@ -788,24 +804,41 @@ let explore_cmd =
       const run $ protocol_opt $ sites_arg $ f_arg $ k_arg $ budget_arg $ mode_arg $ corpus_arg
       $ replay_arg $ workers_arg $ kv_arg $ seed_arg $ storms_arg)
 
-(* ---------------- model-check ---------------- *)
+(* ---------------- model-check / check ---------------- *)
+
+let crashes_arg =
+  Arg.(value & opt int 1 & info [ "k"; "crashes" ] ~docv:"K" ~doc:"Maximum number of crashes.")
+
+let limit_arg =
+  Arg.(value & opt int 4_000_000 & info [ "limit" ] ~docv:"N" ~doc:"State exploration limit.")
+
+(* Checks the flags, then explores; running out of states is reported, not
+   raised.  Returns the report and the wall time the exploration took. *)
+let model_check cmd label n k limit =
+  let require = require cmd in
+  require (n >= 2) "-n must be >= 2";
+  require (k >= 0) "--crashes must be >= 0";
+  require (limit >= 1) "--limit must be >= 1";
+  let rb = Engine.Rulebook.compile (build label n) in
+  let cfg = { Engine.Model_check.rulebook = rb; max_crashes = k; limit; rule = `Skeen } in
+  Sim.Clock.time (fun () ->
+      try Engine.Model_check.run cfg
+      with Failure _ ->
+        Fmt.epr "skeen %s: more than %d states; raise --limit to explore further@." cmd limit;
+        exit 1)
+
+let print_counterexample r =
+  match r.Engine.Model_check.counterexample with
+  | Some path ->
+      Fmt.pr "counterexample:@.";
+      List.iteri (fun i st -> Fmt.pr "%2d: %a@." i Engine.Model_check.pp_st st) path
+  | None -> ()
 
 let model_check_cmd =
-  let crashes_arg =
-    Arg.(value & opt int 1 & info [ "k"; "crashes" ] ~docv:"K" ~doc:"Maximum number of crashes.")
-  in
-  let limit_arg =
-    Arg.(value & opt int 4_000_000 & info [ "limit" ] ~docv:"N" ~doc:"State exploration limit.")
-  in
   let run label n k limit =
-    let rb = Engine.Rulebook.compile (build label n) in
-    let r = Engine.Model_check.run { Engine.Model_check.rulebook = rb; max_crashes = k; limit; rule = `Skeen } in
+    let r, _ = model_check "model-check" label n k limit in
     Fmt.pr "%a@." Engine.Model_check.pp_report r;
-    match r.Engine.Model_check.counterexample with
-    | Some path ->
-        Fmt.pr "counterexample:@.";
-        List.iteri (fun i st -> Fmt.pr "%2d: %a@." i Engine.Model_check.pp_st st) path
-    | None -> ()
+    print_counterexample r
   in
   Cmd.v
     (Cmd.info "model-check"
@@ -815,15 +848,7 @@ let model_check_cmd =
           state must have all operational sites decided.")
     Term.(const run $ protocol_arg $ sites_arg $ crashes_arg $ limit_arg)
 
-(* ---------------- check ---------------- *)
-
 let check_cmd =
-  let crashes_arg =
-    Arg.(value & opt int 1 & info [ "k"; "crashes" ] ~docv:"K" ~doc:"Maximum number of crashes.")
-  in
-  let limit_arg =
-    Arg.(value & opt int 4_000_000 & info [ "limit" ] ~docv:"N" ~doc:"State exploration limit.")
-  in
   let bench_arg =
     Arg.(
       value & flag
@@ -831,19 +856,13 @@ let check_cmd =
           ~doc:"Report wall-clock time, states/sec and peak resident states for the run.")
   in
   let run label n k limit bench =
-    let rb = Engine.Rulebook.compile (build label n) in
-    let cfg = { Engine.Model_check.rulebook = rb; max_crashes = k; limit; rule = `Skeen } in
-    let r, wall = Sim.Clock.time (fun () -> Engine.Model_check.run cfg) in
+    let r, wall = model_check "check" label n k limit in
     Fmt.pr "%a@." Engine.Model_check.pp_report r;
     if bench then
       Fmt.pr "wall: %.3f s, %.0f states/sec, peak resident states: %d@." wall
         (if wall > 0.0 then float_of_int r.Engine.Model_check.explored /. wall else 0.0)
         r.Engine.Model_check.explored;
-    match r.Engine.Model_check.counterexample with
-    | Some path ->
-        Fmt.pr "counterexample:@.";
-        List.iteri (fun i st -> Fmt.pr "%2d: %a@." i Engine.Model_check.pp_st st) path
-    | None -> ()
+    print_counterexample r
   in
   Cmd.v
     (Cmd.info "check"
@@ -867,6 +886,14 @@ let election_cmd =
   in
   let seed = Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc:"Simulation seed.") in
   let run n crashes recoveries seed =
+    let require = require "election" in
+    let valid (s, at) = s >= 1 && s <= n && is_time at in
+    require (n >= 1) "-n must be >= 1";
+    List.iter
+      (fun (flag, events) ->
+        require (List.for_all valid events)
+          (Printf.sprintf "%s takes S@T with S a site in 1..%d and T finite and >= 0" flag n))
+      [ ("--crash", crashes); ("--recover", recoveries) ];
     let t = Engine.Election.create ~n_sites:n ~seed () in
     ignore (Engine.Election.run t ~crashes ~recoveries ());
     List.iter
@@ -938,19 +965,15 @@ let bank_cmd =
   in
   let run n three_phase txns crash_site crash_at recover_at seed quorum isolate presumption
       read_only_opt group_commit pipeline_depth sync_latency metrics_json =
-    let require = require "bank" in
-    let is_site s = s >= 1 && s <= n in
-    let is_time t = Float.is_finite t && t >= 0.0 in
+    let require = require "bank" and require_sites = require_sites "bank" ~n in
     require (txns >= 0) "--txns must be >= 0";
     require (n >= 1) "-n must be >= 1";
-    require (Option.fold ~none:true ~some:is_site crash_site)
-      (Printf.sprintf "--crash-site must be a site in 1..%d" n);
+    require_sites "--crash-site" (Option.to_list crash_site);
     require (is_time crash_at) "--crash-at must be finite and >= 0";
     require
       (Option.fold ~none:true ~some:is_time recover_at)
       "--recover-at must be finite and >= 0";
-    require (Option.fold ~none:true ~some:is_site isolate)
-      (Printf.sprintf "--isolate must be a site in 1..%d" n);
+    require_sites "--isolate" (Option.to_list isolate);
     require (group_commit >= 0) "--group-commit must be >= 0";
     require (pipeline_depth >= 1) "--pipeline must be >= 1";
     require (Float.is_finite sync_latency && sync_latency >= 0.0) "--sync-latency must be >= 0";

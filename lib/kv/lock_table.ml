@@ -9,7 +9,10 @@
     cannot be granted wait in FIFO order; a waits-for graph is maintained
     and checked for cycles on every new wait edge.  When a cycle is found
     the {e requesting} transaction is chosen as the victim (deterministic,
-    and the newcomer has done the least work). *)
+    and the newcomer has done the least work).
+
+    Each transaction's entries are indexed, so releasing it and walking
+    its wait edges cost what it holds and queues on, not the key space. *)
 
 type mode = Shared | Exclusive [@@deriving show { with_path = false }, eq]
 
@@ -17,7 +20,12 @@ type granted = { txn : int; mode : mode }
 
 type waiting = { w_txn : int; w_mode : mode }
 
-type entry = { mutable holders : granted list; mutable queue : waiting list }
+type entry = {
+  key : string;
+  mutable holders : granted list;
+  mutable queue : waiting list;
+  mutable pos : int;  (** rank in [locks]' iteration order when last numbered *)
+}
 
 type outcome =
   | Granted
@@ -27,12 +35,31 @@ type outcome =
 
 type t = {
   locks : (string, entry) Hashtbl.t;
+      (** never shrinks: removing an entry would reorder the iteration
+          that fixes promotion order *)
+  by_txn : (int, entry list) Hashtbl.t;
+      (** the entries each transaction holds or queues on, once each *)
+  mutable numbered : bool;  (** no key added since [pos] was assigned *)
+  mutable promoting : entry list;
+      (** entries whose promotion is inside a grant callback, innermost
+          first: the only entries whose queue head may be grantable *)
+  mutable bfs_node : int array;
+  mutable bfs_parent : int array;  (** index into [bfs_node], -1 for a root *)
   mutable grants : (int -> unit) option;
       (** callback invoked with each transaction whose pending request
           becomes granted after a release *)
 }
 
-let create () = { locks = Hashtbl.create 64; grants = None }
+let create () =
+  {
+    locks = Hashtbl.create 64;
+    by_txn = Hashtbl.create 16;
+    numbered = true;
+    promoting = [];
+    bfs_node = Array.make 16 0;
+    bfs_parent = Array.make 16 0;
+    grants = None;
+  }
 
 let on_grant t f = t.grants <- Some f
 
@@ -40,80 +67,87 @@ let entry t key =
   match Hashtbl.find_opt t.locks key with
   | Some e -> e
   | None ->
-      let e = { holders = []; queue = [] } in
+      let e = { key; holders = []; queue = []; pos = 0 } in
       Hashtbl.add t.locks key e;
+      t.numbered <- false;
       e
 
-let compatible held requested =
-  match (held, requested) with Shared, Shared -> true | _ -> false
+let own_entries t txn = match Hashtbl.find_opt t.by_txn txn with Some es -> es | None -> []
 
-let holds_sufficient e ~txn ~mode =
-  List.exists
-    (fun g -> g.txn = txn && (g.mode = Exclusive || g.mode = mode))
-    e.holders
+let index t ~txn e = Hashtbl.replace t.by_txn txn (e :: own_entries t txn)
 
-let can_grant e ~txn ~mode =
-  List.for_all (fun g -> g.txn = txn || compatible g.mode mode) e.holders
+let rec holds txn = function [] -> false | g :: rest -> g.txn = txn || holds txn rest
 
-(* ---- waits-for graph, rebuilt on demand from the tables ---- *)
+let rec queued txn = function [] -> false | w :: rest -> w.w_txn = txn || queued txn rest
+
+let rec holds_sufficient txn mode = function
+  | [] -> false
+  | g :: rest -> (g.txn = txn && (g.mode = Exclusive || g.mode = mode)) || holds_sufficient txn mode rest
+
+(* Every other holder must be compatible: only shared with shared. *)
+let rec can_grant txn mode = function
+  | [] -> true
+  | g :: rest -> (g.txn = txn || (g.mode = Shared && mode = Shared)) && can_grant txn mode rest
+
+let without_holder txn holders = List.filter (fun g -> g.txn <> txn) holders
+
+let grant e ~txn ~mode = e.holders <- { txn; mode } :: without_holder txn e.holders
+
+(* ---- waits-for graph, read from the requester's own entries ---- *)
 
 (** Transactions that [txn] currently waits for: the holders and the
     earlier queue entries of every key where [txn] queues. *)
 let waits_for t txn =
-  Hashtbl.fold
-    (fun _key e acc ->
-      if List.exists (fun w -> w.w_txn = txn) e.queue then
-        let holders = List.filter_map (fun g -> if g.txn <> txn then Some g.txn else None) e.holders in
-        let ahead =
-          let rec take acc = function
-            | [] -> acc
-            | w :: _ when w.w_txn = txn -> acc
-            | w :: rest -> take (w.w_txn :: acc) rest
-          in
-          take [] e.queue
+  List.fold_left
+    (fun acc e ->
+      if queued txn e.queue then
+        let acc = List.fold_left (fun acc g -> if g.txn <> txn then g.txn :: acc else acc) acc e.holders in
+        let rec ahead acc = function
+          | w :: rest when w.w_txn <> txn -> ahead (w.w_txn :: acc) rest
+          | _ -> acc
         in
-        holders @ ahead @ acc
+        ahead acc e.queue
       else acc)
-    t.locks []
-  |> List.sort_uniq compare
+    [] (own_entries t txn)
+  |> List.sort_uniq Int.compare
 
 (** Cycle search in the waits-for graph: pretending [start] additionally
     waits for [extra], a cycle through [start] exists iff [start] is
-    reachable from some node of [extra].  Breadth-first with a shared
-    visited set (linear in the graph) and a parent map to reconstruct the
-    cycle for diagnostics. *)
+    reachable from some node of [extra].  Breadth-first; the visited
+    nodes, in visit order, are the queue, and each keeps its parent's
+    index to reconstruct the cycle for diagnostics.  The graph has a
+    handful of nodes, so membership is a scan of the reused arrays. *)
 let find_cycle t ~start ~extra =
-  let visited = Hashtbl.create 16 in
-  let parent = Hashtbl.create 16 in
-  let queue = Queue.create () in
-  List.iter
-    (fun n ->
-      if not (Hashtbl.mem visited n) then begin
-        Hashtbl.add visited n ();
-        Queue.add n queue
-      end)
-    extra;
-  let found = ref None in
-  while !found = None && not (Queue.is_empty queue) do
-    let node = Queue.pop queue in
-    if node = start then begin
-      (* reconstruct start <- ... <- entry point *)
-      let rec path n acc =
-        match Hashtbl.find_opt parent n with None -> n :: acc | Some p -> path p (n :: acc)
-      in
-      found := Some (start :: path node [])
+  let n = ref 0 in
+  let rec seen x i = i < !n && (t.bfs_node.(i) = x || seen x (i + 1)) in
+  let visit x parent =
+    if not (seen x 0) then begin
+      if !n = Array.length t.bfs_node then begin
+        let grow a = Array.append a (Array.make (Array.length a) 0) in
+        t.bfs_node <- grow t.bfs_node;
+        t.bfs_parent <- grow t.bfs_parent
+      end;
+      t.bfs_node.(!n) <- x;
+      t.bfs_parent.(!n) <- parent;
+      incr n
     end
+  in
+  List.iter (fun x -> visit x (-1)) extra;
+  let rec path i acc =
+    let acc = t.bfs_node.(i) :: acc in
+    if t.bfs_parent.(i) < 0 then acc else path t.bfs_parent.(i) acc
+  in
+  let rec bfs i =
+    if i >= !n then None
     else
-      List.iter
-        (fun next ->
-          if not (Hashtbl.mem visited next) then begin
-            Hashtbl.add visited next ();
-            Hashtbl.replace parent next node;
-            Queue.add next queue
-          end)
-        (waits_for t node)
-  done;
-  !found
+      let node = t.bfs_node.(i) in
+      if node = start then Some (start :: path i [])
+      else begin
+        List.iter (fun next -> visit next i) (waits_for t node);
+        bfs (i + 1)
+      end
+  in
+  bfs 0
 
 (** [acquire t ~txn ~key ~mode] requests a lock.  [Granted] means the lock
     is held on return.  [Waiting] means the request is queued; the
@@ -122,58 +156,93 @@ let find_cycle t ~start ~extra =
     queued and the caller must abort [txn]. *)
 let acquire t ~txn ~key ~mode : outcome =
   let e = entry t key in
-  if holds_sufficient e ~txn ~mode then Granted
-  else if can_grant e ~txn ~mode && e.queue = [] then begin
-    (* Lock upgrade replaces the shared grant. *)
-    e.holders <- { txn; mode } :: List.filter (fun g -> g.txn <> txn) e.holders;
-    Granted
-  end
-  else begin
-    let blockers =
-      List.filter_map (fun g -> if g.txn <> txn then Some g.txn else None) e.holders
-      @ List.map (fun w -> w.w_txn) e.queue
-      |> List.sort_uniq compare
-    in
-    match find_cycle t ~start:txn ~extra:blockers with
-    | Some cycle -> Deadlock cycle
-    | None ->
-        e.queue <- e.queue @ [ { w_txn = txn; w_mode = mode } ];
-        Waiting
-  end
+  if holds_sufficient txn mode e.holders then Granted
+  else
+    (* [txn] is not queued here: a second request would wait for itself
+       and come back as a deadlock below. *)
+    let present = holds txn e.holders in
+    if e.queue = [] && can_grant txn mode e.holders then begin
+      (* Lock upgrade replaces the shared grant. *)
+      grant e ~txn ~mode;
+      if not present then index t ~txn e;
+      Granted
+    end
+    else begin
+      let blockers =
+        List.filter_map (fun g -> if g.txn <> txn then Some g.txn else None) e.holders
+        @ List.map (fun w -> w.w_txn) e.queue
+        |> List.sort_uniq Int.compare
+      in
+      match find_cycle t ~start:txn ~extra:blockers with
+      | Some cycle -> Deadlock cycle
+      | None ->
+          e.queue <- e.queue @ [ { w_txn = txn; w_mode = mode } ];
+          if not present then index t ~txn e;
+          Waiting
+    end
 
-(* After any release, promote waiters in FIFO order. *)
-let promote t key e =
+(* After any release, promote waiters in FIFO order.  While a grant
+   callback runs, [e] is on [t.promoting]: its next waiter may be grantable
+   and not yet granted, and a release nested in the callback promotes it. *)
+let promote t e =
   let rec go () =
     match e.queue with
-    | [] -> ()
-    | w :: rest ->
-        if can_grant e ~txn:w.w_txn ~mode:w.w_mode then begin
-          e.queue <- rest;
-          e.holders <- { txn = w.w_txn; mode = w.w_mode } :: List.filter (fun g -> g.txn <> w.w_txn) e.holders;
-          (match t.grants with Some f -> f w.w_txn | None -> ());
-          go ()
-        end
+    | w :: rest when can_grant w.w_txn w.w_mode e.holders ->
+        e.queue <- rest;
+        grant e ~txn:w.w_txn ~mode:w.w_mode;
+        (match t.grants with Some f -> f w.w_txn | None -> ());
+        go ()
+    | _ -> ()
   in
-  ignore key;
-  go ()
+  match e.queue with
+  | w :: _ when can_grant w.w_txn w.w_mode e.holders ->
+      let outer = t.promoting in
+      t.promoting <- e :: outer;
+      go ();
+      t.promoting <- outer
+  | _ -> ()
+
+let renumber t =
+  let i = ref 0 in
+  Hashtbl.iter
+    (fun _ e ->
+      e.pos <- !i;
+      incr i)
+    t.locks;
+  t.numbered <- true
 
 (** [release_all t ~txn] drops every lock and queued request of [txn]
-    (commit or abort time), promoting any newly grantable waiters. *)
+    (commit or abort time), promoting any newly grantable waiters.  It
+    visits [txn]'s entries and the entries mid-promotion further up the
+    stack, one at a time in the table's iteration order at the start of
+    the release: a grant callback may re-enter the table, so the order is
+    observable whenever two entries are visited and one has a waiter. *)
 let release_all t ~txn =
-  Hashtbl.iter
-    (fun key e ->
-      let had = List.exists (fun g -> g.txn = txn) e.holders in
-      e.holders <- List.filter (fun g -> g.txn <> txn) e.holders;
-      e.queue <- List.filter (fun w -> w.w_txn <> txn) e.queue;
-      if had || e.queue <> [] then promote t key e)
-    t.locks
+  let todo =
+    List.fold_left (fun acc e -> if List.memq e acc then acc else e :: acc) (own_entries t txn) t.promoting
+  in
+  let todo =
+    match todo with
+    | [] | [ _ ] -> todo
+    | _ when List.for_all (fun e -> e.queue = []) todo -> todo
+    | _ ->
+        if not t.numbered then renumber t;
+        List.sort (fun a b -> Int.compare a.pos b.pos) todo
+  in
+  List.iter
+    (fun e ->
+      if holds txn e.holders then e.holders <- without_holder txn e.holders;
+      if queued txn e.queue then e.queue <- List.filter (fun w -> w.w_txn <> txn) e.queue;
+      promote t e)
+    todo;
+  (* only now: a release of [txn] nested in a callback must still find
+     the entries this one has not reached *)
+  Hashtbl.remove t.by_txn txn
 
 (** Keys on which [txn] currently holds a lock. *)
 let held_keys t ~txn =
-  Hashtbl.fold
-    (fun key e acc -> if List.exists (fun g -> g.txn = txn) e.holders then key :: acc else acc)
-    t.locks []
-  |> List.sort compare
+  List.fold_left (fun acc e -> if holds txn e.holders then e.key :: acc else acc) [] (own_entries t txn)
+  |> List.sort String.compare
 
 (** Number of transactions currently waiting on some lock. *)
 let n_waiting t =
@@ -184,5 +253,8 @@ let n_waiting t =
     from the log before the shard accepts new work. *)
 let force_grant t ~txn ~key ~mode =
   let e = entry t key in
-  if not (holds_sufficient e ~txn ~mode) then
-    e.holders <- { txn; mode } :: List.filter (fun g -> g.txn <> txn) e.holders
+  if not (holds_sufficient txn mode e.holders) then begin
+    let present = holds txn e.holders || queued txn e.queue in
+    grant e ~txn ~mode;
+    if not present then index t ~txn e
+  end
