@@ -853,22 +853,23 @@ let check_cmd =
     Arg.(
       value & flag
       & info [ "bench" ]
-          ~doc:"Report wall-clock time, states/sec and peak resident states for the run.")
+          ~doc:"Report wall-clock time, states/sec and the peak major heap for the run.")
   in
   let run label n k limit bench =
     let r, wall = model_check "check" label n k limit in
     Fmt.pr "%a@." Engine.Model_check.pp_report r;
     if bench then
-      Fmt.pr "wall: %.3f s, %.0f states/sec, peak resident states: %d@." wall
+      Fmt.pr "wall: %.3f s, %.0f states/sec, peak major heap: %.1f MB@." wall
         (if wall > 0.0 then float_of_int r.Engine.Model_check.explored /. wall else 0.0)
-        r.Engine.Model_check.explored;
+        (float_of_int ((Gc.quick_stat ()).Gc.top_heap_words * (Sys.word_size / 8)) /. 1e6);
     print_counterexample r
   in
   Cmd.v
     (Cmd.info "check"
        ~doc:
          "Exhaustively verify a protocol with the interned state-space engine; $(b,--bench) \
-          additionally reports wall-clock throughput (states/sec) and peak resident states.")
+          additionally reports wall-clock throughput (states/sec) and the peak major heap \
+          (the process's top heap size).")
     Term.(const run $ protocol_arg $ sites_arg $ crashes_arg $ limit_arg $ bench_arg)
 
 (* ---------------- election ---------------- *)

@@ -6,9 +6,8 @@
     the dominant cost of exhaustive exploration.  This module interns
     automaton state ids and message names into small ints once per run,
     compiles every FSA transition to int-coded consume/emit arrays, packs
-    whole messages into single ints, and provides a hash table keyed by
-    packed [int array] encodings under a memoized FNV-1a hash.  Explorers
-    then never touch a string on the hot path. *)
+    whole messages into single ints, and keeps the explored states in one
+    flat {!Store}.  Explorers then never touch a string on the hot path. *)
 
 (* ---------------- symbol tables ---------------- *)
 
@@ -43,39 +42,176 @@ let name_of t i =
 
 let size t = t.next
 
-(* ---------------- FNV-1a over int arrays ---------------- *)
+(* ---------------- the state store ---------------- *)
 
-(* 64-bit FNV-1a constants; the offset basis is truncated to OCaml's
-   63-bit native int (multiplication wraps, which is exactly what FNV
-   wants).  The result is masked non-negative for Hashtbl. *)
-let fnv_prime = 0x100000001b3
-let fnv_offset = 0x4bf29ce484222325
+(** An append-only set of packed states.  Each state is stored once, as
+    unsigned LEB128 varints in a [Bytes] arena the GC never scans, and
+    [starts.(ix) .. starts.(ix+1)-1] are state [ix]'s bytes.  The index
+    is open addressing with linear probing over one [int array]: a slot
+    is [0] when empty, else [(h lsl idx_bits) lor (ix + 1)], where [h] is
+    the state's 31-bit hash.  The slot's position is [h land mask], so
+    a resize re-places slots without touching the arena, and a probe
+    rejects almost every other state on the slot alone. *)
+module Store = struct
+  let idx_bits = 31
+  let idx_mask = (1 lsl idx_bits) - 1
+  let hash_mask = (1 lsl 31) - 1
 
-let fnv (a : int array) =
-  let h = ref (fnv_offset lxor Array.length a) in
-  for i = 0 to Array.length a - 1 do
-    h := (!h lxor a.(i)) * fnv_prime
-  done;
-  !h land max_int
+  type t = {
+    mutable arena : Bytes.t;
+    mutable used : int;  (** bytes of the arena in use *)
+    mutable starts : int array;  (** [starts.(ix)]: first byte of state [ix]; [starts.(count)] = [used] *)
+    mutable count : int;
+    mutable slots : int array;
+    mutable mask : int;  (** [Array.length slots - 1] *)
+  }
 
-(* ---------------- packed keys with memoized hash ---------------- *)
+  let create () =
+    {
+      arena = Bytes.create 4096;
+      used = 0;
+      starts = Array.make 1024 0;
+      count = 0;
+      slots = Array.make 1024 0;
+      mask = 1023;
+    }
 
-type key = { data : int array; hash : int }
+  let length t = t.count
 
-let key data = { data; hash = fnv data }
+  (* FNV-1a over the ints and the length (64-bit constants truncated to
+     OCaml's 63-bit int; multiplication wraps), then a multiply-xorshift
+     finaliser: FNV's low bits depend only on the inputs' low bits, and
+     the slot position is taken from the low bits. *)
+  let hash (buf : int array) len =
+    let h = ref (0x4bf29ce484222325 lxor len) in
+    for i = 0 to len - 1 do
+      h := (!h lxor Array.unsafe_get buf i) * 0x100000001b3
+    done;
+    let h = (!h lxor (!h lsr 29)) * 0x3f58476d1ce4e5b9 in
+    (h lxor (h lsr 32)) land hash_mask
 
-module Tbl = Hashtbl.Make (struct
-  type t = key
+  (* Does state [ix] decode to [buf.(0 .. len-1)]?  Reads the arena in
+     place. *)
+  let equal_at t ix (buf : int array) len =
+    let arena = t.arena in
+    let stop = Array.unsafe_get t.starts (ix + 1) in
+    let pos = ref (Array.unsafe_get t.starts ix) and i = ref 0 and same = ref true in
+    while !same && !i < len do
+      if !pos >= stop then same := false
+      else begin
+        let b = Char.code (Bytes.unsafe_get arena !pos) in
+        incr pos;
+        let v = ref (b land 0x7f) in
+        if b >= 0x80 then begin
+          let shift = ref 7 and more = ref true in
+          while !more do
+            let b = Char.code (Bytes.unsafe_get arena !pos) in
+            incr pos;
+            v := !v lor ((b land 0x7f) lsl !shift);
+            shift := !shift + 7;
+            more := b >= 0x80
+          done
+        end;
+        if !v <> Array.unsafe_get buf !i then same := false;
+        incr i
+      end
+    done;
+    !same && !pos = stop
 
-  let hash k = k.hash
+  let grow_slots t =
+    let cap = 2 * Array.length t.slots in
+    let slots = Array.make cap 0 and mask = cap - 1 in
+    Array.iter
+      (fun slot ->
+        if slot <> 0 then begin
+          let p = ref ((slot lsr idx_bits) land mask) in
+          while Array.unsafe_get slots !p <> 0 do
+            p := (!p + 1) land mask
+          done;
+          slots.(!p) <- slot
+        end)
+      t.slots;
+    t.slots <- slots;
+    t.mask <- mask
 
-  let equal a b =
-    a.hash = b.hash
-    && Array.length a.data = Array.length b.data
-    &&
-    let rec go i = i < 0 || (a.data.(i) = b.data.(i) && go (i - 1)) in
-    go (Array.length a.data - 1)
-end)
+  (* Append [buf.(0 .. len-1)] as state [t.count]; the index is not
+     touched.  Nothing is committed until every value has been checked. *)
+  let append t (buf : int array) len =
+    (* a non-negative 63-bit int takes at most 9 varint bytes *)
+    if t.used + (9 * len) > Bytes.length t.arena then begin
+      let cap = ref (2 * Bytes.length t.arena) in
+      while t.used + (9 * len) > !cap do
+        cap := 2 * !cap
+      done;
+      let arena = Bytes.create !cap in
+      Bytes.blit t.arena 0 arena 0 t.used;
+      t.arena <- arena
+    end;
+    if t.count + 1 >= Array.length t.starts then begin
+      let starts = Array.make (2 * Array.length t.starts) 0 in
+      Array.blit t.starts 0 starts 0 (t.count + 1);
+      t.starts <- starts
+    end;
+    let arena = t.arena and pos = ref t.used in
+    for i = 0 to len - 1 do
+      let v = ref (Array.unsafe_get buf i) in
+      if !v < 0 then Fmt.invalid_arg "Intern.Store.intern: negative value %d" !v;
+      while !v >= 0x80 do
+        Bytes.unsafe_set arena !pos (Char.unsafe_chr ((!v land 0x7f) lor 0x80));
+        incr pos;
+        v := !v lsr 7
+      done;
+      Bytes.unsafe_set arena !pos (Char.unsafe_chr !v);
+      incr pos
+    done;
+    t.used <- !pos;
+    t.count <- t.count + 1;
+    t.starts.(t.count) <- !pos
+
+  let intern t (buf : int array) ~len =
+    if len < 0 || len > Array.length buf then invalid_arg "Intern.Store.intern: bad length";
+    let h = hash buf len in
+    let mask = t.mask and slots = t.slots in
+    let p = ref (h land mask) and found = ref (-1) in
+    while !found < 0 && Array.unsafe_get slots !p <> 0 do
+      let slot = Array.unsafe_get slots !p in
+      if slot lsr idx_bits = h && equal_at t ((slot land idx_mask) - 1) buf len then
+        found := (slot land idx_mask) - 1
+      else p := (!p + 1) land mask
+    done;
+    if !found >= 0 then !found
+    else begin
+      let ix = t.count in
+      if ix + 1 > idx_mask then failwith "Intern.Store.intern: too many states";
+      append t buf len;
+      slots.(!p) <- (h lsl idx_bits) lor (ix + 1);
+      (* keep the load factor at most 1/2 *)
+      if 2 * t.count > Array.length slots then grow_slots t;
+      ix
+    end
+
+  let get t ix =
+    if ix < 0 || ix >= t.count then Fmt.invalid_arg "Intern.Store.get: no state %d" ix;
+    let stop = t.starts.(ix + 1) in
+    let n = ref 0 in
+    for p = t.starts.(ix) to stop - 1 do
+      if Char.code (Bytes.unsafe_get t.arena p) < 0x80 then incr n
+    done;
+    let out = Array.make !n 0 in
+    let pos = ref t.starts.(ix) in
+    for i = 0 to !n - 1 do
+      let v = ref 0 and shift = ref 0 and more = ref true in
+      while !more do
+        let b = Char.code (Bytes.unsafe_get t.arena !pos) in
+        incr pos;
+        v := !v lor ((b land 0x7f) lsl !shift);
+        shift := !shift + 7;
+        more := b >= 0x80
+      done;
+      out.(i) <- !v
+    done;
+    out
+end
 
 (* ---------------- sorted int-multiset operations ---------------- *)
 

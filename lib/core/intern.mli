@@ -1,10 +1,10 @@
 (** Per-run interning and compact state encoding for the state-space
     engines: symbol tables mapping automaton state ids and message names
     to small ints, a one-int message codec, compiled int-coded FSA
-    transition tables, sorted-int-array multiset operations, and a hash
-    table keyed by packed [int array] state encodings under a memoized
-    FNV-1a hash.  Explorers built on this never format or hash a string
-    on the hot path. *)
+    transition tables, sorted-int-array multiset operations, and one flat
+    store of packed [int array] state encodings: varints in a byte arena
+    under an open-addressing index.  Explorers built on this never format
+    or hash a string on the hot path. *)
 
 (** {1 Symbol tables} *)
 
@@ -22,18 +22,36 @@ val name_of : symtab -> int -> string
 
 val size : symtab -> int
 
-(** {1 Packed-key hash tables} *)
+(** {1 The state store}
 
-val fnv : int array -> int
-(** FNV-1a over the elements (and length), masked non-negative. *)
+    One append-only set of packed states for both explorers.  States are
+    numbered densely in first-intern order, so a breadth-first search
+    that interns in discovery order has its frontier as the index range
+    [next .. length - 1]. *)
 
-type key = private { data : int array; hash : int }
+module Store : sig
+  type t
 
-val key : int array -> key
-(** Pack an encoding with its hash computed once; all subsequent table
-    operations reuse the memoized hash. *)
+  val create : unit -> t
 
-module Tbl : Hashtbl.S with type key = key
+  val length : t -> int
+  (** Number of distinct states stored. *)
+
+  val intern : t -> int array -> len:int -> int
+  (** [intern t buf ~len] is the index of the state [buf.(0 .. len-1)],
+      adding it as index [length t] when it is new; so a state is new iff
+      the result equals [length t] before the call.  A state already
+      stored costs a hash and an in-place comparison against the arena
+      and allocates nothing; only a new state is copied, as one unsigned
+      LEB128 varint per value.
+      @raise Invalid_argument on a negative value or a [len] outside
+      [0 .. Array.length buf] (the store is then unchanged).
+      @raise Failure past [2^31 - 2] states. *)
+
+  val get : t -> int -> int array
+  (** The state stored at an index, decoded into a fresh array.
+      @raise Invalid_argument on an index outside [0 .. length t - 1]. *)
+end
 
 (** {1 Sorted int-multiset operations}
 

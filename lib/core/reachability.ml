@@ -10,11 +10,13 @@
 
     The search runs entirely over {!Intern}'s compact encoding: a global
     state is one packed [int array] (vote bitset, interned local state
-    codes, sorted int-coded message multiset) deduplicated under a
-    memoized FNV hash.  The earlier implementation hashed states by
-    formatting every network message to a string on every hash; interning
-    removes all string traffic from the hot loop while producing the
-    identical graph (same states, same indices, same edge order — see the
+    codes, sorted int-coded message multiset) deduplicated by
+    {!Intern.Store}.  The store numbers states in discovery order, which
+    is node order, and the BFS frontier is the range of indices not yet
+    expanded.  The earlier implementation hashed states by formatting
+    every network message to a string on every hash; interning removes
+    all string traffic from the hot loop while producing the identical
+    graph (same states, same indices, same edge order — see the
     differential tests in [test_statespace.ml]). *)
 
 type node = {
@@ -35,7 +37,7 @@ exception Too_large of int
    [| voted bitset; local code (site 1) .. local code (site n);
       sorted message codes ... |] *)
 
-let decode_state (c : Intern.t) (data : int array) : Global.t =
+let decode_state (c : Intern.t) (data : int array) len : Global.t =
   let n = c.Intern.n in
   let voted = data.(0) in
   {
@@ -43,7 +45,7 @@ let decode_state (c : Intern.t) (data : int array) : Global.t =
     voted_yes = Array.init n (fun i -> voted land (1 lsl i) <> 0);
     network =
       Message.Multiset.of_list
-        (List.init (Array.length data - n - 1) (fun j -> Intern.decode_msg c data.(j + n + 1)));
+        (List.init (len - n - 1) (fun j -> Intern.decode_msg c data.(j + n + 1)));
   }
 
 (** [build ?limit p] explores the full reachable state graph of [p].
@@ -52,27 +54,21 @@ let decode_state (c : Intern.t) (data : int array) : Global.t =
 let build ?(limit = 2_000_000) (p : Protocol.t) : t =
   let c = Intern.compile p in
   let n = Protocol.n_sites p in
-  let table = Intern.Tbl.create 4096 in
-  let nodes = ref (Array.make 1024 None) and n_nodes = ref 0 in
-  let queue = Queue.create () in
-  let intern_packed data =
-    let key = Intern.key data in
-    match Intern.Tbl.find_opt table key with
-    | Some ix -> ix
-    | None ->
-        let ix = !n_nodes in
-        if ix >= limit then raise (Too_large ix);
-        incr n_nodes;
-        Intern.Tbl.add table key ix;
-        if ix >= Array.length !nodes then begin
-          let grown = Array.make (2 * Array.length !nodes) None in
-          Array.blit !nodes 0 grown 0 (Array.length !nodes);
-          nodes := grown
-        end;
-        let node = { state = decode_state c data; index = ix; succs = [] } in
-        !nodes.(ix) <- Some node;
-        Queue.add (node, data) queue;
-        ix
+  let store = Intern.Store.create () in
+  let nodes = ref (Array.make 1024 None) in
+  let intern_packed data len =
+    let fresh = Intern.Store.length store in
+    let ix = Intern.Store.intern store data ~len in
+    if ix = fresh then begin
+      if ix >= limit then raise (Too_large ix);
+      if ix >= Array.length !nodes then begin
+        let grown = Array.make (2 * Array.length !nodes) None in
+        Array.blit !nodes 0 grown 0 (Array.length !nodes);
+        nodes := grown
+      end;
+      !nodes.(ix) <- Some { state = decode_state c data len; index = ix; succs = [] }
+    end;
+    ix
   in
   let init =
     let data = Array.make (1 + n + Array.length c.Intern.initial_net) 0 in
@@ -82,12 +78,17 @@ let build ?(limit = 2_000_000) (p : Protocol.t) : t =
     Array.blit c.Intern.initial_net 0 data (n + 1) (Array.length c.Intern.initial_net);
     data
   in
-  ignore (intern_packed init);
-  while not (Queue.is_empty queue) do
-    let node, data = Queue.pop queue in
+  ignore (intern_packed init (Array.length init));
+  (* states are interned in discovery order, so the BFS frontier is the
+     index range [next .. Store.length store - 1] *)
+  let scratch = ref (Array.make 64 0) in
+  let next = ref 0 in
+  while !next < Intern.Store.length store do
+    let node = match !nodes.(!next) with Some node -> node | None -> assert false in
+    let data = Intern.Store.get store !next in
+    incr next;
     let voted = data.(0) in
-    let net_len = Array.length data - n - 1 in
-    let net = Array.sub data (n + 1) net_len in
+    let net = Array.sub data (n + 1) (Array.length data - n - 1) in
     let succs = ref [] in
     (* iterate sites in descending order so the accumulated (prepended)
        list comes out in ascending site order, matching the original
@@ -100,19 +101,21 @@ let build ?(limit = 2_000_000) (p : Protocol.t) : t =
         | None -> ()
         | Some base ->
             let net' = Intern.Net.add_all tr.Intern.c_emits_sorted base in
-            let data' = Array.make (1 + n + Array.length net') 0 in
+            let len = 1 + n + Array.length net' in
+            if len > Array.length !scratch then scratch := Array.make (2 * len) 0;
+            let data' = !scratch in
             data'.(0) <- (if tr.Intern.c_vote_yes then voted lor (1 lsl i) else voted);
             Array.blit data 1 data' 1 n;
             data'.(i + 1) <- tr.Intern.c_to;
             Array.blit net' 0 data' (n + 1) (Array.length net');
-            let ix = intern_packed data' in
+            let ix = intern_packed data' len in
             succs := (i + 1, tr.Intern.c_tr, ix) :: !succs
       done
     done;
     node.succs <- !succs
   done;
   let arr =
-    Array.init !n_nodes (fun i ->
+    Array.init (Intern.Store.length store) (fun i ->
         match !nodes.(i) with Some node -> node | None -> assert false)
   in
   { protocol = p; nodes = arr }

@@ -30,12 +30,17 @@
     encoding: state ids and message names are interned to small ints once
     per run, whole messages pack into single ints (termination messages
     become tagged name codes above the protocol's — no prefix-string
-    parsing on the hot path), and each global state dedups as one packed
-    [int array] under a memoized FNV hash.  The frontier is a queue of
-    state indices over index-based [seen]/[parent] tables.  The original
+    parsing on the hot path), and each global state packs into one
+    [int array] that {!Core.Intern.Store} dedups: varints in a byte arena
+    under an open-addressing index, with dense indices in discovery
+    order.  The BFS frontier is therefore the index range of states not
+    yet popped; each popped state is decoded once from the arena, and a
+    [parent] index array gives counterexample paths.  The original
     string-keyed engine survives as {!Model_check_ref}; differential
     tests assert both produce identical [explored] counts and verdicts,
-    and [Packed] below exposes the codec for round-trip tests. *)
+    a golden table pins every verdict and reported state over the
+    catalog, and [Packed] below exposes the codec for round-trip
+    tests. *)
 
 module MS = Core.Message.Multiset
 
@@ -262,11 +267,9 @@ module Ibuf = struct
     reserve b k;
     Array.blit src 0 b.a b.len k;
     b.len <- b.len + k
-
-  let to_array b = Array.sub b.a 0 b.len
 end
 
-let pack_into ctx (buf : Ibuf.t) (s : ist) : int array =
+let pack_into ctx (buf : Ibuf.t) (s : ist) =
   let n = ctx.n in
   Ibuf.clear buf;
   Ibuf.push buf s.icrashes;
@@ -303,8 +306,7 @@ let pack_into ctx (buf : Ibuf.t) (s : ist) : int array =
         Ibuf.push buf (List.length reps);
         List.iter (Ibuf.push buf) reps
   done;
-  Ibuf.blit buf s.inet;
-  Ibuf.to_array buf
+  Ibuf.blit buf s.inet
 
 let unpack ctx (data : int array) : ist =
   let n = ctx.n in
@@ -779,8 +781,10 @@ let run (cfg : config) : report =
     done
   in
 
-  (* ---- BFS over packed states: Queue-of-indices frontier, index-based
-     seen/parent tables ---- *)
+  (* ---- BFS over the state store ----
+     States are interned in discovery order and popped in FIFO order, so
+     the frontier is the index range [next .. Store.length store - 1]:
+     no queue, and each popped state is decoded once from the arena. *)
   let init =
     {
       ilocals = Array.copy c.I.initial_locals;
@@ -795,45 +799,29 @@ let run (cfg : config) : report =
       iepoch = Array.make n 0;
     }
   in
-  let seen : int I.Tbl.t = I.Tbl.create 4096 in
-  let keys = ref (Array.make 4096 I.(key [||])) in
+  let store = I.Store.create () in
   let parent = ref (Array.make 4096 (-1)) in
-  let n_states = ref 0 in
   let buf = Ibuf.create () in
   let intern_state parent_ix s =
-    let k = I.key (pack_into ctx buf s) in
-    match I.Tbl.find_opt seen k with
-    | Some _ -> None
-    | None ->
-        let ix = !n_states in
-        incr n_states;
-        I.Tbl.add seen k ix;
-        if ix >= Array.length !keys then begin
-          let grow a fill =
-            let g = Array.make (2 * Array.length a) fill in
-            Array.blit a 0 g 0 (Array.length a);
-            g
-          in
-          keys := grow !keys I.(key [||]);
-          parent := grow !parent (-1)
-        end;
-        !keys.(ix) <- k;
-        !parent.(ix) <- parent_ix;
-        Some ix
+    pack_into ctx buf s;
+    let fresh = I.Store.length store in
+    if I.Store.intern store buf.Ibuf.a ~len:buf.Ibuf.len = fresh then begin
+      if fresh >= Array.length !parent then begin
+        let grown = Array.make (2 * fresh) (-1) in
+        Array.blit !parent 0 grown 0 fresh;
+        parent := grown
+      end;
+      !parent.(fresh) <- parent_ix
+    end
   in
-  (* the frontier carries the working state alongside its index, so no
-     state is ever unpacked on the hot path (decoding only happens for
-     the handful of reported states at the end) *)
-  let queue : (ist * int) Queue.t = Queue.create () in
-  (match intern_state (-1) init with
-  | Some ix -> Queue.add (init, ix) queue
-  | None -> assert false);
-  let explored = ref 0 in
+  intern_state (-1) init;
+  let next = ref 0 in
   let inconsistent = ref [] and blocked_terminals = ref [] in
-  while not (Queue.is_empty queue) do
-    let s, ix = Queue.pop queue in
-    incr explored;
-    if !explored > cfg.limit then failwith "Model_check.run: state limit exceeded";
+  while !next < I.Store.length store do
+    let ix = !next in
+    incr next;
+    if !next > cfg.limit then failwith "Model_check.run: state limit exceeded";
+    let s = unpack ctx (I.Store.get store ix) in
     (* safety: mixed outcomes across ALL sites (crashed sites' last forced
        log state counts) *)
     let commit = ref false and abort = ref false in
@@ -847,9 +835,7 @@ let run (cfg : config) : report =
     let n_succ = ref 0 in
     successors s (fun succ ->
         incr n_succ;
-        match intern_state ix succ with
-        | None -> ()
-        | Some six -> Queue.add (succ, six) queue);
+        intern_state ix succ);
     if !n_succ = 0 then begin
       (* terminal: every operational site should have decided *)
       let blocked = ref false in
@@ -859,7 +845,7 @@ let run (cfg : config) : report =
       if !blocked then blocked_terminals := ix :: !blocked_terminals
     end
   done;
-  let decode ix = to_public ctx (unpack ctx (!keys.(ix)).I.data) in
+  let decode ix = to_public ctx (unpack ctx (I.Store.get store ix)) in
   let path_to target =
     let rec go ix acc =
       let acc = decode ix :: acc in
@@ -868,7 +854,7 @@ let run (cfg : config) : report =
     go target []
   in
   {
-    explored = !explored;
+    explored = !next;
     inconsistent = List.map decode !inconsistent;
     blocked_terminals = List.map decode !blocked_terminals;
     safe = !inconsistent = [];
@@ -883,7 +869,10 @@ module Packed = struct
   type nonrec ctx = ctx
 
   let ctx rulebook = make_ctx rulebook
-  let encode ctx s = pack_into ctx (Ibuf.create ()) (of_public ctx s)
+  let encode ctx s =
+    let buf = Ibuf.create () in
+    pack_into ctx buf (of_public ctx s);
+    Array.sub buf.Ibuf.a 0 buf.Ibuf.len
   let decode ctx data = to_public ctx (unpack ctx data)
 end
 

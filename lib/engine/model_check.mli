@@ -23,9 +23,11 @@
     detected, and the checker passes.
 
     The exploration engine runs over {!Core.Intern}'s packed int-array
-    encoding (interned ids, one-int messages, memoized FNV hashing, a
-    queue-of-indices frontier); the original string-keyed engine is kept
-    as {!Model_check_ref} and the differential tests assert both agree. *)
+    encoding (interned ids, one-int messages) and keeps every explored
+    state once, in {!Core.Intern.Store}'s byte arena; the BFS frontier is
+    the range of store indices not yet popped.  The original
+    string-keyed engine is kept as {!Model_check_ref} and the
+    differential tests assert both agree. *)
 
 type st = {
   locals : string array;

@@ -20,16 +20,24 @@ let n_buckets = 96
 let lowest = 1e-3
 let growth = 1.25
 
-let bucket_upper i =
-  if i >= n_buckets - 1 then Float.infinity else lowest *. (growth ** float_of_int i)
+let upper_of i = if i >= n_buckets - 1 then Float.infinity else lowest *. (growth ** float_of_int i)
+let lower_of i = if i <= 0 then 0.0 else lowest *. (growth ** float_of_int (i - 1))
 
-let bucket_lower i = if i <= 0 then 0.0 else lowest *. (growth ** float_of_int (i - 1))
+(* The bounds of every bucket, computed once by the same expressions, so
+   a table entry is bit-identical to the formula; indices outside the
+   table still go to the formula. *)
+let uppers = Array.init n_buckets upper_of
+let lowers = Array.init n_buckets lower_of
+
+let[@inline] bucket_upper i = if i >= 0 && i < n_buckets then Array.unsafe_get uppers i else upper_of i
+let[@inline] bucket_lower i = if i >= 0 && i < n_buckets then Array.unsafe_get lowers i else lower_of i
+let log_growth = Float.log growth
 
 let bucket_index v =
   if not (v > 0.0) || v < lowest then 0
   else if not (Float.is_finite v) then n_buckets - 1
   else
-    let i = 1 + int_of_float (Float.log (v /. lowest) /. Float.log growth) in
+    let i = 1 + int_of_float (Float.log (v /. lowest) /. log_growth) in
     (* float log can land one bucket off at exact boundaries: nudge *)
     let i = if i >= 1 && v < bucket_lower i then i - 1 else i in
     let i = if v >= bucket_upper i then i + 1 else i in

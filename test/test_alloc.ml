@@ -24,7 +24,18 @@
     - Lock release costs what the transaction holds: after 10,000
       distinct keys have each been locked and released, one [acquire]
       plus [release_all] of a single key allocates at most 100 words.
-      Measured at 35 (120,037 when a release walked every key ever locked). *)
+      Measured at 35 (120,037 when a release walked every key ever locked).
+    - Re-interning a state the {!Core.Intern.Store} already holds
+      allocates nothing: the probe hashes the caller's buffer and
+      compares it against the arena in place.
+    - Words allocated on the major heap (promoted plus direct) per state
+      of an exhaustive {!Engine.Model_check.run} of central 3PC, n=4,
+      k=1 (15,784 states).  Measured at 16.28-16.83 words per state
+      (the promoted share depends on where major slices fall, so on
+      the tests run before it), almost all of it the store's arena,
+      index and parent array; 52.1-55.4 when states were [int array]
+      keys in a [Hashtbl] and the frontier a queue of working states.
+      The bound is 16.83 plus 10%. *)
 
 module C = Engine.Chaos
 module M = Sim.Metrics
@@ -101,6 +112,40 @@ let test_release_ignores_table_size () =
   let words = Gc.minor_words () -. w0 in
   Alcotest.(check bool) (Fmt.str "%.0f minor words for one acquire and release <= 100" words) true (words <= 100.0)
 
+let test_reintern_allocates_nothing () =
+  let module S = Core.Intern.Store in
+  let st = S.create () in
+  let states = Array.init 2_000 (fun i -> Array.init (1 + (i mod 40)) (fun j -> i + (j * 104_729))) in
+  Array.iteri (fun i a -> Alcotest.(check int) "fresh index" i (S.intern st a ~len:(Array.length a))) states;
+  let w0 = Gc.minor_words () in
+  let sum = ref 0 in
+  for i = 0 to Array.length states - 1 do
+    sum := !sum + S.intern st states.(i) ~len:(Array.length states.(i))
+  done;
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check int) "every state found" (1_999 * 1_000) !sum;
+  Alcotest.(check (float 0.0)) "minor words for 2,000 re-interns" 0.0 words
+
+let test_check_major_words_per_state () =
+  let cfg =
+    {
+      Engine.Model_check.rulebook = Engine.Rulebook.compile (Core.Catalog.central_3pc 4);
+      max_crashes = 1;
+      limit = 1_000_000;
+      rule = `Skeen;
+    }
+  in
+  Gc.minor ();
+  let w0 = (Gc.quick_stat ()).Gc.major_words in
+  let r = Engine.Model_check.run cfg in
+  Gc.minor ();
+  let per_state = ((Gc.quick_stat ()).Gc.major_words -. w0) /. float_of_int r.Engine.Model_check.explored in
+  Alcotest.(check int) "states" 15_784 r.Engine.Model_check.explored;
+  let bound = 16.83 *. 1.1 in
+  Alcotest.(check bool)
+    (Fmt.str "%.2f major words per state <= %.2f" per_state bound)
+    true (per_state <= bound)
+
 let suite =
   [
     Alcotest.test_case "minor words and events per Runtime.run" `Quick test_minor_words_per_run;
@@ -109,4 +154,7 @@ let suite =
     Alcotest.test_case "minor words per kv-mixed transaction" `Quick test_kv_minor_words_per_txn;
     Alcotest.test_case "one release allocates the same in a 10,000-key table" `Quick
       test_release_ignores_table_size;
+    Alcotest.test_case "re-interning a stored state allocates nothing" `Quick
+      test_reintern_allocates_nothing;
+    Alcotest.test_case "major words per model-checked state" `Quick test_check_major_words_per_state;
   ]

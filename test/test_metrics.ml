@@ -46,6 +46,43 @@ let test_bucket_index_monotone () =
   in
   ()
 
+(* The bucket bounds come from a table built once; every entry, and the
+   out-of-range results, must be bit-identical to the formula, and
+   [bucket_index] must agree with the version that evaluated the formula
+   on every call. *)
+let formula_upper i = if i >= 95 then Float.infinity else 1e-3 *. (1.25 ** float_of_int i)
+let formula_lower i = if i <= 0 then 0.0 else 1e-3 *. (1.25 ** float_of_int (i - 1))
+
+let formula_index v =
+  if not (v > 0.0) || v < 1e-3 then 0
+  else if not (Float.is_finite v) then 95
+  else
+    let i = 1 + int_of_float (Float.log (v /. 1e-3) /. Float.log 1.25) in
+    let i = if i >= 1 && v < formula_lower i then i - 1 else i in
+    let i = if v >= formula_upper i then i + 1 else i in
+    if i < 0 then 0 else if i > 95 then 95 else i
+
+let test_bucket_table_bit_identical () =
+  Alcotest.(check int) "96 buckets" 96 M.n_buckets;
+  let bits = Int64.bits_of_float in
+  for i = -3 to M.n_buckets + 3 do
+    Alcotest.(check int64) (Fmt.str "upper %d" i) (bits (formula_upper i)) (bits (M.bucket_upper i));
+    Alcotest.(check int64) (Fmt.str "lower %d" i) (bits (formula_lower i)) (bits (M.bucket_lower i))
+  done;
+  let sweep = ref [ 0.0; -1.0; Float.nan; Float.infinity; Float.neg_infinity; 1e-300; 1e30; Float.max_float ] in
+  for i = 0 to M.n_buckets + 2 do
+    List.iter
+      (fun b -> if Float.is_finite b then sweep := Float.pred b :: b :: Float.succ b :: !sweep)
+      [ formula_lower i; formula_upper i ]
+  done;
+  let rng = Sim.Rng.create ~seed:11 in
+  for _ = 1 to 5_000 do
+    sweep := (1e-4 *. (10.0 ** Sim.Rng.float rng 11.0)) :: !sweep
+  done;
+  List.iter
+    (fun v -> Alcotest.(check int) (Fmt.str "bucket_index %h" v) (formula_index v) (M.bucket_index v))
+    !sweep
+
 (* ---------------- summaries and percentiles ---------------- *)
 
 let test_summary_exact_fields () =
@@ -418,6 +455,7 @@ let suite =
   [
     Alcotest.test_case "bucket boundaries" `Quick test_bucket_boundaries;
     Alcotest.test_case "bucket index monotone" `Quick test_bucket_index_monotone;
+    Alcotest.test_case "bucket table equals the formula bit for bit" `Quick test_bucket_table_bit_identical;
     Alcotest.test_case "summary exact fields" `Quick test_summary_exact_fields;
     Alcotest.test_case "percentiles vs sorted oracle" `Quick test_percentile_against_oracle;
     Alcotest.test_case "percentiles ordered" `Quick test_percentiles_ordered;
