@@ -386,15 +386,15 @@ let e13_partition_ablation () =
   let rb3 = Engine.Rulebook.compile (Core.Catalog.central_3pc 3) in
   let rb2 = Engine.Rulebook.compile (Core.Catalog.central_2pc 3) in
   let r3 =
-    Engine.Partition_ablation.run ~rulebook:rb3 ~from_t:1.5 ~until_t:200.0
-      ~groups:[ [ 1; 2 ]; [ 3 ] ] ~seed:1 ()
+    Engine.Runtime.run
+      (Engine.Runtime.config ~seed:1 ~partition:(1.5, 200.0, [ [ 1; 2 ]; [ 3 ] ]) rb3)
   in
   Fmt.pr "--- central 3PC under partition ---@.%a@.@." Engine.Runtime.pp_result r3;
   check "E13 3PC violates atomicity under partition (split brain — the known limit)"
     (not r3.Engine.Runtime.consistent);
   let r2 =
-    Engine.Partition_ablation.run ~rulebook:rb2 ~from_t:1.5 ~until_t:200.0
-      ~groups:[ [ 1; 2 ]; [ 3 ] ] ~seed:1 ()
+    Engine.Runtime.run
+      (Engine.Runtime.config ~seed:1 ~partition:(1.5, 200.0, [ [ 1; 2 ]; [ 3 ] ]) rb2)
   in
   Fmt.pr "--- central 2PC under partition ---@.%a@.@." Engine.Runtime.pp_result r2;
   check "E13 2PC stays consistent under partition (it blocks instead)"

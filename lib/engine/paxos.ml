@@ -601,16 +601,7 @@ let run (cfg : config) : Runtime.result =
   let world = Sim.World.create ~n_sites:n ~seed:cfg.seed ~msg_to_string () in
   Sim.World.set_tracing world cfg.tracing;
   let store = Wal.Store.create ~n_sites:n () in
-  List.iter
-    (fun site ->
-      match
-        List.filter_map
-          (fun (s, inj) -> if s = site then Some inj else None)
-          cfg.plan.Failure_plan.disk_faults
-      with
-      | [] -> ()
-      | injs -> Wal.set_faults (Wal.Store.log store ~site) injs)
-    (Wal.Store.sites store);
+  Wal.Store.install store world ~disk_faults:cfg.plan.Failure_plan.disk_faults;
   let protocol_name = Printf.sprintf "paxos-commit-%d-f%d" n cfg.f in
   let rts =
     Array.init n (fun i ->
@@ -648,15 +639,10 @@ let run (cfg : config) : Runtime.result =
       directive_epochs = [];
     }
   in
-  (* a crash takes the log down with the site and wipes its volatile
-     protocol memory — only the durable image survives into on_restart *)
+  (* a crash wipes the site's volatile protocol memory; the store's hook,
+     registered first, has already rebuilt its log from the durable image,
+     so only that survives into on_restart *)
   Sim.World.add_crash_hook world (fun site ->
-      (match Wal.crash (Wal.Store.log store ~site) with
-      | None -> ()
-      | Some rep ->
-          Sim.Metrics.incr (Sim.World.metrics world) "wal_repairs";
-          Sim.World.record world "site %d wal repair: %d survived, %d lost" site rep.Wal.survived
-            rep.Wal.lost_records);
       let rt = rts.(site - 1) in
       rt.ever_crashed <- true;
       rt.voted <- None;

@@ -1070,28 +1070,7 @@ let run (cfg : config) : result =
     Wal.Store.create ~durable:cfg.durable_wal ?group_commit:cfg.group_commit
       ~sync_latency:cfg.sync_latency ~n_sites:n ()
   in
-  (* storage faults from the plan arm each site's private disk *)
-  List.iter
-    (fun site ->
-      match
-        List.filter_map
-          (fun (s, inj) -> if s = site then Some inj else None)
-          cfg.plan.Failure_plan.disk_faults
-      with
-      | [] -> ()
-      | injs -> Wal.set_faults (Wal.Store.log store ~site) injs)
-    (Wal.Store.sites store);
-  (* a crash takes the log down with the site: the unsynced tail is lost
-     (with whatever storage faults are armed) and the log rebuilds itself
-     from the durable image *)
-  Sim.World.add_crash_hook world (fun site ->
-      match Wal.crash (Wal.Store.log store ~site) with
-      | None -> ()
-      | Some rep ->
-          Sim.Metrics.incr (Sim.World.metrics world) "wal_repairs";
-          Sim.World.record world "site %d wal repair: %d survived, %d lost, %d bytes dropped%s"
-            site rep.Wal.survived rep.Wal.lost_records rep.Wal.dropped_bytes
-            (match rep.Wal.reason with Some r -> " (" ^ r ^ ")" | None -> ""));
+  Wal.Store.install store world ~disk_faults:cfg.plan.Failure_plan.disk_faults;
   let rts =
     Array.init n (fun i ->
         let site = i + 1 in

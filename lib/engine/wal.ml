@@ -1,21 +1,7 @@
-(** Per-site write-ahead log on stable storage.
-
-    The paper assumes each site has a local recovery strategy providing
-    atomicity at the local level.  Through PR 3 we modelled that with a
-    perfect in-memory append; this version earns the assumption: records
-    are serialized through a binary codec ({!to_bytes}/{!of_bytes}),
-    framed with a length prefix and CRC-32 ({!Sim.Disk.Frame}), and
-    written to a simulated disk whose [sync] barrier defines what a
-    crash preserves.  {!append} alone is *not* durable — the runtime
-    must {!force} (append + sync) before any externally visible action,
-    which is exactly the paper's "forces a record to stable storage
-    before acting".
-
-    On crash the log replays itself from the disk: scan the durable
-    image, verify checksums, truncate at the first invalid frame, and
-    report what was repaired.  A record that was appended but never
-    synced is gone — a *different*, and correctly handled, state than a
-    crash after the sync. *)
+(** The protocol engine's write-ahead log: the record type its sites
+    force (by {!Runtime} and {!Paxos}), the record's binary codec, and
+    the queries the engine's recovery reads.  Framing, the disk, group
+    commit and crash repair are {!Sim.Log}'s. *)
 
 type record =
   | Began of { protocol : string; initial : string }
@@ -104,157 +90,12 @@ let of_bytes bytes =
   | r -> Ok r
   | exception Failure m -> Error m
 
-(* ---------------- the log ---------------- *)
+include Sim.Log.Make (struct
+  type nonrec record = record
 
-type repair = {
-  survived : int;  (** records readable from the durable image after the crash *)
-  lost_records : int;  (** appended records that did not survive — unsynced, torn or corrupted *)
-  dropped_bytes : int;  (** bytes the recovery scan cut from the durable image *)
-  reason : string option;
-      (** why the scan truncated ([None]: the tail was lost cleanly at
-          the sync boundary, nothing to scan away) *)
-}
-[@@deriving show { with_path = false }, eq]
-
-type mode = Memory | Durable of Sim.Disk.t
-
-type group_commit = Sim.Batch.group = { max_batch : int; max_wait : float }
-
-type t = {
-  mutable cache : record list;  (** newest first — the live (volatile) view of the log *)
-  mode : mode;
-  mutable repair_log : repair list;  (** newest first; one entry per crash that lost anything *)
-  batch : Sim.Batch.t option;
-      (** group-commit batcher over the disk's sync barrier; [None] on
-          the fast path (no group, zero sync latency) where every force
-          is a synchronous sync *)
-  mutable metrics : Sim.Metrics.t option;
-}
-
-(** [durable:false] is the PR 3 in-memory log — sync is free and a crash
-    loses nothing; it remains as the benchmark baseline the codec+sync
-    overhead is measured against.  [seed] feeds the disk's private fault
-    stream (torn lengths, flipped bits) only. *)
-let create ?(seed = 0) ?(durable = true) ?group_commit ?(sync_latency = 0.0) () =
-  let mode = if durable then Durable (Sim.Disk.create ~seed ()) else Memory in
-  let batch =
-    match mode with
-    | Memory -> None
-    | Durable disk ->
-        if group_commit = None && sync_latency = 0.0 then None
-        else
-          Some
-            (Sim.Batch.create ?group:group_commit ~sync_latency
-               ~sync:(fun () -> Sim.Disk.sync disk)
-               ())
-  in
-  { cache = []; mode; repair_log = []; batch; metrics = None }
-
-(** Wire the log into a run: forces count into [metrics] and deferred
-    flushes ride [schedule] — pass a site-bound timer so pending batches
-    die with the site's crash. *)
-let attach ?on_drain t ~metrics ~schedule =
-  t.metrics <- Some metrics;
-  match t.batch with
-  | None -> ()
-  | Some b ->
-      Sim.Batch.attach b ~schedule
-        ~on_flush:(fun ~batch ->
-          Sim.Metrics.incr metrics "wal_group_flushes";
-          Sim.Metrics.observe metrics "group_batch_size" (float_of_int batch))
-        ?on_drain ()
-
-let count_force t =
-  match t.metrics with None -> () | Some m -> Sim.Metrics.incr m "wal_forces"
-
-let append t r =
-  t.cache <- r :: t.cache;
-  match t.mode with
-  | Memory -> ()
-  | Durable disk -> Sim.Disk.write disk (Sim.Disk.Frame.encode (to_bytes r))
-
-let sync t = match t.mode with Memory -> () | Durable disk -> Sim.Disk.sync disk
-
-(** The paper's forced write: not durable until both halves complete.
-    With a batcher armed, flushes through synchronously (covering the
-    queue ahead of it too). *)
-let force t r =
-  count_force t;
-  append t r;
-  match t.batch with None -> sync t | Some b -> Sim.Batch.flush_now b
-
-(** Asynchronous force: append now, run [k] once the record is on stable
-    storage.  Fast path = [force t r; k ()]; a crash in between loses
-    both record and callback. *)
-let force_k t r k =
-  count_force t;
-  append t r;
-  match t.batch with
-  | None ->
-      sync t;
-      k ()
-  | Some b -> Sim.Batch.submit b k
-
-(** Run [k] once everything appended so far is durable — immediately when
-    nothing is pending. *)
-let after_durable t k = match t.batch with None -> k () | Some b -> Sim.Batch.barrier b k
-
-let pending_forces t = match t.batch with None -> 0 | Some b -> Sim.Batch.pending b
-
-let records t = List.rev t.cache
-let length t = List.length t.cache
-
-let set_faults t injections =
-  match t.mode with
-  | Memory -> ()
-  | Durable disk -> Sim.Disk.set_faults disk injections
-
-let disk t = match t.mode with Memory -> None | Durable d -> Some d
-
-(** Crash the log's disk and rebuild the cache from what the durable
-    image yields: scan frames, verify checksums, truncate at the first
-    invalid one (and cut the disk back to that valid prefix, so
-    post-recovery appends land after well-formed frames).  After this
-    returns, the in-memory view *is* the durable view. *)
-let crash t =
-  (match t.batch with Some b -> Sim.Batch.crash b | None -> ());
-  match t.mode with
-  | Memory -> None
-  | Durable disk ->
-      let before = List.length t.cache in
-      Sim.Disk.crash disk;
-      let image = Sim.Disk.durable_contents disk in
-      let payloads, frame_repair = Sim.Disk.Frame.scan image in
-      (* a frame whose checksum passes but whose payload does not decode
-         would be a codec bug, not a storage fault; treat it like
-         corruption all the same and truncate there *)
-      let rec decode acc kept_bytes err = function
-        | [] -> (acc, kept_bytes, err)
-        | p :: rest -> (
-            match of_bytes p with
-            | Ok r ->
-                decode (r :: acc) (kept_bytes + Sim.Disk.Frame.header_len + Bytes.length p) err rest
-            | Error e -> (acc, kept_bytes, Some (Printf.sprintf "undecodable record: %s" e)))
-      in
-      let rev_records, kept_bytes, decode_err = decode [] 0 None payloads in
-      Sim.Disk.truncate disk kept_bytes;
-      t.cache <- rev_records;
-      let survived = List.length rev_records in
-      let repair =
-        {
-          survived;
-          lost_records = before - survived;
-          dropped_bytes = Bytes.length image - kept_bytes;
-          reason = (match decode_err with Some _ as e -> e | None -> frame_repair.Sim.Disk.Frame.reason);
-        }
-      in
-      if repair.lost_records > 0 || repair.dropped_bytes > 0 then begin
-        t.repair_log <- repair :: t.repair_log;
-        Some repair
-      end
-      else None
-
-let repairs t = List.rev t.repair_log
+  let to_bytes = to_bytes
+  let of_bytes = of_bytes
+end)
 
 (** Last logged local state, replayed in order: [Began] sets it,
     [Transitioned]/[Moved] update it. *)
@@ -279,24 +120,3 @@ let decided t =
   List.fold_left (fun acc r -> match r with Decided o -> Some o | _ -> acc) None (records t)
 
 let pp ppf t = Fmt.(list ~sep:cut pp_record) ppf (records t)
-
-(** Stable storage for a whole simulated system: one log per site,
-    surviving that site's crashes. *)
-module Store = struct
-  type wal = t
-  type nonrec t = wal array (* index = site - 1 *)
-
-  (* each site's disk gets its own fault stream, seeded by site id:
-     independent of the world RNG and of every other disk *)
-  let create ?(durable = true) ?group_commit ?(sync_latency = 0.0) ~n_sites () : t =
-    Array.init n_sites (fun i -> create ~seed:(i + 1) ~durable ?group_commit ~sync_latency ())
-
-  let log (t : t) ~site = t.(site - 1)
-  let sites (t : t) = List.init (Array.length t) (fun i -> i + 1)
-  let iter f (t : t) = Array.iteri (fun i w -> f (i + 1) w) t
-
-  let fold f init (t : t) =
-    let acc = ref init in
-    Array.iteri (fun i w -> acc := f !acc (i + 1) w) t;
-    !acc
-end

@@ -1,11 +1,9 @@
-(** Per-site write-ahead log on stable storage: records are serialized
-    through a binary codec, framed with a length prefix + CRC-32, and
-    written to a simulated {!Sim.Disk} whose sync barrier defines what a
-    crash preserves.  {!append} alone is not durable — the runtime must
-    {!force} (append + sync) before any externally visible action, the
-    paper's forced write.  On crash the log replays itself from the
-    durable image, truncating at the first invalid frame and reporting
-    what was repaired. *)
+(** The protocol engine's write-ahead log, an instance of {!Sim.Log}:
+    this module supplies the record type that {!Runtime} and {!Paxos}
+    force, its binary codec, and the queries recovery reads
+    ({!last_state}, {!voted_yes}, {!decided}).  Appending, forcing,
+    group commit, crash repair and the per-site {!Store} are
+    {!Sim.Log.S}'s, included here so every name keeps its path. *)
 
 type record =
   | Began of { protocol : string; initial : string }
@@ -26,87 +24,7 @@ val of_bytes : Bytes.t -> (record, string) result
 (** Total inverse of {!to_bytes}: [of_bytes (to_bytes r) = Ok r]; any
     truncated or mangled payload is an [Error], never an exception. *)
 
-type repair = {
-  survived : int;  (** records readable from the durable image after the crash *)
-  lost_records : int;  (** appended records that did not survive *)
-  dropped_bytes : int;  (** bytes the recovery scan cut from the durable image *)
-  reason : string option;
-      (** why the scan truncated ([None]: clean loss at the sync boundary) *)
-}
-
-val pp_repair : Format.formatter -> repair -> unit
-val show_repair : repair -> string
-val equal_repair : repair -> repair -> bool
-
-type t
-
-(** Group-commit knobs: at most [max_batch] records per shared sync, at
-    most [max_wait] simulated seconds of waiting for stragglers while
-    the device is idle. *)
-type group_commit = Sim.Batch.group = { max_batch : int; max_wait : float }
-
-val create :
-  ?seed:int -> ?durable:bool -> ?group_commit:group_commit -> ?sync_latency:float -> unit -> t
-(** [durable:false] is the PR 3 in-memory log (sync free, crash
-    lossless), kept as the benchmark baseline.  [seed] feeds only the
-    disk's private fault stream.  [group_commit] coalesces concurrent
-    {!force_k} calls into shared syncs; [sync_latency] charges simulated
-    seconds per sync (the cost group commit amortizes).  With neither
-    (the default) every force is a synchronous sync and all prior
-    behaviour is byte-identical. *)
-
-val attach :
-  ?on_drain:(unit -> unit) ->
-  t ->
-  metrics:Sim.Metrics.t ->
-  schedule:(float -> (unit -> unit) -> unit) ->
-  unit
-(** Wire the log into a run: forces count into [metrics] (wal_forces,
-    wal_group_flushes, group_batch_size) and deferred flushes ride
-    [schedule] — pass a site-bound timer so pending batches die with the
-    site.  [on_drain] fires after each batch's callbacks complete. *)
-
-val append : t -> record -> unit
-(** Volatile until the next {!sync}. *)
-
-val sync : t -> unit
-
-val force : t -> record -> unit
-(** [append] + [sync]: the paper's "force a record to stable storage".
-    With a batcher armed, flushes through synchronously (draining the
-    queue ahead of it first). *)
-
-val force_k : t -> record -> (unit -> unit) -> unit
-(** Asynchronous force: append now, run the callback once the record is
-    on stable storage.  Equals [force t r; k ()] on the fast path; under
-    group commit / sync latency the callback waits for the covering
-    batch, and a crash in between loses both record and callback. *)
-
-val after_durable : t -> (unit -> unit) -> unit
-(** Run the callback once everything appended so far is durable —
-    immediately when nothing is pending.  For reply-from-log paths that
-    must not expose a not-yet-durable record. *)
-
-val pending_forces : t -> int
-(** Forces whose completion callback has not yet fired. *)
-
-val crash : t -> repair option
-(** Lose the unsynced tail (with whatever storage faults are armed),
-    rescan the durable image, truncate at the first invalid frame, and
-    rebuild the in-memory view from what survived — after this the
-    volatile view {e is} the durable view.  [Some repair] iff anything
-    was lost. *)
-
-val set_faults : t -> Sim.Disk.injection list -> unit
-val disk : t -> Sim.Disk.t option
-
-val repairs : t -> repair list
-(** Oldest first; one entry per crash that lost records or bytes. *)
-
-val records : t -> record list
-(** Oldest first. *)
-
-val length : t -> int
+include Sim.Log.S with type record := record
 
 val last_state : t -> string option
 (** Last logged local state, replayed in order. *)
@@ -117,18 +35,3 @@ val voted_yes : t -> bool
 
 val decided : t -> Core.Types.outcome option
 val pp : Format.formatter -> t -> unit
-
-(** Stable storage for a whole simulated system: one log per site,
-    surviving that site's crashes.  Each site's disk gets a private
-    fault stream seeded by site id. *)
-module Store : sig
-  type wal = t
-  type t
-
-  val create :
-    ?durable:bool -> ?group_commit:group_commit -> ?sync_latency:float -> n_sites:int -> unit -> t
-  val log : t -> site:Core.Types.site -> wal
-  val sites : t -> Core.Types.site list
-  val iter : (Core.Types.site -> wal -> unit) -> t -> unit
-  val fold : ('a -> Core.Types.site -> wal -> 'a) -> 'a -> t -> 'a
-end

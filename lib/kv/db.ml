@@ -206,28 +206,12 @@ let run (cfg : config) (workload : (float * Txn.t) list) : result =
   in
   Sim.World.set_tracing world cfg.tracing;
   let storages = Array.init cfg.n_sites (fun _ -> Storage.create ()) in
-  (* per-site disks seeded by site id: the fault stream is private to the
-     disk, so arming storage faults never perturbs the world's RNG *)
-  let wals =
-    Array.init cfg.n_sites (fun i ->
-        Kv_wal.create ~seed:(i + 1) ~durable:cfg.durable_wal ?group_commit:cfg.group_commit
-          ~sync_latency:cfg.sync_latency ())
+  let store =
+    Kv_wal.Store.create ~durable:cfg.durable_wal ?group_commit:cfg.group_commit
+      ~sync_latency:cfg.sync_latency ~n_sites:cfg.n_sites ()
   in
-  List.iteri
-    (fun i wal ->
-      let site = i + 1 in
-      match List.filter_map (fun (s, inj) -> if s = site then Some inj else None) cfg.disk_faults with
-      | [] -> ()
-      | injections -> Kv_wal.set_faults wal injections)
-    (Array.to_list wals);
-  Sim.World.add_crash_hook world (fun site ->
-      match Kv_wal.crash wals.(site - 1) with
-      | None -> ()
-      | Some rep ->
-          Sim.Metrics.incr (Sim.World.metrics world) "wal_repairs";
-          Sim.World.record world "site %d wal repair: %d survived, %d lost, %d bytes dropped%s"
-            site rep.Kv_wal.survived rep.Kv_wal.lost_records rep.Kv_wal.dropped_bytes
-            (match rep.Kv_wal.reason with Some r -> " (" ^ r ^ ")" | None -> ""));
+  Kv_wal.Store.install store world ~disk_faults:cfg.disk_faults;
+  let wal site = Kv_wal.Store.log store ~site in
   (* partition the initial data *)
   List.iter
     (fun (k, v) ->
@@ -242,7 +226,7 @@ let run (cfg : config) (workload : (float * Txn.t) list) : result =
           ~read_only_opt:cfg.read_only_opt ~pipeline_depth:cfg.pipeline_depth
           ~query_backoff_cap:cfg.query_backoff_cap
           ~query_rng:(Sim.Rng.split qrng_root) ~site:(i + 1)
-          ~n_sites:cfg.n_sites ~protocol:cfg.protocol ~storage:storages.(i) ~wal:wals.(i)
+          ~n_sites:cfg.n_sites ~protocol:cfg.protocol ~storage:storages.(i) ~wal:(wal (i + 1))
           ~lock_wait_timeout:cfg.lock_wait_timeout ~query_interval:cfg.query_interval
           ~query_budget:cfg.query_budget ~detector:cfg.detector ~fencing:cfg.fencing ())
   in
@@ -267,7 +251,7 @@ let run (cfg : config) (workload : (float * Txn.t) list) : result =
        Must rebind on every (re)start: timers set through a pre-crash ctx
        die with the crash. *)
     let attach_wal ctx =
-      Kv_wal.attach wals.(site - 1)
+      Kv_wal.attach (wal site)
         ~on_drain:(fun () -> Node.drain_admissions n ctx)
         ~metrics:(Sim.World.metrics world)
         ~schedule:(fun delay k -> ignore (Sim.World.set_timer ctx ~delay k))
@@ -335,7 +319,7 @@ let run (cfg : config) (workload : (float * Txn.t) list) : result =
     nodes;
   (* ---- the judgement: one pass over the workload and one over each
      site's repaired log ---- *)
-  let logs = Array.map index_log wals in
+  let logs = Array.init cfg.n_sites (fun i -> index_log (wal (i + 1))) in
   let fate_tbl : (int, txn_fate) Hashtbl.t = Hashtbl.create 64 in
   let contradiction = ref false in
   let note txn fate =

@@ -1,12 +1,9 @@
-(** The database write-ahead log: per-site stable storage for the commit
-    path.  Records are serialized through a binary codec, framed with a
-    length prefix + CRC-32 ({!Sim.Disk.Frame}), and written to a
-    simulated disk whose sync barrier defines what a crash preserves —
-    [append] alone is not durable, the node must [force] (append + sync)
-    before any externally visible action.  Crash recovery replays the
-    durable image (truncating at the first invalid frame) to re-establish
-    locks of in-doubt transactions and to classify them (before the vote:
-    unilateral abort; after: in doubt). *)
+(** The database's write-ahead log: the record type the kv nodes force
+    at every commit-protocol boundary, its binary codec, and the
+    queries recovery reads to re-establish the locks of in-doubt
+    transactions and classify them (before the vote: unilateral abort;
+    after: in doubt).  Framing, the disk, group commit and crash repair
+    are {!Sim.Log}'s. *)
 
 type record =
   | P_prepared of {
@@ -177,151 +174,12 @@ let of_bytes bytes =
   | r -> Ok r
   | exception Failure m -> Error m
 
-(* ---------------- the log ---------------- *)
+include Sim.Log.Make (struct
+  type nonrec record = record
 
-type repair = {
-  survived : int;
-  lost_records : int;
-  dropped_bytes : int;
-  reason : string option;
-}
-[@@deriving show { with_path = false }, eq]
-
-type mode = Memory | Durable of Sim.Disk.t
-
-type group_commit = Sim.Batch.group = { max_batch : int; max_wait : float }
-
-type t = {
-  mutable cache : record list;  (** newest first — the live (volatile) view *)
-  mode : mode;
-  mutable repair_log : repair list;  (** newest first *)
-  batch : Sim.Batch.t option;  (** group-commit / sync-latency machinery, when armed *)
-  mutable metrics : Sim.Metrics.t option;
-}
-
-let create ?(seed = 0) ?(durable = true) ?group_commit ?(sync_latency = 0.0) () =
-  let mode = if durable then Durable (Sim.Disk.create ~seed ()) else Memory in
-  let batch =
-    match mode with
-    | Memory -> None
-    | Durable disk ->
-        if group_commit = None && sync_latency <= 0.0 then None
-        else
-          Some
-            (Sim.Batch.create ?group:group_commit ~sync_latency
-               ~sync:(fun () -> Sim.Disk.sync disk)
-               ())
-  in
-  { cache = []; mode; repair_log = []; batch; metrics = None }
-
-(** [attach t ~metrics ~schedule] wires the log into a run: forces are
-    counted into [metrics] (wal_forces / wal_group_flushes /
-    group_batch_size) and deferred flushes ride [schedule] — a site-bound
-    timer, so pending batches die with the site. *)
-let attach ?on_drain t ~metrics ~schedule =
-  t.metrics <- Some metrics;
-  match t.batch with
-  | None -> ()
-  | Some b ->
-      Sim.Batch.attach b ~schedule
-        ~on_flush:(fun ~batch ->
-          Sim.Metrics.incr metrics "wal_group_flushes";
-          Sim.Metrics.observe metrics "group_batch_size" (float_of_int batch))
-        ?on_drain ()
-
-let count_force t =
-  match t.metrics with Some m -> Sim.Metrics.incr m "wal_forces" | None -> ()
-
-let append t r =
-  t.cache <- r :: t.cache;
-  match t.mode with
-  | Memory -> ()
-  | Durable disk -> Sim.Disk.write disk (Sim.Disk.Frame.encode (to_bytes r))
-
-let sync t = match t.mode with Memory -> () | Durable disk -> Sim.Disk.sync disk
-
-(** The paper's forced write: not durable until both halves complete.
-    With a batcher armed this flushes through synchronously, draining
-    whatever was queued ahead of it first (order preserved). *)
-let force t r =
-  count_force t;
-  append t r;
-  match t.batch with None -> sync t | Some b -> Sim.Batch.flush_now b
-
-(** [force_k t r k] — the asynchronous force: append [r] now, run [k]
-    once [r] is on stable storage.  On the fast path (no batcher) that is
-    immediately, making it byte-identical to [force t r; k ()]; with
-    group commit or sync latency armed, [k] waits for the covering batch
-    and a crash in between loses both the record and the callback. *)
-let force_k t r k =
-  count_force t;
-  append t r;
-  match t.batch with
-  | None ->
-      sync t;
-      k ()
-  | Some b -> Sim.Batch.submit b k
-
-(** [after_durable t k] runs [k] once everything appended so far is on
-    stable storage — immediately when nothing is pending.  Used for
-    reply-from-log paths that must not expose a not-yet-durable record. *)
-let after_durable t k =
-  match t.batch with None -> k () | Some b -> Sim.Batch.barrier b k
-
-(** Forces submitted whose completion has not yet fired (the coordinator
-    pipelining admission gate reads this). *)
-let pending_forces t = match t.batch with None -> 0 | Some b -> Sim.Batch.pending b
-
-let set_faults t injections =
-  match t.mode with
-  | Memory -> ()
-  | Durable disk -> Sim.Disk.set_faults disk injections
-
-let disk t = match t.mode with Memory -> None | Durable d -> Some d
-
-(** Crash the log's disk and rebuild the cache from the durable image:
-    scan frames, verify checksums, truncate at the first invalid one (and
-    cut the disk back to the valid prefix).  After this the in-memory
-    view {e is} the durable view. *)
-let crash t =
-  (match t.batch with Some b -> Sim.Batch.crash b | None -> ());
-  match t.mode with
-  | Memory -> None
-  | Durable disk ->
-      let before = List.length t.cache in
-      Sim.Disk.crash disk;
-      let image = Sim.Disk.durable_contents disk in
-      let payloads, frame_repair = Sim.Disk.Frame.scan image in
-      let rec decode acc kept_bytes err = function
-        | [] -> (acc, kept_bytes, err)
-        | p :: rest -> (
-            match of_bytes p with
-            | Ok r ->
-                decode (r :: acc) (kept_bytes + Sim.Disk.Frame.header_len + Bytes.length p) err rest
-            | Error e -> (acc, kept_bytes, Some (Printf.sprintf "undecodable record: %s" e)))
-      in
-      let rev_records, kept_bytes, decode_err = decode [] 0 None payloads in
-      Sim.Disk.truncate disk kept_bytes;
-      t.cache <- rev_records;
-      let survived = List.length rev_records in
-      let repair =
-        {
-          survived;
-          lost_records = before - survived;
-          dropped_bytes = Bytes.length image - kept_bytes;
-          reason = (match decode_err with Some _ as e -> e | None -> frame_repair.Sim.Disk.Frame.reason);
-        }
-      in
-      if repair.lost_records > 0 || repair.dropped_bytes > 0 then begin
-        t.repair_log <- repair :: t.repair_log;
-        Some repair
-      end
-      else None
-
-let repairs t = List.rev t.repair_log
-let records t = List.rev t.cache
-let iter_newest_first t f = List.iter f t.cache
-let length t = List.length t.cache
+  let to_bytes = to_bytes
+  let of_bytes = of_bytes
+end)
 
 (** Participant-side classification of [txn] from the log. *)
 type p_class =

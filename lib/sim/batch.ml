@@ -8,9 +8,8 @@
     callbacks fire after the barrier completes.
 
     The batcher is generic over the barrier — it is handed a [sync]
-    thunk, not a disk — so both WAL flavours ({!Engine.Wal} and
-    {!Kv.Kv_wal}) wire it over their own {!Sim.Disk.sync}.  Two
-    orthogonal knobs:
+    thunk, not a disk — and {!Log} wires it over each site's
+    {!Disk.sync}.  Two orthogonal knobs:
 
     - [group]: coalesce up to [max_batch] records per sync, waiting at
       most [max_wait] simulated seconds for stragglers when the device

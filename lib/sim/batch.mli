@@ -4,8 +4,8 @@
     syncs: callers enqueue a completion callback per record, one sync
     covers everything queued, and the callbacks fire — strictly in
     submission order — once the barrier completes.  Generic over the
-    barrier (a [sync] thunk), so both {!Engine.Wal} and {!Kv.Kv_wal}
-    instantiate it over their own {!Sim.Disk.sync}.
+    barrier (a [sync] thunk); {!Log} instantiates it over each site's
+    {!Disk.sync}.
 
     Two orthogonal knobs: [group] ([max_batch] records per sync, at most
     [max_wait] simulated seconds of idle-device dawdling) and

@@ -131,8 +131,7 @@ let test_send_during_partition_dropped () =
    under 2PC the minority blocks instead. *)
 let test_3pc_splits_brain_under_partition () =
   let r =
-    Engine.Partition_ablation.run ~rulebook:(Lazy.force rb3) ~from_t:1.5 ~until_t:200.0
-      ~groups:[ [ 1; 2 ]; [ 3 ] ] ~seed:1 ()
+    R.run (R.config ~seed:1 ~partition:(1.5, 200.0, [ [ 1; 2 ]; [ 3 ] ]) (Lazy.force rb3))
   in
   Alcotest.(check bool) "INCONSISTENT outcome (split brain)" false r.R.consistent;
   (* majority side committed, minority aborted *)
@@ -143,8 +142,7 @@ let test_3pc_splits_brain_under_partition () =
 
 let test_2pc_blocks_but_stays_consistent () =
   let r =
-    Engine.Partition_ablation.run ~rulebook:(Lazy.force rb2) ~from_t:1.5 ~until_t:200.0
-      ~groups:[ [ 1; 2 ]; [ 3 ] ] ~seed:1 ()
+    R.run (R.config ~seed:1 ~partition:(1.5, 200.0, [ [ 1; 2 ]; [ 3 ] ]) (Lazy.force rb2))
   in
   Alcotest.(check bool) "consistent" true r.R.consistent;
   let outcome s = (List.nth r.R.reports (s - 1)).R.outcome in
@@ -156,8 +154,7 @@ let test_2pc_blocks_but_stays_consistent () =
 let test_no_partition_no_difference () =
   (* the ablation entry point with an empty partition behaves like run *)
   let r =
-    Engine.Partition_ablation.run ~rulebook:(Lazy.force rb3) ~from_t:0.0 ~until_t:0.0 ~groups:[]
-      ~seed:1 ()
+    R.run (R.config ~seed:1 ~partition:(0.0, 0.0, []) (Lazy.force rb3))
   in
   Alcotest.(check bool) "consistent" true r.R.consistent;
   Alcotest.(check bool) "all decided" true r.R.all_operational_decided

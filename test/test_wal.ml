@@ -114,40 +114,62 @@ let prop_memory_and_codec_summaries_agree =
       List.iter (W.append mem) records;
       summaries mem = summaries (replay_through_codec records))
 
+(* force [forced], append [tail], crash: the steps both crash properties
+   take, over either record codec *)
+let crashed (type l r) (module L : Sim.Log.S with type t = l and type record = r) ?(seed = 0)
+    ?(faults = []) forced tail =
+  let w = L.create ~seed ~durable:true () in
+  L.set_faults w faults;
+  List.iter (L.force w) forced;
+  List.iter (L.append w) tail;
+  ignore (L.crash w);
+  w
+
+(* what survives is a prefix of what was appended, no shorter than what
+   was forced *)
+let recovers_a_prefix equal survived forced tail =
+  let n = List.length survived in
+  n >= List.length forced
+  && n <= List.length forced + List.length tail
+  && List.for_all2 equal survived (List.filteri (fun i _ -> i < n) (forced @ tail))
+
 let prop_durable_crash_without_faults_preserves_forced_records =
   Helpers.qtest "a fault-free crash preserves exactly the forced prefix"
-    QCheck2.Gen.(pair (small_list gen_record) (small_list gen_record))
-    (fun (forced, unsynced) ->
-      let w = W.create ~durable:true () in
-      List.iter (W.force w) forced;
-      List.iter (W.append w) unsynced;
-      ignore (W.crash w);
+    QCheck2.Gen.(
+      pair
+        (pair (small_list gen_record) (small_list gen_record))
+        (pair (small_list gen_kv_record) (small_list gen_kv_record)))
+    (fun ((forced, unsynced), (kv_forced, kv_unsynced)) ->
+      let w = crashed (module W) forced unsynced in
       let mem = W.create ~durable:false () in
       List.iter (W.append mem) forced;
-      List.for_all2 W.equal_record (W.records w) forced && summaries w = summaries mem)
+      List.for_all2 W.equal_record (W.records w) forced
+      && summaries w = summaries mem
+      && List.for_all2 KW.equal_record
+           (KW.records (crashed (module KW) kv_forced kv_unsynced))
+           kv_forced)
 
 let prop_torn_tail_recovers_a_prefix =
   Helpers.qtest "a torn crash recovers a prefix whose summaries agree"
-    QCheck2.Gen.(triple (small_list gen_record) (small_list gen_record) (int_range 0 1000))
-    (fun (forced, tail, seed) ->
-      let w = W.create ~seed ~durable:true () in
-      W.set_faults w [ { D.fault = D.Torn; nth = 0 } ];
-      List.iter (W.force w) forced;
-      List.iter (W.append w) tail;
-      ignore (W.crash w);
+    QCheck2.Gen.(
+      triple
+        (pair (small_list gen_record) (small_list gen_record))
+        (pair (small_list gen_kv_record) (small_list gen_kv_record))
+        (int_range 0 1000))
+    (fun ((forced, tail), (kv_forced, kv_tail), seed) ->
+      let faults = [ { D.fault = D.Torn; nth = 0 } ] in
+      let w = crashed (module W) ~seed ~faults forced tail in
       let survived = W.records w in
-      let n = List.length survived in
-      (* what survives is a prefix of what was appended... *)
-      n >= List.length forced
-      && n <= List.length forced + List.length tail
-      && List.for_all2 W.equal_record survived
-           (List.filteri (fun i _ -> i < n) (forced @ tail))
+      recovers_a_prefix W.equal_record survived forced tail
       &&
-      (* ...and the summaries computed from it equal the in-memory
-         summaries of that same prefix *)
+      (* the summaries computed from the recovered log equal the
+         in-memory summaries of that same prefix *)
       let mem = W.create ~durable:false () in
       List.iter (W.append mem) survived;
-      summaries w = summaries mem)
+      summaries w = summaries mem
+      && recovers_a_prefix KW.equal_record
+           (KW.records (crashed (module KW) ~seed ~faults kv_forced kv_tail))
+           kv_forced kv_tail)
 
 let test_torn_tail_repair_reported () =
   (* deterministic pinned case: a torn crash that cuts a record in half
@@ -164,6 +186,36 @@ let test_torn_tail_repair_reported () =
     ignore (W.repairs w)
   done;
   Alcotest.(check bool) "some seed tears mid-record and reports a reason" true !seen
+
+let test_undecodable_record_truncates () =
+  (* a frame whose checksum passes but whose payload is no record: the
+     scan accepts the frame, the decode rejects it, and the crash must
+     cut the log there *)
+  let w = W.create ~durable:true () in
+  let kept =
+    [ W.Began { protocol = "x"; initial = "q" }; W.Transitioned { to_state = "w"; vote = None } ]
+  in
+  List.iter (W.force w) kept;
+  let disk = Option.get (W.disk w) in
+  let good_bytes = D.durable_bytes disk in
+  D.write disk (D.Frame.encode (Bytes.of_string "\xff"));
+  D.sync disk;
+  W.force w (W.Decided Core.Types.Committed);
+  let rep = W.crash w in
+  Alcotest.(check (option string))
+    "reason" (Some "undecodable record: unknown record tag 255")
+    (Option.bind rep (fun r -> r.W.reason));
+  Alcotest.(check (option (pair int int)))
+    "survived, lost" (Some (2, 1))
+    (Option.map (fun r -> (r.W.survived, r.W.lost_records)) rep);
+  Alcotest.(check bool) "records before the bad frame kept" true
+    (List.equal W.equal_record kept (W.records w));
+  Alcotest.(check int) "disk cut back to them" good_bytes (D.durable_bytes disk);
+  let next = W.Decided Core.Types.Aborted in
+  W.force w next;
+  Alcotest.(check bool) "next crash loses nothing" true (W.crash w = None);
+  Alcotest.(check bool) "next append lands after them" true
+    (List.equal W.equal_record (kept @ [ next ]) (W.records w))
 
 (* ---------------- the store ---------------- *)
 
@@ -191,5 +243,7 @@ let suite =
     prop_durable_crash_without_faults_preserves_forced_records;
     prop_torn_tail_recovers_a_prefix;
     Alcotest.test_case "torn tail surfaces in repairs" `Quick test_torn_tail_repair_reported;
+    Alcotest.test_case "an undecodable record truncates the log" `Quick
+      test_undecodable_record_truncates;
     Alcotest.test_case "store: sites, iter, fold" `Quick test_store_sites_iter_fold;
   ]
