@@ -46,29 +46,8 @@ let workers = Helpers_bench.arg_int "--workers" ~default:1 Sys.argv
    - margin] so a spike alone cannot partition the survivors into
    mutually suspecting halves — that regime is measured separately by
    the timeout sweep. *)
-let detector_profile =
-  {
-    N.default_profile with
-    N.p_delay_spike = 0.4;
-    spike_extra_min = 1.0;
-    spike_extra_max = 3.5;
-    p_stall = 0.45;
-    p_hb_loss = 0.5;
-    detector_window_min = 4.0;
-    detector_window_max = 14.0;
-  }
-
-let kv_detector_profile =
-  {
-    KC.default_profile with
-    N.p_delay_spike = 0.4;
-    spike_extra_min = 1.0;
-    spike_extra_max = 3.5;
-    p_stall = 0.45;
-    p_hb_loss = 0.5;
-    detector_window_min = 4.0;
-    detector_window_max = 14.0;
-  }
+let detector_profile = N.detector_faults N.default_profile
+let kv_detector_profile = N.detector_faults KC.default_profile
 
 (* The fencing ablation, pinned (experiment E19).  Coordinator crashes
    having precommitted site 2 only; site 3 terminates at epoch 2,

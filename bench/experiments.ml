@@ -612,8 +612,8 @@ let e17_db_partition () =
          ~initial_data:[ (k1, 100); (k2, 100) ] ())
       wl
   in
-  let skeen = run Kv.Node.T_skeen in
-  let quorum = run (Kv.Node.T_quorum 2) in
+  let skeen = run Kv.Node.Skeen in
+  let quorum = run (Kv.Node.Quorum 2) in
   Fmt.pr "--- Skeen rule ---@.%a@.@." Kv.Db.pp_result skeen;
   Fmt.pr "--- quorum rule ---@.%a@.@." Kv.Db.pp_result quorum;
   check "E17 Skeen rule split-brains on this schedule" (not skeen.Kv.Db.atomicity_ok);

@@ -19,21 +19,23 @@ type config = {
   seed : int;
   tracing : bool;
   until : float;
-  query_interval : float;
-  query_backoff_cap : float;
 }
 
 let acceptors ~n_sites ~f =
   if f = 0 then [ 1 ] else List.init ((2 * f) + 1) (fun i -> n_sites - (2 * f) + i)
 
+(* base delay and ceiling of the retry/query backoff ({!Sim.Backoff}) *)
+let query_interval = 3.0
+let query_backoff_cap = 45.0
+
 let config ?(votes = []) ?(plan = Failure_plan.none) ?(seed = 0) ?(tracing = false)
-    ?(until = 1500.0) ?(query_interval = 3.0) ?(query_backoff_cap = 45.0) ~n_sites ~f () =
+    ?(until = 1500.0) ~n_sites ~f () =
   if n_sites < 2 then Fmt.invalid_arg "Paxos.config: need at least 2 sites, got %d" n_sites;
   if f < 0 then Fmt.invalid_arg "Paxos.config: negative f";
   if f > 0 && (2 * f) + 1 > n_sites then
     Fmt.invalid_arg "Paxos.config: f=%d needs %d acceptor sites but n_sites=%d" f ((2 * f) + 1)
       n_sites;
-  { n_sites; f; votes; plan; seed; tracing; until; query_interval; query_backoff_cap }
+  { n_sites; f; votes; plan; seed; tracing; until }
 
 (* ------------------------------------------------------------------ *)
 (* Wire messages                                                       *)
@@ -229,8 +231,8 @@ let rec arm_redrive t ctx rt (ld : lead) =
   let attempt = ld.l_attempt in
   ld.l_attempt <- attempt + 1;
   let delay =
-    Sim.Backoff.delay ~rng:t.query_rng ~interval:t.cfg.query_interval
-      ~cap:t.cfg.query_backoff_cap ~attempt
+    Sim.Backoff.delay ~rng:t.query_rng ~interval:query_interval
+      ~cap:query_backoff_cap ~attempt
   in
   ignore
     (Sim.World.set_timer ctx ~delay (fun () ->
@@ -282,8 +284,8 @@ let rec arm_query t ctx rt =
   if (not rt.querying) && rt.outcome = None then begin
     rt.querying <- true;
     let delay =
-      Sim.Backoff.delay ~rng:t.query_rng ~interval:t.cfg.query_interval
-        ~cap:t.cfg.query_backoff_cap ~attempt:rt.query_attempt
+      Sim.Backoff.delay ~rng:t.query_rng ~interval:query_interval
+        ~cap:query_backoff_cap ~attempt:rt.query_attempt
     in
     rt.query_attempt <- rt.query_attempt + 1;
     ignore

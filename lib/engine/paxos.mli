@@ -34,8 +34,6 @@ type config = {
   seed : int;
   tracing : bool;
   until : float;
-  query_interval : float;  (** base delay of the retry/query backoff *)
-  query_backoff_cap : float;
 }
 
 val config :
@@ -44,8 +42,6 @@ val config :
   ?seed:int ->
   ?tracing:bool ->
   ?until:float ->
-  ?query_interval:float ->
-  ?query_backoff_cap:float ->
   n_sites:int ->
   f:int ->
   unit ->

@@ -121,12 +121,6 @@ type config = {
   seed : int;
   tracing : bool;
   until : float;
-  query_interval : float;  (** base delay of the query backoff *)
-  query_backoff_cap : float;
-      (** ceiling on the exponential backoff between outcome queries.
-          Queries retry for as long as the site is undecided — the run's
-          [until] horizon bounds them, not a counter; a fixed budget made
-          liveness depend on how long a peer stayed unreachable. *)
   partition : (float * float * Core.Types.site list list) option;
       (** (from, until, groups): run under a network partition, violating
           the paper's reliable-detector assumption — the ablation that
@@ -172,8 +166,16 @@ type config = {
           [late_force].  Default [true]. *)
 }
 
+(* Outcome queries back off from [query_interval] to [query_backoff_cap]
+   (jittered, {!Sim.Backoff}).  They retry for as long as the site is
+   undecided — the run's [until] horizon bounds them, not a counter; a
+   fixed budget made liveness depend on how long a peer stayed
+   unreachable. *)
+let query_interval = 5.0
+let query_backoff_cap = 45.0
+
 let config ?(votes = []) ?(plan = Failure_plan.none) ?(seed = 1) ?(tracing = false)
-    ?(until = 10_000.0) ?(query_interval = 5.0) ?(query_backoff_cap = 45.0) ?partition
+    ?(until = 10_000.0) ?partition
     ?(termination = Skeen) ?(presumption = No_presumption) ?(read_only = []) ?group_commit
     ?(sync_latency = 0.0) ?(durable_wal = true) ?(late_force = false) ?(detector = false)
     ?(heartbeat_period = 1.0) ?(suspicion_timeout = 5.0) ?(election_timeout = 4.0)
@@ -187,8 +189,6 @@ let config ?(votes = []) ?(plan = Failure_plan.none) ?(seed = 1) ?(tracing = fal
     seed;
     tracing;
     until;
-    query_interval;
-    query_backoff_cap;
     partition;
     termination;
     presumption;
@@ -446,8 +446,8 @@ module Exec = struct
     if rt.outcome = None then begin
       query_peers t ctx rt;
       let delay =
-        Sim.Backoff.delay ~rng:t.query_rng ~interval:t.cfg.query_interval
-          ~cap:t.cfg.query_backoff_cap ~attempt:rt.query_attempts
+        Sim.Backoff.delay ~rng:t.query_rng ~interval:query_interval
+          ~cap:query_backoff_cap ~attempt:rt.query_attempts
       in
       rt.query_attempts <- rt.query_attempts + 1;
       ignore (Sim.World.set_timer ctx ~delay (fun () -> start_query_loop t ctx rt))

@@ -44,11 +44,9 @@ type config = {
   seed : int;
   tracing : bool;
   until : float;
-  query_interval : float;  (** base delay of the query backoff *)
-  query_backoff_cap : float;
-      (** ceiling on the exponential backoff between outcome queries;
-          undecided sites retry (with jitter) until the run's [until]
-          horizon, not until a counter runs out *)
+      (** the run's horizon; undecided sites retry their outcome queries
+          (with capped, jittered backoff) until it, not until a counter
+          runs out *)
   partition : (float * float * Core.Types.site list list) option;
       (** (from, until, groups): run under a network partition, violating
           the paper's reliable-detector assumption *)
@@ -100,8 +98,6 @@ val config :
   ?seed:int ->
   ?tracing:bool ->
   ?until:float ->
-  ?query_interval:float ->
-  ?query_backoff_cap:float ->
   ?partition:float * float * Core.Types.site list list ->
   ?termination:termination_rule ->
   ?presumption:presumption ->

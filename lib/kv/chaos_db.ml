@@ -261,7 +261,7 @@ let fingerprint_of (r : Db.result) =
 
 (* One Db.config per public call: the schedule's faults and the run's
    seed and tracing are set per run. *)
-let config ?(protocol = Node.Three_phase) ?(termination = Node.T_skeen) ?presumption
+let config ?(protocol = Node.Three_phase) ?(termination = Node.Skeen) ?presumption
     ?read_only_opt ?group_commit ?sync_latency ?pipeline_depth ?(n_sites = 4) ?(until = 3000.0)
     ?(durable_wal = true) ?detector ?fencing ?heartbeat_period ?suspicion_timeout () =
   Db.config ~n_sites ~protocol ~termination ?presumption ?read_only_opt ?group_commit

@@ -12,9 +12,6 @@ type config = {
   read_only_opt : bool;
   seed : int;
   lock_wait_timeout : float;
-  query_interval : float;
-  query_backoff_cap : float;
-  query_budget : int;
   tracing : bool;
   until : float;
   crashes : (Core.Types.site * float) list;
@@ -52,8 +49,8 @@ type config = {
 }
 
 let config ?(n_sites = 4) ?(protocol = Node.Three_phase) ?(presumption = Node.No_presumption)
-    ?(termination = Node.T_skeen) ?(read_only_opt = false) ?(seed = 1) ?(lock_wait_timeout = 25.0)
-    ?(query_interval = 10.0) ?(query_backoff_cap = 60.0) ?(query_budget = 200) ?(tracing = false)
+    ?(termination = Node.Skeen) ?(read_only_opt = false) ?(seed = 1) ?(lock_wait_timeout = 25.0)
+    ?(tracing = false)
     ?(until = 100_000.0) ?(crashes = []) ?(recoveries = []) ?(partitions = []) ?(msg_faults = [])
     ?(durable_wal = true) ?group_commit ?(sync_latency = 0.0) ?(pipeline_depth = 1)
     ?(disk_faults = []) ?(initial_data = []) ?(detector = false) ?(fencing = true)
@@ -71,9 +68,6 @@ let config ?(n_sites = 4) ?(protocol = Node.Three_phase) ?(presumption = Node.No
     read_only_opt;
     seed;
     lock_wait_timeout;
-    query_interval;
-    query_backoff_cap;
-    query_budget;
     tracing;
     until;
     crashes;
@@ -224,11 +218,9 @@ let run (cfg : config) (workload : (float * Txn.t) list) : result =
     Array.init cfg.n_sites (fun i ->
         Node.create ~presumption:cfg.presumption ~termination:cfg.termination
           ~read_only_opt:cfg.read_only_opt ~pipeline_depth:cfg.pipeline_depth
-          ~query_backoff_cap:cfg.query_backoff_cap
-          ~query_rng:(Sim.Rng.split qrng_root) ~site:(i + 1)
-          ~n_sites:cfg.n_sites ~protocol:cfg.protocol ~storage:storages.(i) ~wal:(wal (i + 1))
-          ~lock_wait_timeout:cfg.lock_wait_timeout ~query_interval:cfg.query_interval
-          ~query_budget:cfg.query_budget ~detector:cfg.detector ~fencing:cfg.fencing ())
+          ~query_rng:(Sim.Rng.split qrng_root) ~site:(i + 1) ~n_sites:cfg.n_sites
+          ~protocol:cfg.protocol ~storage:storages.(i) ~wal:(wal (i + 1))
+          ~lock_wait_timeout:cfg.lock_wait_timeout ~detector:cfg.detector ~fencing:cfg.fencing ())
   in
   let node site = nodes.(site - 1) in
   (* detector mode: suspicion (revocable) drives the nodes' peer views

@@ -11,10 +11,6 @@ type config = {
   read_only_opt : bool;
   seed : int;
   lock_wait_timeout : float;
-  query_interval : float;
-  query_backoff_cap : float;
-      (** ceiling on the exponential backoff between outcome queries *)
-  query_budget : int;
   tracing : bool;
   until : float;
   crashes : (Core.Types.site * float) list;
@@ -67,9 +63,6 @@ val config :
   ?read_only_opt:bool ->
   ?seed:int ->
   ?lock_wait_timeout:float ->
-  ?query_interval:float ->
-  ?query_backoff_cap:float ->
-  ?query_budget:int ->
   ?tracing:bool ->
   ?until:float ->
   ?crashes:(Core.Types.site * float) list ->

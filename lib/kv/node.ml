@@ -27,21 +27,12 @@ type protocol = Two_phase | Three_phase | Paxos of int
     [Paxos 0] is the degenerate single-acceptor form, behaviourally 2PC
     with the decision forced on the acceptor's log. *)
 
-(** The classic commit-protocol presumptions (of the R-star system): which outcome the
-    coordinator may "forget" immediately, because a recovering or inquiring
-    participant will presume it when no information is found.  The covered
-    side skips the participants' final acknowledgements and the
-    coordinator's retained state. *)
-type presumption = No_presumption | Presume_abort | Presume_commit
+(* The protocol engine's lever types, re-exported: both harnesses take one
+   vocabulary. *)
+type presumption = Engine.Runtime.presumption = No_presumption | Presume_abort | Presume_commit
 [@@deriving show { with_path = false }, eq]
 
-(** How orphaned transactions are terminated when their coordinator dies
-    under 3PC (see {!Engine.Runtime.termination_rule} for the protocol-level
-    discussion): [T_skeen] decides from the backup's own transaction state
-    (the paper's rule — live but partition-unsafe); [T_quorum q] polls
-    reachable participants and requires a quorum either way, with monotone
-    moves (never demoting a precommit). *)
-type termination = T_skeen | T_quorum of int [@@deriving show { with_path = false }, eq]
+type termination = Engine.Runtime.termination_rule = Skeen | Quorum of int
 
 type p_status = P_working | P_prepared | P_precommitted | P_done of bool
 [@@deriving show { with_path = false }, eq]
@@ -154,8 +145,6 @@ type t = {
       (** volatile: client transactions awaiting admission (with their
           arrival time, so queueing shows up in commit latency) *)
   lock_wait_timeout : float;
-  query_interval : float;
-  query_backoff_cap : float;
   query_rng : Sim.Rng.t;  (** jitter stream for the query backoff *)
   mutable query_budget : int;
   (* observability *)
@@ -166,10 +155,16 @@ type t = {
   mutable blocked_time : float;  (** cumulative blocked-lock-holding time *)
 }
 
-let create ?(presumption = No_presumption) ?(termination = T_skeen) ?(read_only_opt = false)
-    ?(pipeline_depth = 1) ?(query_backoff_cap = 60.0) ?query_rng ?(detector = false)
-    ?(fencing = true) ~site ~n_sites ~protocol ~storage ~wal ~lock_wait_timeout ~query_interval
-    ~query_budget () =
+(* Outcome queries back off from [query_interval] to [query_backoff_cap]
+   (jittered, {!Sim.Backoff}); a site's [query_budget] rounds bound all of
+   its in-doubt transactions together. *)
+let query_interval = 10.0
+let query_backoff_cap = 60.0
+let query_budget = 200
+
+let create ?(presumption = No_presumption) ?(termination = Skeen) ?(read_only_opt = false)
+    ?(pipeline_depth = 1) ?query_rng ?(detector = false) ?(fencing = true) ~site ~n_sites
+    ~protocol ~storage ~wal ~lock_wait_timeout () =
   if pipeline_depth < 1 then invalid_arg "Node.create: pipeline_depth must be >= 1";
   (match protocol with
   | Paxos f when f < 0 -> invalid_arg "Node.create: Paxos f must be >= 0"
@@ -206,8 +201,6 @@ let create ?(presumption = No_presumption) ?(termination = T_skeen) ?(read_only_
     pipeline_depth;
     admission_q = Queue.create ();
     lock_wait_timeout;
-    query_interval;
-    query_backoff_cap;
     query_rng =
       (match query_rng with Some r -> r | None -> Sim.Rng.create ~seed:(site * 7919));
     query_budget;
@@ -516,8 +509,8 @@ let rec pax_accept_round node ctx ~txn ~attempt =
       if node.query_budget > 0 then begin
         node.query_budget <- node.query_budget - 1;
         let delay =
-          Sim.Backoff.delay ~rng:node.query_rng ~interval:node.query_interval
-            ~cap:node.query_backoff_cap ~attempt
+          Sim.Backoff.delay ~rng:node.query_rng ~interval:query_interval
+            ~cap:query_backoff_cap ~attempt
         in
         ignore
           (Sim.World.set_timer ctx ~delay (fun () ->
@@ -774,8 +767,8 @@ let rec query_round ?(on_round = fun () -> ()) node ctx ~txn ~targets ~attempt =
     on_round ();
     List.iter (fun dst -> Sim.World.send ctx ~dst (Kv_msg.Status_req { txn })) targets;
     let delay =
-      Sim.Backoff.delay ~rng:node.query_rng ~interval:node.query_interval
-        ~cap:node.query_backoff_cap ~attempt
+      Sim.Backoff.delay ~rng:node.query_rng ~interval:query_interval
+        ~cap:query_backoff_cap ~attempt
     in
     ignore
       (Sim.World.set_timer ctx ~delay (fun () ->
@@ -967,7 +960,7 @@ let run_termination node ctx (p : p_txn) =
         if others = [] then on_demote_ack node ctx ~src:node.site ~txn:p.txn
   end
 
-(* ---- quorum termination (T_quorum): poll, then decide by counts ---- *)
+(* ---- quorum termination (Quorum): poll, then decide by counts ---- *)
 
 let local_pstate node ~txn : [ `Working | `Prepared | `Precommitted | `Done of bool ] =
   match Hashtbl.find_opt node.p_txns txn with
@@ -1142,8 +1135,8 @@ let on_peer_down node ctx failed =
                 (match eligible_backup node p with
                 | Some backup when backup = node.site -> (
                     match node.termination with
-                    | T_skeen -> run_termination node ctx p
-                    | T_quorum q -> run_quorum_termination node ctx p ~q)
+                    | Skeen -> run_termination node ctx p
+                    | Quorum q -> run_quorum_termination node ctx p ~q)
                 | Some _ -> ()
                 | None ->
                     (* every participant crashed at least once: fall back to
@@ -1156,7 +1149,7 @@ let on_peer_down node ctx failed =
       if List.mem failed poll.q_awaiting then begin
         poll.q_awaiting <- List.filter (fun s -> s <> failed) poll.q_awaiting;
         match (Hashtbl.find_opt node.p_txns txn, node.termination) with
-        | Some p, T_quorum q -> evaluate_quorum_poll node ctx p ~q poll
+        | Some p, Quorum q -> evaluate_quorum_poll node ctx p ~q poll
         | _ -> ()
       end)
     node.pollings
@@ -1185,7 +1178,7 @@ let on_peer_up node ctx recovered =
   (* under quorum termination a healed partition may have restored the
      quorum: re-poll every still-orphaned transaction *)
   match node.termination with
-  | T_quorum q ->
+  | Quorum q ->
       Hashtbl.iter
         (fun _ (p : p_txn) ->
           match p.status with
@@ -1198,7 +1191,7 @@ let on_peer_up node ctx recovered =
               | _ -> ())
           | _ -> ())
         node.p_txns
-  | T_skeen -> ()
+  | Skeen -> ()
 
 (* ------------------------------------------------------------------ *)
 (* recovery                                                             *)
@@ -1429,7 +1422,7 @@ let on_message node ctx ~src (msg : Kv_msg.t) =
       end
   | Kv_msg.PState_rep { txn; state } -> (
       match (Hashtbl.find_opt node.pollings txn, node.termination) with
-      | Some poll, T_quorum q when List.mem src poll.q_awaiting -> (
+      | Some poll, Quorum q when List.mem src poll.q_awaiting -> (
           poll.q_awaiting <- List.filter (fun s -> s <> src) poll.q_awaiting;
           poll.q_reps <- (src, state) :: poll.q_reps;
           match Hashtbl.find_opt node.p_txns txn with

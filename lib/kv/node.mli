@@ -13,25 +13,25 @@ val pp_protocol : Format.formatter -> protocol -> unit
 val show_protocol : protocol -> string
 val equal_protocol : protocol -> protocol -> bool
 
-(** The classic commit-protocol presumptions: the covered outcome is
+(** The protocol engine's commit presumptions
+    ({!Engine.Runtime.presumption}), re-exported so both harnesses take
+    one lever vocabulary.  On the database the covered outcome is
     forgotten by the coordinator immediately and participants skip its
     final acknowledgement; inquiries are answered by presumption. *)
-type presumption = No_presumption | Presume_abort | Presume_commit
+type presumption = Engine.Runtime.presumption = No_presumption | Presume_abort | Presume_commit
 
 val pp_presumption : Format.formatter -> presumption -> unit
 val show_presumption : presumption -> string
 val equal_presumption : presumption -> presumption -> bool
 
-(** How orphaned transactions are terminated when their coordinator dies
-    under 3PC: [T_skeen] decides from the backup's own transaction state
-    (the paper's rule — live but partition-unsafe); [T_quorum q] polls
-    reachable participants and requires a quorum either way, with
-    monotone moves (never demoting a precommit). *)
-type termination = T_skeen | T_quorum of int
-
-val pp_termination : Format.formatter -> termination -> unit
-val show_termination : termination -> string
-val equal_termination : termination -> termination -> bool
+(** The protocol engine's termination rules
+    ({!Engine.Runtime.termination_rule}), re-exported.  How orphaned
+    transactions are terminated when their coordinator dies under 3PC:
+    [Skeen] decides from the backup's own transaction state (the paper's
+    rule — live but partition-unsafe); [Quorum q] polls reachable
+    participants and requires [q] of them either way, with monotone moves
+    (never demoting a precommit). *)
+type termination = Engine.Runtime.termination_rule = Skeen | Quorum of int
 
 type p_status = P_working | P_prepared | P_precommitted | P_done of bool
 
@@ -133,9 +133,6 @@ type t = {
       (** volatile: client transactions awaiting admission, with arrival
           times so queueing shows up in commit latency *)
   lock_wait_timeout : float;
-  query_interval : float;
-  query_backoff_cap : float;
-      (** ceiling on the exponential backoff between outcome queries *)
   query_rng : Sim.Rng.t;
   mutable query_budget : int;
   mutable committed : int;
@@ -150,7 +147,6 @@ val create :
   ?termination:termination ->
   ?read_only_opt:bool ->
   ?pipeline_depth:int ->
-  ?query_backoff_cap:float ->
   ?query_rng:Sim.Rng.t ->
   ?detector:bool ->
   ?fencing:bool ->
@@ -160,8 +156,6 @@ val create :
   storage:Storage.t ->
   wal:Kv_wal.t ->
   lock_wait_timeout:float ->
-  query_interval:float ->
-  query_budget:int ->
   unit ->
   t
 

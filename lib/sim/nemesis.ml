@@ -182,6 +182,18 @@ let default_profile =
     storm_down_frac_max = 0.75;
   }
 
+let detector_faults base =
+  {
+    base with
+    p_delay_spike = 0.4;
+    spike_extra_min = 1.0;
+    spike_extra_max = 3.5;
+    p_stall = 0.45;
+    p_hb_loss = 0.5;
+    detector_window_min = 4.0;
+    detector_window_max = 14.0;
+  }
+
 (* The (site, crash_at, recover_at) events a storm expands to at lowering
    time; [] for every other fault. *)
 let storm_events = function

@@ -113,6 +113,11 @@ val default_profile : profile
     they belong to ablation profiles ([drop_weight > 0],
     [p_partition > 0]), not the correctness profile. *)
 
+val detector_faults : profile -> profile
+(** [base] plus the faults that provoke false suspicion without killing
+    any site: latency-spike windows (1–3.5 s extra), stall ("GC pause")
+    windows and heartbeat-loss bursts, each 4–14 s long. *)
+
 val generate : Rng.t -> n_sites:int -> k:int -> profile -> schedule
 (** Deterministic in the stream: crash incidents hit distinct sites and
     stay within [k] concurrent failures. *)
