@@ -4,7 +4,8 @@
     unwarranted freeze), the stall grace on wake-up, oracle-mode runs
     staying detector-free, the election/rank differential against the
     paper's reliable-detector oracle, and the pinned epoch-fencing
-    ablation that reproduces a split-brain when fencing is off. *)
+    ablation that reproduces a split-brain when fencing is off, and
+    pinned detector-fault sweeps on both harnesses. *)
 
 module C = Engine.Chaos
 module FP = Engine.Failure_plan
@@ -262,6 +263,55 @@ let test_kv_detector_sweep_safe () =
   Alcotest.(check int) "12 seeds run" 12 s.Kv.Chaos_db.seeds_run;
   Alcotest.(check int) "no safety violations" 0 (List.length (kv_safety_violations s))
 
+(* ---------------- detector-fault sweeps, pinned ---------------- *)
+
+(* Latency spikes, stalls and heartbeat loss on top of the default
+   faults (the overlay of [skeen chaos --detector-faults]), 200 seeds per
+   sweep.  Pins what a sweep decides — the per-oracle tallies, the failing
+   seeds and the summed detector counters — so that a change to how long
+   a detector run lasts can be checked not to change any of it. *)
+let detector_counters = [ "false_suspicions"; "elections_started"; "elections"; "epoch_rejected_directives" ]
+
+let sweep_digest t =
+  let failing, s = C.sweep_target ~max_counterexamples:0 t ~k:1 ~seeds:200 in
+  Fmt.str "violations{%s} failing[%s] %s"
+    (String.concat "," (List.map (fun (o, c) -> Fmt.str "%s=%d" (C.oracle_name o) c) s.C.violations_by_oracle))
+    (String.concat ";" (List.map (fun (seed, _) -> string_of_int seed) failing))
+    (String.concat ","
+       (List.map (fun name -> Fmt.str "%s=%d" name (M.counter s.C.metrics name)) detector_counters))
+
+let engine_sweep_digest protocol =
+  sweep_digest
+    (C.target
+       ~profile:(Sim.Nemesis.detector_faults Sim.Nemesis.default_profile)
+       (R.config ~until:C.stall_budget ~detector:true (Engine.Rulebook.compile protocol)))
+
+let test_detector_sweeps_pinned () =
+  List.iter
+    (fun (name, digest, expected) -> Alcotest.(check string) name expected (Lazy.force digest))
+    [
+      ( "engine central-3pc n=3",
+        lazy (engine_sweep_digest (Core.Catalog.central_3pc 3)),
+        "violations{} failing[] \
+         false_suspicions=222,elections_started=89,elections=235,epoch_rejected_directives=91" );
+      ( "engine central-3pc n=4",
+        lazy (engine_sweep_digest (Core.Catalog.central_3pc 4)),
+        "violations{} failing[] \
+         false_suspicions=412,elections_started=81,elections=250,epoch_rejected_directives=138" );
+      ( "engine central-2pc n=3",
+        lazy (engine_sweep_digest (Core.Catalog.central_2pc 3)),
+        "violations{progress=3} failing[35;80;169] \
+         false_suspicions=239,elections_started=100,elections=240,epoch_rejected_directives=90" );
+      ( "kv central-3pc n=3",
+        lazy
+          (sweep_digest
+             (Kv.Chaos_db.target
+                ~profile:(Sim.Nemesis.detector_faults Kv.Chaos_db.default_profile)
+                (Kv.Chaos_db.config ~n_sites:3 ~detector:true ()))),
+        "violations{atomicity=1,progress=5,durability=1} failing[112;122;124;166;174;188] \
+         false_suspicions=198,elections_started=0,elections=0,epoch_rejected_directives=9" );
+    ]
+
 let suite =
   [
     Alcotest.test_case "crash hooks compose" `Quick test_crash_hooks_compose;
@@ -278,4 +328,6 @@ let suite =
       test_fencing_counterexample_shrinks_and_replays;
     Alcotest.test_case "pinned detector trace is byte-identical" `Quick test_pinned_trace;
     Alcotest.test_case "kv: detector sweep is safe" `Quick test_kv_detector_sweep_safe;
+    Alcotest.test_case "detector-fault sweeps: tallies, failing seeds, counters" `Quick
+      test_detector_sweeps_pinned;
   ]
