@@ -6,7 +6,11 @@
     the seed feeds a {!Sim.Rng.split} stream to {!Sim.Nemesis.generate},
     the schedule lowers to a {!Failure_plan.t}, and one protocol instance
     executes it on the simulator.  After quiescence five oracles judge the
-    history:
+    history.  Quiescence is an empty event queue; under the timeout
+    detector, whose heartbeats never stop, it is the first instant from
+    which only heartbeats that cannot change a suspicion remain
+    ({!Sim.World.run}), so a settled detector run ends there rather than
+    at the horizon:
 
     - {e atomicity}: no history where one site commits and another
       aborts; crashed sites are judged by their last WAL-forced state

@@ -125,7 +125,9 @@ type ('o, 'r) target = {
     result. *)
 
 val stall_budget : float
-(** The default [until] horizon of engine chaos runs (1500.0). *)
+(** The default [until] horizon of engine chaos runs (1500.0).  A run
+    stops earlier at quiescence, which in detector mode includes the
+    instant its detector settles ({!Sim.World.run}). *)
 
 val plan_target :
   name:string ->

@@ -52,6 +52,34 @@ let check_timing ~heartbeat_period ~suspicion_timeout =
     Error "suspicion_timeout must exceed heartbeat_period"
   else Ok ()
 
+(* Float rounding of the timer and delivery times, absorbed by the
+   settled rule's margins. *)
+let slack = 1e-9
+
+(* Can the heartbeats alone ever produce another suspicion or
+   retraction?  No fault is left to fire ({!World.run} checks that), so
+   a live peer's next heartbeat is sent within one period and lands
+   within [max_latency] of that, and successive ones land at most
+   [heartbeat_period + latency_jitter] apart.  A live observer therefore
+   never suspects a live peer it heard recently enough, provided the
+   timeout covers that gap; and it never retracts the suspicion of a dead
+   peer none of whose messages is still in flight. *)
+let rec peers_settled t st now budget = function
+  | [] -> true
+  | p :: rest ->
+      (if World.is_alive t.world p then
+         (not st.suspected.(p)) && now -. st.last_heard.(p) <= budget
+       else st.suspected.(p) && World.last_delivery_from t.world p <= now)
+      && peers_settled t st now budget rest
+
+let settled t =
+  let now = World.now t.world in
+  let budget = t.suspicion_timeout -. t.heartbeat_period -. World.max_latency -. slack in
+  t.suspicion_timeout -. t.heartbeat_period >= World.latency_jitter +. slack
+  && List.for_all
+       (fun o -> (not (World.is_alive t.world o)) || peers_settled t t.state.(o) now budget t.peers.(o))
+       (World.sites t.world)
+
 let create ?(heartbeat_period = 1.0) ?(suspicion_timeout = 5.0) ~world ~heartbeat ~is_heartbeat
     ~on_suspect ~on_unsuspect () =
   (match check_timing ~heartbeat_period ~suspicion_timeout with
@@ -76,6 +104,7 @@ let create ?(heartbeat_period = 1.0) ?(suspicion_timeout = 5.0) ~world ~heartbea
     }
   in
   World.add_crash_hook world (fun s -> t.crashed_at.(s) <- World.now world);
+  World.register_detector world ~is_heartbeat ~settled:(fun () -> settled t);
   t
 
 let is_heartbeat t m = t.is_heartbeat m
@@ -170,15 +199,15 @@ let start t (ctx : 'msg World.ctx) =
     (peers t self);
   let rec heartbeat () =
     beat t ctx;
-    ignore (World.set_timer ctx ~delay:t.heartbeat_period heartbeat)
+    World.set_background_timer ctx ~delay:t.heartbeat_period heartbeat
   in
   let rec arm_check () =
     t.check_due.(self) <- World.now t.world +. t.heartbeat_period;
-    ignore (World.set_timer ctx ~delay:t.heartbeat_period on_check)
+    World.set_background_timer ctx ~delay:t.heartbeat_period on_check
   and on_check () =
     check t ctx;
     arm_check ()
   in
   beat t ctx;
-  ignore (World.set_timer ctx ~delay:t.heartbeat_period heartbeat);
+  World.set_background_timer ctx ~delay:t.heartbeat_period heartbeat;
   arm_check ()

@@ -29,8 +29,21 @@ val create :
   unit ->
   'msg t
 (** Defaults: heartbeat every 1.0, suspect after 5.0 of silence.
-    Registers a crash hook on [world] for latency accounting.
+    Registers a crash hook on [world] for latency accounting, and
+    registers itself with {!World.register_detector}: its heartbeat
+    deliveries and its timer chains are background events, and
+    {!settled} lets {!World.run} end the run at quiescence.
     @raise Invalid_argument when {!check_timing} refuses the two. *)
+
+val settled : 'msg t -> bool
+(** Can the heartbeats alone never again produce a suspicion or a
+    retraction, provided no fault is left to fire?  True when
+    [suspicion_timeout >= heartbeat_period + World.latency_jitter] and,
+    for every live observer, every dead peer is suspected with none of
+    its messages still in flight ({!World.last_delivery_from}), and every
+    live peer is unsuspected and was heard within [suspicion_timeout -
+    heartbeat_period - World.max_latency].  (Both margins are tightened
+    by 1e-9 against float rounding.) *)
 
 val check_timing : heartbeat_period:float -> suspicion_timeout:float -> (unit, string) result
 (** [Error reason] unless [heartbeat_period] is positive and finite and

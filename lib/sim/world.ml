@@ -18,7 +18,7 @@ type site = int
 
 type 'msg event =
   | Deliver of { src : site; dst : site; dst_gen : int; msg : 'msg }
-  | Timer of { site : site; gen : int; id : int; callback : unit -> unit }
+  | Timer of { site : site; gen : int; id : int; background : bool; callback : unit -> unit }
   | Crash of site
   | Recover of site
   | Detect_down of { observer : site; failed : site }
@@ -53,7 +53,6 @@ and 'msg t = {
           environment *)
   site_list : site list;
   hot : hot_counters;
-  latency : 'msg t -> src:site -> dst:site -> float;
   detection_delay : float;
   rng : Rng.t;
   metrics : Metrics.t;
@@ -82,7 +81,22 @@ and 'msg t = {
       (** "GC pauses": events targeting the site are deferred to window end *)
   mutable hb_loss_windows : window list;
       (** heartbeat-loss bursts, queried by the failure detector *)
+  mutable fault_horizon : float;
+      (** the latest end of any delay, stall or heartbeat-loss window and
+          of any partition; [neg_infinity] when none is scheduled *)
+  mutable last_msg_fault : int;  (** the highest armed message-fault index; -1 if none *)
+  mutable detector : 'msg detector option;
+      (** the registered failure detector; [None] in oracle mode, where
+          no event is classified *)
+  mutable background : int;
+      (** pending background events, counted only with a detector
+          registered: the detector's own timers and heartbeat deliveries *)
+  last_delivery : float array;
+      (** index: sending site; the latest time a message it sent is
+          scheduled to land, kept only with a detector registered *)
 }
+
+and 'msg detector = { is_heartbeat : 'msg -> bool; settled : unit -> bool }
 
 (* Handles for the counters bumped on every event, resolved once per
    world.  Labels register on first bump, so a run's counters are exactly
@@ -102,15 +116,18 @@ and partition = { p_from : float; p_until : float; p_group : (site * int) list }
 
 and 'msg ctx = { world : 'msg t; self : site }
 
-let default_latency world ~src:_ ~dst:_ = 1.0 +. Rng.float world.rng 0.1
+(* Every message takes [min_latency] plus a uniform draw below
+   [latency_jitter]: the bound the quiescence rule's proof rests on. *)
+let min_latency = 1.0
+let latency_jitter = 0.1
+let max_latency = min_latency +. latency_jitter
 
 (** [create ~n_sites ~seed ~msg_to_string ()] builds a world of [n_sites]
     sites (numbered 1..n), all initially operational.
 
-    @param latency per-message delay; default 1.0 + U(0, 0.1)
     @param detection_delay how long after a crash the detector reports it;
            default 2.0 *)
-let create ?(latency = default_latency) ?(detection_delay = 2.0) ~n_sites ~seed ~msg_to_string () =
+let create ?(detection_delay = 2.0) ~n_sites ~seed ~msg_to_string () =
   if n_sites < 1 then invalid_arg "World.create: need at least one site";
   let metrics = Metrics.create () in
   let w =
@@ -132,7 +149,6 @@ let create ?(latency = default_latency) ?(detection_delay = 2.0) ~n_sites ~seed 
           events_timer = Metrics.counter_handle metrics "events_timer";
           timers_cancelled = Metrics.counter_handle metrics "timers_cancelled";
         };
-      latency;
       detection_delay;
       rng = Rng.create ~seed;
       metrics;
@@ -149,6 +165,11 @@ let create ?(latency = default_latency) ?(detection_delay = 2.0) ~n_sites ~seed 
       delay_windows = [];
       stall_windows = [];
       hb_loss_windows = [];
+      fault_horizon = neg_infinity;
+      last_msg_fault = -1;
+      detector = None;
+      background = 0;
+      last_delivery = Array.make (n_sites + 1) neg_infinity;
     }
   in
   w.ctxs <- Array.init (n_sites + 1) (fun self -> { world = w; self });
@@ -207,6 +228,7 @@ let separated w a b = a <> b && separated_in w a b w.partitions
 let schedule_partition w ~from_t ~until_t groups =
   let p_group = List.concat (List.mapi (fun g ss -> List.map (fun s -> (s, g)) ss) groups) in
   List.iter (fun (s, _) -> check_site w s) p_group;
+  w.fault_horizon <- Float.max w.fault_horizon until_t;
   w.partitions <- { p_from = from_t; p_until = until_t; p_group } :: w.partitions;
   List.iter
     (fun (a, ga) ->
@@ -231,7 +253,8 @@ let schedule_partition w ~from_t ~until_t groups =
     only if it is still the same incarnation when the message arrives. *)
 let set_msg_faults w faults =
   Hashtbl.reset w.msg_faults;
-  List.iter (fun (nth, f) -> Hashtbl.replace w.msg_faults nth f) faults
+  List.iter (fun (nth, f) -> Hashtbl.replace w.msg_faults nth f) faults;
+  w.last_msg_fault <- List.fold_left (fun acc (nth, _) -> max acc nth) (-1) faults
 
 let sends_attempted w = w.send_seq
 let add_crash_hook w f = w.crash_hooks <- w.crash_hooks @ [ f ]
@@ -250,6 +273,7 @@ let rec in_window w site = function
     message-fault indices, so armed fault schedules replay unchanged. *)
 let schedule_latency_spike w ~site ~from_t ~until_t ~extra =
   check_site w site;
+  w.fault_horizon <- Float.max w.fault_horizon until_t;
   w.delay_windows <- { w_site = site; w_from = from_t; w_until = until_t; w_extra = extra } :: w.delay_windows
 
 (* Summed in list order from 0.0, so the delivery time is bit-identical
@@ -269,6 +293,7 @@ let spike_extra w ~src ~dst = sum_spikes w ~src ~dst 0.0 w.delay_windows
     does not crash; peers simply stop hearing from it. *)
 let schedule_stall w ~site ~from_t ~until_t =
   check_site w site;
+  w.fault_horizon <- Float.max w.fault_horizon until_t;
   w.stall_windows <- { w_site = site; w_from = from_t; w_until = until_t; w_extra = 0.0 } :: w.stall_windows
 
 (* The latest end of an open stall window at [site]; [neg_infinity] when
@@ -287,16 +312,45 @@ let stalled_until w site = latest_stall_end w site neg_infinity w.stall_windows
     which is exactly the false-suspicion scenario. *)
 let schedule_hb_loss w ~site ~from_t ~until_t =
   check_site w site;
+  w.fault_horizon <- Float.max w.fault_horizon until_t;
   w.hb_loss_windows <- { w_site = site; w_from = from_t; w_until = until_t; w_extra = 0.0 } :: w.hb_loss_windows
 
 let hb_suppressed w site = in_window w site w.hb_loss_windows
 
+(* ---- background events ---- *)
+
+(** [register_detector w ~is_heartbeat ~settled] makes [w] tell the
+    failure detector's traffic apart from the rest: its heartbeat
+    deliveries and the timers armed by {!set_background_timer}.  Call
+    before {!run}. *)
+let register_detector w ~is_heartbeat ~settled = w.detector <- Some { is_heartbeat; settled }
+
+let is_background d = function
+  | Deliver { msg; _ } -> d.is_heartbeat msg
+  | Timer { background; _ } -> background
+  | Crash _ | Recover _ | Detect_down _ | Detect_up _ | False_down _ -> false
+
+(* Deliveries and timers are pushed through here, a stall's re-push
+   included.  With a detector registered it counts background events and
+   keeps each sender's latest delivery time; in oracle mode it costs one
+   untaken branch. *)
+let push w ~time ev =
+  (match w.detector with
+  | None -> ()
+  | Some d -> (
+      if is_background d ev then w.background <- w.background + 1;
+      match ev with
+      | Deliver { src; _ } -> if time > w.last_delivery.(src) then w.last_delivery.(src) <- time
+      | _ -> ()));
+  Eventq.push w.queue ~time ev
+
+let last_delivery_from w s = w.last_delivery.(s)
+
 (* Latency spikes are judged at send time, like partitions. *)
 let enqueue_delivery w ~src ~dst ~extra msg =
-  let delay = w.latency w ~src ~dst in
+  let delay = min_latency +. Rng.float w.rng latency_jitter in
   let spike = spike_extra w ~src ~dst in
-  Eventq.push w.queue ~time:(w.now +. delay +. extra +. spike)
-    (Deliver { src; dst; dst_gen = w.generation.(dst); msg })
+  push w ~time:(w.now +. delay +. extra +. spike) (Deliver { src; dst; dst_gen = w.generation.(dst); msg })
 
 let send ctx ~dst msg =
   let w = ctx.world and src = ctx.self in
@@ -350,17 +404,23 @@ let rec broadcast ctx ~dsts msg =
     deliberately leaves unmodelled. *)
 let inject w ~dst ~at msg =
   check_site w dst;
-  Eventq.push w.queue ~time:at (Deliver { src = 0; dst; dst_gen = w.generation.(dst); msg })
+  push w ~time:at (Deliver { src = 0; dst; dst_gen = w.generation.(dst); msg })
 
 (** [set_timer ctx ~delay f] schedules [f] to run at [now + delay] unless
     the site crashes first or the timer is cancelled. *)
-let set_timer ctx ~delay f =
+let arm_timer ctx ~background ~delay f =
   let w = ctx.world in
   let id = w.next_timer_id in
   w.next_timer_id <- id + 1;
-  Eventq.push w.queue ~time:(w.now +. delay)
-    (Timer { site = ctx.self; gen = w.generation.(ctx.self); id; callback = f });
+  push w ~time:(w.now +. delay)
+    (Timer { site = ctx.self; gen = w.generation.(ctx.self); id; background; callback = f });
   id
+
+let set_timer ctx ~delay f = arm_timer ctx ~background:false ~delay f
+
+(** [set_background_timer ctx ~delay f] is {!set_timer} for the failure
+    detector's own timer chains: the event counts as background. *)
+let set_background_timer ctx ~delay f = ignore (arm_timer ctx ~background:true ~delay f)
 
 let cancel_timer ctx id = Hashtbl.replace ctx.world.cancelled_timers id ()
 
@@ -433,7 +493,7 @@ let dispatch_now w = function
         Metrics.bump w.hot.messages_dropped;
         if w.tracing then record w "drop %d->%d %s" src dst (w.msg_to_string msg)
       end
-  | Timer { site; gen; id; callback } ->
+  | Timer { site; gen; id; callback; _ } ->
       Metrics.bump w.hot.events_timer;
       let cancelled = Hashtbl.length w.cancelled_timers > 0 && Hashtbl.mem w.cancelled_timers id in
       if cancelled then begin
@@ -481,9 +541,24 @@ let dispatch w ev =
       if until_t > w.now then begin
         Metrics.incr w.metrics "events_stalled";
         if w.tracing then record w "stall defers an event at site %d to %.2f" s until_t;
-        Eventq.push w.queue ~time:until_t ev
+        push w ~time:until_t ev
       end
       else dispatch_now w ev
+
+(* The quiescence rule of detector mode: nothing but detector traffic is
+   pending, no scheduled fault can still fire (heartbeats use up send
+   indices, so a message fault at or beyond [send_seq] could still drop
+   one), and the detector proves that its traffic cannot produce another
+   suspicion or retraction.  Judged only between instants, when every
+   event at [now] has dispatched. *)
+let quiescent w =
+  match w.detector with
+  | None -> false
+  | Some d ->
+      w.background = Eventq.length w.queue
+      && w.now >= w.fault_horizon
+      && w.last_msg_fault < w.send_seq
+      && d.settled ()
 
 (** [run w ~handlers ?until ()] registers handlers, starts every site, and
     processes events in timestamp order until quiescence, [until] (default
@@ -506,9 +581,12 @@ let run w ~handlers ?(until = 100_000.0) () =
     if Eventq.is_empty q then running := false
     else begin
       let time = Eventq.top_time q in
-      let ev = Eventq.pop_top q in
-      if time > until then running := false
+      if time > until || (time > w.now && quiescent w) then running := false
       else begin
+        let ev = Eventq.pop_top q in
+        (match w.detector with
+        | Some d when is_background d ev -> w.background <- w.background - 1
+        | Some _ | None -> ());
         if w.now < time then w.now <- time;
         dispatch w ev
       end

@@ -34,7 +34,6 @@ type 'msg handlers = {
 }
 
 val create :
-  ?latency:('msg t -> src:site -> dst:site -> float) ->
   ?detection_delay:float ->
   n_sites:int ->
   seed:int ->
@@ -42,8 +41,19 @@ val create :
   unit ->
   'msg t
 (** A world of [n_sites] sites (numbered 1..n), all initially
-    operational.  Default latency: 1.0 + U(0, 0.1); default detection
-    delay: 2.0.  Deterministic in [seed]. *)
+    operational.  Every message takes {!min_latency} plus a uniform draw
+    in \[0, {!latency_jitter}), plus any fault's extra delay; the default
+    detection delay is 2.0.  Deterministic in [seed]. *)
+
+val min_latency : float
+(** 1.0 *)
+
+val latency_jitter : float
+(** 0.1: a message's latency is below [min_latency + latency_jitter]
+    unless a fault delays it. *)
+
+val max_latency : float
+(** [min_latency +. latency_jitter] *)
 
 val now : 'msg t -> float
 val rng : 'msg t -> Rng.t
@@ -112,6 +122,27 @@ val set_timer : 'msg ctx -> delay:float -> (unit -> unit) -> int
 (** Fires unless the site crashes first or the timer is cancelled;
     returns a cancellation id. *)
 
+val set_background_timer : 'msg ctx -> delay:float -> (unit -> unit) -> unit
+(** {!set_timer} for the failure detector's own heartbeat and check
+    chains: with a detector registered, the timer counts as a background
+    event for the quiescence rule of {!run}. *)
+
+val register_detector : 'msg t -> is_heartbeat:('msg -> bool) -> settled:(unit -> bool) -> unit
+(** Register the failure detector ({!Detector.create} does this).  From
+    then on the world counts its pending background events (deliveries
+    of messages [is_heartbeat] accepts, and background timers, each
+    stall deferral's re-push counting again) and the latest scheduled
+    delivery time of each sender's messages ({!last_delivery_from}), and
+    {!run} may end a run at quiescence as it describes.  [settled ()]
+    must hold only when the detector's traffic, left alone with no
+    further fault, can never produce another suspicion or retraction.
+    A world with no detector registered classifies no event. *)
+
+val last_delivery_from : 'msg t -> site -> float
+(** The latest time any message sent by the site is scheduled to land
+    (stall deferrals included); [neg_infinity] when it has sent none.
+    Tracked only with a detector registered. *)
+
 val cancel_timer : 'msg ctx -> int -> unit
 val schedule_crash : 'msg t -> at:float -> site -> unit
 val schedule_recovery : 'msg t -> at:float -> site -> unit
@@ -135,7 +166,17 @@ val run : 'msg t -> handlers:(site -> 'msg handlers) -> ?until:float -> unit -> 
     order until quiescence, [until] (default 100_000.0), or {!stop}.
     Returns the final simulation time.  [handlers] is called once per
     site, before any site starts; every later event at that site
-    dispatches to the same record. *)
+    dispatches to the same record.
+
+    Quiescence is an empty queue.  With a detector registered
+    ({!register_detector}), whose heartbeats never stop, the run also
+    ends at the first instant, once every event at it has dispatched,
+    when all of these hold: every pending event is background; [now] is
+    at or past the end of every delay, stall and heartbeat-loss window
+    and every partition; no message fault is armed at or beyond the next
+    send index; and the detector is settled.  From there on the run
+    would only exchange heartbeats, so its trace up to the stop is the
+    whole trace's prefix and nothing else it decides changes. *)
 
 val set_tracing : 'msg t -> bool -> unit
 

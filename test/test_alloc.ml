@@ -9,6 +9,12 @@
       bound is that plus 10%.  The same seeds take exactly 7,494
       events (14.988 per run), which pins that the runs themselves did
       not change.
+    - Events per detector-mode {!Engine.Runtime.run}: central 3PC, n=3,
+      [until = 1500], the plans of seeds 0–199 under
+      {!Sim.Nemesis.detector_faults} (latency spikes, stalls, heartbeat
+      loss).  Measured at 313.2 (16,755.9 when a run went on exchanging
+      heartbeats to the horizon instead of ending at quiescence); the
+      bound is that plus 10%.
     - Words promoted to the major heap per seed of a 2,000-seed
       {!Engine.Chaos.sweep}: a sweep retains no finished run, so only a
       run in flight at a minor collection is promoted.  Measured at 39.3
@@ -64,6 +70,21 @@ let test_minor_words_per_run () =
   let bound = 3_585.2 *. 1.1 in
   Alcotest.(check bool)
     (Fmt.str "%.1f minor words per run <= %.1f" per_run bound)
+    true (per_run <= bound)
+
+let test_detector_events_per_run () =
+  let cfg = Engine.Runtime.config ~until:C.stall_budget ~detector:true (rulebook ()) in
+  let t = C.target ~profile:(Sim.Nemesis.detector_faults Sim.Nemesis.default_profile) cfg in
+  let seeds = 200 in
+  let events = ref 0 in
+  for seed = 0 to seeds - 1 do
+    let cfg = { cfg with plan = Engine.Failure_plan.of_schedule (C.schedule t ~k:1 ~seed); seed } in
+    events := !events + events_of (Engine.Runtime.run cfg).Engine.Runtime.run_metrics
+  done;
+  let per_run = float_of_int !events /. float_of_int seeds in
+  let bound = 313.2 *. 1.1 in
+  Alcotest.(check bool)
+    (Fmt.str "%.1f events per detector-mode run <= %.1f" per_run bound)
     true (per_run <= bound)
 
 let test_sweep_promotes_little () =
@@ -149,6 +170,7 @@ let test_check_major_words_per_state () =
 let suite =
   [
     Alcotest.test_case "minor words and events per Runtime.run" `Quick test_minor_words_per_run;
+    Alcotest.test_case "events per detector-mode Runtime.run" `Quick test_detector_events_per_run;
     Alcotest.test_case "a 2,000-seed sweep promotes <= 200 words per seed" `Quick
       test_sweep_promotes_little;
     Alcotest.test_case "minor words per kv-mixed transaction" `Quick test_kv_minor_words_per_txn;

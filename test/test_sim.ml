@@ -458,6 +458,88 @@ let test_world_until () =
   ignore (Sim.World.run w ~handlers ~until:10.5 ());
   Alcotest.(check bool) "bounded by until" true (!count <= 12)
 
+(* ---------------- quiescence in detector mode ---------------- *)
+
+(* One site beating a background timer chain every 1.0 from t=0, with
+   [settled] registered as the detector's; Pong is the heartbeat.
+   [extra] runs at start, to push non-background work.  Returns the end
+   time and how often the chain fired. *)
+let background_run ?(register = true) ?(extra = fun _ -> ()) ~settled ~until () =
+  let w = Sim.World.create ~n_sites:1 ~seed:1 ~msg_to_string:wmsg_str () in
+  if register then Sim.World.register_detector w ~is_heartbeat:(fun m -> m = Pong) ~settled:(settled w);
+  let beats = ref 0 in
+  let handlers =
+    quiet_handlers
+      ~on_start:(fun ctx ->
+        let rec beat () =
+          incr beats;
+          Sim.World.set_background_timer ctx ~delay:1.0 beat
+        in
+        beat ();
+        extra ctx)
+      ()
+  in
+  let t_end = Sim.World.run w ~handlers ~until () in
+  (t_end, !beats)
+
+let test_world_stops_at_first_settled_instant () =
+  let t_end, beats = background_run ~settled:(fun w () -> Sim.World.now w >= 4.5) ~until:100.0 () in
+  Alcotest.(check (float 0.0)) "ends at the first settled instant" 5.0 t_end;
+  Alcotest.(check int) "the chain fired at 0..5" 6 beats;
+  let t_end, beats = background_run ~settled:(fun _ () -> false) ~until:20.0 () in
+  Alcotest.(check (float 0.0)) "never settled: runs to until" 20.0 t_end;
+  Alcotest.(check int) "the chain fired at 0..20" 21 beats
+
+let test_world_ordinary_event_blocks_stop () =
+  (* a pending ordinary timer, or a delivery that is not a heartbeat, is
+     work the stop must wait for; a heartbeat in flight is not *)
+  let t_end, _ =
+    background_run ~settled:(fun _ () -> true)
+      ~extra:(fun ctx -> ignore (Sim.World.set_timer ctx ~delay:7.5 (fun () -> ())))
+      ~until:100.0 ()
+  in
+  Alcotest.(check (float 0.0)) "waits for the ordinary timer" 7.5 t_end;
+  let t_end, _ =
+    background_run ~settled:(fun _ () -> true)
+      ~extra:(fun ctx -> Sim.World.inject ctx.Sim.World.world ~dst:1 ~at:3.25 Ping)
+      ~until:100.0 ()
+  in
+  Alcotest.(check (float 0.0)) "waits for the protocol delivery" 3.25 t_end;
+  let t_end, _ =
+    background_run ~settled:(fun _ () -> true)
+      ~extra:(fun ctx -> Sim.World.inject ctx.Sim.World.world ~dst:1 ~at:3.25 Pong)
+      ~until:100.0 ()
+  in
+  Alcotest.(check (float 0.0)) "a heartbeat is background" 0.0 t_end
+
+let test_world_faults_block_stop () =
+  (* no scheduled fault may still fire: each window and partition holds
+     the run until it has closed *)
+  List.iter
+    (fun (name, schedule, expected) ->
+      let t_end, _ =
+        background_run ~settled:(fun _ () -> true)
+          ~extra:(fun ctx -> schedule ctx.Sim.World.world)
+          ~until:100.0 ()
+      in
+      Alcotest.(check (float 0.0)) name expected t_end)
+    [
+      ("hb-loss window", (fun w -> Sim.World.schedule_hb_loss w ~site:1 ~from_t:2.0 ~until_t:6.5), 7.0);
+      (* the chain's beats from 3 on are deferred to 6.5, the window's end *)
+      ("stall window", (fun w -> Sim.World.schedule_stall w ~site:1 ~from_t:2.0 ~until_t:6.5), 6.5);
+      ( "latency spike",
+        (fun w -> Sim.World.schedule_latency_spike w ~site:1 ~from_t:2.0 ~until_t:6.5 ~extra:1.0),
+        7.0 );
+      ("partition", (fun w -> Sim.World.schedule_partition w ~from_t:2.0 ~until_t:4.0 [ [ 1 ] ]), 4.0);
+    ]
+
+let test_world_without_detector_runs_to_until () =
+  (* oracle mode: nothing is classified, so background timers are
+     ordinary work and a periodic chain runs to the horizon *)
+  let t_end, beats = background_run ~register:false ~settled:(fun _ () -> true) ~until:20.0 () in
+  Alcotest.(check (float 0.0)) "runs to until" 20.0 t_end;
+  Alcotest.(check int) "the chain fired at 0..20" 21 beats
+
 let suite =
   [
     Alcotest.test_case "rng determinism" `Quick test_rng_deterministic;
@@ -488,6 +570,12 @@ let suite =
     Alcotest.test_case "partial broadcast on crash" `Quick test_world_sender_crash_partial_broadcast;
     Alcotest.test_case "inject and incarnations" `Quick test_world_inject_and_generations;
     Alcotest.test_case "run until bound" `Quick test_world_until;
+    Alcotest.test_case "detector mode stops at the first settled instant" `Quick
+      test_world_stops_at_first_settled_instant;
+    Alcotest.test_case "ordinary events block the stop" `Quick test_world_ordinary_event_blocks_stop;
+    Alcotest.test_case "scheduled faults block the stop" `Quick test_world_faults_block_stop;
+    Alcotest.test_case "no detector: no stop before until" `Quick
+      test_world_without_detector_runs_to_until;
     Alcotest.test_case "tracing and pp_trace" `Quick test_world_trace_and_pp;
     Alcotest.test_case "untraced runs never render a message" `Quick
       test_world_untraced_never_renders;
