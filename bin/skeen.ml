@@ -35,6 +35,12 @@ let require_sites cmd ~n flag sites =
 (* A flag that means the same thing in several subcommands is defined once
    below.  Its term takes the subcommand's name and checks the value as the
    command line is read, so every subcommand refuses it the same way. *)
+(* A plan naming a site outside 1..n would die inside the run. *)
+let plan_sites_error ~n plan =
+  Option.map
+    (fun s -> Printf.sprintf "site %d is not in 1..%d" s n)
+    (List.find_opt (fun s -> s < 1 || s > n) (Engine.Failure_plan.sites plan))
+
 let checked term check = Term.(const (fun v -> check v; v) $ term)
 
 let protocol_conv =
@@ -294,7 +300,7 @@ let analyze_cmd =
     Fmt.pr "synchronous within one state transition: %b@." sync.Core.Synchrony.synchronous;
     let cm = Core.Committable.compute graph in
     Fmt.pr "committable states: %a@."
-      Fmt.(list ~sep:comma string)
+      Fmt.(box (list ~sep:comma string))
       (Core.Committable.committable_ids cm)
   in
   Cmd.v
@@ -349,7 +355,7 @@ let synthesize_cmd =
     let graph = Core.Reachability.build (build "synthesize" "central-2pc" n) in
     let { Core.Synthesis.protocol; buffers_added } = Core.Synthesis.buffer_protocol graph in
     Fmt.pr "added buffer states: %a@.@."
-      Fmt.(list ~sep:comma (pair ~sep:(any ":") int string))
+      Fmt.(box (list ~sep:comma (pair ~sep:(any ":") int string)))
       buffers_added;
     Fmt.pr "%a@." Core.Nonblocking.pp_report (Core.Nonblocking.analyze_protocol protocol)
   in
@@ -549,10 +555,11 @@ let chaos_cmd =
      3PC, acceptor-crash outside Paxos Commit, any step crash on the
      database) would otherwise be silently ignored and the run would
      vacuously pass. *)
-  let parse_plan ~families ~target s =
+  let parse_plan ~families ~target ~n s =
     match Engine.Failure_plan.of_string s with
     | Error msg -> refuse cmd ("bad --plan: " ^ msg)
     | Ok plan -> (
+        Option.iter (fun msg -> refuse cmd ("bad --plan: " ^ msg)) (plan_sites_error ~n plan);
         match Engine.Explore.unsupported ~families plan with
         | [] -> plan
         | clauses ->
@@ -601,7 +608,7 @@ let chaos_cmd =
         if violations <> [] then exit 1
       in
       match (plan_str, replay) with
-      | Some s, _ -> run_once "plan:" (parse_plan ~families ~target:t.name s) ~seed:seed_base
+      | Some s, _ -> run_once "plan:" (parse_plan ~families ~target:t.name ~n:t.Engine.Chaos.n_sites s) ~seed:seed_base
       | None, Some seed ->
           run_once
             (Printf.sprintf "seed %d generates:" seed)
@@ -627,11 +634,13 @@ let chaos_cmd =
     let { termination; presumption; read_only_opt; group_commit; pipeline_depth; sync_latency } =
       levers
     in
+    let ignoring flag scope = Fmt.epr "skeen chaos: %s applies only to %s; ignoring it@." flag scope in
+    let pipeline_scope = "--kv (the bare protocol engine runs one transaction)" in
     match target with
     | Database { protocol; n } ->
         if election_timeout <> 4.0 then
-          Fmt.epr "skeen chaos: --election-timeout applies only to the protocol engine (the \
-                   database elects no backup coordinator); ignoring it@.";
+          ignoring "--election-timeout"
+            "the protocol engine (the database elects no backup coordinator)";
         let cfg =
           Kv.Chaos_db.config ~protocol ~termination ~presumption ~read_only_opt ?group_commit
             ~sync_latency ~pipeline_depth ~n_sites:n ~until ~detector ~fencing ~heartbeat_period
@@ -646,6 +655,19 @@ let chaos_cmd =
         drive (Kv.Chaos_db.target ~profile cfg) ~families:(Kv.Chaos_db.families protocol)
           ~pp_result:Kv.Db.pp_result ~run_metrics:(fun r -> r.Kv.Db.run_metrics)
     | Engine_paxos { n; f } ->
+        List.iter
+          (fun (set, flag) ->
+            if set then
+              ignoring flag
+                "the catalog protocols and --kv (the engine's Paxos Commit takes no commit levers)")
+          [
+            (termination <> Engine.Runtime.Skeen, "--quorum");
+            (presumption <> Engine.Runtime.No_presumption, "--presumption");
+            (read_only_opt, "--read-only-opt");
+            (group_commit <> None, "--group-commit");
+            (sync_latency <> 0.0, "--sync-latency");
+          ];
+        if pipeline_depth <> 1 then ignoring "--pipeline" pipeline_scope;
         drive
           (Engine.Paxos.target
              ~profile:(profile (Engine.Paxos.sweep_profile ~n_sites:n ~f))
@@ -653,9 +675,7 @@ let chaos_cmd =
           ~families:(Engine.Explore.protocol_families ~protocol:"paxos-commit")
           ~pp_result:Engine.Runtime.pp_result ~run_metrics:engine_metrics
     | Engine_protocol (label, p) ->
-        if pipeline_depth <> 1 then
-          Fmt.epr "skeen chaos: --pipeline applies only to --kv (the bare protocol engine runs one \
-                   transaction); ignoring it@.";
+        if pipeline_depth <> 1 then ignoring "--pipeline" pipeline_scope;
         let cfg =
           Engine.Runtime.config ~until ~termination ~presumption
             ?read_only:(if read_only_opt then Some [ Core.Protocol.n_sites p ] else None)
@@ -752,11 +772,21 @@ let explore_cmd =
             ~profile:(storm_profile Sim.Nemesis.default_profile)
             ~k (Engine.Rulebook.compile p)
     in
+    let load_corpus dir =
+      let entries = Engine.Explore.load_corpus ~dir in
+      List.iter
+        (fun (name, plan) ->
+          Option.iter
+            (fun msg -> refuse cmd (Printf.sprintf "%s/%s: %s" dir name msg))
+            (plan_sites_error ~n:harness.Engine.Explore.n_sites plan))
+        entries;
+      entries
+    in
     if replay then begin
       match corpus with
       | None -> refuse cmd "--replay needs --corpus DIR"
       | Some dir ->
-          let entries = Engine.Explore.load_corpus ~dir in
+          let entries = load_corpus dir in
           if entries = [] then refuse cmd (Printf.sprintf "no *.plan files under %s" dir);
           let reports = Engine.Explore.replay ~workers harness (List.map snd entries) in
           let tripped = ref 0 in
@@ -776,7 +806,7 @@ let explore_cmd =
     else begin
       let initial =
         match corpus with
-        | Some dir -> List.map snd (Engine.Explore.load_corpus ~dir)
+        | Some dir -> List.map snd (load_corpus dir)
         | None -> []
       in
       if initial <> [] then
@@ -912,7 +942,7 @@ let election_cmd =
         Fmt.pr "site %d: leader %a, witnessed %a@." s
           Fmt.(option ~none:(any "none") int)
           (Engine.Election.leader_at t ~site:s)
-          Fmt.(list ~sep:comma (pair ~sep:(any "@") int (fmt "%.1f")))
+          Fmt.(box (list ~sep:comma (pair ~sep:(any "@") int (fmt "%.1f"))))
           (List.map (fun (at, l) -> (l, at)) (Engine.Election.leader_history t ~site:s)))
       (List.init n (fun i -> i + 1));
     Fmt.pr "agreement among operational sites: %b@." (Engine.Election.agreement t)

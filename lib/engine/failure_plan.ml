@@ -145,6 +145,15 @@ let crashing_sites t =
   @ List.map (fun s -> s.s_site) t.storms
   |> List.sort_uniq compare
 
+let sites t =
+  crashing_sites t
+  @ List.map fst t.recoveries
+  @ List.concat_map (fun p -> List.concat p.groups) t.partitions
+  @ List.map fst t.disk_faults
+  @ List.map (fun d -> d.d_site) t.delay_spikes
+  @ List.map (fun w -> w.w_site) (t.stalls @ t.hb_losses)
+  |> List.sort_uniq compare
+
 let fault_count t =
   List.length t.step_crashes + List.length t.timed_crashes + List.length t.recoveries
   + List.length t.move_crashes + List.length t.decide_crashes + List.length t.partitions

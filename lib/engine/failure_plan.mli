@@ -103,6 +103,10 @@ val crash_at_step : site:Core.Types.site -> step:int -> mode:crash_mode -> t
 val find_step_crash : t -> site:Core.Types.site -> step:int -> crash_mode option
 val crashing_sites : t -> Core.Types.site list
 
+val sites : t -> Core.Types.site list
+(** Every site a clause names (crashes, recoveries, partition groups,
+    disk faults and detector windows), sorted, without duplicates. *)
+
 val storm_events : storm_spec -> (Core.Types.site * float * float) list
 (** [(site, crash_at, recover_at)] per wave — {!Sim.Nemesis.storm_events}
     on the spec, so runtimes lower plan storms exactly as the kv chaos
