@@ -142,25 +142,26 @@ module Frame = struct
   let header_len = 8
   let max_record = 1 lsl 20
 
-  (* CRC-32 (IEEE 802.3, reflected, polynomial 0xEDB88320), table-driven *)
+  (* CRC-32 (IEEE 802.3, reflected, polynomial 0xEDB88320), table-driven.
+     Built at module initialisation: sweep workers on several domains
+     compute checksums at once, and forcing one lazy table from two
+     domains raises [CamlinternalLazy.Undefined]. *)
   let table =
-    lazy
-      (Array.init 256 (fun n ->
-           let c = ref (Int32.of_int n) in
-           for _ = 0 to 7 do
-             c :=
-               if Int32.logand !c 1l <> 0l then
-                 Int32.logxor 0xEDB88320l (Int32.shift_right_logical !c 1)
-               else Int32.shift_right_logical !c 1
-           done;
-           !c))
+    Array.init 256 (fun n ->
+        let c = ref (Int32.of_int n) in
+        for _ = 0 to 7 do
+          c :=
+            if Int32.logand !c 1l <> 0l then
+              Int32.logxor 0xEDB88320l (Int32.shift_right_logical !c 1)
+            else Int32.shift_right_logical !c 1
+        done;
+        !c)
 
   let crc32 b ~off ~len =
-    let t = Lazy.force table in
     let c = ref 0xFFFFFFFFl in
     for i = off to off + len - 1 do
       let idx = Int32.to_int (Int32.logxor !c (Int32.of_int (Char.code (Bytes.get b i)))) land 0xff in
-      c := Int32.logxor (Int32.shift_right_logical !c 8) t.(idx)
+      c := Int32.logxor (Int32.shift_right_logical !c 8) table.(idx)
     done;
     Int32.logxor !c 0xFFFFFFFFl
 
