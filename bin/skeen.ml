@@ -773,7 +773,10 @@ let explore_cmd =
             ~k (Engine.Rulebook.compile p)
     in
     let load_corpus dir =
-      let entries = Engine.Explore.load_corpus ~dir in
+      let entries =
+        try Engine.Explore.load_corpus ~dir
+        with Engine.Failure_plan.Parse_error msg -> refuse cmd (Printf.sprintf "bad plan in %s: %s" dir msg)
+      in
       List.iter
         (fun (name, plan) ->
           Option.iter
