@@ -406,8 +406,6 @@ let inject w ~dst ~at msg =
   check_site w dst;
   push w ~time:at (Deliver { src = 0; dst; dst_gen = w.generation.(dst); msg })
 
-(** [set_timer ctx ~delay f] schedules [f] to run at [now + delay] unless
-    the site crashes first or the timer is cancelled. *)
 let arm_timer ctx ~background ~delay f =
   let w = ctx.world in
   let id = w.next_timer_id in
@@ -416,6 +414,8 @@ let arm_timer ctx ~background ~delay f =
     (Timer { site = ctx.self; gen = w.generation.(ctx.self); id; background; callback = f });
   id
 
+(** [set_timer ctx ~delay f] schedules [f] to run at [now + delay] unless
+    the site crashes first or the timer is cancelled. *)
 let set_timer ctx ~delay f = arm_timer ctx ~background:false ~delay f
 
 (** [set_background_timer ctx ~delay f] is {!set_timer} for the failure
