@@ -30,17 +30,17 @@ let require_sites cmd ~n flag sites =
     (List.for_all (fun s -> s >= 1 && s <= n) sites)
     (Printf.sprintf "%s must be a site in 1..%d" flag n)
 
-(* ---------------- shared flags ---------------- *)
-
-(* A flag that means the same thing in several subcommands is defined once
-   below.  Its term takes the subcommand's name and checks the value as the
-   command line is read, so every subcommand refuses it the same way. *)
 (* A plan naming a site outside 1..n would die inside the run. *)
 let plan_sites_error ~n plan =
   Option.map
     (fun s -> Printf.sprintf "site %d is not in 1..%d" s n)
     (List.find_opt (fun s -> s < 1 || s > n) (Engine.Failure_plan.sites plan))
 
+(* ---------------- shared flags ---------------- *)
+
+(* A flag that means the same thing in several subcommands is defined once
+   below.  Its term takes the subcommand's name and checks the value as the
+   command line is read, so every subcommand refuses it the same way. *)
 let checked term check = Term.(const (fun v -> check v; v) $ term)
 
 let protocol_conv =
@@ -608,7 +608,10 @@ let chaos_cmd =
         if violations <> [] then exit 1
       in
       match (plan_str, replay) with
-      | Some s, _ -> run_once "plan:" (parse_plan ~families ~target:t.name ~n:t.Engine.Chaos.n_sites s) ~seed:seed_base
+      | Some s, _ ->
+          run_once "plan:"
+            (parse_plan ~families ~target:t.name ~n:t.Engine.Chaos.n_sites s)
+            ~seed:seed_base
       | None, Some seed ->
           run_once
             (Printf.sprintf "seed %d generates:" seed)
@@ -634,7 +637,9 @@ let chaos_cmd =
     let { termination; presumption; read_only_opt; group_commit; pipeline_depth; sync_latency } =
       levers
     in
-    let ignoring flag scope = Fmt.epr "skeen chaos: %s applies only to %s; ignoring it@." flag scope in
+    let ignoring flag scope =
+      Fmt.epr "skeen chaos: %s applies only to %s; ignoring it@." flag scope
+    in
     let pipeline_scope = "--kv (the bare protocol engine runs one transaction)" in
     match target with
     | Database { protocol; n } ->
@@ -775,7 +780,8 @@ let explore_cmd =
     let load_corpus dir =
       let entries =
         try Engine.Explore.load_corpus ~dir
-        with Engine.Failure_plan.Parse_error msg -> refuse cmd (Printf.sprintf "bad plan in %s: %s" dir msg)
+        with Engine.Failure_plan.Parse_error msg ->
+          refuse cmd (Printf.sprintf "bad plan in %s: %s" dir msg)
       in
       List.iter
         (fun (name, plan) ->
