@@ -280,7 +280,9 @@ let bare_run ?(keep_alive = false) faults =
   let until = 200.0 in
   let w = Sim.World.create ~n_sites:3 ~seed:4 ~msg_to_string:(fun (s : string) -> s) () in
   let log = ref [] in
-  let note kind (ctx : string Sim.World.ctx) p = log := (Sim.World.now w, ctx.Sim.World.self, p, kind) :: !log in
+  let note kind (ctx : string Sim.World.ctx) p =
+    log := (Sim.World.now w, ctx.Sim.World.self, p, kind) :: !log
+  in
   let d =
     Sim.Detector.create ~world:w ~heartbeat:"hb" ~is_heartbeat:(String.equal "hb")
       ~on_suspect:(note "suspect") ~on_unsuspect:(note "retract") ()
@@ -291,7 +293,8 @@ let bare_run ?(keep_alive = false) faults =
       Sim.World.on_start =
         (fun ctx ->
           Sim.Detector.start d ctx;
-          if keep_alive && ctx.Sim.World.self = 1 then ignore (Sim.World.set_timer ctx ~delay:until ignore));
+          if keep_alive && ctx.Sim.World.self = 1 then
+            ignore (Sim.World.set_timer ctx ~delay:until ignore));
       on_message = (fun ctx ~src _ -> Sim.Detector.heard d ~self:ctx.Sim.World.self ~src);
       on_peer_down = (fun _ _ -> ());
       on_peer_up = (fun _ _ -> ());
@@ -304,16 +307,24 @@ let bare_run ?(keep_alive = false) faults =
 let log_t = Alcotest.(list (pair (float 0.0) (triple int int string)))
 let flat = List.map (fun (t, o, p, k) -> (t, (o, p, k)))
 
-(* The stop must come no earlier than [at_least], and the suspicions and
-   retractions must be those of the run that goes on to the horizon. *)
-let check_stop name ~at_least faults =
-  let t_end, log, _ = bare_run faults in
+(* The suspicions and retractions must be those of the run that goes on
+   to the horizon, and the stop must come no earlier than [at_least].
+   Returns the stopped run's log and world. *)
+let check_stop name ?(at_least = 0.0) faults =
+  let t_end, log, w = bare_run faults in
   let ref_end, ref_log, _ = bare_run ~keep_alive:true faults in
   Alcotest.(check (float 0.0)) (name ^ ": the reference runs to the horizon") 200.0 ref_end;
-  Alcotest.(check bool) (Fmt.str "%s: stops at %.2f, not before %.2f" name t_end at_least) true (t_end >= at_least);
-  Alcotest.(check bool) (Fmt.str "%s: stops at %.2f, before the horizon" name t_end) true (t_end < 100.0);
+  Alcotest.(check bool)
+    (Fmt.str "%s: stops at %.2f, not before %.2f" name t_end at_least)
+    true (t_end >= at_least);
+  Alcotest.(check bool)
+    (Fmt.str "%s: stops at %.2f, before the horizon" name t_end)
+    true (t_end < 100.0);
   Alcotest.check log_t (name ^ ": same suspicions and retractions") (flat ref_log) (flat log);
-  log
+  (log, w)
+
+let suspected_site_2 ?(after = neg_infinity) log =
+  List.exists (fun (t, _, p, k) -> p = 2 && k = "suspect" && t > after) log
 
 let test_quiet_detector_stops_at_once () =
   let t_end, log, _ = bare_run (fun _ -> ()) in
@@ -321,25 +332,25 @@ let test_quiet_detector_stops_at_once () =
   Alcotest.check log_t "no suspicion" [] (flat log)
 
 let test_hb_loss_blocks_stop () =
-  let open_window = check_stop "open window" ~at_least:10.0 (fun w -> Sim.World.schedule_hb_loss w ~site:2 ~from_t:0.0 ~until_t:10.0) in
-  Alcotest.(check bool) "site 2 was falsely suspected" true (List.exists (fun (_, _, p, k) -> p = 2 && k = "suspect") open_window);
-  ignore (check_stop "future window" ~at_least:30.0 (fun w -> Sim.World.schedule_hb_loss w ~site:2 ~from_t:20.0 ~until_t:30.0));
+  let hb_loss ~from_t ~until_t w = Sim.World.schedule_hb_loss w ~site:2 ~from_t ~until_t in
+  let log, _ = check_stop "open window" ~at_least:10.0 (hb_loss ~from_t:0.0 ~until_t:10.0) in
+  Alcotest.(check bool) "site 2 was falsely suspected" true (suspected_site_2 log);
+  ignore (check_stop "future window" ~at_least:30.0 (hb_loss ~from_t:20.0 ~until_t:30.0));
   (* closed at 4.5, before anyone suspects site 2; its first heartbeat
      after the window lands after the check at 6.0 has suspected it *)
-  let short = check_stop "short window" ~at_least:4.5 (fun w -> Sim.World.schedule_hb_loss w ~site:2 ~from_t:0.0 ~until_t:4.5) in
+  let log, _ = check_stop "short window" ~at_least:4.5 (hb_loss ~from_t:0.0 ~until_t:4.5) in
   Alcotest.(check bool) "site 2 was suspected after the window closed" true
-    (List.exists (fun (t, _, p, k) -> p = 2 && k = "suspect" && t > 4.5) short)
+    (suspected_site_2 ~after:4.5 log)
 
 let test_future_msg_fault_blocks_stop () =
   (* heartbeats use up send indices: the stop waits until send #400 *)
-  ignore (check_stop "message fault" ~at_least:0.0 (fun w -> Sim.World.set_msg_faults w [ (400, Sim.World.Fault_drop) ]));
-  let _, _, w = bare_run (fun w -> Sim.World.set_msg_faults w [ (400, Sim.World.Fault_drop) ]) in
+  let _, w =
+    check_stop "message fault" (fun w -> Sim.World.set_msg_faults w [ (400, Sim.World.Fault_drop) ])
+  in
   Alcotest.(check bool) "send #400 happened before the stop" true (Sim.World.sends_attempted w > 400)
 
 let test_unsuspected_dead_peer_blocks_stop () =
-  let _, log, _ = bare_run ~keep_alive:true (fun w -> Sim.World.schedule_crash w ~at:1.0 3) in
-  let last = List.fold_left (fun acc (t, _, _, _) -> Float.max acc t) 0.0 log in
-  let log = check_stop "crash" ~at_least:last (fun w -> Sim.World.schedule_crash w ~at:1.0 3) in
+  let log, _ = check_stop "crash" (fun w -> Sim.World.schedule_crash w ~at:1.0 3) in
   Alcotest.(check (list (pair int int)))
     "both survivors suspect the dead site" [ (1, 3); (2, 3) ]
     (List.sort compare (List.map (fun (_, o, p, _) -> (o, p)) log))
@@ -352,7 +363,7 @@ let test_heartbeat_in_flight_from_dead_sender_blocks_stop () =
     Sim.World.schedule_latency_spike w ~site:3 ~from_t:0.0 ~until_t:0.5 ~extra:8.0;
     Sim.World.schedule_crash w ~at:0.5 3
   in
-  let log = check_stop "in flight" ~at_least:9.0 faults in
+  let log, _ = check_stop "in flight" ~at_least:9.0 faults in
   Alcotest.(check (list string))
     "site 1 suspects, retracts, suspects again" [ "suspect"; "retract"; "suspect" ]
     (List.filter_map (fun (_, o, p, k) -> if o = 1 && p = 3 then Some k else None) log)
@@ -423,7 +434,8 @@ let suite =
     Alcotest.test_case "pinned detector trace is byte-identical" `Quick test_pinned_trace;
     Alcotest.test_case "kv: detector sweep is safe" `Quick test_kv_detector_sweep_safe;
     Alcotest.test_case "a quiet detector world ends at once" `Quick test_quiet_detector_stops_at_once;
-    Alcotest.test_case "an open or future hb-loss window blocks the stop" `Quick test_hb_loss_blocks_stop;
+    Alcotest.test_case "an open or future hb-loss window blocks the stop" `Quick
+      test_hb_loss_blocks_stop;
     Alcotest.test_case "a message fault at a future send index blocks the stop" `Quick
       test_future_msg_fault_blocks_stop;
     Alcotest.test_case "an unsuspected dead peer blocks the stop" `Quick

@@ -466,7 +466,8 @@ let test_world_until () =
    time and how often the chain fired. *)
 let background_run ?(register = true) ?(extra = fun _ -> ()) ~settled ~until () =
   let w = Sim.World.create ~n_sites:1 ~seed:1 ~msg_to_string:wmsg_str () in
-  if register then Sim.World.register_detector w ~is_heartbeat:(fun m -> m = Pong) ~settled:(settled w);
+  if register then
+    Sim.World.register_detector w ~is_heartbeat:(fun m -> m = Pong) ~settled:(settled w);
   let beats = ref 0 in
   let handlers =
     quiet_handlers
@@ -524,7 +525,9 @@ let test_world_faults_block_stop () =
       in
       Alcotest.(check (float 0.0)) name expected t_end)
     [
-      ("hb-loss window", (fun w -> Sim.World.schedule_hb_loss w ~site:1 ~from_t:2.0 ~until_t:6.5), 7.0);
+      ( "hb-loss window",
+        (fun w -> Sim.World.schedule_hb_loss w ~site:1 ~from_t:2.0 ~until_t:6.5),
+        7.0 );
       (* the chain's beats from 3 on are deferred to 6.5, the window's end *)
       ("stall window", (fun w -> Sim.World.schedule_stall w ~site:1 ~from_t:2.0 ~until_t:6.5), 6.5);
       ( "latency spike",
