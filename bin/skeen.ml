@@ -673,6 +673,16 @@ let chaos_cmd =
             (sync_latency <> 0.0, "--sync-latency");
           ];
         if pipeline_depth <> 1 then ignoring "--pipeline" pipeline_scope;
+        List.iter
+          (fun (set, flag, scope) ->
+            if set then ignoring flag (scope ^ " (the engine's Paxos Commit has no detector mode)"))
+          [
+            (detector_flag, "--detector", "the catalog protocols and --kv");
+            (no_fencing, "--no-fencing", "the catalog protocols and --kv");
+            (heartbeat_period <> 1.0, "--heartbeat-period", "the catalog protocols and --kv");
+            (suspicion_timeout <> 5.0, "--suspicion-timeout", "the catalog protocols and --kv");
+            (election_timeout <> 4.0, "--election-timeout", "the catalog protocols");
+          ];
         drive
           (Engine.Paxos.target
              ~profile:(profile (Engine.Paxos.sweep_profile ~n_sites:n ~f))

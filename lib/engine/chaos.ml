@@ -228,21 +228,26 @@ let check_durability ?(presumption = Runtime.No_presumption) ?(read_only = [])
    observable damage of a split brain — contradictory decisions — is the
    atomicity oracle's finding; this one pins the structural invariant.) *)
 let split_brain ~epoch ~site ~detail claims =
-  let owner = Hashtbl.create 16 in
-  List.find_opt
-    (fun c ->
-      match Hashtbl.find_opt owner (epoch c) with
-      | Some s -> s <> site c
-      | None ->
-          Hashtbl.replace owner (epoch c) (site c);
-          false)
-    claims
-  |> Option.map (fun c -> { oracle = Split_brain; detail = detail c })
+  let rec first_clash owners = function
+    | [] -> None
+    | c :: rest -> (
+        match List.assoc_opt (epoch c) owners with
+        | Some s when s <> site c -> Some { oracle = Split_brain; detail = detail c }
+        | Some _ -> first_clash owners rest
+        | None -> first_clash ((epoch c, site c) :: owners) rest)
+  in
+  first_clash [] claims
 
 let check_split_brain (result : Runtime.result) =
   split_brain ~epoch:snd ~site:fst
     ~detail:(fun (site, e) -> Printf.sprintf "epoch %d claimed by two sites, e.g. site %d" e site)
     result.Runtime.directive_epochs
+
+let l_wall_oracle_atomicity = Sim.Metrics.label "wall_oracle_atomicity_s"
+let l_wall_oracle_progress = Sim.Metrics.label "wall_oracle_progress_s"
+let l_wall_oracle_recovery = Sim.Metrics.label "wall_oracle_recovery_s"
+let l_wall_oracle_durability = Sim.Metrics.label "wall_oracle_durability_s"
+let l_wall_oracle_split_brain = Sim.Metrics.label "wall_oracle_split_brain_s"
 
 (* Run the five oracles, timing each into [metrics] when provided.  The
    timing histograms carry the reserved [wall_] prefix: they are host
@@ -250,38 +255,54 @@ let check_split_brain (result : Runtime.result) =
    nondeterministic across runs and excluded from sweep
    merge-equivalence checks.  Never [Sys.time] here — that is
    process-wide CPU time, which sums across a parallel sweep's domains
-   and turns every per-oracle histogram into garbage. *)
+   and turns every per-oracle histogram into garbage.  The clock reads
+   are chained: each oracle's time runs from the previous read, so five
+   oracles take six reads. *)
 let violations_of ?metrics ?presumption ?read_only result =
-  let timed name f =
-    match metrics with
-    | None -> f result
+  let last = ref (match metrics with Some _ -> Sim.Clock.now () | None -> 0.0) in
+  let timed l f =
+    let v = f result in
+    (match metrics with
+    | None -> ()
     | Some m ->
-        let v, dt = Sim.Clock.time (fun () -> f result) in
-        Sim.Metrics.observe m name dt;
-        v
+        let t = Sim.Clock.now () in
+        (* gettimeofday is not formally monotonic: clamp as [Clock.time] does *)
+        Sim.Metrics.sample m l (Float.max 0.0 (t -. !last));
+        last := t);
+    v
   in
-  List.filter_map Fun.id
-    [
-      timed "wall_oracle_atomicity_s" check_atomicity;
-      timed "wall_oracle_progress_s" (check_progress ?read_only);
-      timed "wall_oracle_recovery_s" (check_recovery ?read_only);
-      timed "wall_oracle_durability_s" (check_durability ?presumption ?read_only);
-      timed "wall_oracle_split_brain_s" check_split_brain;
-    ]
+  let atomicity = timed l_wall_oracle_atomicity check_atomicity in
+  let progress = timed l_wall_oracle_progress (check_progress ?read_only) in
+  let recovery = timed l_wall_oracle_recovery (check_recovery ?read_only) in
+  let durability = timed l_wall_oracle_durability (check_durability ?presumption ?read_only) in
+  let split_brain = timed l_wall_oracle_split_brain check_split_brain in
+  List.filter_map Fun.id [ atomicity; progress; recovery; durability; split_brain ]
 
 (* The per-run detector counters worth aggregating across a sweep: they
    answer "how often did suspicion misfire, and what did fencing stop". *)
-let detector_counter_names =
-  [ "false_suspicions"; "elections_started"; "elections"; "epoch_rejected_directives" ]
+let detector_counters =
+  List.map
+    (fun name -> (name, Sim.Metrics.label name))
+    [ "false_suspicions"; "elections_started"; "elections"; "epoch_rejected_directives" ]
+
+let l_chaos_runs = Sim.Metrics.label "chaos_runs"
+let l_shrink_runs = Sim.Metrics.label "shrink_runs"
+let l_suspicion_latency = Sim.Metrics.label "suspicion_latency"
+let l_schedule_faults = Sim.Metrics.label "schedule_faults"
+
+let l_violations =
+  List.map
+    (fun o -> (o, Sim.Metrics.label ("violations_" ^ oracle_name o)))
+    [ Atomicity; Progress; Recovery_convergence; Durability; Split_brain; Conservation ]
 
 let aggregate_run_metrics m result =
   let rm = result.Runtime.run_metrics in
   List.iter
-    (fun name ->
-      match Sim.Metrics.counter rm name with
+    (fun (_, l) ->
+      match Sim.Metrics.count rm l with
       | 0 -> ()
-      | by -> Sim.Metrics.incr ~by m name)
-    detector_counter_names;
+      | by -> Sim.Metrics.bump ~by m l)
+    detector_counters;
   (* fold the crash-to-suspicion latency histogram by re-observing bucket
      midpoints: within one bucket width of exact, which is all the
      summary percentiles claim anyway *)
@@ -289,9 +310,9 @@ let aggregate_run_metrics m result =
     (fun (lower, upper, count) ->
       let v = if Float.is_finite upper then (lower +. upper) /. 2.0 else lower in
       for _ = 1 to count do
-        Sim.Metrics.observe m "suspicion_latency" v
+        Sim.Metrics.sample m l_suspicion_latency v
       done)
-    (Sim.Metrics.buckets rm "suspicion_latency")
+    (Sim.Metrics.buckets_of rm l_suspicion_latency)
 
 (* ---------------- coverage fingerprints ---------------- *)
 
@@ -345,8 +366,8 @@ let fingerprint_of (result : Runtime.result) =
            (List.length (List.sort_uniq compare (List.map fst result.directive_epochs))));
     ]
   @ List.map
-      (fun name -> feat name (bucket (Sim.Metrics.counter result.run_metrics name)))
-      detector_counter_names
+      (fun (name, l) -> feat name (bucket (Sim.Metrics.count result.run_metrics l)))
+      detector_counters
 
 (* ---------------- targets ---------------- *)
 
@@ -384,8 +405,8 @@ let plan_target ~name ~n_sites ~profile run =
     let plan = Failure_plan.of_schedule schedule in
     (match metrics with
     | Some m ->
-        Sim.Metrics.incr m "chaos_runs";
-        Sim.Metrics.observe m "schedule_faults" (float_of_int (Failure_plan.fault_count plan))
+        Sim.Metrics.bump m l_chaos_runs;
+        Sim.Metrics.sample m l_schedule_faults (float_of_int (Failure_plan.fault_count plan))
     | None -> ());
     let result, violations = run ~metrics ~tracing:false ~seed plan in
     { seed; plan; result; violations }
@@ -542,7 +563,7 @@ let shrink_target ?metrics t ~seed ~oracle plan =
   let runs = ref 0 in
   let still_fails p =
     incr runs;
-    (match metrics with Some m -> Sim.Metrics.incr m "shrink_runs" | None -> ());
+    (match metrics with Some m -> Sim.Metrics.bump m l_shrink_runs | None -> ());
     let _, vs = t.run ~metrics ~tracing:false ~seed p in
     List.exists (fun v -> v.oracle = oracle) vs
   in
@@ -593,7 +614,7 @@ let sweep_target ?(seed_base = 0) ?(max_counterexamples = 5) ?(workers = 1) t ~k
         match t.verdict run with
         | [] -> None
         | vs ->
-            List.iter (fun v -> Sim.Metrics.incr metrics ("violations_" ^ oracle_name v.oracle)) vs;
+            List.iter (fun v -> Sim.Metrics.bump metrics (List.assoc v.oracle l_violations)) vs;
             Some run)
   in
   let failing =

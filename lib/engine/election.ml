@@ -49,11 +49,14 @@ let note_leader t st leader =
   | _ -> st.leaders_seen <- (Sim.World.now t.world, leader) :: st.leaders_seen);
   st.leader <- Some leader
 
+let l_elections_won = Sim.Metrics.label "elections_won"
+let l_elections_started = Sim.Metrics.label "elections_started"
+
 let declare_victory t ctx =
   let self = ctx.Sim.World.self in
   let st = state t self in
   st.awaiting_answers <- false;
-  if st.leader <> Some self then Sim.Metrics.incr (Sim.World.metrics t.world) "elections_won";
+  if st.leader <> Some self then Sim.Metrics.bump (Sim.World.metrics t.world) l_elections_won;
   note_leader t st self;
   (* re-broadcast even as the incumbent: a requester that just started an
      election is waiting to hear who is in charge *)
@@ -63,7 +66,7 @@ let rec start_election t ctx =
   let self = ctx.Sim.World.self in
   let st = state t self in
   if not st.awaiting_answers then begin
-    Sim.Metrics.incr (Sim.World.metrics t.world) "elections_started";
+    Sim.Metrics.bump (Sim.World.metrics t.world) l_elections_started;
     match higher t self with
     | [] -> declare_victory t ctx
     | rivals ->

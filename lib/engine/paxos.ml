@@ -135,8 +135,22 @@ let leader_of t ballot = (ballot mod t.cfg.n_sites) + 1
    set small keeps elections deterministic). *)
 let candidates t = List.sort_uniq compare (1 :: t.acceptor_set)
 
+let l_wal_appends = Sim.Metrics.label "wal_appends"
+let l_paxos_recoveries = Sim.Metrics.label "paxos_recoveries"
+let l_elections = Sim.Metrics.label "elections"
+let l_outcome_queries = Sim.Metrics.label "outcome_queries"
+let l_paxos_rejected = Sim.Metrics.label "paxos_rejected"
+let l_paxos_deposed = Sim.Metrics.label "paxos_deposed"
+let l_lease_takeovers = Sim.Metrics.label "lease_takeovers"
+let l_recoveries_processed = Sim.Metrics.label "recoveries_processed"
+let l_decision_latency = Sim.Metrics.label "decision_latency"
+let l_messages_to_decision = Sim.Metrics.label "messages_to_decision"
+let l_rounds_to_decision = Sim.Metrics.label "rounds_to_decision"
+let l_messages_sent = Sim.Metrics.label "messages_sent"
+let l_messages_delivered = Sim.Metrics.label "messages_delivered"
+
 let force t rt record =
-  Sim.Metrics.incr (metrics t) "wal_appends";
+  Sim.Metrics.bump (metrics t) l_wal_appends;
   Wal.force rt.wal record
 
 (* Fire one protocol transition: honor any step crash pinned to this
@@ -179,9 +193,9 @@ let learn t rt outcome =
     rt.outcome <- Some outcome;
     rt.decided_at <- Some (Sim.World.now t.world);
     rt.leading <- None;
-    Sim.Metrics.observe (metrics t) "decision_latency" (Sim.World.now t.world);
-    Sim.Metrics.observe (metrics t) "messages_to_decision"
-      (float_of_int (Sim.Metrics.counter (metrics t) "messages_sent"))
+    Sim.Metrics.sample (metrics t) l_decision_latency (Sim.World.now t.world);
+    Sim.Metrics.sample (metrics t) l_messages_to_decision
+      (float_of_int (Sim.Metrics.count (metrics t) l_messages_sent))
   end
 
 (* The deciding leader announces to everyone; a decide-crash clause cuts
@@ -269,8 +283,8 @@ let start_recovery t ctx rt =
     let ld = new_lead ballot ~phase2:false in
     rt.leading <- Some ld;
     t.directive_epochs <- (rt.site, ballot) :: t.directive_epochs;
-    Sim.Metrics.incr (metrics t) "paxos_recoveries";
-    Sim.Metrics.incr (metrics t) "elections";
+    Sim.Metrics.bump (metrics t) l_paxos_recoveries;
+    Sim.Metrics.bump (metrics t) l_elections;
     Sim.World.record t.world "site %d leads paxos recovery at ballot %d" rt.site ballot;
     send_phase t ctx rt ld;
     arm_redrive t ctx rt ld
@@ -311,7 +325,7 @@ let rec arm_query t ctx rt =
                 with
                 | s :: _ when s = rt.site -> start_recovery t ctx rt
                 | _ -> ());
-             Sim.Metrics.incr (metrics t) "outcome_queries";
+             Sim.Metrics.bump (metrics t) l_outcome_queries;
              List.iter (fun dst -> Sim.World.send ctx ~dst Query_outcome) (others t rt);
              arm_query t ctx rt
            end))
@@ -322,7 +336,7 @@ let decide t ctx rt (ld : lead) =
     if List.for_all (fun (_, prepared) -> prepared) ld.l_chosen then Core.Types.Committed
     else Core.Types.Aborted
   in
-  Sim.Metrics.observe (metrics t) "rounds_to_decision"
+  Sim.Metrics.sample (metrics t) l_rounds_to_decision
     (float_of_int (4 + (4 * (ld.l_ballot / t.cfg.n_sites))));
   learn t rt outcome;
   announce t ctx rt outcome
@@ -404,7 +418,7 @@ let on_p2a t ctx rt ~src ~rm ~ballot ~prepared =
     Sim.World.send ctx ~dst:(leader_of t ballot) (P2b { rm; ballot; prepared })
   end
   else begin
-    Sim.Metrics.incr (metrics t) "paxos_rejected";
+    Sim.Metrics.bump (metrics t) l_paxos_rejected;
     Sim.World.send ctx ~dst:src (P_reject { ballot = rt.promised });
     (* a ballot-0 P2a is an RM's own vote, relayed on the TM's behalf:
        the TM itself never hears this reject and would re-drive ballot 0
@@ -426,7 +440,7 @@ let on_p1a t ctx rt ~src ~ballot =
     Sim.World.send ctx ~dst:src (P1b { ballot; accepted = rt.accepted })
   end
   else begin
-    Sim.Metrics.incr (metrics t) "paxos_rejected";
+    Sim.Metrics.bump (metrics t) l_paxos_rejected;
     Sim.World.send ctx ~dst:src (P_reject { ballot = rt.promised })
   end
 
@@ -479,7 +493,7 @@ let on_p_reject t ctx rt ~ballot =
   | Some ld when ballot > ld.l_ballot ->
       (* deposed: a higher-ballot leader is active; fall back to the
          blocked-participant query loop *)
-      Sim.Metrics.incr (metrics t) "paxos_deposed";
+      Sim.Metrics.bump (metrics t) l_paxos_deposed;
       rt.leading <- None;
       arm_query t ctx rt
   | _ -> ()
@@ -492,7 +506,7 @@ let on_lease_expire t ctx rt =
     in
     match standbys with
     | s :: _ when s = rt.site ->
-        Sim.Metrics.incr (metrics t) "lease_takeovers";
+        Sim.Metrics.bump (metrics t) l_lease_takeovers;
         start_recovery t ctx rt
     | _ -> ()
   end
@@ -570,7 +584,7 @@ let on_restart t ctx =
   let rt = rt_of t ctx.Sim.World.self in
   rt.ever_crashed <- true;
   rebuild rt;
-  Sim.Metrics.incr (metrics t) "recoveries_processed";
+  Sim.Metrics.bump (metrics t) l_recoveries_processed;
   if rt.outcome = None then begin
     rt.query_attempt <- 0;
     arm_query t ctx rt
@@ -609,7 +623,7 @@ let run (cfg : config) : Runtime.result =
     Array.init n (fun i ->
         let site = i + 1 in
         let wal = Wal.Store.log store ~site in
-        Sim.Metrics.incr (Sim.World.metrics world) "wal_appends";
+        Sim.Metrics.bump (Sim.World.metrics world) l_wal_appends;
         Wal.force wal (Wal.Began { protocol = protocol_name; initial = "q" });
         {
           site;
@@ -742,8 +756,8 @@ let run (cfg : config) : Runtime.result =
   Sim.Metrics.drain_timers metrics;
   {
     Runtime.reports;
-    messages_sent = Sim.Metrics.counter metrics "messages_sent";
-    messages_delivered = Sim.Metrics.counter metrics "messages_delivered";
+    messages_sent = Sim.Metrics.count metrics l_messages_sent;
+    messages_delivered = Sim.Metrics.count metrics l_messages_delivered;
     duration =
       List.fold_left
         (fun acc (r : Runtime.site_report) ->

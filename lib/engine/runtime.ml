@@ -258,6 +258,18 @@ let final_state_for (a : Core.Automaton.t) (o : Core.Types.outcome) =
   | Some s -> s.Core.Automaton.id
   | None -> (match o with Core.Types.Committed -> "c" | Aborted -> "a")
 
+let l_wal_appends = Sim.Metrics.label "wal_appends"
+let l_termination_queries = Sim.Metrics.label "termination_queries"
+let l_elections = Sim.Metrics.label "elections"
+let l_termination_rounds = Sim.Metrics.label "termination_rounds"
+let l_elections_started = Sim.Metrics.label "elections_started"
+let l_epoch_rejected_directives = Sim.Metrics.label "epoch_rejected_directives"
+let l_recoveries_processed = Sim.Metrics.label "recoveries_processed"
+let l_decision_latency = Sim.Metrics.label "decision_latency"
+let l_messages_to_decision = Sim.Metrics.label "messages_to_decision"
+let l_messages_sent = Sim.Metrics.label "messages_sent"
+let l_messages_delivered = Sim.Metrics.label "messages_delivered"
+
 let site_has_veto (a : Core.Automaton.t) =
   List.exists
     (fun (tr : Core.Automaton.transition) -> tr.Core.Automaton.vote = Some Core.Types.No)
@@ -288,7 +300,7 @@ module Exec = struct
   (* every log write goes through here so the run's WAL traffic is
      visible in the metrics *)
   let append_wal t wal r =
-    Sim.Metrics.incr (Sim.World.metrics t.world) "wal_appends";
+    Sim.Metrics.bump (Sim.World.metrics t.world) l_wal_appends;
     Wal.append wal r
 
   let is_ro t site = List.mem site t.cfg.read_only
@@ -305,7 +317,7 @@ module Exec = struct
      takes any externally visible action.  Read-only sites never sync —
      nothing of theirs needs to survive a crash. *)
   let force_wal t (rt : site_rt) r =
-    Sim.Metrics.incr (Sim.World.metrics t.world) "wal_appends";
+    Sim.Metrics.bump (Sim.World.metrics t.world) l_wal_appends;
     if is_ro t rt.site then Wal.append rt.wal r else Wal.force rt.wal r
 
   let finalize t (rt : site_rt) (o : Core.Types.outcome) =
@@ -321,9 +333,9 @@ module Exec = struct
       rt.state <- final_state_for rt.automaton o;
       rt.mode <- Normal;
       let m = Sim.World.metrics t.world in
-      Sim.Metrics.observe m "decision_latency" (Sim.World.now t.world);
-      Sim.Metrics.observe m "messages_to_decision"
-        (float_of_int (Sim.Metrics.counter m "messages_sent"));
+      Sim.Metrics.sample m l_decision_latency (Sim.World.now t.world);
+      Sim.Metrics.sample m l_messages_to_decision
+        (float_of_int (Sim.Metrics.count m l_messages_sent));
       record t "site %d decides %s" rt.site
         (match o with Core.Types.Committed -> "COMMIT" | Aborted -> "ABORT")
     end
@@ -419,7 +431,7 @@ module Exec = struct
                 Wal.Transitioned
                   { to_state = tr.Core.Automaton.to_state; vote = tr.Core.Automaton.vote }
               in
-              Sim.Metrics.incr (Sim.World.metrics t.world) "wal_appends";
+              Sim.Metrics.bump (Sim.World.metrics t.world) l_wal_appends;
               if t.cfg.late_force || is_ro t rt.site then begin
                 Wal.append rt.wal record_;
                 continue ()
@@ -433,7 +445,7 @@ module Exec = struct
   (* ---------------- queries (recovery & blocked sites) ---------------- *)
 
   let query_peers t ctx (rt : site_rt) =
-    Sim.Metrics.incr (Sim.World.metrics t.world) "termination_queries";
+    Sim.Metrics.bump (Sim.World.metrics t.world) l_termination_queries;
     let peers = List.filter (fun s -> s <> rt.site) (Sim.World.sites t.world) in
     Sim.World.broadcast ctx ~dsts:peers Msg.Query_outcome
 
@@ -658,13 +670,13 @@ module Exec = struct
         rt.lead_epoch <- e;
         rt.epoch_seen <- max rt.epoch_seen e;
         t.directive_epochs <- (rt.site, e) :: t.directive_epochs;
-        Sim.Metrics.incr (Sim.World.metrics t.world) "elections";
+        Sim.Metrics.bump (Sim.World.metrics t.world) l_elections;
         match rt.outcome with
         | Some o ->
             (* Already final: phase 1 may be omitted (paper §8). *)
             broadcast_decide t ctx rt o
         | None ->
-            Sim.Metrics.incr (Sim.World.metrics t.world) "termination_rounds";
+            Sim.Metrics.bump (Sim.World.metrics t.world) l_termination_rounds;
             (
             match t.cfg.termination with
             | Quorum q -> (
@@ -710,7 +722,7 @@ module Exec = struct
           if lower = [] then start_termination t ctx rt
           else begin
             rt.campaigning <- true;
-            Sim.Metrics.incr (Sim.World.metrics t.world) "elections_started";
+            Sim.Metrics.bump (Sim.World.metrics t.world) l_elections_started;
             let e = next_epoch t rt in
             record t "site %d campaigns for leadership at epoch %d" rt.site e;
             Sim.World.broadcast ctx ~dsts:lower (Msg.Elect { epoch = e });
@@ -769,7 +781,7 @@ module Exec = struct
               (* a stale directive from a deposed backup: fence it.  Under
                  the detector the deposed backup is possibly still alive —
                  tell it, so it stands down instead of deciding alone. *)
-              Sim.Metrics.incr (Sim.World.metrics t.world) "epoch_rejected_directives";
+              Sim.Metrics.bump (Sim.World.metrics t.world) l_epoch_rejected_directives;
               record t "site %d fences stale move from deposed backup %d (e%d < e%d)" rt.site src
                 e rt.epoch_seen;
               if t.cfg.detector then
@@ -804,7 +816,7 @@ module Exec = struct
         | Polling _ | Normal | Stalled -> ())
     | Msg.State_req { epoch = e } ->
         if t.cfg.detector && t.cfg.fencing && e < rt.epoch_seen then begin
-          Sim.Metrics.incr (Sim.World.metrics t.world) "epoch_rejected_directives";
+          Sim.Metrics.bump (Sim.World.metrics t.world) l_epoch_rejected_directives;
           record t "site %d fences stale state-req from deposed backup %d (e%d < e%d)" rt.site
             src e rt.epoch_seen;
           Sim.World.send ctx ~dst:src (Msg.Epoch_reject { epoch = rt.epoch_seen })
@@ -828,7 +840,7 @@ module Exec = struct
         | _ -> ())
     | Msg.Decide { outcome = o; epoch = e } ->
         if t.cfg.detector && t.cfg.fencing && e < rt.epoch_seen then begin
-          Sim.Metrics.incr (Sim.World.metrics t.world) "epoch_rejected_directives";
+          Sim.Metrics.bump (Sim.World.metrics t.world) l_epoch_rejected_directives;
           record t "site %d fences stale decide from deposed backup %d (e%d < e%d)" rt.site src
             e rt.epoch_seen;
           Sim.World.send ctx ~dst:src (Msg.Epoch_reject { epoch = rt.epoch_seen })
@@ -1023,7 +1035,7 @@ module Exec = struct
               (Msg.Decide { outcome = o; epoch = max rt.lead_epoch rt.epoch_seen }))
           (List.filter (fun s -> s <> rt.site) (Sim.World.sites t.world))
     | None -> ());
-    Sim.Metrics.incr (Sim.World.metrics t.world) "recoveries_processed"
+    Sim.Metrics.bump (Sim.World.metrics t.world) l_recoveries_processed
 
   (* wire the site's log into the run: force counters, and a site-bound
      timer for deferred group-commit flushes (so a pending batch dies
@@ -1076,7 +1088,7 @@ let run (cfg : config) : result =
         let site = i + 1 in
         let automaton = Core.Protocol.automaton protocol site in
         let wal = Wal.Store.log store ~site in
-        Sim.Metrics.incr (Sim.World.metrics world) "wal_appends";
+        Sim.Metrics.bump (Sim.World.metrics world) l_wal_appends;
         Wal.force wal
           (Wal.Began { protocol = protocol.Core.Protocol.name; initial = automaton.Core.Automaton.initial });
         {
@@ -1206,8 +1218,8 @@ let run (cfg : config) : result =
   Sim.Metrics.drain_timers metrics;
   {
     reports;
-    messages_sent = Sim.Metrics.counter metrics "messages_sent";
-    messages_delivered = Sim.Metrics.counter metrics "messages_delivered";
+    messages_sent = Sim.Metrics.count metrics l_messages_sent;
+    messages_delivered = Sim.Metrics.count metrics l_messages_delivered;
     duration =
       List.fold_left (fun acc r -> match r.decided_at with Some x -> max acc x | None -> acc) 0.0
         reports;

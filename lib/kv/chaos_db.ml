@@ -302,6 +302,8 @@ let name = function
   | Node.Three_phase -> "kv-3pc"
   | Node.Paxos f -> Printf.sprintf "kv-paxos-f%d" f
 
+let l_chaos_runs = Sim.Metrics.label "chaos_runs"
+
 (* Phase 1 runs the generated schedule directly; plans exist only for the
    shrinker and the explorer, through {!Engine.Failure_plan}'s schedule
    bridge. *)
@@ -320,7 +322,7 @@ let target ?(profile = default_profile) (cfg : Db.config) : (run_outcome, Db.res
         let result, violations = judge cfg ~tracing:false ~seed schedule in
         (match metrics with
         | Some m ->
-            Sim.Metrics.incr m "chaos_runs";
+            Sim.Metrics.bump m l_chaos_runs;
             Sim.Metrics.merge m result.Db.run_metrics
         | None -> ());
         { seed; schedule; result; violations });

@@ -192,6 +192,10 @@ let resolved_as log ~txn ~commit =
   done;
   !i < Array.length r && r.(!i) = want
 
+let l_forces_per_commit = Sim.Metrics.label "forces_per_commit"
+let l_wal_forces = Sim.Metrics.label "wal_forces"
+let l_messages_sent = Sim.Metrics.label "messages_sent"
+
 (** [run cfg workload] executes [workload] (arrival-time, transaction)
     pairs and reports aggregate behaviour.  Deterministic in [cfg.seed]. *)
 let run (cfg : config) (workload : (float * Txn.t) list) : result =
@@ -421,13 +425,13 @@ let run (cfg : config) (workload : (float * Txn.t) list) : result =
      that crashed holding locks) before the registry is snapshot or
      merged into a sweep aggregate *)
   Sim.Metrics.drain_timers metrics;
-  let wal_forces = Sim.Metrics.counter metrics "wal_forces" in
+  let wal_forces = Sim.Metrics.count metrics l_wal_forces in
   let forces_per_commit =
     if committed > 0 then float_of_int wal_forces /. float_of_int committed else 0.0
   in
   (* derived, but first-class: published into the registry so sweep
      merges aggregate it like any other distribution *)
-  if committed > 0 then Sim.Metrics.observe metrics "forces_per_commit" forces_per_commit;
+  if committed > 0 then Sim.Metrics.sample metrics l_forces_per_commit forces_per_commit;
   {
     committed;
     aborted;
@@ -440,7 +444,7 @@ let run (cfg : config) (workload : (float * Txn.t) list) : result =
       | [] -> None
       | l -> Some (List.fold_left ( +. ) 0.0 l /. float_of_int (List.length l)));
     blocked_time = Array.to_list nodes |> List.fold_left (fun a n -> a +. n.Node.blocked_time) 0.0;
-    messages_sent = Sim.Metrics.counter metrics "messages_sent";
+    messages_sent = Sim.Metrics.count metrics l_messages_sent;
     wal_forces;
     forces_per_commit;
     atomicity_ok = (not !contradiction) && missing_applied = [];

@@ -269,10 +269,33 @@ let pax_elect_ballot node ~txn =
   node.directive_epochs <- (txn, e) :: node.directive_epochs;
   e
 
-let metric ctx name = Sim.Metrics.incr (Sim.World.metrics ctx.Sim.World.world) name
 let now ctx = Sim.World.now ctx.Sim.World.world
 let metrics ctx = Sim.World.metrics ctx.Sim.World.world
-let observe ctx name v = Sim.Metrics.observe (metrics ctx) name v
+let metric ctx l = Sim.Metrics.bump (metrics ctx) l
+let observe ctx l v = Sim.Metrics.sample (metrics ctx) l v
+
+let l_lock_waits = Sim.Metrics.label "lock_waits"
+let l_lock_timeouts = Sim.Metrics.label "lock_timeouts"
+let l_deadlocks = Sim.Metrics.label "deadlocks"
+let l_read_only_votes = Sim.Metrics.label "read_only_votes"
+let l_duplicate_prepare_ignored = Sim.Metrics.label "duplicate_prepare_ignored"
+let l_orphan_prepare_refused = Sim.Metrics.label "orphan_prepare_refused"
+let l_refused_participant_down = Sim.Metrics.label "refused_participant_down"
+let l_pipeline_queued = Sim.Metrics.label "pipeline_queued"
+let l_paxos_recoveries = Sim.Metrics.label "paxos_recoveries"
+let l_terminations = Sim.Metrics.label "terminations"
+let l_quorum_blocked = Sim.Metrics.label "quorum_blocked"
+let l_blocked_paxos = Sim.Metrics.label "blocked_paxos"
+let l_blocked_2pc = Sim.Metrics.label "blocked_2pc"
+let l_stale_termination_ignored = Sim.Metrics.label "stale_termination_ignored"
+let l_epoch_rejected_directives = Sim.Metrics.label "epoch_rejected_directives"
+let l_pax_rejected = Sim.Metrics.label "pax_rejected"
+let l_kv_blocked_duration = Sim.Metrics.label "kv_blocked_duration"
+let l_kv_decision_phase = Sim.Metrics.label "kv_decision_phase"
+let l_kv_vote_phase = Sim.Metrics.label "kv_vote_phase"
+let l_kv_lock_wait = Sim.Metrics.label "kv_lock_wait"
+let l_commit_latency = Sim.Metrics.label "commit_latency"
+let l_abort_latency = Sim.Metrics.label "abort_latency"
 
 (* ------------------------------------------------------------------ *)
 (* participant (resource manager) side                                 *)
@@ -291,7 +314,7 @@ let note_unblocked node ctx (p : p_txn) =
   match p.blocked_since with
   | Some t0 ->
       node.blocked_time <- node.blocked_time +. (now ctx -. t0);
-      observe ctx "kv_blocked_duration" (now ctx -. t0);
+      observe ctx l_kv_blocked_duration (now ctx -. t0);
       p.blocked_since <- None
   | None -> ()
 
@@ -300,7 +323,7 @@ let note_unblocked node ctx (p : p_txn) =
 let p_abort_unvoted node ctx (p : p_txn) ~notify =
   match p.status with
   | P_working ->
-      Sim.Metrics.timer_discard (metrics ctx) "kv_lock_wait" ~key:p.txn;
+      Sim.Metrics.timer_discard (metrics ctx) l_kv_lock_wait ~key:p.txn;
       (* status flips before the force so the abort cannot re-enter while
          the record is in flight; locks stay held until it is durable *)
       p.status <- P_done false;
@@ -363,18 +386,18 @@ let rec p_continue node ctx (p : p_txn) =
           (* Parked; the lock table's grant callback resumes us.  The timer
              bounds the wait: deadlock cycles spanning several sites escape
              the local detector and resolve by timeout. *)
-          metric ctx "lock_waits";
+          metric ctx l_lock_waits;
           let txn = p.txn in
           ignore
             (Sim.World.set_timer ctx ~delay:node.lock_wait_timeout (fun () ->
                  match Hashtbl.find_opt node.p_txns txn with
                  | Some p when p.status = P_working && p.pending_ops <> [] ->
-                     metric ctx "lock_timeouts";
+                     metric ctx l_lock_timeouts;
                      node.deadlock_aborts <- node.deadlock_aborts + 1;
                      p_abort_unvoted node ctx p ~notify:true
                  | _ -> ()))
       | Lock_table.Deadlock _cycle ->
-          metric ctx "deadlocks";
+          metric ctx l_deadlocks;
           node.deadlock_aborts <- node.deadlock_aborts + 1;
           p_abort_unvoted node ctx p ~notify:true)
   | [] ->
@@ -386,15 +409,15 @@ let rec p_continue node ctx (p : p_txn) =
              transaction entirely: were it to stay as a "done" participant
              it could be elected backup coordinator and announce a commit
              outcome it never actually learned. *)
-          metric ctx "read_only_votes";
-          Sim.Metrics.timer_stop (metrics ctx) "kv_lock_wait" ~key:p.txn ~at:(now ctx);
+          metric ctx l_read_only_votes;
+          Sim.Metrics.timer_stop (metrics ctx) l_kv_lock_wait ~key:p.txn ~at:(now ctx);
           release node p;
           Hashtbl.remove node.p_txns p.txn;
           Hashtbl.replace node.ro_done p.txn ();
           Sim.World.send ctx ~dst:p.coordinator (Kv_msg.Vote { txn = p.txn; vote = `Read_only })
         end
         else begin
-          Sim.Metrics.timer_stop (metrics ctx) "kv_lock_wait" ~key:p.txn ~at:(now ctx);
+          Sim.Metrics.timer_stop (metrics ctx) l_kv_lock_wait ~key:p.txn ~at:(now ctx);
           p.status <- P_prepared;
           (* THE force point of the commit path: the prepared record must
              be stable before the yes vote leaves — a crash between them
@@ -414,7 +437,7 @@ let rec p_continue node ctx (p : p_txn) =
         end
 
 let on_prepare node ctx ~src ~txn ~ops ~participants =
-  if Hashtbl.mem node.ro_done txn then metric ctx "duplicate_prepare_ignored"
+  if Hashtbl.mem node.ro_done txn then metric ctx l_duplicate_prepare_ignored
   else if not (Hashtbl.mem node.p_txns txn) then begin
     let p =
       {
@@ -431,7 +454,7 @@ let on_prepare node ctx ~src ~txn ~ops ~participants =
     Hashtbl.replace node.p_txns txn p;
     (* lock-wait phase: from the prepare's arrival to this participant's
        vote (stopped in [p_continue], discarded on unilateral abort) *)
-    Sim.Metrics.timer_start (metrics ctx) "kv_lock_wait" ~key:txn ~at:(now ctx);
+    Sim.Metrics.timer_start (metrics ctx) l_kv_lock_wait ~key:txn ~at:(now ctx);
     if List.mem src node.down_view then begin
       (* A chaos-delayed Prepare can outlive its coordinator.  The
          failure notification for [src] has already fired, so nothing
@@ -439,7 +462,7 @@ let on_prepare node ctx ~src ~txn ~ops ~participants =
          hold locks for an outcome nobody can announce.  Refuse: abort
          unilaterally and answer no (a dead coordinator drops the vote;
          a falsely-suspected live one aborts the transaction). *)
-      metric ctx "orphan_prepare_refused";
+      metric ctx l_orphan_prepare_refused;
       p_abort_unvoted node ctx p ~notify:true
     end
     else p_continue node ctx p
@@ -462,12 +485,12 @@ let c_announce node ctx (c : c_txn) ~commit =
           else node.aborted <- node.aborted + 1;
           node.latencies <- (now ctx -. c.submitted_at) :: node.latencies;
           observe ctx
-            (if commit then "commit_latency" else "abort_latency")
+            (if commit then l_commit_latency else l_abort_latency)
             (now ctx -. c.submitted_at);
           (* decision phase: from the last vote's arrival to the outcome
              broadcast (covers 3PC's precommit round; ~0 under 2PC) *)
           (match c.votes_in_at with
-          | Some t0 -> observe ctx "kv_decision_phase" (now ctx -. t0)
+          | Some t0 -> observe ctx l_kv_decision_phase (now ctx -. t0)
           | None -> ());
           if c.c_participants <> [] then note_announce node ~txn:c.c_id ~commit;
           List.iter
@@ -533,7 +556,7 @@ let pax_propose node ctx (c : c_txn) =
 let c_all_votes_in node ctx (c : c_txn) =
   c.votes_in_at <- Some (now ctx);
   (* vote phase: from submission to the last yes vote *)
-  observe ctx "kv_vote_phase" (now ctx -. c.submitted_at);
+  observe ctx l_kv_vote_phase (now ctx -. c.submitted_at);
   match node.protocol with
   | Two_phase -> c_announce node ctx c ~commit:true
   | Paxos _ ->
@@ -597,7 +620,7 @@ let on_client_begin ?submitted_at node ctx (txn : Txn.t) =
       (fun () ->
         node.aborted <- node.aborted + 1;
         node.latencies <- 0.0 :: node.latencies;
-        metric ctx "refused_participant_down")
+        metric ctx l_refused_participant_down)
   end
   else
   let c =
@@ -648,7 +671,7 @@ let admit_client node ctx (txn : Txn.t) =
     Kv_wal.pending_forces node.wal >= node.pipeline_depth
     || not (Queue.is_empty node.admission_q)
   then begin
-    metric ctx "pipeline_queued";
+    metric ctx l_pipeline_queued;
     Queue.push (txn, now ctx) node.admission_q
   end
   else on_client_begin node ctx txn
@@ -886,7 +909,7 @@ let start_pax_recovery node ctx ~txn ~participants =
                      else Kv_msg.PaxP1a { txn; ballot = pr.pr_ballot }))
                 (acceptors node)
           | None ->
-              metric ctx "paxos_recoveries";
+              metric ctx l_paxos_recoveries;
               let ballot = pax_elect_ballot node ~txn in
               Hashtbl.replace node.pax_recoveries txn
                 {
@@ -927,7 +950,7 @@ let pax_initiate node ctx (p : p_txn) ~exclude =
     the paper's decision rule applied to {e its own} participant state. *)
 let run_termination node ctx (p : p_txn) =
   if not (Hashtbl.mem node.backups p.txn) then begin
-    metric ctx "terminations";
+    metric ctx l_terminations;
     let others = reachable_others node p in
     match p.status with
     | P_done commit ->
@@ -1011,7 +1034,7 @@ let rec evaluate_quorum_poll node ctx (p : p_txn) ~q (poll : poll_state) =
     else begin
       (* below quorum either way: wait for recoveries/healing; the query
          loop doubles as the retry channel *)
-      metric ctx "quorum_blocked";
+      metric ctx l_quorum_blocked;
       query_loop node ctx ~txn:p.txn ~targets:p.participants
     end
   end
@@ -1031,7 +1054,7 @@ and finish_orphan node ctx (p : p_txn) ~commit =
     and wait otherwise. *)
 let run_quorum_termination node ctx (p : p_txn) ~q =
   if (not (Hashtbl.mem node.backups p.txn)) && not (Hashtbl.mem node.pollings p.txn) then begin
-    metric ctx "terminations";
+    metric ctx l_terminations;
     match p.status with
     | P_done commit ->
         let others = reachable_others node p in
@@ -1109,7 +1132,7 @@ let on_peer_down node ctx failed =
                     (* the replicated coordinator: no blocking, no local
                        decision rule — a standby acceptor completes the
                        Paxos instance at a higher ballot *)
-                    metric ctx "blocked_paxos";
+                    metric ctx l_blocked_paxos;
                     pax_initiate node ctx p ~exclude:0)
             | Two_phase -> (
                 match p.status with
@@ -1120,7 +1143,7 @@ let on_peer_down node ctx failed =
                        have received the outcome before the coordinator
                        died; if none did, we stay blocked until the
                        coordinator recovers. *)
-                    metric ctx "blocked_2pc";
+                    metric ctx l_blocked_2pc;
                     if p.blocked_since = None then p.blocked_since <- Some (now ctx);
                     let targets =
                       p.coordinator :: List.filter (fun s -> s <> node.site) p.participants
@@ -1313,9 +1336,9 @@ let stale_directive node ~src ~txn ~epoch =
   else List.mem src node.tainted
 
 let fence_directive node ctx ~src ~txn =
-  metric ctx "stale_termination_ignored";
+  metric ctx l_stale_termination_ignored;
   if node.detector then begin
-    metric ctx "epoch_rejected_directives";
+    metric ctx l_epoch_rejected_directives;
     (* tell the deposed backup so it stands down instead of retrying *)
     Sim.World.send ctx ~dst:src (Kv_msg.Epoch_reject { txn; epoch = epoch_of node ~txn })
   end
@@ -1509,7 +1532,7 @@ let on_message node ctx ~src (msg : Kv_msg.t) =
       (* deposed: a higher-ballot leader owns the instance.  Stand down
          without deciding and fall back to querying for the outcome. *)
       bump_epoch node ~txn ballot;
-      metric ctx "pax_rejected";
+      metric ctx l_pax_rejected;
       (match Hashtbl.find_opt node.c_txns txn with
       | Some c when c.c_status = C_precommitting ->
           Hashtbl.remove node.c_txns txn;

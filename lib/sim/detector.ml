@@ -23,6 +23,9 @@
 
 type site = World.site
 
+let l_false_suspicions = Metrics.label "false_suspicions"
+let l_suspicion_latency = Metrics.label "suspicion_latency"
+
 type 'msg per_site = {
   last_heard : float array;  (** index: peer site; absolute sim time *)
   suspected : bool array;
@@ -122,7 +125,7 @@ let suspect t (ctx : 'msg World.ctx) peer =
   st.suspected.(peer) <- true;
   let m = World.metrics t.world in
   if World.is_alive t.world peer then begin
-    Metrics.incr m "false_suspicions";
+    Metrics.bump m l_false_suspicions;
     if World.tracing t.world then
       World.record t.world "site %d FALSELY suspects site %d (timeout)" ctx.World.self peer
   end
@@ -130,7 +133,7 @@ let suspect t (ctx : 'msg World.ctx) peer =
     if World.tracing t.world then
       World.record t.world "site %d suspects site %d (timeout)" ctx.World.self peer;
     if t.crashed_at.(peer) >= 0.0 then
-      Metrics.observe m "suspicion_latency" (World.now t.world -. t.crashed_at.(peer))
+      Metrics.sample m l_suspicion_latency (World.now t.world -. t.crashed_at.(peer))
   end;
   t.on_suspect ctx peer
 

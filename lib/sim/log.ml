@@ -138,6 +138,11 @@ module type S = sig
 end
 
 module Make (R : RECORD) : S with type record := R.record = struct
+  let l_wal_forces = Metrics.label "wal_forces"
+  let l_wal_group_flushes = Metrics.label "wal_group_flushes"
+  let l_group_batch_size = Metrics.label "group_batch_size"
+  let l_wal_repairs = Metrics.label "wal_repairs"
+
   type repair = {
     survived : int;
     lost_records : int;
@@ -179,11 +184,11 @@ module Make (R : RECORD) : S with type record := R.record = struct
     | Some b ->
         Batch.attach b ~schedule
           ~on_flush:(fun ~batch ->
-            Metrics.incr metrics "wal_group_flushes";
-            Metrics.observe metrics "group_batch_size" (float_of_int batch))
+            Metrics.bump metrics l_wal_group_flushes;
+            Metrics.sample metrics l_group_batch_size (float_of_int batch))
           ?on_drain ()
 
-  let count_force t = match t.metrics with None -> () | Some m -> Metrics.incr m "wal_forces"
+  let count_force t = match t.metrics with None -> () | Some m -> Metrics.bump m l_wal_forces
 
   let append t r =
     t.cache <- r :: t.cache;
@@ -285,7 +290,7 @@ module Make (R : RECORD) : S with type record := R.record = struct
           match crash t.(site - 1) with
           | None -> ()
           | Some rep ->
-              Metrics.incr (World.metrics world) "wal_repairs";
+              Metrics.bump (World.metrics world) l_wal_repairs;
               World.record world "site %d wal repair: %d survived, %d lost, %d bytes dropped%s" site
                 rep.survived rep.lost_records rep.dropped_bytes
                 (match rep.reason with Some r -> " (" ^ r ^ ")" | None -> ""))

@@ -3,11 +3,16 @@
     timers — collected per run, reported by the experiment harness, and
     exportable as JSON for cross-run perf diffing.
 
-    Histograms use geometric buckets with O(1) insert and O(1) memory per
-    label (replacing the unbounded per-sample list this module started
-    with).  Exact count/total/min/max are tracked alongside the buckets,
-    so mean/min/max stay exact; percentiles are bucket-interpolated and
-    accurate to one bucket width (a factor of {!growth}). *)
+    Names are interned once per process into {!label}s, and a registry
+    is a set of label-indexed slot arrays plus the labels it touched, so
+    an update is an array access and a merge walks only what its source
+    touched.  Histograms use geometric buckets; a histogram keeps the
+    bucket indices of its first {!sparse_cap} observations and grows the
+    full bucket array only past that, since most per-run histograms see
+    one or a few values.  Exact count/total/min/max are tracked
+    alongside the buckets, so mean/min/max stay exact; percentiles are
+    bucket-interpolated and accurate to one bucket width (a factor of
+    {!growth}). *)
 
 (* ---------------- bucket layout ---------------- *)
 
@@ -43,15 +48,50 @@ let bucket_index v =
     let i = if v >= bucket_upper i then i + 1 else i in
     if i < 0 then 0 else if i > n_buckets - 1 then n_buckets - 1 else i
 
+(* ---------------- labels ---------------- *)
+
+type label = int
+
+(* The process-wide name table.  Readers take the published snapshot
+   with one atomic load and never lock.  A new name copies the snapshot
+   under [lock] and publishes the copy, so a published table is never
+   mutated and sweep domains can read it while another domain interns. *)
+type names = { ids : (string, label) Hashtbl.t; by_id : string array }
+
+let names = Atomic.make { ids = Hashtbl.create 64; by_id = [||] }
+let lock = Mutex.create ()
+
+let find_label name = Hashtbl.find_opt (Atomic.get names).ids name
+
+let label name =
+  match find_label name with
+  | Some l -> l
+  | None ->
+      Mutex.protect lock (fun () ->
+          let cur = Atomic.get names in
+          match Hashtbl.find_opt cur.ids name with
+          | Some l -> l
+          | None ->
+              let l = Array.length cur.by_id in
+              let ids = Hashtbl.copy cur.ids in
+              Hashtbl.replace ids name l;
+              Atomic.set names { ids; by_id = Array.append cur.by_id [| name |] };
+              l)
+
+let label_name l = (Atomic.get names).by_id.(l)
+
 (* ---------------- state ---------------- *)
 
+(* [cells] is sparse while it is shorter than [n_buckets]: the bucket
+   indices of the first [n] observations.  Past [sparse_cap]
+   observations it becomes the dense per-bucket counts. *)
 type histogram = {
-  mutable h_count : int;
-  mutable h_total : float;
-  mutable h_min : float;
-  mutable h_max : float;
-  counts : int array;
+  mutable n : int;  (** observations *)
+  stats : float array;  (** [| total; min; max |], unboxed *)
+  mutable cells : int array;
 }
+
+let sparse_cap = 8
 
 type summary = {
   count : int;
@@ -64,118 +104,146 @@ type summary = {
   p99 : float;
 }
 
+(* A slot holds [absent] until its label is touched; touching it also
+   puts the label on the registry's list for its kind. *)
+let absent = min_int
+
+(* The empty histogram slot; never mutated. *)
+let no_hist = { n = 0; stats = [||]; cells = [||] }
+
 type t = {
-  counters : (string, int ref) Hashtbl.t;
-  gauges : (string, int ref) Hashtbl.t;  (** high-water marks *)
-  hists : (string, histogram) Hashtbl.t;
-  timers : (string * int, float) Hashtbl.t;  (** (label, key) -> start time *)
+  mutable counts : int array;  (** by label *)
+  mutable counted : label list;
+  mutable peaks : int array;  (** by label: high-water marks *)
+  mutable peaked : label list;
+  mutable hists : histogram array;  (** by label *)
+  mutable observed : label list;
+  mutable timers : (label * int, float) Hashtbl.t option;  (** (label, key) -> start time *)
 }
 
 let create () =
-  {
-    counters = Hashtbl.create 16;
-    gauges = Hashtbl.create 8;
-    hists = Hashtbl.create 16;
-    timers = Hashtbl.create 16;
-  }
+  { counts = [||]; counted = []; peaks = [||]; peaked = []; hists = [||]; observed = []; timers = None }
+
+(* A slot array grown to cover label [l]: 64 slots at first, then at
+   least doubling.  Its size follows the labels the registry touches, not
+   how many the process has interned. *)
+let grown a l fill =
+  let a' = Array.make (max (l + 1) (max 64 (2 * Array.length a))) fill in
+  Array.blit a 0 a' 0 (Array.length a);
+  a'
 
 (* ---------------- counters and gauges ---------------- *)
 
-let incr ?(by = 1) t name =
-  match Hashtbl.find_opt t.counters name with
-  | Some r -> r := !r + by
-  | None -> Hashtbl.add t.counters name (ref by)
+let bump ?(by = 1) t l =
+  if l >= Array.length t.counts then t.counts <- grown t.counts l absent;
+  let c = Array.unsafe_get t.counts l in
+  if c = absent then begin
+    Array.unsafe_set t.counts l by;
+    t.counted <- l :: t.counted
+  end
+  else Array.unsafe_set t.counts l (c + by)
 
-(* A handle starts on the shared [unregistered] cell and registers its
-   label on the first bump — never earlier, so a label nobody bumps stays
-   out of [counters] and [to_json] exactly as if the handle did not
-   exist.  Registration reuses a cell that [incr] created meanwhile, so
-   bumps through the handle and by name land on the same count. *)
-type counter = { reg : t; name : string; mutable cell : int ref }
+let count t l = if l < Array.length t.counts && t.counts.(l) <> absent then t.counts.(l) else 0
+let incr ?by t name = bump ?by t (label name)
+let counter t name = match find_label name with Some l -> count t l | None -> 0
 
-let unregistered = ref 0
+let sorted_by_name ls value =
+  let by_id = (Atomic.get names).by_id in
+  List.rev_map (fun l -> (by_id.(l), value l)) ls
+  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
-let counter_handle t name = { reg = t; name; cell = unregistered }
+let counters t = sorted_by_name t.counted (fun l -> t.counts.(l))
 
-let bump h =
-  if h.cell == unregistered then
-    h.cell <-
-      (match Hashtbl.find_opt h.reg.counters h.name with
-      | Some r -> r
-      | None ->
-          let r = ref 0 in
-          Hashtbl.add h.reg.counters h.name r;
-          r);
-  h.cell := !(h.cell) + 1
+let peak t l v =
+  if l >= Array.length t.peaks then t.peaks <- grown t.peaks l absent;
+  let g = Array.unsafe_get t.peaks l in
+  if g = absent then begin
+    Array.unsafe_set t.peaks l v;
+    t.peaked <- l :: t.peaked
+  end
+  else if v > g then Array.unsafe_set t.peaks l v
 
-let counter t name = match Hashtbl.find_opt t.counters name with Some r -> !r | None -> 0
+let gauge_max t name v = peak t (label name) v
 
-let counters t = Hashtbl.fold (fun k v acc -> (k, !v) :: acc) t.counters [] |> List.sort compare
-
-let gauge_max t name v =
-  match Hashtbl.find_opt t.gauges name with
-  | Some r -> if v > !r then r := v
-  | None -> Hashtbl.add t.gauges name (ref v)
-
-type gauge = int ref
+type gauge = { reg : t; g_label : label }
 
 let gauge_handle t name =
-  match Hashtbl.find_opt t.gauges name with
-  | Some r -> r
-  | None ->
-      let r = ref 0 in
-      Hashtbl.add t.gauges name r;
-      r
+  let l = label name in
+  if l >= Array.length t.peaks || t.peaks.(l) = absent then peak t l 0;
+  { reg = t; g_label = l }
 
-let gauge_record (g : gauge) v = if v > !g then g := v
+let gauge_record g v = peak g.reg g.g_label v
 
-let gauge t name = match Hashtbl.find_opt t.gauges name with Some r -> !r | None -> 0
+let gauge t name =
+  match find_label name with
+  | Some l when l < Array.length t.peaks && t.peaks.(l) <> absent -> t.peaks.(l)
+  | Some _ | None -> 0
 
-let gauges t = Hashtbl.fold (fun k v acc -> (k, !v) :: acc) t.gauges [] |> List.sort compare
+let gauges t = sorted_by_name t.peaked (fun l -> t.peaks.(l))
 
 (* ---------------- histograms ---------------- *)
 
-let find_or_create_hist t name =
-  match Hashtbl.find_opt t.hists name with
-  | Some h -> h
-  | None ->
-      let h =
-        {
-          h_count = 0;
-          h_total = 0.0;
-          h_min = Float.infinity;
-          h_max = Float.neg_infinity;
-          counts = Array.make n_buckets 0;
-        }
-      in
-      Hashtbl.add t.hists name h;
-      h
+let new_hist () =
+  { n = 0; stats = [| 0.0; Float.infinity; Float.neg_infinity |]; cells = Array.make sparse_cap 0 }
+let[@inline] is_dense h = Array.length h.cells = n_buckets
 
-let observe t name v =
-  let h = find_or_create_hist t name in
-  h.h_count <- h.h_count + 1;
-  h.h_total <- h.h_total +. v;
-  if v < h.h_min then h.h_min <- v;
-  if v > h.h_max then h.h_max <- v;
-  let i = bucket_index v in
-  h.counts.(i) <- h.counts.(i) + 1
+(* The per-bucket counts of [n] sparse bucket indices. *)
+let dense_of cells n =
+  let d = Array.make n_buckets 0 in
+  for k = 0 to n - 1 do
+    let i = cells.(k) in
+    d.(i) <- d.(i) + 1
+  done;
+  d
 
-let hist_percentile h p =
-  if h.h_count = 0 then nan
-  else if p <= 0.0 then h.h_min
-  else if p >= 100.0 then h.h_max
+let bucket_counts h = if is_dense h then h.cells else dense_of h.cells h.n
+
+let hist_for t l =
+  if l >= Array.length t.hists then t.hists <- grown t.hists l no_hist;
+  let h = Array.unsafe_get t.hists l in
+  if h != no_hist then h
   else begin
-    let rank = p /. 100.0 *. float_of_int h.h_count in
-    let est = ref h.h_max in
+    let h = new_hist () in
+    t.hists.(l) <- h;
+    t.observed <- l :: t.observed;
+    h
+  end
+
+let sample t l v =
+  let h = hist_for t l in
+  let s = h.stats in
+  s.(0) <- s.(0) +. v;
+  if v < s.(1) then s.(1) <- v;
+  if v > s.(2) then s.(2) <- v;
+  let i = bucket_index v in
+  let n = h.n in
+  if is_dense h then h.cells.(i) <- h.cells.(i) + 1
+  else if n < sparse_cap then h.cells.(n) <- i
+  else begin
+    h.cells <- dense_of h.cells n;
+    h.cells.(i) <- h.cells.(i) + 1
+  end;
+  h.n <- n + 1
+
+let observe t name v = sample t (label name) v
+
+let hist_percentile h counts p =
+  let h_min = h.stats.(1) and h_max = h.stats.(2) in
+  if h.n = 0 then nan
+  else if p <= 0.0 then h_min
+  else if p >= 100.0 then h_max
+  else begin
+    let rank = p /. 100.0 *. float_of_int h.n in
+    let est = ref h_max in
     (try
        let cum = ref 0.0 in
        for i = 0 to n_buckets - 1 do
-         let c = h.counts.(i) in
+         let c = counts.(i) in
          if c > 0 then begin
            let cum' = !cum +. float_of_int c in
            if cum' >= rank then begin
              let lo = bucket_lower i in
-             let hi = if i = n_buckets - 1 || bucket_upper i > h.h_max then h.h_max else bucket_upper i in
+             let hi = if i = n_buckets - 1 || bucket_upper i > h_max then h_max else bucket_upper i in
              let frac = (rank -. !cum) /. float_of_int c in
              est := lo +. (frac *. (hi -. lo));
              raise Exit
@@ -184,63 +252,86 @@ let hist_percentile h p =
          end
        done
      with Exit -> ());
-    Float.min h.h_max (Float.max h.h_min !est)
+    Float.min h_max (Float.max h_min !est)
   end
 
+(* The histogram under [name], if anything was observed there. *)
+let find_hist t name =
+  match find_label name with
+  | Some l when l < Array.length t.hists && t.hists.(l) != no_hist -> Some t.hists.(l)
+  | Some _ | None -> None
+
 let percentile t name p =
-  match Hashtbl.find_opt t.hists name with
-  | None -> None
-  | Some h when h.h_count = 0 -> None
-  | Some h -> Some (hist_percentile h p)
+  Option.map (fun h -> hist_percentile h (bucket_counts h) p) (find_hist t name)
 
-let summarize t name : summary option =
-  match Hashtbl.find_opt t.hists name with
-  | None -> None
-  | Some h when h.h_count = 0 -> None
-  | Some h ->
-      Some
-        {
-          count = h.h_count;
-          total = h.h_total;
-          min = h.h_min;
-          max = h.h_max;
-          mean = h.h_total /. float_of_int h.h_count;
-          p50 = hist_percentile h 50.0;
-          p90 = hist_percentile h 90.0;
-          p99 = hist_percentile h 99.0;
-        }
+let summary_of h : summary =
+  let counts = bucket_counts h in
+  {
+    count = h.n;
+    total = h.stats.(0);
+    min = h.stats.(1);
+    max = h.stats.(2);
+    mean = h.stats.(0) /. float_of_int h.n;
+    p50 = hist_percentile h counts 50.0;
+    p90 = hist_percentile h counts 90.0;
+    p99 = hist_percentile h counts 99.0;
+  }
 
-let buckets t name =
-  match Hashtbl.find_opt t.hists name with
-  | None -> []
-  | Some h ->
-      let acc = ref [] in
-      for i = n_buckets - 1 downto 0 do
-        if h.counts.(i) > 0 then acc := (bucket_lower i, bucket_upper i, h.counts.(i)) :: !acc
-      done;
-      !acc
+let summarize t name = Option.map summary_of (find_hist t name)
 
-let histograms t =
-  Hashtbl.fold (fun k _ acc -> k :: acc) t.hists []
-  |> List.sort compare
-  |> List.filter_map (fun k -> Option.map (fun s -> (k, s)) (summarize t k))
+let bucket_list h =
+  let counts = bucket_counts h in
+  let acc = ref [] in
+  for i = n_buckets - 1 downto 0 do
+    if counts.(i) > 0 then acc := (bucket_lower i, bucket_upper i, counts.(i)) :: !acc
+  done;
+  !acc
+
+let buckets_of t l =
+  if l < Array.length t.hists && t.hists.(l) != no_hist then bucket_list t.hists.(l) else []
+
+let buckets t name = match find_label name with Some l -> buckets_of t l | None -> []
+
+(* Every histogram as (name, histogram), sorted by name. *)
+let named_hists t = sorted_by_name t.observed (fun l -> t.hists.(l))
+
+let histograms t = List.map (fun (name, h) -> (name, summary_of h)) (named_hists t)
 
 (* ---------------- labelled timers ---------------- *)
 
-let timer_start t name ~key ~at = Hashtbl.replace t.timers (name, key) at
+let timer_start t l ~key ~at =
+  let tbl =
+    match t.timers with
+    | Some tbl -> tbl
+    | None ->
+        let tbl = Hashtbl.create 16 in
+        t.timers <- Some tbl;
+        tbl
+  in
+  Hashtbl.replace tbl (l, key) at
 
-let timer_stop t name ~key ~at =
-  match Hashtbl.find_opt t.timers (name, key) with
+let timer_stop t l ~key ~at =
+  match t.timers with
   | None -> ()
-  | Some t0 ->
-      Hashtbl.remove t.timers (name, key);
-      observe t name (at -. t0)
+  | Some tbl -> (
+      match Hashtbl.find_opt tbl (l, key) with
+      | None -> ()
+      | Some t0 ->
+          Hashtbl.remove tbl (l, key);
+          sample t l (at -. t0))
 
-let timer_discard t name ~key = Hashtbl.remove t.timers (name, key)
+let timer_discard t l ~key = Option.iter (fun tbl -> Hashtbl.remove tbl (l, key)) t.timers
 
 let timers_in_flight t =
-  Hashtbl.fold (fun (name, _) _ acc -> (name, 1 + Option.value ~default:0 (List.assoc_opt name acc)) :: List.remove_assoc name acc) t.timers []
-  |> List.sort compare
+  match t.timers with
+  | None -> []
+  | Some tbl ->
+      Hashtbl.fold
+        (fun (l, _) _ acc ->
+          let name = label_name l in
+          (name, 1 + Option.value ~default:0 (List.assoc_opt name acc)) :: List.remove_assoc name acc)
+        tbl []
+      |> List.sort compare
 
 let drain_timers t =
   (* A timer started and never stopped — a site that crashed mid-measure —
@@ -248,19 +339,43 @@ let drain_timers t =
      per-label counter, then clear, so [merge] never sees a dangling
      start.  Idempotent once drained, and free when nothing is in
      flight (every sweep drains every seed's registry). *)
-  if Hashtbl.length t.timers > 0 then begin
-    List.iter
-      (fun (name, n) -> incr ~by:n t ("timers_in_flight_" ^ name))
-      (timers_in_flight t);
-    Hashtbl.reset t.timers
-  end
+  match t.timers with
+  | Some tbl when Hashtbl.length tbl > 0 ->
+      List.iter (fun (name, n) -> incr ~by:n t ("timers_in_flight_" ^ name)) (timers_in_flight t);
+      Hashtbl.reset tbl
+  | Some _ | None -> ()
 
 (* ---------------- merge ---------------- *)
 
+(* Add [s]'s bucket counts into the dense array [d]. *)
+let add_counts d s =
+  if is_dense s then
+    for i = 0 to n_buckets - 1 do
+      d.(i) <- d.(i) + s.cells.(i)
+    done
+  else
+    for k = 0 to s.n - 1 do
+      let i = s.cells.(k) in
+      d.(i) <- d.(i) + 1
+    done
+
+let merge_hist d s =
+  let n = d.n + s.n in
+  d.stats.(0) <- d.stats.(0) +. s.stats.(0);
+  if s.stats.(1) < d.stats.(1) then d.stats.(1) <- s.stats.(1);
+  if s.stats.(2) > d.stats.(2) then d.stats.(2) <- s.stats.(2);
+  if is_dense d then add_counts d.cells s
+  else if n <= sparse_cap then Array.blit s.cells 0 d.cells d.n s.n
+  else begin
+    d.cells <- dense_of d.cells d.n;
+    add_counts d.cells s
+  end;
+  d.n <- n
+
 let merge dst src =
   (* Counters sum; gauges keep the overall high-water mark; histograms
-     add bucket arrays element-wise with exact count/total and the
-     combined min/max.  The source tables are walked in hash order: every
+     add bucket counts with exact count/total and the combined min/max.
+     Only the labels [src] touched are walked, in its touch order: every
      combination here is order-free (integer sums, max, min) except the
      histogram total, and that gets exactly one float addition per source
      registry whatever the walk order.  So folding the same sources in
@@ -270,20 +385,12 @@ let merge dst src =
      measurement becomes a [timers_in_flight_<label>] counter instead of
      silently disappearing. *)
   drain_timers dst;
-  Hashtbl.iter (fun (name, _) _ -> incr dst ("timers_in_flight_" ^ name)) src.timers;
-  Hashtbl.iter (fun name v -> incr ~by:!v dst name) src.counters;
-  Hashtbl.iter (fun name v -> gauge_max dst name !v) src.gauges;
-  Hashtbl.iter
-    (fun name h ->
-      let d = find_or_create_hist dst name in
-      d.h_count <- d.h_count + h.h_count;
-      d.h_total <- d.h_total +. h.h_total;
-      if h.h_min < d.h_min then d.h_min <- h.h_min;
-      if h.h_max > d.h_max then d.h_max <- h.h_max;
-      for i = 0 to n_buckets - 1 do
-        d.counts.(i) <- d.counts.(i) + h.counts.(i)
-      done)
-    src.hists
+  Option.iter
+    (Hashtbl.iter (fun (l, _) _ -> incr dst ("timers_in_flight_" ^ label_name l)))
+    src.timers;
+  List.iter (fun l -> bump ~by:src.counts.(l) dst l) src.counted;
+  List.iter (fun l -> peak dst l src.peaks.(l)) src.peaked;
+  List.iter (fun l -> merge_hist (hist_for dst l) src.hists.(l)) src.observed
 
 let merge_all srcs =
   let t = create () in
@@ -309,7 +416,8 @@ let is_wall name = String.length name >= 5 && String.sub name 0 5 = "wall_"
 
 let to_json ?(drop_wall = false) t : Json.t =
   let keep (name, _) = (not drop_wall) || not (is_wall name) in
-  let hist_json (name, s) =
+  let hist_json (name, h) =
+    let s = summary_of h in
     ( name,
       Json.Obj
         [
@@ -327,12 +435,12 @@ let to_json ?(drop_wall = false) t : Json.t =
                  (fun (_, upper, count) ->
                    let upper = if upper = Float.infinity then s.max else upper in
                    Json.Obj [ ("le", Json.Float upper); ("count", Json.Int count) ])
-                 (buckets t name)) );
+                 (bucket_list h)) );
         ] )
   in
   Json.Obj
     [
       ("counters", Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) (List.filter keep (counters t))));
       ("gauges", Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) (List.filter keep (gauges t))));
-      ("histograms", Json.Obj (List.map hist_json (List.filter keep (histograms t))));
+      ("histograms", Json.Obj (List.map hist_json (List.filter keep (named_hists t))));
     ]

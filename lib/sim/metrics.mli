@@ -1,7 +1,18 @@
 (** Simulation metrics: labelled counters, high-water-mark gauges,
     fixed-bucket histograms with percentile summaries, and labelled
-    timers.  O(1) insert and O(1) memory per label; exportable as JSON
-    for cross-run perf diffing. *)
+    timers; exportable as JSON for cross-run perf diffing.
+
+    Names are interned once per process as {!label}s.  A registry is a
+    set of slot arrays indexed by label, plus the labels it touched:
+    an update through a label is an array access, and {!merge} walks
+    only the labels its source touched.  Each kind's slot array starts
+    at 64 slots and grows (at least doubling) to cover the highest label
+    the registry touched, so its size follows what the registry uses,
+    not how many labels exist.  A histogram keeps the bucket indices of
+    its first {!sparse_cap} observations and holds the full
+    {!n_buckets} array only past that.  Hot paths bind their labels once
+    at top level; the string-keyed functions resolve the name on every
+    call. *)
 
 type t
 
@@ -17,46 +28,58 @@ type summary = {
 }
 
 val create : unit -> t
+(** An empty registry; it allocates its slot arrays on first use. *)
+
+(** {1 Labels} *)
+
+type label
+(** An interned metric name.  Interning is process-wide and safe from
+    any domain: the lookup reads a published snapshot without locking,
+    and a new name is added copy-on-write under a mutex.  Labels are
+    never freed, so names must come from a bounded set. *)
+
+val label : string -> label
+(** The label of [name], interning it on first use: the same name
+    always yields the same label. *)
+
+val label_name : label -> string
 
 (** {1 Counters} *)
 
+val bump : ?by:int -> t -> label -> unit
+(** Add [by] (default 1) to the counter, registering it on first use. *)
+
+val count : t -> label -> int
+(** 0 for a counter never bumped. *)
+
 val incr : ?by:int -> t -> string -> unit
+(** [bump] by name. *)
+
 val counter : t -> string -> int
 (** 0 for unknown counters. *)
 
 val counters : t -> (string * int) list
 (** All counters, sorted by name. *)
 
-type counter
-(** A pre-resolved handle to one counter, for hot paths such as the
-    simulator's per-event dispatch counters: no string-keyed lookup per
-    bump. *)
+(** {1 Gauges (high-water marks)}
 
-val counter_handle : t -> string -> counter
-(** A handle on the named counter.  The label is registered lazily, on
-    the first {!bump}: a handle that is never bumped leaves {!counters}
-    and {!to_json} unchanged. *)
+    [min_int] marks an untouched slot, so gauge values (and counter
+    sums) must stay above it. *)
 
-val bump : counter -> unit
-(** Add one, exactly as [incr t name] would: bumps through a handle and
-    [incr] by name on the same label sum. *)
-
-(** {1 Gauges (high-water marks)} *)
-
-val gauge_max : t -> string -> int -> unit
+val peak : t -> label -> int -> unit
 (** Record [v]; the gauge keeps the maximum ever recorded. *)
 
+val gauge_max : t -> string -> int -> unit
+(** [peak] by name. *)
+
 type gauge
-(** A pre-resolved handle to one gauge: callers on hot paths (e.g. the
-    simulator's event loop recording queue depth per event) resolve the
-    name once and then record through the handle with no per-call
-    string-keyed lookup. *)
+(** One gauge of one registry, resolved once. *)
 
 val gauge_handle : t -> string -> gauge
 (** Resolve (creating at 0 if absent) the named gauge. *)
 
 val gauge_record : gauge -> int -> unit
-(** Same high-water-mark semantics as {!gauge_max}, O(1). *)
+(** {!peak} on the handle's registry and label. *)
 
 val gauge : t -> string -> int
 (** 0 for unknown gauges. *)
@@ -65,8 +88,12 @@ val gauges : t -> (string * int) list
 
 (** {1 Histograms} *)
 
+val sample : t -> label -> float -> unit
+(** O(1): record the value's bucket and the exact running
+    count/total/min/max. *)
+
 val observe : t -> string -> float -> unit
-(** O(1): bump the value's bucket and the exact running count/total/min/max. *)
+(** [sample] by name. *)
 
 val summarize : t -> string -> summary option
 val percentile : t -> string -> float -> float option
@@ -76,13 +103,21 @@ val percentile : t -> string -> float -> float option
 val histograms : t -> (string * summary) list
 (** All histograms, sorted by name. *)
 
-val buckets : t -> string -> (float * float * int) list
+val buckets_of : t -> label -> (float * float * int) list
 (** Non-empty buckets as [(lower, upper, count)]; the last bucket's upper
     bound is [infinity]. *)
+
+val buckets : t -> string -> (float * float * int) list
+(** [buckets_of] by name. *)
 
 (** {1 Bucket layout (exposed for tests)} *)
 
 val n_buckets : int
+
+val sparse_cap : int
+(** How many observations a histogram holds as bucket indices before
+    it grows the full bucket array. *)
+
 val bucket_index : float -> int
 val bucket_lower : int -> float
 val bucket_upper : int -> float
@@ -94,11 +129,11 @@ val bucket_upper : int -> float
     flight at once.  [timer_stop] records the elapsed time into the
     label's histogram. *)
 
-val timer_start : t -> string -> key:int -> at:float -> unit
-val timer_stop : t -> string -> key:int -> at:float -> unit
+val timer_start : t -> label -> key:int -> at:float -> unit
+val timer_stop : t -> label -> key:int -> at:float -> unit
 (** No-op if no matching [timer_start] is pending. *)
 
-val timer_discard : t -> string -> key:int -> unit
+val timer_discard : t -> label -> key:int -> unit
 
 val timers_in_flight : t -> (string * int) list
 (** Labels with pending [timer_start]s and how many, sorted by name. *)
@@ -115,8 +150,9 @@ val drain_timers : t -> unit
 
 val merge : t -> t -> unit
 (** [merge dst src] folds [src] into [dst]: counters sum, gauges keep
-    the overall high-water mark, histogram bucket arrays add
-    element-wise (count and total exact, min/max combined).  Both sides
+    the overall high-water mark, histogram bucket counts add (count and
+    total exact, min/max combined).  Walks only the labels [src]
+    touched.  Both sides
     are timer-drained first ([src] without being mutated).
     Deterministic: merging the same sources in the same order always
     yields the same [dst], which is what makes a Domain-sharded sweep's

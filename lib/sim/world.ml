@@ -52,7 +52,6 @@ and 'msg t = {
       (** index: site, built once by {!create}; slot 0 is the
           environment *)
   site_list : site list;
-  hot : hot_counters;
   detection_delay : float;
   rng : Rng.t;
   metrics : Metrics.t;
@@ -60,10 +59,11 @@ and 'msg t = {
   mutable trace : trace_entry list;  (** reverse order *)
   mutable tracing : bool;
   mutable next_timer_id : int;
-  cancelled_timers : (int, unit) Hashtbl.t;
-      (** ids cancelled before their fire time; an id is removed when its
-          timer event dispatches (fired or skipped), so membership tests
-          and memory stay O(1) no matter how many timers a run cancels *)
+  mutable cancelled : Bytes.t;
+      (** bitset by timer id, grown on demand: the ids cancelled before
+          their fire time.  A bit is cleared when its timer event
+          dispatches (fired or skipped). *)
+  mutable pending_cancels : int;  (** set bits in [cancelled] *)
   mutable stopped : bool;
   mutable partitions : partition list;
   mutable send_seq : int;
@@ -98,18 +98,6 @@ and 'msg t = {
 
 and 'msg detector = { is_heartbeat : 'msg -> bool; settled : unit -> bool }
 
-(* Handles for the counters bumped on every event, resolved once per
-   world.  Labels register on first bump, so a run's counters are exactly
-   those it bumped. *)
-and hot_counters = {
-  messages_sent : Metrics.counter;
-  events_deliver : Metrics.counter;
-  messages_delivered : Metrics.counter;
-  messages_dropped : Metrics.counter;
-  events_timer : Metrics.counter;
-  timers_cancelled : Metrics.counter;
-}
-
 and window = { w_site : site; w_from : float; w_until : float; w_extra : float }
 
 and partition = { p_from : float; p_until : float; p_group : (site * int) list }
@@ -122,6 +110,28 @@ let min_latency = 1.0
 let latency_jitter = 0.1
 let max_latency = min_latency +. latency_jitter
 
+(* Every label this module counts under, interned once. *)
+let l_messages_sent = Metrics.label "messages_sent"
+let l_messages_partitioned = Metrics.label "messages_partitioned"
+let l_messages_chaos_dropped = Metrics.label "messages_chaos_dropped"
+let l_messages_duplicated = Metrics.label "messages_duplicated"
+let l_messages_chaos_delayed = Metrics.label "messages_chaos_delayed"
+let l_events_deliver = Metrics.label "events_deliver"
+let l_messages_delivered = Metrics.label "messages_delivered"
+let l_messages_dropped = Metrics.label "messages_dropped"
+let l_events_timer = Metrics.label "events_timer"
+let l_timers_cancelled = Metrics.label "timers_cancelled"
+let l_crashes = Metrics.label "crashes"
+let l_recoveries = Metrics.label "recoveries"
+let l_events_crash = Metrics.label "events_crash"
+let l_events_recover = Metrics.label "events_recover"
+let l_events_detect_down = Metrics.label "events_detect_down"
+let l_events_false_down = Metrics.label "events_false_down"
+let l_false_suspicions = Metrics.label "false_suspicions"
+let l_events_detect_up = Metrics.label "events_detect_up"
+let l_events_stalled = Metrics.label "events_stalled"
+let l_queue_depth_hwm = Metrics.label "queue_depth_hwm"
+
 (** [create ~n_sites ~seed ~msg_to_string ()] builds a world of [n_sites]
     sites (numbered 1..n), all initially operational.
 
@@ -129,7 +139,6 @@ let max_latency = min_latency +. latency_jitter
            default 2.0 *)
 let create ?(detection_delay = 2.0) ~n_sites ~seed ~msg_to_string () =
   if n_sites < 1 then invalid_arg "World.create: need at least one site";
-  let metrics = Metrics.create () in
   let w =
     {
       n_sites;
@@ -140,23 +149,15 @@ let create ?(detection_delay = 2.0) ~n_sites ~seed ~msg_to_string () =
       handlers = [||];
       ctxs = [||];
       site_list = List.init n_sites (fun i -> i + 1);
-      hot =
-        {
-          messages_sent = Metrics.counter_handle metrics "messages_sent";
-          events_deliver = Metrics.counter_handle metrics "events_deliver";
-          messages_delivered = Metrics.counter_handle metrics "messages_delivered";
-          messages_dropped = Metrics.counter_handle metrics "messages_dropped";
-          events_timer = Metrics.counter_handle metrics "events_timer";
-          timers_cancelled = Metrics.counter_handle metrics "timers_cancelled";
-        };
       detection_delay;
       rng = Rng.create ~seed;
-      metrics;
+      metrics = Metrics.create ();
       msg_to_string;
       trace = [];
       tracing = false;
       next_timer_id = 0;
-      cancelled_timers = Hashtbl.create 64;
+      cancelled = Bytes.empty;
+      pending_cancels = 0;
       stopped = false;
       partitions = [];
       send_seq = 0;
@@ -361,25 +362,25 @@ let send ctx ~dst msg =
        numbering must not depend on partition state. *)
     let nth = w.send_seq in
     w.send_seq <- nth + 1;
-    Metrics.bump w.hot.messages_sent;
+    Metrics.bump w.metrics l_messages_sent;
     if separated w src dst then begin
-      Metrics.incr w.metrics "messages_partitioned";
+      Metrics.bump w.metrics l_messages_partitioned;
       if w.tracing then record w "partition drops %d->%d %s" src dst (w.msg_to_string msg)
     end
     else
       match if Hashtbl.length w.msg_faults = 0 then None else Hashtbl.find_opt w.msg_faults nth with
       | Some Fault_drop ->
-          Metrics.incr w.metrics "messages_chaos_dropped";
+          Metrics.bump w.metrics l_messages_chaos_dropped;
           if w.tracing then
             record w "chaos drops send #%d %d->%d %s" nth src dst (w.msg_to_string msg)
       | Some Fault_duplicate ->
-          Metrics.incr w.metrics "messages_duplicated";
+          Metrics.bump w.metrics l_messages_duplicated;
           if w.tracing then
             record w "send %d->%d %s (chaos duplicates #%d)" src dst (w.msg_to_string msg) nth;
           enqueue_delivery w ~src ~dst ~extra:0.0 msg;
           enqueue_delivery w ~src ~dst ~extra:0.0 msg
       | Some (Fault_delay extra) ->
-          Metrics.incr w.metrics "messages_chaos_delayed";
+          Metrics.bump w.metrics l_messages_chaos_delayed;
           if w.tracing then
             record w "send %d->%d %s (chaos delays #%d by %.2f)" src dst (w.msg_to_string msg) nth
               extra;
@@ -422,7 +423,32 @@ let set_timer ctx ~delay f = arm_timer ctx ~background:false ~delay f
     detector's own timer chains: the event counts as background. *)
 let set_background_timer ctx ~delay f = ignore (arm_timer ctx ~background:true ~delay f)
 
-let cancel_timer ctx id = Hashtbl.replace ctx.world.cancelled_timers id ()
+let cancel_timer ctx id =
+  let w = ctx.world in
+  let byte = id lsr 3 and bit = 1 lsl (id land 7) in
+  if byte >= Bytes.length w.cancelled then begin
+    let b = Bytes.make (max (byte + 1) (2 * Bytes.length w.cancelled)) '\000' in
+    Bytes.blit w.cancelled 0 b 0 (Bytes.length w.cancelled);
+    w.cancelled <- b
+  end;
+  let old = Bytes.get_uint8 w.cancelled byte in
+  if old land bit = 0 then begin
+    Bytes.set_uint8 w.cancelled byte (old lor bit);
+    w.pending_cancels <- w.pending_cancels + 1
+  end
+
+(* Clear [id]'s cancel bit; was it set? *)
+let take_cancel w id =
+  let byte = id lsr 3 and bit = 1 lsl (id land 7) in
+  if w.pending_cancels = 0 || byte >= Bytes.length w.cancelled then false
+  else
+    let old = Bytes.get_uint8 w.cancelled byte in
+    if old land bit = 0 then false
+    else begin
+      Bytes.set_uint8 w.cancelled byte (old lxor bit);
+      w.pending_cancels <- w.pending_cancels - 1;
+      true
+    end
 
 let schedule_crash w ~at s =
   check_site w s;
@@ -436,7 +462,7 @@ let do_crash w s =
   if w.alive.(s) then begin
     w.alive.(s) <- false;
     w.generation.(s) <- w.generation.(s) + 1;
-    Metrics.incr w.metrics "crashes";
+    Metrics.bump w.metrics l_crashes;
     if w.tracing then record w "CRASH site %d" s;
     List.iter (fun f -> f s) w.crash_hooks;
     (* The network reliably reports the failure to every operational site
@@ -457,7 +483,7 @@ let crash_self ctx = do_crash ctx.world ctx.self
 let do_recover w s =
   if not w.alive.(s) then begin
     w.alive.(s) <- true;
-    Metrics.incr w.metrics "recoveries";
+    Metrics.bump w.metrics l_recoveries;
     if w.tracing then record w "RECOVER site %d" s;
     w.handlers.(s).on_restart w.ctxs.(s);
     List.iter
@@ -483,47 +509,44 @@ let dispatch_now w = function
   | Deliver { src; dst; dst_gen; msg } ->
       (* the partition check happened at send time: a message on the wire
          is past the network's drop decision *)
-      Metrics.bump w.hot.events_deliver;
+      Metrics.bump w.metrics l_events_deliver;
       if w.alive.(dst) && w.generation.(dst) = dst_gen then begin
-        Metrics.bump w.hot.messages_delivered;
+        Metrics.bump w.metrics l_messages_delivered;
         if w.tracing then record w "deliver %d->%d %s" src dst (w.msg_to_string msg);
         w.handlers.(dst).on_message w.ctxs.(dst) ~src msg
       end
       else begin
-        Metrics.bump w.hot.messages_dropped;
+        Metrics.bump w.metrics l_messages_dropped;
         if w.tracing then record w "drop %d->%d %s" src dst (w.msg_to_string msg)
       end
   | Timer { site; gen; id; callback; _ } ->
-      Metrics.bump w.hot.events_timer;
-      let cancelled = Hashtbl.length w.cancelled_timers > 0 && Hashtbl.mem w.cancelled_timers id in
-      if cancelled then begin
-        Hashtbl.remove w.cancelled_timers id;
-        Metrics.bump w.hot.timers_cancelled
-      end;
+      Metrics.bump w.metrics l_events_timer;
+      let cancelled = take_cancel w id in
+      if cancelled then Metrics.bump w.metrics l_timers_cancelled;
       if (not cancelled) && w.alive.(site) && w.generation.(site) = gen then callback ()
   | Crash s ->
-      Metrics.incr w.metrics "events_crash";
+      Metrics.bump w.metrics l_events_crash;
       do_crash w s
   | Recover s ->
-      Metrics.incr w.metrics "events_recover";
+      Metrics.bump w.metrics l_events_recover;
       do_recover w s
   | Detect_down { observer; failed } ->
-      Metrics.incr w.metrics "events_detect_down";
+      Metrics.bump w.metrics l_events_detect_down;
       if w.alive.(observer) && not w.alive.(failed) then begin
         if w.tracing then record w "site %d detects failure of site %d" observer failed;
         w.handlers.(observer).on_peer_down w.ctxs.(observer) failed
       end
   | False_down { observer; suspect } ->
-      Metrics.incr w.metrics "events_false_down";
+      Metrics.bump w.metrics l_events_false_down;
       (* only while the partition still separates them: a short-lived
          partition that healed before detection stays invisible *)
       if w.alive.(observer) && separated w observer suspect then begin
-        Metrics.incr w.metrics "false_suspicions";
+        Metrics.bump w.metrics l_false_suspicions;
         if w.tracing then record w "site %d FALSELY suspects site %d (partition)" observer suspect;
         w.handlers.(observer).on_peer_down w.ctxs.(observer) suspect
       end
   | Detect_up { observer; recovered } ->
-      Metrics.incr w.metrics "events_detect_up";
+      Metrics.bump w.metrics l_events_detect_up;
       if w.alive.(observer) && w.alive.(recovered) then begin
         if w.tracing then record w "site %d detects recovery of site %d" observer recovered;
         w.handlers.(observer).on_peer_up w.ctxs.(observer) recovered
@@ -539,7 +562,7 @@ let dispatch w ev =
       let s = event_target ev in
       let until_t = if s = 0 then neg_infinity else stalled_until w s in
       if until_t > w.now then begin
-        Metrics.incr w.metrics "events_stalled";
+        Metrics.bump w.metrics l_events_stalled;
         if w.tracing then record w "stall defers an event at site %d to %.2f" s until_t;
         push w ~time:until_t ev
       end
@@ -573,11 +596,10 @@ let run w ~handlers ?(until = 100_000.0) () =
   for s = 1 to w.n_sites do
     if w.alive.(s) then w.handlers.(s).on_start w.ctxs.(s)
   done;
-  let queue_depth_hwm = Metrics.gauge_handle w.metrics "queue_depth_hwm" in
   let q = w.queue in
   let running = ref true in
   while !running && not w.stopped do
-    Metrics.gauge_record queue_depth_hwm (Eventq.length q);
+    Metrics.peak w.metrics l_queue_depth_hwm (Eventq.length q);
     if Eventq.is_empty q then running := false
     else begin
       let time = Eventq.top_time q in

@@ -4,11 +4,12 @@
 
     - Minor words per {!Engine.Runtime.run}: central 3PC, n=3,
       [until = 1500], the plans of seeds 0–499 of {!Engine.Chaos.schedule}
-      (drawn before each run is measured).  Measured at 3,585.2 words per
-      run (4,408.0 before per-run metric snapshots were dropped); the
-      bound is that plus 10%.  The same seeds take exactly 7,494
-      events (14.988 per run), which pins that the runs themselves did
-      not change.
+      (drawn before each run is measured).  Measured at 3,273.9 words per
+      run (3,544.4 with string-keyed metric tables and 96-bucket
+      histograms from the first observation, 4,408.0 before per-run
+      metric snapshots were dropped); the bound is that plus 10%.  The
+      same seeds take exactly 7,494 events (14.988 per run), which pins
+      that the runs themselves did not change.
     - Events per detector-mode {!Engine.Runtime.run}: central 3PC, n=3,
       [until = 1500], the plans of seeds 0–199 under
       {!Sim.Nemesis.detector_faults} (latency spikes, stalls, heartbeat
@@ -20,6 +21,11 @@
       run in flight at a minor collection is promoted.  Measured at 39.3
       (2,027.5 when every run's outcome was kept to the end); the bound
       is 200.
+    - Minor words per seed of the same 2,000-seed sweep: the whole
+      per-seed cost of schedule, run, oracles and metrics.  Measured at
+      4,147.6 (4,997.7 with string-keyed metric tables and 96-bucket
+      histograms from the first observation); the bound is that plus
+      10%.
     - Minor words per transaction of one {!Kv.Db.run} with the
       [kv-mixed] benchmark configuration: n=4, 3PC, sync latency 0.4,
       group commit of batch 8 and wait 0.05, pipeline 8, 512 keys, 500 transactions of
@@ -67,7 +73,7 @@ let test_minor_words_per_run () =
   done;
   Alcotest.(check int) "events over 500 runs" 7_494 !events;
   let per_run = !words /. float_of_int seeds in
-  let bound = 3_585.2 *. 1.1 in
+  let bound = 3_273.9 *. 1.1 in
   Alcotest.(check bool)
     (Fmt.str "%.1f minor words per run <= %.1f" per_run bound)
     true (per_run <= bound)
@@ -99,6 +105,18 @@ let test_sweep_promotes_little () =
   Alcotest.(check bool)
     (Fmt.str "%.1f words promoted per seed <= 200" per_seed)
     true (per_seed <= 200.0)
+
+let test_sweep_minor_words_per_seed () =
+  let rb = rulebook () in
+  let seeds = 2_000 in
+  let w0 = Gc.minor_words () in
+  let s = C.sweep rb ~k:1 ~seeds () in
+  let per_seed = (Gc.minor_words () -. w0) /. float_of_int seeds in
+  Alcotest.(check int) "every seed ran" seeds s.C.seeds_run;
+  let bound = 4_147.6 *. 1.1 in
+  Alcotest.(check bool)
+    (Fmt.str "%.1f minor words per sweep seed <= %.1f" per_seed bound)
+    true (per_seed <= bound)
 
 let test_kv_minor_words_per_txn () =
   let n_txns = 500 in
@@ -173,6 +191,7 @@ let suite =
     Alcotest.test_case "events per detector-mode Runtime.run" `Quick test_detector_events_per_run;
     Alcotest.test_case "a 2,000-seed sweep promotes <= 200 words per seed" `Quick
       test_sweep_promotes_little;
+    Alcotest.test_case "minor words per 2,000-seed sweep seed" `Quick test_sweep_minor_words_per_seed;
     Alcotest.test_case "minor words per kv-mixed transaction" `Quick test_kv_minor_words_per_txn;
     Alcotest.test_case "one release allocates the same in a 10,000-key table" `Quick
       test_release_ignores_table_size;

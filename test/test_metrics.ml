@@ -159,15 +159,15 @@ let test_counters_and_gauges () =
 
 let test_timers () =
   let m = M.create () in
-  M.timer_start m "op" ~key:1 ~at:10.0;
-  M.timer_start m "op" ~key:2 ~at:11.0;
-  M.timer_stop m "op" ~key:2 ~at:14.0;
-  M.timer_stop m "op" ~key:1 ~at:12.0;
-  M.timer_stop m "op" ~key:3 ~at:99.0;
+  M.timer_start m (M.label "op") ~key:1 ~at:10.0;
+  M.timer_start m (M.label "op") ~key:2 ~at:11.0;
+  M.timer_stop m (M.label "op") ~key:2 ~at:14.0;
+  M.timer_stop m (M.label "op") ~key:1 ~at:12.0;
+  M.timer_stop m (M.label "op") ~key:3 ~at:99.0;
   (* no matching start: ignored *)
-  M.timer_start m "op" ~key:4 ~at:0.0;
-  M.timer_discard m "op" ~key:4;
-  M.timer_stop m "op" ~key:4 ~at:50.0;
+  M.timer_start m (M.label "op") ~key:4 ~at:0.0;
+  M.timer_discard m (M.label "op") ~key:4;
+  M.timer_stop m (M.label "op") ~key:4 ~at:50.0;
   (* discarded: ignored *)
   match M.summarize m "op" with
   | None -> Alcotest.fail "expected a summary"
@@ -331,53 +331,55 @@ let prop_merge_independent_of_insertion_order =
       let merged build = J.to_string (M.to_json ~drop_wall:true (M.merge_all (List.map build shards))) in
       merged in_order = merged regrouped)
 
-(* ---------------- counter handles ---------------- *)
+(* ---------------- labels ---------------- *)
 
-let test_counter_handle_lazy () =
+let test_label_lazy () =
   let m = M.create () in
   M.incr m "a";
   let before = J.to_string (M.to_json m) in
-  let _never = M.counter_handle m "never" in
-  let _a = M.counter_handle m "a" in
+  let _never = M.label "never" in
+  let _a = M.label "a" in
   Alcotest.(check (list (pair string int))) "counters unchanged" [ ("a", 1) ] (M.counters m);
   Alcotest.(check string) "to_json unchanged" before (J.to_string (M.to_json m));
-  Alcotest.(check int) "unbumped label reads 0" 0 (M.counter m "never")
+  Alcotest.(check int) "unbumped label reads 0" 0 (M.counter m "never");
+  Alcotest.(check int) "unbumped label counts 0" 0 (M.count m (M.label "never"))
 
-let test_counter_handle_sums_with_incr () =
+let test_label_sums_with_incr () =
   let m = M.create () in
-  (* the label exists by name before the handle's first bump *)
-  let h = M.counter_handle m "a" in
+  (* the counter exists by name before the label's first bump *)
+  let a = M.label "a" in
   M.incr m "a";
-  M.bump h;
-  M.bump h;
+  M.bump m a;
+  M.bump m a;
   M.incr ~by:3 m "a";
-  M.bump h;
+  M.bump m a;
   Alcotest.(check int) "name first: bumps and incr sum" 7 (M.counter m "a");
-  (* the handle registers the label; incr by name and a second handle join it *)
-  let h1 = M.counter_handle m "b" and h2 = M.counter_handle m "b" in
-  M.bump h1;
+  (* the label registers the counter; incr by name and a second lookup join it *)
+  let b1 = M.label "b" and b2 = M.label "b" in
+  M.bump m b1;
   M.incr ~by:2 m "b";
-  M.bump h2;
-  M.bump h1;
-  Alcotest.(check int) "handle first: bumps and incr sum" 5 (M.counter m "b");
+  M.bump m b2;
+  M.bump m b1;
+  Alcotest.(check int) "label first: bumps and incr sum" 5 (M.counter m "b");
+  Alcotest.(check int) "count by label" 5 (M.count m b2);
   Alcotest.(check (list (pair string int)))
     "one entry per label" [ ("a", 7); ("b", 5) ] (M.counters m)
 
 (* The same update stream applied with every counter bump going through
-   a handle, and with [incr] by name: the registries, and their merges
+   a label, and with [incr] by name: the registries, and their merges
    into a common destination, must be indistinguishable. *)
-let prop_counter_handles_merge_like_names =
-  Helpers.qtest ~count:150 "merge: registries filled through handles = filled by name" gen_ops
+let prop_labels_merge_like_names =
+  Helpers.qtest ~count:150 "merge: registries filled through labels = filled by name" gen_ops
     (fun (ops, k) ->
-      let by_handle = M.create () and by_name = M.create () in
-      let handles = Array.map (fun name -> M.counter_handle by_handle ("c_" ^ name)) hist_names in
+      let by_label = M.create () and by_name = M.create () in
+      let labels = Array.map (fun name -> M.label ("c_" ^ name)) hist_names in
       List.iter
         (function
           | Incr (i, n) ->
               for _ = 1 to n do
-                M.bump handles.(i)
+                M.bump by_label labels.(i)
               done
-          | op -> apply by_handle op)
+          | op -> apply by_label op)
         ops;
       List.iter (apply by_name) ops;
       let base () =
@@ -385,18 +387,174 @@ let prop_counter_handles_merge_like_names =
         List.iteri (fun ix op -> if ix mod k = 0 then apply b op) ops;
         b
       in
-      let merged_handle = base () and merged_name = base () in
-      M.merge merged_handle by_handle;
+      let merged_label = base () and merged_name = base () in
+      M.merge merged_label by_label;
       M.merge merged_name by_name;
-      J.to_string (M.to_json by_handle) = J.to_string (M.to_json by_name)
-      && J.to_string (M.to_json merged_handle) = J.to_string (M.to_json merged_name))
+      J.to_string (M.to_json by_label) = J.to_string (M.to_json by_name)
+      && J.to_string (M.to_json merged_label) = J.to_string (M.to_json merged_name))
+
+(* Fresh names interned from 4 domains at once: every domain sees one
+   id per name, and every name keeps the id it was first given. *)
+let test_label_intern_domains () =
+  let names = Array.init 200 (Fmt.str "intern_race_%d") in
+  let intern offset () = Array.init 200 (fun i -> M.label names.((i + offset) mod 200)) in
+  let by_domain =
+    List.map (fun offset -> Domain.spawn (intern (offset * 50))) [ 0; 1; 2; 3 ] |> List.map Domain.join
+  in
+  let ids offset labels = Array.init 200 (fun i -> labels.((i - offset + 200) mod 200)) in
+  let canonical = Array.map M.label names in
+  List.iteri
+    (fun d labels ->
+      Alcotest.(check bool)
+        (Fmt.str "domain %d: one id per name" d)
+        true
+        (ids (d * 50) labels = canonical))
+    by_domain;
+  Alcotest.(check int)
+    "distinct ids" 200
+    (List.length (List.sort_uniq compare (Array.to_list canonical)));
+  Array.iteri
+    (fun i l -> Alcotest.(check string) (Fmt.str "name of id %d" i) names.(i) (M.label_name l))
+    canonical
+
+(* ---------------- sparse histograms ---------------- *)
+
+(* The pre-sparse histogram, kept as the reference: count, total, min and
+   max tracked exactly, a full bucket array from the first observation,
+   and the same JSON layout as {!M.to_json}'s histogram entries. *)
+module Dense = struct
+  type t = {
+    mutable count : int;
+    mutable total : float;
+    mutable min : float;
+    mutable max : float;
+    counts : int array;
+  }
+
+  let create () =
+    {
+      count = 0;
+      total = 0.0;
+      min = Float.infinity;
+      max = Float.neg_infinity;
+      counts = Array.make M.n_buckets 0;
+    }
+
+  let observe h v =
+    h.count <- h.count + 1;
+    h.total <- h.total +. v;
+    if v < h.min then h.min <- v;
+    if v > h.max then h.max <- v;
+    let i = M.bucket_index v in
+    h.counts.(i) <- h.counts.(i) + 1
+
+  let merge d s =
+    d.count <- d.count + s.count;
+    d.total <- d.total +. s.total;
+    if s.min < d.min then d.min <- s.min;
+    if s.max > d.max then d.max <- s.max;
+    Array.iteri (fun i c -> d.counts.(i) <- d.counts.(i) + c) s.counts
+
+  let percentile h p =
+    if p <= 0.0 then h.min
+    else if p >= 100.0 then h.max
+    else
+      let rank = p /. 100.0 *. float_of_int h.count in
+      let rec go i cum =
+        if i >= M.n_buckets then h.max
+        else
+          let c = h.counts.(i) in
+          let cum' = cum +. float_of_int c in
+          if c > 0 && cum' >= rank then
+            let lo = M.bucket_lower i in
+            let hi = if i = M.n_buckets - 1 || M.bucket_upper i > h.max then h.max else M.bucket_upper i in
+            lo +. ((rank -. cum) /. float_of_int c *. (hi -. lo))
+          else go (i + 1) (if c > 0 then cum' else cum)
+      in
+      Float.min h.max (Float.max h.min (go 0 0.0))
+
+  let to_json name h =
+    if h.count = 0 then
+      J.Obj [ ("counters", J.Obj []); ("gauges", J.Obj []); ("histograms", J.Obj []) ]
+    else
+      let buckets =
+        List.filter_map Fun.id
+          (List.init M.n_buckets (fun i ->
+               if h.counts.(i) = 0 then None
+               else
+                 let upper = M.bucket_upper i in
+                 let upper = if upper = Float.infinity then h.max else upper in
+                 Some (J.Obj [ ("le", J.Float upper); ("count", J.Int h.counts.(i)) ])))
+      in
+      J.Obj
+        [
+          ("counters", J.Obj []);
+          ("gauges", J.Obj []);
+          ( "histograms",
+            J.Obj
+              [
+                ( name,
+                  J.Obj
+                    [
+                      ("count", J.Int h.count);
+                      ("total", J.Float h.total);
+                      ("min", J.Float h.min);
+                      ("max", J.Float h.max);
+                      ("mean", J.Float (h.total /. float_of_int h.count));
+                      ("p50", J.Float (percentile h 50.0));
+                      ("p90", J.Float (percentile h 90.0));
+                      ("p99", J.Float (percentile h 99.0));
+                      ("buckets", J.List buckets);
+                    ] );
+              ] );
+        ]
+end
+
+(* Observation sequences of 0-30 values, either side of the sparse cap,
+   cut into shards that are merged in order: each shard small (sparse),
+   large (dense) or mixed, so merges go sparse into dense, dense into
+   sparse and sparse into sparse.  The merged registry must export
+   exactly what the dense reference fed the same shards does. *)
+let prop_sparse_matches_dense =
+  let open QCheck2.Gen in
+  let gen =
+    pair
+      (list_size (int_range 0 30) (float_range 0.0005 5000.0))
+      (list_size (int_range 0 6) (int_range 0 12))
+  in
+  assert (M.sparse_cap < 30);
+  Helpers.qtest ~count:300 "sparse histograms merge to the dense reference's JSON" gen
+    (fun (values, cuts) ->
+      (* cut [values] into consecutive shards at the given lengths; the
+         rest forms the last shard *)
+      let rec shards vs = function
+        | [] -> [ vs ]
+        | n :: ns ->
+            let n = min n (List.length vs) in
+            List.filteri (fun i _ -> i < n) vs :: shards (List.filteri (fun i _ -> i >= n) vs) ns
+      in
+      let parts = shards values cuts in
+      let merged = M.create () and reference = Dense.create () in
+      List.iter
+        (fun part ->
+          let shard = M.create () and dshard = Dense.create () in
+          List.iter (M.observe shard "h") part;
+          List.iter (Dense.observe dshard) part;
+          M.merge merged shard;
+          Dense.merge reference dshard)
+        parts;
+      let single = M.create () and dsingle = Dense.create () in
+      List.iter (M.observe single "h") values;
+      List.iter (Dense.observe dsingle) values;
+      J.to_string (M.to_json merged) = J.to_string (Dense.to_json "h" reference)
+      && J.to_string (M.to_json single) = J.to_string (Dense.to_json "h" dsingle))
 
 let test_drain_timers () =
   let m = M.create () in
-  M.timer_start m "op" ~key:1 ~at:1.0;
-  M.timer_start m "op" ~key:2 ~at:2.0;
-  M.timer_stop m "op" ~key:1 ~at:3.0;
-  M.timer_start m "other" ~key:1 ~at:0.0;
+  M.timer_start m (M.label "op") ~key:1 ~at:1.0;
+  M.timer_start m (M.label "op") ~key:2 ~at:2.0;
+  M.timer_stop m (M.label "op") ~key:1 ~at:3.0;
+  M.timer_start m (M.label "other") ~key:1 ~at:0.0;
   Alcotest.(check (list (pair string int)))
     "in flight" [ ("op", 1); ("other", 1) ] (M.timers_in_flight m);
   M.drain_timers m;
@@ -404,7 +562,7 @@ let test_drain_timers () =
   Alcotest.(check int) "other leak counted" 1 (M.counter m "timers_in_flight_other");
   Alcotest.(check (list (pair string int))) "drained" [] (M.timers_in_flight m);
   (* a stop after the drain is ignored: its start was cleared *)
-  M.timer_stop m "op" ~key:2 ~at:9.0;
+  M.timer_stop m (M.label "op") ~key:2 ~at:9.0;
   (match M.summarize m "op" with
   | Some s -> Alcotest.(check int) "only the completed timer observed" 1 s.M.count
   | None -> Alcotest.fail "expected a summary");
@@ -413,8 +571,8 @@ let test_drain_timers () =
 
 let test_merge_drains_in_flight () =
   let a = M.create () and b = M.create () in
-  M.timer_start a "op" ~key:1 ~at:0.0;
-  M.timer_start b "op" ~key:9 ~at:5.0;
+  M.timer_start a (M.label "op") ~key:1 ~at:0.0;
+  M.timer_start b (M.label "op") ~key:9 ~at:5.0;
   M.merge a b;
   Alcotest.(check int) "both sides' leaks counted" 2 (M.counter a "timers_in_flight_op");
   Alcotest.(check (list (pair string int))) "nothing left in flight" [] (M.timers_in_flight a)
@@ -466,9 +624,11 @@ let suite =
     Alcotest.test_case "run metrics deterministic" `Quick test_run_deterministic;
     prop_merge_equals_single;
     prop_merge_independent_of_insertion_order;
-    Alcotest.test_case "counter handle registers lazily" `Quick test_counter_handle_lazy;
-    Alcotest.test_case "counter handle and incr sum" `Quick test_counter_handle_sums_with_incr;
-    prop_counter_handles_merge_like_names;
+    Alcotest.test_case "label registers lazily" `Quick test_label_lazy;
+    Alcotest.test_case "label bumps and incr sum" `Quick test_label_sums_with_incr;
+    prop_labels_merge_like_names;
+    Alcotest.test_case "labels interned from 4 domains at once" `Quick test_label_intern_domains;
+    prop_sparse_matches_dense;
     Alcotest.test_case "drain_timers accounts leaks" `Quick test_drain_timers;
     Alcotest.test_case "merge drains in-flight timers" `Quick test_merge_drains_in_flight;
     Alcotest.test_case "to_json ~drop_wall filters wall_ series" `Quick test_drop_wall;

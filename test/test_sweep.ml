@@ -70,7 +70,7 @@ let test_sweep_merges_in_seed_order () =
     done;
     (* one deliberately leaked timer per run: sweep must drain it
        into the per-seed registry before merging *)
-    M.timer_start metrics "leak" ~key:seed ~at:0.0;
+    M.timer_start metrics (M.label "leak") ~key:seed ~at:0.0;
     seed
   in
   let run ~workers = Sim.Sweep.sweep ~workers ~seeds:50 fill in
