@@ -16,6 +16,7 @@ let check id ok =
 (* Machine-readable results, accumulated alongside the printed artifacts
    and exported by bench/main.ml as BENCH_results.json. *)
 module J = Sim.Json
+module FP = Engine.Failure_plan
 
 let results : (string * J.t) list ref = ref []
 let record_result name json = results := (name, json) :: List.remove_assoc name !results
@@ -242,27 +243,19 @@ let e10_resilience_cascade () =
   let rb = Engine.Rulebook.compile (Core.Catalog.central_3pc 4) in
   let scenarios =
     [
-      ( "coordinator dies pre-decision",
-        Engine.Failure_plan.make
-          ~step_crashes:[ { Engine.Failure_plan.site = 1; step = 1; mode = Engine.Failure_plan.After_logging 0 } ]
-          () );
+      ("coordinator dies pre-decision", "step-crash site=1 step=1 mode=after-logging:0");
       ( "coordinator dies, backup dies mid-move",
-        Engine.Failure_plan.make
-          ~step_crashes:[ { Engine.Failure_plan.site = 1; step = 1; mode = Engine.Failure_plan.After_logging 0 } ]
-          ~move_crashes:[ (2, 1) ] () );
+        "step-crash site=1 step=1 mode=after-logging:0; move-crash site=2 sent=1" );
       ( "coordinator, then two backups die",
-        Engine.Failure_plan.make
-          ~step_crashes:[ { Engine.Failure_plan.site = 1; step = 1; mode = Engine.Failure_plan.After_logging 0 } ]
-          ~move_crashes:[ (2, 1) ] ~decide_crashes:[ (3, 0) ] () );
+        "step-crash site=1 step=1 mode=after-logging:0; move-crash site=2 sent=1; decide-crash \
+         site=3 sent=0" );
       ( "commit-side cascade",
-        Engine.Failure_plan.make
-          ~step_crashes:[ { Engine.Failure_plan.site = 1; step = 2; mode = Engine.Failure_plan.After_logging 1 } ]
-          ~decide_crashes:[ (2, 1) ] () );
+        "step-crash site=1 step=2 mode=after-logging:1; decide-crash site=2 sent=1" );
     ]
   in
   List.iter
     (fun (label, plan) ->
-      let r = Engine.Runtime.run (Engine.Runtime.config ~plan rb) in
+      let r = Engine.Runtime.run (Engine.Runtime.config ~plan:(FP.of_string_exn plan) rb) in
       Fmt.pr "--- %s ---@.%a@." label Engine.Runtime.pp_result r;
       check (Fmt.str "E10 %s: consistent" label) r.Engine.Runtime.consistent;
       check
@@ -284,9 +277,7 @@ let e11_recovery_matrix () =
               (fun mode ->
                 incr runs;
                 let plan =
-                  Engine.Failure_plan.make
-                    ~step_crashes:[ { Engine.Failure_plan.site = site; step; mode } ]
-                    ~recoveries:[ (site, 60.0) ] ()
+                  Sim.Nemesis.[ Step_crash { site; step; mode }; Recover { site; at = 60.0 } ]
                 in
                 let r = Engine.Runtime.run (Engine.Runtime.config ~plan ~seed:!runs rb) in
                 let undecided =
@@ -309,17 +300,19 @@ let e12_kv_ablation () =
   let expected_total = Kv.Workload.bank_total ~accounts ~initial_balance in
   let regimes =
     [
-      ("no failures", [], []);
-      ("1 crash + recovery", [ (2, 60.0) ], [ (2, 220.0) ]);
-      ("1 crash, no recovery", [ (2, 60.0) ], []);
-      ("2 crashes + recoveries", [ (2, 60.0); (3, 120.0) ], [ (2, 200.0); (3, 260.0) ]);
+      ("no failures", []);
+      ("1 crash + recovery", FP.of_string_exn "crash site=2 at=60; recover site=2 at=220");
+      ("1 crash, no recovery", FP.of_string_exn "crash site=2 at=60");
+      ( "2 crashes + recoveries",
+        FP.of_string_exn
+          "crash site=2 at=60; crash site=3 at=120; recover site=2 at=200; recover site=3 at=260" );
     ]
   in
   Fmt.pr "%-24s %-6s %9s %8s %8s %10s %9s %9s %8s@." "regime" "proto" "committed" "aborted"
     "pending" "thruput" "latency" "blocked" "msgs";
   let rows = ref [] in
   List.iter
-    (fun (regime, crashes, recoveries) ->
+    (fun (regime, plan) ->
       List.iter
         (fun (pl, protocol) ->
           let results =
@@ -328,7 +321,7 @@ let e12_kv_ablation () =
                 let rng = Sim.Rng.create ~seed in
                 let wl = Kv.Workload.bank rng ~n_txns:250 ~accounts ~arrival_rate:1.2 in
                 let cfg =
-                  Kv.Db.config ~n_sites:4 ~protocol ~seed ~crashes ~recoveries
+                  Kv.Db.config ~n_sites:4 ~protocol ~seed ~plan
                     ~initial_data:(Kv.Workload.bank_initial ~accounts ~initial_balance)
                     ()
                 in
@@ -366,7 +359,7 @@ let e12_kv_ablation () =
           List.iter
             (fun r ->
               check (Fmt.str "E12 %s/%s atomic" regime pl) r.Kv.Db.atomicity_ok;
-              if recoveries <> [] || crashes = [] then
+              if plan = [] || Sim.Nemesis.recovery_times plan <> [] then
                 check
                   (Fmt.str "E12 %s/%s bank invariant" regime pl)
                   (r.Kv.Db.storage_totals = expected_total))
@@ -374,6 +367,9 @@ let e12_kv_ablation () =
         [ ("2pc", Kv.Node.Two_phase); ("3pc", Kv.Node.Three_phase) ])
     regimes;
   record_result "E12" (J.Obj (List.rev !rows))
+
+(* Site 3 cut off from {1,2} after the votes, before the precommit. *)
+let e13_partition = FP.of_string_exn "partition from=1.5 until=200 groups=1,2|3"
 
 let e13_partition_ablation () =
   section "E13"
@@ -387,14 +383,14 @@ let e13_partition_ablation () =
   let rb2 = Engine.Rulebook.compile (Core.Catalog.central_2pc 3) in
   let r3 =
     Engine.Runtime.run
-      (Engine.Runtime.config ~seed:1 ~partition:(1.5, 200.0, [ [ 1; 2 ]; [ 3 ] ]) rb3)
+      (Engine.Runtime.config ~seed:1 ~plan:e13_partition rb3)
   in
   Fmt.pr "--- central 3PC under partition ---@.%a@.@." Engine.Runtime.pp_result r3;
   check "E13 3PC violates atomicity under partition (split brain — the known limit)"
     (not r3.Engine.Runtime.consistent);
   let r2 =
     Engine.Runtime.run
-      (Engine.Runtime.config ~seed:1 ~partition:(1.5, 200.0, [ [ 1; 2 ]; [ 3 ] ]) rb2)
+      (Engine.Runtime.config ~seed:1 ~plan:e13_partition rb2)
   in
   Fmt.pr "--- central 2PC under partition ---@.%a@.@." Engine.Runtime.pp_result r2;
   check "E13 2PC stays consistent under partition (it blocks instead)"
@@ -427,8 +423,7 @@ let e14_quorum_termination () =
   (* the E13 partition, now under the quorum rule *)
   let rq =
     Engine.Runtime.run
-      (Engine.Runtime.config ~partition:(1.5, 200.0, [ [ 1; 2 ]; [ 3 ] ])
-         ~termination:(Engine.Runtime.Quorum q) rb3)
+      (Engine.Runtime.config ~plan:e13_partition ~termination:(Engine.Runtime.Quorum q) rb3)
   in
   Fmt.pr "--- E13's partition, quorum rule ---@.%a@.@." Engine.Runtime.pp_result rq;
   check "E14 quorum termination stays consistent under the E13 partition"
@@ -445,13 +440,9 @@ let e14_quorum_termination () =
   (* the liveness price: a lone survivor blocks under the quorum rule and
      decides under Skeen's rule *)
   let plan =
-    Engine.Failure_plan.make
-      ~step_crashes:
-        [
-          { Engine.Failure_plan.site = 1; step = 1; mode = Engine.Failure_plan.After_logging 0 };
-          { Engine.Failure_plan.site = 2; step = 0; mode = Engine.Failure_plan.After_transition };
-        ]
-      ()
+    FP.of_string_exn
+      "step-crash site=1 step=1 mode=after-logging:0; step-crash site=2 step=0 \
+       mode=after-transition"
   in
   let r_skeen = Engine.Runtime.run (Engine.Runtime.config ~plan rb3) in
   let r_quorum =
@@ -605,10 +596,10 @@ let e17_db_partition () =
   let wl = [ (1.0, { Kv.Txn.id = 1; ops = [ Kv.Txn.Add (k1, -5); Kv.Txn.Add (k2, 5) ] }) ] in
   (* open the window after the votes are sent, before the coordinator
      sends the minority's precommit (partitions drop at send time) *)
-  let partitions = [ (2.8, 200.0, [ [ 1; 2 ]; [ 3 ] ]) ] in
+  let plan = FP.of_string_exn "partition from=2.8 until=200 groups=1,2|3" in
   let run termination =
     Kv.Db.run
-      (Kv.Db.config ~n_sites ~protocol:Kv.Node.Three_phase ~termination ~seed:3 ~partitions
+      (Kv.Db.config ~n_sites ~protocol:Kv.Node.Three_phase ~termination ~seed:3 ~plan
          ~initial_data:[ (k1, 100); (k2, 100) ] ())
       wl
   in

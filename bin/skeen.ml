@@ -36,6 +36,14 @@ let plan_sites_error ~n plan =
     (fun s -> Printf.sprintf "site %d is not in 1..%d" s n)
     (List.find_opt (fun s -> s < 1 || s > n) (Engine.Failure_plan.sites plan))
 
+(* A single run's faults from its flags: [crash] at the crash site with
+   its optional recovery, and the [--isolate] partition. *)
+let flag_plan ~n ~crash_site ~crash ~recover_at ~isolate ~from_t ~until_t =
+  let cut s = [ List.filter (( <> ) s) (List.init n succ); [ s ] ] in
+  Option.fold crash_site ~none:[] ~some:(fun site ->
+      crash site :: Option.to_list (Option.map (fun at -> Sim.Nemesis.Recover { site; at }) recover_at))
+  @ Option.to_list (Option.map (fun s -> Sim.Nemesis.Partition { from_t; until_t; groups = cut s }) isolate)
+
 (* ---------------- shared flags ---------------- *)
 
 (* A flag that means the same thing in several subcommands is defined once
@@ -389,32 +397,21 @@ let simulate_cmd =
     require cmd (Option.fold ~none:true ~some:(fun j -> j >= 0) crash_sent) "--sent must be >= 0";
     require_sites cmd ~n "--no-vote" no_votes;
     let rb = Engine.Rulebook.compile p in
+    let mode =
+      match crash_sent with
+      | None -> Sim.Nemesis.Before_transition
+      | Some j -> Sim.Nemesis.After_logging j
+    in
     let plan =
-      match crash_site with
-      | None -> Engine.Failure_plan.none
-      | Some site ->
-          let mode =
-            match crash_sent with
-            | None -> Engine.Failure_plan.Before_transition
-            | Some j -> Engine.Failure_plan.After_logging j
-          in
-          Engine.Failure_plan.make
-            ~step_crashes:[ { Engine.Failure_plan.site; step = crash_step; mode } ]
-            ~recoveries:(match recover_at with Some t -> [ (site, t) ] | None -> [])
-            ()
+      flag_plan ~n ~crash_site ~recover_at ~isolate ~from_t:1.5 ~until_t:200.0 ~crash:(fun site ->
+          Sim.Nemesis.Step_crash { site; step = crash_step; mode })
     in
     let votes = List.map (fun s -> (s, Core.Types.No)) no_votes in
     let termination =
       if quorum then Engine.Runtime.Quorum (Engine.Runtime.majority n) else Engine.Runtime.Skeen
     in
-    let partition =
-      Option.map
-        (fun s -> (1.5, 200.0, [ List.filter (fun x -> x <> s) (List.init n (fun i -> i + 1)); [ s ] ]))
-        isolate
-    in
     let r =
-      Engine.Runtime.run
-        (Engine.Runtime.config ~votes ~plan ~seed ~tracing:trace ~termination ?partition rb)
+      Engine.Runtime.run (Engine.Runtime.config ~votes ~plan ~seed ~tracing:trace ~termination rb)
     in
     Fmt.pr "%a@." Engine.Runtime.pp_result r;
     if trace then
@@ -990,19 +987,16 @@ let bank_cmd =
       Kv.Db.config ~n_sites:n
         ~protocol:(if three_phase then Kv.Node.Three_phase else Kv.Node.Two_phase)
         ~termination ~presumption ~read_only_opt ?group_commit ~pipeline_depth ~sync_latency ~seed
-        ~crashes:(match crash_site with Some s -> [ (s, crash_at) ] | None -> [])
-        ~recoveries:
-          (match (crash_site, recover_at) with Some s, Some t -> [ (s, t) ] | _ -> [])
-        ~partitions:
-          (match isolate with
-          | Some s ->
-              [ (40.0, 160.0, [ List.filter (fun x -> x <> s) (List.init n (fun i -> i + 1)); [ s ] ]) ]
-          | None -> [])
+        ~plan:
+          (flag_plan ~n ~crash_site ~recover_at ~isolate ~from_t:40.0 ~until_t:160.0
+             ~crash:(fun site -> Sim.Nemesis.Crash { site; at = crash_at }))
         ~initial_data:(Kv.Workload.bank_initial ~accounts ~initial_balance)
         ()
     in
     let r = Kv.Db.run cfg wl in
     Fmt.pr "%a@." Kv.Db.pp_result r;
+    Fmt.pr "lock-conflict aborts: %d deadlock, %d lock-wait timeout@." r.Kv.Db.deadlock_aborts
+      r.Kv.Db.lock_timeouts;
     Fmt.pr "bank total: expected %d, measured %d@."
       (Kv.Workload.bank_total ~accounts ~initial_balance)
       r.Kv.Db.storage_totals;

@@ -11,11 +11,11 @@ let accounts = 32
 let initial_balance = 100
 let expected_total = Kv.Workload.bank_total ~accounts ~initial_balance
 
-let run ?(quiet = false) ~label ~protocol ~seed ~crashes ~recoveries () =
+let run ?(quiet = false) ~label ~protocol ~seed ~plan () =
   let rng = Sim.Rng.create ~seed in
   let workload = Kv.Workload.bank rng ~n_txns:200 ~accounts ~arrival_rate:2.0 in
   let cfg =
-    Kv.Db.config ~n_sites:4 ~protocol ~seed ~crashes ~recoveries
+    Kv.Db.config ~n_sites:4 ~protocol ~seed ~plan:(Engine.Failure_plan.of_string_exn plan)
       ~initial_data:(Kv.Workload.bank_initial ~accounts ~initial_balance)
       ()
   in
@@ -33,22 +33,20 @@ let () =
   Fmt.pr "Bank workload: 200 transfers across %d accounts on 4 sites@.@." accounts;
 
   ignore
-    (run ~label:"3PC, no failures" ~protocol:Kv.Node.Three_phase ~seed:2024 ~crashes:[]
-       ~recoveries:[] ());
+    (run ~label:"3PC, no failures" ~protocol:Kv.Node.Three_phase ~seed:2024 ~plan:"" ());
   ignore
-    (run ~label:"2PC, no failures" ~protocol:Kv.Node.Two_phase ~seed:2024 ~crashes:[]
-       ~recoveries:[] ());
+    (run ~label:"2PC, no failures" ~protocol:Kv.Node.Two_phase ~seed:2024 ~plan:"" ());
 
   (* Site 2 hosts a quarter of the accounts and coordinates a quarter of
      the transfers; kill it mid-run.  Whether the crash catches transfers
      in their in-doubt window (prepared, awaiting the verdict) depends on
      timing, so aggregate over ten seeds. *)
-  let crashes = [ (2, 25.0) ] in
+  let crash = "crash site=2 at=25" in
   let seeds = List.init 10 (fun i -> 3000 + i) in
   let aggregate protocol =
     List.fold_left
       (fun (blocked, pending) seed ->
-        let r = run ~quiet:true ~label:"" ~protocol ~seed ~crashes ~recoveries:[] () in
+        let r = run ~quiet:true ~label:"" ~protocol ~seed ~plan:crash () in
         assert r.Kv.Db.atomicity_ok;
         (blocked +. r.Kv.Db.blocked_time, pending + r.Kv.Db.pending))
       (0.0, 0) seeds
@@ -65,7 +63,7 @@ let () =
   (* with recovery, even 2PC eventually resolves and the invariant holds *)
   let r =
     run ~label:"2PC, site 2 dies at t=25 and recovers at t=200" ~protocol:Kv.Node.Two_phase
-      ~seed:3004 ~crashes ~recoveries:[ (2, 200.0) ] ()
+      ~seed:3004 ~plan:(crash ^ "; recover site=2 at=200") ()
   in
   assert r.Kv.Db.atomicity_ok;
   Fmt.pr "2PC resolves once the coordinator recovers — but only then.@."

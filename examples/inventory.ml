@@ -50,7 +50,8 @@ let () =
   in
   let r = Kv.Db.run cfg orders in
   Fmt.pr "%a@.@." Kv.Db.pp_result r;
-  Fmt.pr "unilateral aborts from concurrency control (deadlock/timeout): %d@." r.Kv.Db.deadlock_aborts;
+  Fmt.pr "unilateral aborts from concurrency control: %d deadlock, %d lock-wait timeout@."
+    r.Kv.Db.deadlock_aborts r.Kv.Db.lock_timeouts;
   assert r.Kv.Db.atomicity_ok;
 
   (* cross-check the books: every committed order moved stock and ledger
@@ -60,7 +61,9 @@ let () =
   Fmt.pr "@.Now the same workload with a mid-run site failure:@.";
   let cfg_crash =
     Kv.Db.config ~n_sites ~protocol:Kv.Node.Three_phase ~seed:77 ~lock_wait_timeout:15.0
-      ~initial_data ~crashes:[ (3, 40.0) ] ~recoveries:[ (3, 160.0) ] ()
+      ~initial_data
+      ~plan:(Engine.Failure_plan.of_string_exn "crash site=3 at=40; recover site=3 at=160")
+      ()
   in
   let rc = Kv.Db.run cfg_crash orders in
   Fmt.pr "%a@.@." Kv.Db.pp_result rc;

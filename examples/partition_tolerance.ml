@@ -16,7 +16,7 @@
 
     Run with: dune exec examples/partition_tolerance.exe *)
 
-let partition = (1.5, 200.0, [ [ 1; 2 ]; [ 3 ] ])
+let partition = Engine.Failure_plan.of_string_exn "partition from=1.5 until=200 groups=1,2|3"
 
 let describe label (r : Engine.Runtime.result) =
   Fmt.pr "--- %s ---@.%a@." label Engine.Runtime.pp_result r;
@@ -36,19 +36,19 @@ let () =
 
   let r1 =
     describe "3PC, Skeen termination rule"
-      (Engine.Runtime.run (Engine.Runtime.config ~partition rb3))
+      (Engine.Runtime.run (Engine.Runtime.config ~plan:partition rb3))
   in
   assert (not r1.Engine.Runtime.consistent);
 
   let r2 =
-    describe "2PC (blocks instead)" (Engine.Runtime.run (Engine.Runtime.config ~partition rb2))
+    describe "2PC (blocks instead)" (Engine.Runtime.run (Engine.Runtime.config ~plan:partition rb2))
   in
   assert r2.Engine.Runtime.consistent;
 
   let r3 =
     describe "3PC, quorum termination (majority = 2)"
       (Engine.Runtime.run
-         (Engine.Runtime.config ~partition
+         (Engine.Runtime.config ~plan:partition
             ~termination:(Engine.Runtime.Quorum (Engine.Runtime.majority 3))
             rb3))
   in

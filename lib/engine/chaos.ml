@@ -450,114 +450,54 @@ let run_one ?metrics ?profile ?presumption ?read_only ?sync_latency ?late_force 
 (* ---------------- shrinking ---------------- *)
 
 let remove_nth n l = List.filteri (fun i _ -> i <> n) l
+let replace_nth n x l = List.mapi (fun i y -> if i = n then x else y) l
 
+(* Drop each fault in turn.  A storm is one discrete fault but has an
+   internal dimension: also offer each storm with one fewer wave, so a
+   wedge that needs only the first crash/recover cycle shrinks past the
+   whole-storm clause. *)
 let removal_candidates (p : Failure_plan.t) =
-  let open Failure_plan in
-  List.mapi (fun i _ -> { p with step_crashes = remove_nth i p.step_crashes }) p.step_crashes
-  @ List.mapi (fun i _ -> { p with timed_crashes = remove_nth i p.timed_crashes }) p.timed_crashes
-  @ List.mapi (fun i _ -> { p with recoveries = remove_nth i p.recoveries }) p.recoveries
-  @ List.mapi (fun i _ -> { p with move_crashes = remove_nth i p.move_crashes }) p.move_crashes
-  @ List.mapi (fun i _ -> { p with decide_crashes = remove_nth i p.decide_crashes }) p.decide_crashes
-  @ List.mapi (fun i _ -> { p with partitions = remove_nth i p.partitions }) p.partitions
-  @ List.mapi (fun i _ -> { p with msg_faults = remove_nth i p.msg_faults }) p.msg_faults
-  @ List.mapi (fun i _ -> { p with disk_faults = remove_nth i p.disk_faults }) p.disk_faults
-  @ List.mapi (fun i _ -> { p with delay_spikes = remove_nth i p.delay_spikes }) p.delay_spikes
-  @ List.mapi (fun i _ -> { p with stalls = remove_nth i p.stalls }) p.stalls
-  @ List.mapi (fun i _ -> { p with hb_losses = remove_nth i p.hb_losses }) p.hb_losses
-  @ List.mapi
-      (fun i _ -> { p with acceptor_crashes = remove_nth i p.acceptor_crashes })
-      p.acceptor_crashes
-  @ List.mapi (fun i _ -> { p with lease_faults = remove_nth i p.lease_faults }) p.lease_faults
-  @ List.mapi (fun i _ -> { p with storms = remove_nth i p.storms }) p.storms
-  (* a storm is one discrete fault but has an internal dimension: also
-     offer each storm with one fewer wave, so a wedge that needs only the
-     first crash/recover cycle shrinks past the whole-storm clause *)
+  List.mapi (fun i _ -> remove_nth i p) p
   @ List.concat
       (List.mapi
-         (fun i (s : Failure_plan.storm_spec) ->
-           if s.s_waves > 1 then
-             [
-               {
-                 p with
-                 storms =
-                   List.mapi
-                     (fun j s' -> if j = i then { s with s_waves = s.s_waves - 1 } else s')
-                     p.storms;
-               };
-             ]
-           else [])
-         p.storms)
+         (fun i -> function
+           | Sim.Nemesis.Storm s when s.waves > 1 ->
+               [ replace_nth i (Sim.Nemesis.Storm { s with waves = s.waves - 1 }) p ]
+           | _ -> [])
+         p)
 
-(* Round every non-integral fault time, one at a time, so the minimal
-   counterexample reads "crash site=1 at=2" rather than "at=2.0386...". *)
+(* A fault with its non-integral times rounded, so the minimal
+   counterexample reads "crash site=1 at=2" rather than "at=2.0386...";
+   [None] when there is nothing to round. *)
+let round (f : Sim.Nemesis.fault) : Sim.Nemesis.fault option =
+  let r = Float.round in
+  match f with
+  | Crash c when r c.at <> c.at -> Some (Crash { c with at = r c.at })
+  | Recover c when r c.at <> c.at -> Some (Recover { c with at = r c.at })
+  | Acceptor_crash c when r c.at <> c.at -> Some (Acceptor_crash { c with at = r c.at })
+  | Lease_fault { at } when r at <> at -> Some (Lease_fault { at = r at })
+  | Partition w when r w.from_t <> w.from_t || r w.until_t <> w.until_t ->
+      Some (Partition { w with from_t = r w.from_t; until_t = r w.until_t })
+  | Msg { nth; fault = Sim.World.Fault_delay extra } when r extra <> extra && r extra > 0.0 ->
+      Some (Msg { nth; fault = Sim.World.Fault_delay (r extra) })
+  | Delay_window w
+    when r w.from_t <> w.from_t || r w.until_t <> w.until_t || Float.max 1.0 (r w.extra) <> w.extra
+    ->
+      Some
+        (Delay_window
+           { w with from_t = r w.from_t; until_t = r w.until_t; extra = Float.max 1.0 (r w.extra) })
+  | Stall w when r w.from_t <> w.from_t || r w.until_t <> w.until_t ->
+      Some (Stall { w with from_t = r w.from_t; until_t = r w.until_t })
+  | Hb_loss w when r w.from_t <> w.from_t || r w.until_t <> w.until_t ->
+      Some (Hb_loss { w with from_t = r w.from_t; until_t = r w.until_t })
+  (* only the start time: rounding period/down could break the
+     down < period invariant the storm model relies on *)
+  | Storm s when r s.first <> s.first -> Some (Storm { s with first = r s.first })
+  | _ -> None
+
 let rounding_candidates (p : Failure_plan.t) =
-  let open Failure_plan in
-  let set_nth n x l = List.mapi (fun i y -> if i = n then x else y) l in
-  let rounded f k l =
-    List.concat
-      (List.mapi
-         (fun i x ->
-           match f x with Some x' -> [ k (set_nth i x' l) ] | None -> [])
-         l)
-  in
-  let round_time (s, at) =
-    if Float.round at <> at then Some (s, Float.round at) else None
-  in
-  rounded round_time (fun l -> { p with timed_crashes = l }) p.timed_crashes
-  @ rounded round_time (fun l -> { p with recoveries = l }) p.recoveries
-  @ rounded
-      (fun (pt : partition_spec) ->
-        let from_t = Float.round pt.from_t and until_t = Float.round pt.until_t in
-        if from_t <> pt.from_t || until_t <> pt.until_t then Some { pt with from_t; until_t }
-        else None)
-      (fun l -> { p with partitions = l })
-      p.partitions
-  @ rounded
-      (fun (nth, f) ->
-        match f with
-        | Sim.World.Fault_delay extra when Float.round extra <> extra && Float.round extra > 0.0
-          ->
-            Some (nth, Sim.World.Fault_delay (Float.round extra))
-        | _ -> None)
-      (fun l -> { p with msg_faults = l })
-      p.msg_faults
-  @ rounded
-      (fun (d : delay_spec) ->
-        let d_from = Float.round d.d_from
-        and d_until = Float.round d.d_until
-        and d_extra = Float.max 1.0 (Float.round d.d_extra) in
-        if d_from <> d.d_from || d_until <> d.d_until || d_extra <> d.d_extra then
-          Some { d with d_from; d_until; d_extra }
-        else None)
-      (fun l -> { p with delay_spikes = l })
-      p.delay_spikes
-  @ rounded
-      (fun (w : window_spec) ->
-        let w_from = Float.round w.w_from and w_until = Float.round w.w_until in
-        if w_from <> w.w_from || w_until <> w.w_until then Some { w with w_from; w_until }
-        else None)
-      (fun l -> { p with stalls = l })
-      p.stalls
-  @ rounded
-      (fun (w : window_spec) ->
-        let w_from = Float.round w.w_from and w_until = Float.round w.w_until in
-        if w_from <> w.w_from || w_until <> w.w_until then Some { w with w_from; w_until }
-        else None)
-      (fun l -> { p with hb_losses = l })
-      p.hb_losses
-  @ rounded round_time (fun l -> { p with acceptor_crashes = l }) p.acceptor_crashes
-  @ rounded
-      (fun at -> if Float.round at <> at then Some (Float.round at) else None)
-      (fun l -> { p with lease_faults = l })
-      p.lease_faults
-  @ rounded
-      (fun (s : storm_spec) ->
-        (* only the start time: rounding period/down could break the
-           down < period invariant the storm model relies on *)
-        if Float.round s.s_first <> s.s_first then Some { s with s_first = Float.round s.s_first }
-        else None)
-      (fun l -> { p with storms = l })
-      p.storms
+  List.concat
+    (List.mapi (fun i f -> Option.to_list (Option.map (fun f' -> replace_nth i f' p) (round f))) p)
 
 let shrink_target ?metrics t ~seed ~oracle plan =
   let runs = ref 0 in
@@ -572,7 +512,7 @@ let shrink_target ?metrics t ~seed ~oracle plan =
     | Some p' -> reduce candidates_of p'
     | None -> p
   in
-  let p = reduce removal_candidates plan in
+  let p = reduce removal_candidates (Failure_plan.of_schedule plan) in
   let p = reduce rounding_candidates p in
   (p, !runs)
 

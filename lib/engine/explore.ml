@@ -56,22 +56,23 @@ let protocol_families ~protocol =
   @ (if is_3pc then [ Move_crashes; Decide_crashes ] else [])
   @ if is_paxos then [ Decide_crashes; Acceptor_crashes; Lease_faults ] else []
 
+let family_of : N.fault -> family option = function
+  | Step_crash _ -> Some Step_crashes
+  | Crash _ -> Some Timed_crashes
+  | Recover _ -> Some Recoveries
+  | Backup_crash { phase = Move; _ } -> Some Move_crashes
+  | Backup_crash { phase = Decide; _ } -> Some Decide_crashes
+  | Msg _ -> Some Msg_faults
+  | Delay_window _ -> Some Delay_spikes
+  | Stall _ -> Some Stalls
+  | Hb_loss _ -> Some Hb_losses
+  | Acceptor_crash _ -> Some Acceptor_crashes
+  | Lease_fault _ -> Some Lease_faults
+  | Storm _ -> Some Storms
+  | Partition _ | Disk_fault _ -> None
+
 (* A plan's clauses of one family, as a plan of their own. *)
-let clauses_of (p : Failure_plan.t) family =
-  let none = Failure_plan.none in
-  match family with
-  | Step_crashes -> { none with step_crashes = p.step_crashes }
-  | Timed_crashes -> { none with timed_crashes = p.timed_crashes }
-  | Recoveries -> { none with recoveries = p.recoveries }
-  | Move_crashes -> { none with move_crashes = p.move_crashes }
-  | Decide_crashes -> { none with decide_crashes = p.decide_crashes }
-  | Msg_faults -> { none with msg_faults = p.msg_faults }
-  | Delay_spikes -> { none with delay_spikes = p.delay_spikes }
-  | Stalls -> { none with stalls = p.stalls }
-  | Hb_losses -> { none with hb_losses = p.hb_losses }
-  | Acceptor_crashes -> { none with acceptor_crashes = p.acceptor_crashes }
-  | Lease_faults -> { none with lease_faults = p.lease_faults }
-  | Storms -> { none with storms = p.storms }
+let clauses_of (p : Failure_plan.t) family = List.filter (fun f -> family_of f = Some family) p
 
 let unsupported ~families plan =
   List.filter_map
@@ -103,11 +104,7 @@ type harness = {
 }
 
 (* ------------------------------------------------------------------ *)
-(* Mutation operators.  They work on the plan's schedule view
-   ([Failure_plan.to_schedule]) because a schedule is a uniform fault
-   list — one match arm per operator instead of one per plan field —
-   and [of_schedule ∘ to_schedule] is the identity on everything the
-   explorer produces. *)
+(* Mutation operators, one match arm per fault kind. *)
 
 let random_fault rng ~n_sites ~horizon family =
   let site () = 1 + Sim.Rng.int rng n_sites in
@@ -118,8 +115,10 @@ let random_fault rng ~n_sites ~horizon family =
   in
   match family with
   | Step_crashes ->
-      let sent = if Sim.Rng.bool rng then None else Some (Sim.Rng.int rng 3) in
-      N.Step_crash { site = site (); step = Sim.Rng.int rng 4; sent }
+      let mode =
+        if Sim.Rng.bool rng then N.Before_transition else N.After_logging (Sim.Rng.int rng 3)
+      in
+      N.Step_crash { site = site (); step = Sim.Rng.int rng 4; mode }
   | Timed_crashes -> N.Crash { site = site (); at = time () }
   | Recoveries -> N.Recover { site = site (); at = time () }
   | Move_crashes -> N.Backup_crash { site = site (); phase = N.Move; sent = Sim.Rng.int rng 4 }
@@ -158,7 +157,7 @@ let retime rng ~horizon fault =
   let t () = Sim.Rng.float rng horizon in
   match fault with
   | N.Crash { site; _ } -> N.Crash { site; at = t () }
-  | N.Step_crash { site; sent; _ } -> N.Step_crash { site; step = Sim.Rng.int rng 4; sent }
+  | N.Step_crash { site; mode; _ } -> N.Step_crash { site; step = Sim.Rng.int rng 4; mode }
   | N.Backup_crash { site; phase; _ } -> N.Backup_crash { site; phase; sent = Sim.Rng.int rng 4 }
   | N.Recover { site; _ } -> N.Recover { site; at = t () }
   | N.Partition { groups; from_t; until_t } ->
@@ -186,7 +185,7 @@ let retarget rng ~n_sites fault =
   let site = 1 + Sim.Rng.int rng n_sites in
   match fault with
   | N.Crash { at; _ } -> Some (N.Crash { site; at })
-  | N.Step_crash { step; sent; _ } -> Some (N.Step_crash { site; step; sent })
+  | N.Step_crash { step; mode; _ } -> Some (N.Step_crash { site; step; mode })
   | N.Backup_crash { phase; sent; _ } -> Some (N.Backup_crash { site; phase; sent })
   | N.Recover { at; _ } -> Some (N.Recover { site; at })
   | N.Delay_window { from_t; until_t; extra; _ } ->
@@ -220,8 +219,7 @@ let widen rng fault =
 let remove_nth n l = List.filteri (fun i _ -> i <> n) l
 let replace_nth n x l = List.mapi (fun i y -> if i = n then x else y) l
 
-let mutate rng ~n_sites ~horizon ~families plan =
-  let sched = Failure_plan.to_schedule plan in
+let mutate rng ~n_sites ~horizon ~families sched =
   let add () = sched @ [ random_fault rng ~n_sites ~horizon (Sim.Rng.choice rng families) ] in
   let sched' =
     if sched = [] then add ()
@@ -245,7 +243,7 @@ let mutate rng ~n_sites ~horizon ~families plan =
 
 let splice rng a b =
   let keep l = List.filter (fun _ -> Sim.Rng.bool rng) l in
-  Failure_plan.of_schedule (keep (Failure_plan.to_schedule a) @ keep (Failure_plan.to_schedule b))
+  Failure_plan.of_schedule (keep a @ keep b)
 
 (* ------------------------------------------------------------------ *)
 

@@ -64,8 +64,7 @@ type harness = {
 val mutate :
   Sim.Rng.t -> n_sites:int -> horizon:float -> families:family list -> Failure_plan.t -> Failure_plan.t
 (** One mutation step: add a random clause from [families], or remove /
-    retime / retarget / widen an existing one (via the plan's
-    {!Failure_plan.to_schedule} view).  Never introduces a clause family
+    retime / retarget / widen an existing one.  Never introduces a clause family
     outside [families]. *)
 
 val splice : Sim.Rng.t -> Failure_plan.t -> Failure_plan.t -> Failure_plan.t

@@ -202,7 +202,7 @@ let learn t rt outcome =
    the broadcast short after k sends. *)
 let announce t ctx rt outcome =
   let k =
-    match List.assoc_opt rt.site t.cfg.plan.Failure_plan.decide_crashes with
+    match Failure_plan.backup_crash t.cfg.plan ~site:rt.site ~phase:Sim.Nemesis.Decide with
     | Some k -> k
     | None -> max_int
   in
@@ -617,7 +617,7 @@ let run (cfg : config) : Runtime.result =
   let world = Sim.World.create ~n_sites:n ~seed:cfg.seed ~msg_to_string () in
   Sim.World.set_tracing world cfg.tracing;
   let store = Wal.Store.create ~n_sites:n () in
-  Wal.Store.install store world ~disk_faults:cfg.plan.Failure_plan.disk_faults;
+  Wal.Store.install store world ~disk_faults:(Sim.Nemesis.disk_faults cfg.plan);
   let protocol_name = Printf.sprintf "paxos-commit-%d-f%d" n cfg.f in
   let rts =
     Array.init n (fun i ->
@@ -671,46 +671,13 @@ let run (cfg : config) : Runtime.result =
       rt.query_attempt <- 0);
   (* the environment request: Prepare injected at the TM starts ballot 0 *)
   Sim.World.inject world ~dst:1 ~at:0.01 Prepare;
-  List.iter (fun (s, at) -> Sim.World.schedule_crash world ~at s) cfg.plan.Failure_plan.timed_crashes;
+  Sim.Nemesis.install world cfg.plan;
   List.iter
-    (fun (s, at) -> Sim.World.schedule_crash world ~at s)
-    cfg.plan.Failure_plan.acceptor_crashes;
-  List.iter
-    (fun (s, at) -> Sim.World.schedule_recovery world ~at s)
-    cfg.plan.Failure_plan.recoveries;
-  List.iter
-    (fun (st : Failure_plan.storm_spec) ->
-      List.iter
-        (fun (site, crash_at, recover_at) ->
-          Sim.World.schedule_crash world ~at:crash_at site;
-          Sim.World.schedule_recovery world ~at:recover_at site)
-        (Failure_plan.storm_events st))
-    cfg.plan.Failure_plan.storms;
-  List.iter
-    (fun at ->
-      List.iter (fun site -> Sim.World.inject world ~dst:site ~at Lease_expire) (all_sites t))
-    cfg.plan.Failure_plan.lease_faults;
-  List.iter
-    (fun (p : Failure_plan.partition_spec) ->
-      if p.groups <> [] then
-        Sim.World.schedule_partition world ~from_t:p.from_t ~until_t:p.until_t p.groups)
-    cfg.plan.Failure_plan.partitions;
-  Sim.World.set_msg_faults world cfg.plan.Failure_plan.msg_faults;
-  List.iter
-    (fun (d : Failure_plan.delay_spec) ->
-      Sim.World.schedule_latency_spike world ~site:d.Failure_plan.d_site
-        ~from_t:d.Failure_plan.d_from ~until_t:d.Failure_plan.d_until ~extra:d.Failure_plan.d_extra)
-    cfg.plan.Failure_plan.delay_spikes;
-  List.iter
-    (fun (w : Failure_plan.window_spec) ->
-      Sim.World.schedule_stall world ~site:w.Failure_plan.w_site ~from_t:w.Failure_plan.w_from
-        ~until_t:w.Failure_plan.w_until)
-    cfg.plan.Failure_plan.stalls;
-  List.iter
-    (fun (w : Failure_plan.window_spec) ->
-      Sim.World.schedule_hb_loss world ~site:w.Failure_plan.w_site ~from_t:w.Failure_plan.w_from
-        ~until_t:w.Failure_plan.w_until)
-    cfg.plan.Failure_plan.hb_losses;
+    (function
+      | Sim.Nemesis.Lease_fault { at } ->
+          List.iter (fun site -> Sim.World.inject world ~dst:site ~at Lease_expire) (all_sites t)
+      | _ -> ())
+    cfg.plan;
   ignore (Sim.World.run world ~handlers:(handlers t) ~until:cfg.until ());
   (* ---- reporting (shape-compatible with Runtime.run) ---- *)
   let wal_outcome (rt : site_rt) =

@@ -59,7 +59,7 @@ val run : config -> Runtime.result
     (pinned to a site's vote transitions), timed crashes and recoveries,
     acceptor crashes, lease faults, decide crashes (leader crashes after
     [k] Outcome sends), partitions, message faults, disk faults, delay
-    spikes, stalls.  [move_crashes] name a 3PC termination phase that
+    spikes, stalls, storms.  Move crashes name a 3PC termination phase that
     does not exist here and are ignored — the CLI rejects them up front
     via {!Failure_plan.unsupported_clauses}. *)
 

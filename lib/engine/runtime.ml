@@ -121,10 +121,6 @@ type config = {
   seed : int;
   tracing : bool;
   until : float;
-  partition : (float * float * Core.Types.site list list) option;
-      (** (from, until, groups): run under a network partition, violating
-          the paper's reliable-detector assumption — the ablation that
-          shows why the assumption is needed *)
   termination : termination_rule;
   presumption : presumption;
       (** append rather than force the covered outcome's [Decided]
@@ -175,7 +171,7 @@ let query_interval = 5.0
 let query_backoff_cap = 45.0
 
 let config ?(votes = []) ?(plan = Failure_plan.none) ?(seed = 1) ?(tracing = false)
-    ?(until = 10_000.0) ?partition
+    ?(until = 10_000.0)
     ?(termination = Skeen) ?(presumption = No_presumption) ?(read_only = []) ?group_commit
     ?(sync_latency = 0.0) ?(durable_wal = true) ?(late_force = false) ?(detector = false)
     ?(heartbeat_period = 1.0) ?(suspicion_timeout = 5.0) ?(election_timeout = 4.0)
@@ -189,7 +185,6 @@ let config ?(votes = []) ?(plan = Failure_plan.none) ?(seed = 1) ?(tracing = fal
     seed;
     tracing;
     until;
-    partition;
     termination;
     presumption;
     read_only;
@@ -514,7 +509,9 @@ module Exec = struct
 
   let broadcast_decide t ctx (rt : site_rt) o =
     let peers = List.filter (fun s -> s <> rt.site) (Sim.World.sites t.world) in
-    let crash_after = List.assoc_opt rt.site t.cfg.plan.Failure_plan.decide_crashes in
+    let crash_after =
+      Failure_plan.backup_crash t.cfg.plan ~site:rt.site ~phase:Sim.Nemesis.Decide
+    in
     List.iteri
       (fun i dst ->
         (match crash_after with
@@ -563,7 +560,7 @@ module Exec = struct
      transition to [target]; phase 2 happens in [maybe_finish_phase1]. *)
   let run_phase1 t ctx (rt : site_rt) ~target ~participants =
     rt.mode <- Leading { awaiting = participants };
-    let crash_after = List.assoc_opt rt.site t.cfg.plan.Failure_plan.move_crashes in
+    let crash_after = Failure_plan.backup_crash t.cfg.plan ~site:rt.site ~phase:Sim.Nemesis.Move in
     List.iteri
       (fun i dst ->
         (match crash_after with
@@ -1082,7 +1079,7 @@ let run (cfg : config) : result =
     Wal.Store.create ~durable:cfg.durable_wal ?group_commit:cfg.group_commit
       ~sync_latency:cfg.sync_latency ~n_sites:n ()
   in
-  Wal.Store.install store world ~disk_faults:cfg.plan.Failure_plan.disk_faults;
+  Wal.Store.install store world ~disk_faults:(Sim.Nemesis.disk_faults cfg.plan);
   let rts =
     Array.init n (fun i ->
         let site = i + 1 in
@@ -1139,48 +1136,10 @@ let run (cfg : config) : result =
   List.iter
     (fun m -> Sim.World.inject world ~dst:m.Core.Message.dst ~at:0.01 (Msg.Proto m))
     protocol.Core.Protocol.initial_network;
-  (* Timed failures and recoveries. *)
-  List.iter (fun (s, at) -> Sim.World.schedule_crash world ~at s) cfg.plan.Failure_plan.timed_crashes;
-  List.iter
-    (fun (s, at) -> Sim.World.schedule_recovery world ~at s)
-    cfg.plan.Failure_plan.recoveries;
-  List.iter
-    (fun (st : Failure_plan.storm_spec) ->
-      List.iter
-        (fun (site, crash_at, recover_at) ->
-          Sim.World.schedule_crash world ~at:crash_at site;
-          Sim.World.schedule_recovery world ~at:recover_at site)
-        (Failure_plan.storm_events st))
-    cfg.plan.Failure_plan.storms;
-  (match cfg.partition with
-  | Some (from_t, until_t, groups) when groups <> [] ->
-      Sim.World.schedule_partition world ~from_t ~until_t groups
-  | Some _ | None -> ());
-  List.iter
-    (fun (p : Failure_plan.partition_spec) ->
-      if p.groups <> [] then
-        Sim.World.schedule_partition world ~from_t:p.from_t ~until_t:p.until_t p.groups)
-    cfg.plan.Failure_plan.partitions;
-  Sim.World.set_msg_faults world cfg.plan.Failure_plan.msg_faults;
-  (* detector-stressing faults: scheduled regardless of mode (a latency
-     spike perturbs message timing either way; heartbeat loss is inert
-     without a detector) *)
-  List.iter
-    (fun (d : Failure_plan.delay_spec) ->
-      Sim.World.schedule_latency_spike world ~site:d.Failure_plan.d_site
-        ~from_t:d.Failure_plan.d_from ~until_t:d.Failure_plan.d_until
-        ~extra:d.Failure_plan.d_extra)
-    cfg.plan.Failure_plan.delay_spikes;
-  List.iter
-    (fun (w : Failure_plan.window_spec) ->
-      Sim.World.schedule_stall world ~site:w.Failure_plan.w_site ~from_t:w.Failure_plan.w_from
-        ~until_t:w.Failure_plan.w_until)
-    cfg.plan.Failure_plan.stalls;
-  List.iter
-    (fun (w : Failure_plan.window_spec) ->
-      Sim.World.schedule_hb_loss world ~site:w.Failure_plan.w_site ~from_t:w.Failure_plan.w_from
-        ~until_t:w.Failure_plan.w_until)
-    cfg.plan.Failure_plan.hb_losses;
+  (* Every time-pinned fault.  Detector-stressing windows go in
+     regardless of mode: a latency spike perturbs message timing either
+     way, and heartbeat loss is inert without a detector. *)
+  Sim.Nemesis.install world cfg.plan;
   ignore (Sim.World.run world ~handlers:(Exec.handlers exec) ~until:cfg.until ());
   (* ---- reporting ---- *)
   let wal_outcome (rt : site_rt) =

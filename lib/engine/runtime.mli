@@ -41,15 +41,14 @@ type config = {
   rulebook : Rulebook.t;
   votes : (Core.Types.site * Core.Types.vote) list;  (** default: everyone votes yes *)
   plan : Failure_plan.t;
+      (** the run's faults; a [Partition] clause runs it under a network
+          partition, violating the paper's reliable-detector assumption *)
   seed : int;
   tracing : bool;
   until : float;
       (** the run's horizon; undecided sites retry their outcome queries
           (with capped, jittered backoff) until it, not until a counter
           runs out *)
-  partition : (float * float * Core.Types.site list list) option;
-      (** (from, until, groups): run under a network partition, violating
-          the paper's reliable-detector assumption *)
   termination : termination_rule;
   presumption : presumption;
       (** append rather than force the covered outcome's [Decided] record *)
@@ -98,7 +97,6 @@ val config :
   ?seed:int ->
   ?tracing:bool ->
   ?until:float ->
-  ?partition:float * float * Core.Types.site list list ->
   ?termination:termination_rule ->
   ?presumption:presumption ->
   ?read_only:Core.Types.site list ->

@@ -1,5 +1,5 @@
 (** The database harness as a chaos target: the same nemesis schedules
-    the protocol engine uses ({!Sim.Nemesis}), lowered onto a {!Db} run of
+    the protocol engine uses ({!Sim.Nemesis}), installed on a {!Db} run of
     the bank-transfer workload and judged by end-to-end oracles.  Seed
     sweeps, shrinking and the oracle vocabulary are {!Engine.Chaos}'s.
 
@@ -63,60 +63,12 @@ let workload_of ~seed =
   let rng = Sim.Rng.split (Sim.Rng.create ~seed) in
   Workload.bank rng ~n_txns ~accounts ~arrival_rate:0.4
 
-(* Lower a nemesis schedule onto the Db config's fault surface.  Step- and
-   backup-pinned crashes (absent under the default profile) are ignored.
-   Detector faults (latency spikes, stalls, heartbeat loss) ride through
-   via {!Engine.Failure_plan}-style windows in the Db config. *)
-let lower (schedule : Sim.Nemesis.schedule) =
-  List.fold_left
-    (fun (crashes, recoveries, partitions, msg_faults, disk_faults, windows, leases) fault ->
-      match fault with
-      | Sim.Nemesis.Crash { site; at } | Sim.Nemesis.Acceptor_crash { site; at } ->
-          ((site, at) :: crashes, recoveries, partitions, msg_faults, disk_faults, windows, leases)
-      | Sim.Nemesis.Recover { site; at } ->
-          (crashes, (site, at) :: recoveries, partitions, msg_faults, disk_faults, windows, leases)
-      | Sim.Nemesis.Partition { from_t; until_t; groups } ->
-          ( crashes,
-            recoveries,
-            (from_t, until_t, groups) :: partitions,
-            msg_faults,
-            disk_faults,
-            windows,
-            leases )
-      | Sim.Nemesis.Msg { nth; fault } ->
-          (crashes, recoveries, partitions, (nth, fault) :: msg_faults, disk_faults, windows, leases)
-      | Sim.Nemesis.Disk_fault { site; fault; nth } ->
-          ( crashes,
-            recoveries,
-            partitions,
-            msg_faults,
-            (site, { Sim.Disk.fault; nth }) :: disk_faults,
-            windows,
-            leases )
-      | (Sim.Nemesis.Delay_window _ | Sim.Nemesis.Stall _ | Sim.Nemesis.Hb_loss _) as w ->
-          (crashes, recoveries, partitions, msg_faults, disk_faults, w :: windows, leases)
-      | Sim.Nemesis.Lease_fault { at } ->
-          (crashes, recoveries, partitions, msg_faults, disk_faults, windows, at :: leases)
-      | Sim.Nemesis.Storm _ as s ->
-          (* one discrete fault, many crash/recover pairs: expand through
-             the shared event list so every lowering layer agrees *)
-          let crashes, recoveries =
-            List.fold_left
-              (fun (cs, rs) (site, c, r) -> ((site, c) :: cs, (site, r) :: rs))
-              (crashes, recoveries) (Sim.Nemesis.storm_events s)
-          in
-          (crashes, recoveries, partitions, msg_faults, disk_faults, windows, leases)
-      | Sim.Nemesis.Step_crash _ | Sim.Nemesis.Backup_crash _ ->
-          (crashes, recoveries, partitions, msg_faults, disk_faults, windows, leases))
-    ([], [], [], [], [], [], []) schedule
-  |> fun (c, r, p, m, d, w, l) ->
-  (List.rev c, List.rev r, List.rev p, List.rev m, List.rev d, List.rev w, List.rev l)
-
-(* Judged against the faults the run was lowered to: [cfg.crashes] and
-   [cfg.recoveries] already carry acceptor crashes and every storm's
-   crash/recover pairs. *)
+(* Judged against the run's timed crashes and recoveries, acceptor
+   crashes and every storm's crash/recover pairs included. *)
 let violations (cfg : Db.config) (r : Db.result) =
-  let crashed = List.map fst cfg.crashes in
+  let crashes = Sim.Nemesis.crash_times cfg.plan in
+  let recoveries = Sim.Nemesis.recovery_times cfg.plan in
+  let crashed = List.map fst crashes in
   (* A site is down at the end iff its last crash postdates its last
      recovery — membership tests alone would count a crash/recover/crash
      site as "back" and mis-arm the conservation oracle. *)
@@ -125,7 +77,7 @@ let violations (cfg : Db.config) (r : Db.result) =
       List.fold_left (fun a (s, at) -> if s = site then Float.max a at else a) neg_infinity events
     in
     List.filter
-      (fun s -> last cfg.crashes s > last cfg.recoveries s)
+      (fun s -> last crashes s > last recoveries s)
       (List.sort_uniq compare crashed)
   in
   (* Paxos Commit promises liveness only up to f acceptor failures: a
@@ -245,7 +197,7 @@ let fingerprint_of (r : Db.result) =
       feat "committed" (bucket r.Db.committed);
       feat "aborted" (bucket r.Db.aborted);
       feat "pending" (bucket r.Db.pending);
-      feat "deadlock-aborts" (bucket r.Db.deadlock_aborts);
+      feat "deadlock-aborts" (bucket (r.Db.deadlock_aborts + r.Db.lock_timeouts));
       feat "in-doubt" (bucket (List.length r.Db.in_doubt));
       feat "missing-applied" (bucket (List.length r.Db.missing_applied));
       feat "contradiction" (string_of_bool r.Db.outcome_contradiction);
@@ -269,24 +221,8 @@ let config ?(protocol = Node.Three_phase) ?(termination = Node.Skeen) ?presumpti
     ?suspicion_timeout ~initial_data:(Workload.bank_initial ~accounts ~initial_balance)
     ()
 
-let judge (cfg : Db.config) ~tracing ~seed schedule =
-  let crashes, recoveries, partitions, msg_faults, disk_faults, detector_faults, lease_faults =
-    lower schedule
-  in
-  let cfg =
-    {
-      cfg with
-      seed;
-      tracing;
-      crashes;
-      recoveries;
-      partitions;
-      msg_faults;
-      disk_faults;
-      detector_faults;
-      lease_faults;
-    }
-  in
+let judge (cfg : Db.config) ~tracing ~seed plan =
+  let cfg = { cfg with seed; tracing; plan } in
   let r = Db.run cfg (workload_of ~seed) in
   (r, violations cfg r)
 
@@ -304,9 +240,8 @@ let name = function
 
 let l_chaos_runs = Sim.Metrics.label "chaos_runs"
 
-(* Phase 1 runs the generated schedule directly; plans exist only for the
-   shrinker and the explorer, through {!Engine.Failure_plan}'s schedule
-   bridge. *)
+(* Phase 1 runs the generated schedule as drawn; the shrinker and the
+   explorer see it in clause order ({!Engine.Failure_plan.of_schedule}). *)
 let target ?(profile = default_profile) (cfg : Db.config) : (run_outcome, Db.result) Chaos.target =
   {
     name = name cfg.protocol;
@@ -328,7 +263,7 @@ let target ?(profile = default_profile) (cfg : Db.config) : (run_outcome, Db.res
         { seed; schedule; result; violations });
     verdict = (fun o -> o.violations);
     plan_of = (fun o -> FP.of_schedule o.schedule);
-    run = (fun ~metrics:_ ~tracing ~seed plan -> judge cfg ~tracing ~seed (FP.to_schedule plan));
+    run = (fun ~metrics:_ ~tracing ~seed plan -> judge cfg ~tracing ~seed plan);
     trace = (fun r -> r.Db.trace);
   }
 
@@ -345,11 +280,7 @@ let run_one ?protocol ?presumption ?read_only_opt ?sync_latency ?pipeline_depth 
     ~k ~seed
 
 let shrink ?protocol ?n_sites ~seed ~oracle schedule =
-  let minimal, runs =
-    Chaos.shrink_target (target (config ?protocol ?n_sites ())) ~seed ~oracle
-      (FP.of_schedule schedule)
-  in
-  (FP.to_schedule minimal, runs)
+  Chaos.shrink_target (target (config ?protocol ?n_sites ())) ~seed ~oracle schedule
 
 type summary = {
   protocol : Node.protocol;
@@ -372,7 +303,7 @@ let sweep ?profile ?protocol ?presumption ?read_only_opt ?group_commit ?sync_lat
   in
   let shrunk (o : run_outcome) =
     match List.find_opt (fun (cx : Chaos.counterexample) -> cx.cx_seed = o.seed) s.Chaos.counterexamples with
-    | Some cx -> FP.to_schedule cx.cx_plan
+    | Some cx -> cx.cx_plan
     | None -> o.schedule
   in
   {

@@ -7,8 +7,8 @@
     transaction's whole participant set crashed), durability (every yes
     vote and announced outcome must be justified by the announcing site's
     repaired stable log) and split brain.  Sweeps and shrinking are the
-    shared harness's; plans cross into schedules through
-    {!Engine.Failure_plan.to_schedule}.  Deterministic in
+    shared harness's, and a plan is the schedule in clause order
+    ({!Engine.Failure_plan.of_schedule}).  Deterministic in
     [(protocol, n_sites, k, seed)]. *)
 
 type oracle = Engine.Chaos.oracle =
@@ -123,9 +123,8 @@ val shrink :
   oracle:oracle ->
   Sim.Nemesis.schedule ->
   Sim.Nemesis.schedule * int
-(** {!Engine.Chaos.shrink_target} on the schedule's plan
-    ({!Engine.Failure_plan.of_schedule}); the minimal plan comes back as
-    a schedule grouped by fault family.  Returns it and the number of
+(** {!Engine.Chaos.shrink_target} on the schedule: the minimal plan, in
+    clause order ({!Engine.Failure_plan.of_schedule}), and the number of
     re-runs spent. *)
 
 type summary = {

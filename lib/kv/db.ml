@@ -14,10 +14,10 @@ type config = {
   lock_wait_timeout : float;
   tracing : bool;
   until : float;
-  crashes : (Core.Types.site * float) list;
-  recoveries : (Core.Types.site * float) list;
-  partitions : (float * float * Core.Types.site list list) list;
-  msg_faults : (int * Sim.World.msg_fault) list;
+  plan : Sim.Nemesis.schedule;
+      (** the run's faults.  Step and backup crashes are protocol-engine
+          notions and are ignored here; a lease fault injects a
+          [Lease_expire] at every site (a no-op under 2PC/3PC). *)
   durable_wal : bool;  (** log through simulated disks (sync semantics, crash loses the tail) *)
   group_commit : Kv_wal.group_commit option;
       (** coalesce concurrent WAL forces on one site into shared syncs *)
@@ -28,7 +28,6 @@ type config = {
       (** coordinator pipelining bound: client transactions admitted
           while fewer than this many WAL forces are in flight at the
           coordinator; vacuous at 0.0 sync latency *)
-  disk_faults : (Core.Types.site * Sim.Disk.injection) list;
   initial_data : (string * int) list;
   detector : bool;
       (** [true]: replace the oracle failure reports with the timeout-based
@@ -38,24 +37,14 @@ type config = {
   fencing : bool;  (** [false]: the split-brain ablation — accept any epoch *)
   heartbeat_period : float;
   suspicion_timeout : float;
-  detector_faults : Sim.Nemesis.fault list;
-      (** detector-provoking windows (latency spikes, stalls, heartbeat
-          loss); other fault constructors in the list are ignored here *)
-  lease_faults : float list;
-      (** Paxos-Commit leader-lease expiries: at each time every node is
-          told its coordinator leases lapsed, so standby acceptors open
-          higher-ballot recovery rounds for in-flight transactions.
-          Ignored (no messages injected) under 2PC/3PC. *)
 }
 
 let config ?(n_sites = 4) ?(protocol = Node.Three_phase) ?(presumption = Node.No_presumption)
     ?(termination = Node.Skeen) ?(read_only_opt = false) ?(seed = 1) ?(lock_wait_timeout = 25.0)
     ?(tracing = false)
-    ?(until = 100_000.0) ?(crashes = []) ?(recoveries = []) ?(partitions = []) ?(msg_faults = [])
-    ?(durable_wal = true) ?group_commit ?(sync_latency = 0.0) ?(pipeline_depth = 1)
-    ?(disk_faults = []) ?(initial_data = []) ?(detector = false) ?(fencing = true)
-    ?(heartbeat_period = 1.0) ?(suspicion_timeout = 5.0) ?(detector_faults = [])
-    ?(lease_faults = []) () =
+    ?(until = 100_000.0) ?(plan = []) ?(durable_wal = true) ?group_commit ?(sync_latency = 0.0)
+    ?(pipeline_depth = 1) ?(initial_data = []) ?(detector = false) ?(fencing = true)
+    ?(heartbeat_period = 1.0) ?(suspicion_timeout = 5.0) () =
   if n_sites < 1 then invalid_arg "Db.config: n_sites must be >= 1";
   if pipeline_depth < 1 then invalid_arg "Db.config: pipeline_depth must be >= 1";
   if not (Float.is_finite sync_latency && sync_latency >= 0.0) then
@@ -70,22 +59,16 @@ let config ?(n_sites = 4) ?(protocol = Node.Three_phase) ?(presumption = Node.No
     lock_wait_timeout;
     tracing;
     until;
-    crashes;
-    recoveries;
-    partitions;
-    msg_faults;
+    plan;
     durable_wal;
     group_commit;
     sync_latency;
     pipeline_depth;
-    disk_faults;
     initial_data;
     detector;
     fencing;
     heartbeat_period;
     suspicion_timeout;
-    detector_faults;
-    lease_faults;
   }
 
 type txn_fate = Fate_committed | Fate_aborted | Fate_pending
@@ -95,7 +78,10 @@ type result = {
   committed : int;
   aborted : int;
   pending : int;  (** submitted but unresolved when the run ended (blocked) *)
-  deadlock_aborts : int;
+  deadlock_aborts : int;  (** victims of a detected wait-for cycle *)
+  lock_timeouts : int;
+      (** aborted after waiting [lock_wait_timeout] for a lock: the cure
+          for cycles spanning sites, but not proof of one *)
   duration : float;  (** simulated time when the system went quiescent *)
   throughput : float;  (** committed transactions per time unit *)
   mean_latency : float option;  (** submission → coordinator decision, committed+aborted *)
@@ -208,7 +194,7 @@ let run (cfg : config) (workload : (float * Txn.t) list) : result =
     Kv_wal.Store.create ~durable:cfg.durable_wal ?group_commit:cfg.group_commit
       ~sync_latency:cfg.sync_latency ~n_sites:cfg.n_sites ()
   in
-  Kv_wal.Store.install store world ~disk_faults:cfg.disk_faults;
+  Kv_wal.Store.install store world ~disk_faults:(Sim.Nemesis.disk_faults cfg.plan);
   let wal site = Kv_wal.Store.log store ~site in
   (* partition the initial data *)
   List.iter
@@ -216,7 +202,6 @@ let run (cfg : config) (workload : (float * Txn.t) list) : result =
       let site = Txn.owner ~n_sites:cfg.n_sites k in
       Storage.load storages.(site - 1) [ (k, v) ])
     cfg.initial_data;
-  Sim.World.set_msg_faults world cfg.msg_faults;
   let qrng_root = Sim.Rng.create ~seed:cfg.seed in
   let nodes =
     Array.init cfg.n_sites (fun i ->
@@ -278,27 +263,15 @@ let run (cfg : config) (workload : (float * Txn.t) list) : result =
       let coord = Txn.coordinator ~n_sites:cfg.n_sites txn in
       Sim.World.inject world ~dst:coord ~at (Kv_msg.Client_begin txn))
     workload;
-  List.iter (fun (s, at) -> Sim.World.schedule_crash world ~at s) cfg.crashes;
-  List.iter
-    (fun (from_t, until_t, groups) -> Sim.World.schedule_partition world ~from_t ~until_t groups)
-    cfg.partitions;
-  List.iter (fun (s, at) -> Sim.World.schedule_recovery world ~at s) cfg.recoveries;
+  Sim.Nemesis.install world cfg.plan;
   List.iter
     (function
-      | Sim.Nemesis.Delay_window { site; from_t; until_t; extra } ->
-          Sim.World.schedule_latency_spike world ~site ~from_t ~until_t ~extra
-      | Sim.Nemesis.Stall { site; from_t; until_t } ->
-          Sim.World.schedule_stall world ~site ~from_t ~until_t
-      | Sim.Nemesis.Hb_loss { site; from_t; until_t } ->
-          Sim.World.schedule_hb_loss world ~site ~from_t ~until_t
+      | Sim.Nemesis.Lease_fault { at } ->
+          for site = 1 to cfg.n_sites do
+            Sim.World.inject world ~dst:site ~at Kv_msg.Lease_expire
+          done
       | _ -> ())
-    cfg.detector_faults;
-  List.iter
-    (fun at ->
-      for site = 1 to cfg.n_sites do
-        Sim.World.inject world ~dst:site ~at Kv_msg.Lease_expire
-      done)
-    cfg.lease_faults;
+    cfg.plan;
   let duration = Sim.World.run world ~handlers ~until:cfg.until () in
   (* transactions still blocked at quiescence never resolved: account their
      lock-holding time up to the end of the run *)
@@ -437,6 +410,7 @@ let run (cfg : config) (workload : (float * Txn.t) list) : result =
     aborted;
     pending;
     deadlock_aborts = Array.to_list nodes |> List.fold_left (fun a n -> a + n.Node.deadlock_aborts) 0;
+    lock_timeouts = Array.to_list nodes |> List.fold_left (fun a n -> a + n.Node.lock_timeouts) 0;
     duration;
     throughput = (if duration > 0.0 then float_of_int committed /. duration else 0.0);
     mean_latency =

@@ -13,12 +13,13 @@ type config = {
   lock_wait_timeout : float;
   tracing : bool;
   until : float;
-  crashes : (Core.Types.site * float) list;
-  recoveries : (Core.Types.site * float) list;
-  partitions : (float * float * Core.Types.site list list) list;
-  msg_faults : (int * Sim.World.msg_fault) list;
-      (** message-level chaos keyed by global send index
-          ({!Sim.World.set_msg_faults}) *)
+  plan : Sim.Nemesis.schedule;
+      (** the run's faults, installed by {!Sim.Nemesis.install}.  Step
+          and backup crashes are protocol-engine notions and are ignored
+          here.  A lease fault tells every node its coordinator leases
+          lapsed, so Paxos standby acceptors open higher-ballot recovery
+          rounds for in-flight transactions; under 2PC/3PC it is a
+          no-op. *)
   durable_wal : bool;
       (** log through simulated disks: appends are volatile until the
           node's next sync, crashes lose the unsynced tail, and recovery
@@ -35,8 +36,6 @@ type config = {
       (** coordinator pipelining: admit a client transaction while fewer
           than this many WAL forces are in flight at the coordinator;
           the rest queue.  Vacuous at 0.0 sync latency. *)
-  disk_faults : (Core.Types.site * Sim.Disk.injection) list;
-      (** storage faults to arm on specific sites' disks *)
   initial_data : (string * int) list;
   detector : bool;
       (** [true]: replace the oracle failure reports with the timeout-based
@@ -46,13 +45,6 @@ type config = {
   fencing : bool;  (** [false]: the split-brain ablation — accept any epoch *)
   heartbeat_period : float;
   suspicion_timeout : float;
-  detector_faults : Sim.Nemesis.fault list;
-      (** detector-provoking windows (latency spikes, stalls, heartbeat
-          loss); other fault constructors in the list are ignored here *)
-  lease_faults : float list;
-      (** times at which a [Lease_expire] is injected to every site —
-          Paxos standby acceptors open recovery for in-flight
-          transactions; a no-op under 2PC/3PC *)
 }
 
 val config :
@@ -65,22 +57,16 @@ val config :
   ?lock_wait_timeout:float ->
   ?tracing:bool ->
   ?until:float ->
-  ?crashes:(Core.Types.site * float) list ->
-  ?recoveries:(Core.Types.site * float) list ->
-  ?partitions:(float * float * Core.Types.site list list) list ->
-  ?msg_faults:(int * Sim.World.msg_fault) list ->
+  ?plan:Sim.Nemesis.schedule ->
   ?durable_wal:bool ->
   ?group_commit:Kv_wal.group_commit ->
   ?sync_latency:float ->
   ?pipeline_depth:int ->
-  ?disk_faults:(Core.Types.site * Sim.Disk.injection) list ->
   ?initial_data:(string * int) list ->
   ?detector:bool ->
   ?fencing:bool ->
   ?heartbeat_period:float ->
   ?suspicion_timeout:float ->
-  ?detector_faults:Sim.Nemesis.fault list ->
-  ?lease_faults:float list ->
   unit ->
   config
 (** Raises [Invalid_argument "Db.config: ..."] on [n_sites < 1],
@@ -102,7 +88,10 @@ type result = {
   committed : int;
   aborted : int;
   pending : int;  (** submitted but unresolved at the end (blocked or lost) *)
-  deadlock_aborts : int;
+  deadlock_aborts : int;  (** victims of a detected wait-for cycle *)
+  lock_timeouts : int;
+      (** aborted after waiting [lock_wait_timeout] for a lock — how
+          cycles spanning sites resolve, but also plain long waits *)
   duration : float;
   throughput : float;
   mean_latency : float option;

@@ -150,7 +150,8 @@ type t = {
   (* observability *)
   mutable committed : int;  (** transactions this site coordinated to commit *)
   mutable aborted : int;
-  mutable deadlock_aborts : int;
+  mutable deadlock_aborts : int;  (** victims of a detected wait-for cycle *)
+  mutable lock_timeouts : int;  (** aborted after waiting [lock_wait_timeout] for a lock *)
   mutable latencies : float list;
   mutable blocked_time : float;  (** cumulative blocked-lock-holding time *)
 }
@@ -207,6 +208,7 @@ let create ?(presumption = No_presumption) ?(termination = Skeen) ?(read_only_op
     committed = 0;
     aborted = 0;
     deadlock_aborts = 0;
+    lock_timeouts = 0;
     latencies = [];
     blocked_time = 0.0;
   }
@@ -393,7 +395,7 @@ let rec p_continue node ctx (p : p_txn) =
                  match Hashtbl.find_opt node.p_txns txn with
                  | Some p when p.status = P_working && p.pending_ops <> [] ->
                      metric ctx l_lock_timeouts;
-                     node.deadlock_aborts <- node.deadlock_aborts + 1;
+                     node.lock_timeouts <- node.lock_timeouts + 1;
                      p_abort_unvoted node ctx p ~notify:true
                  | _ -> ()))
       | Lock_table.Deadlock _cycle ->

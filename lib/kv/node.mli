@@ -137,7 +137,8 @@ type t = {
   mutable query_budget : int;
   mutable committed : int;
   mutable aborted : int;
-  mutable deadlock_aborts : int;
+  mutable deadlock_aborts : int;  (** victims of a detected wait-for cycle *)
+  mutable lock_timeouts : int;  (** aborted after waiting [lock_wait_timeout] for a lock *)
   mutable latencies : float list;
   mutable blocked_time : float;  (** cumulative blocked-lock-holding time *)
 }

@@ -1,25 +1,33 @@
-(** Randomized fault-schedule generation.
+(** Randomized fault-schedule generation, and the one fault vocabulary.
 
     A nemesis schedule is a list of discrete faults — timed crashes with
     optional recoveries, protocol-step-pinned crashes (interpreted by the
     engine layer), backup-phase crashes, partitions with heals, and
     message-level faults keyed by global send index ({!World.msg_fault}).
     Discreteness is the point: a schedule shrinks by dropping one fault at
-    a time, and it round-trips through text, so a minimal counterexample
-    can be pasted into a regression test.
+    a time, and it round-trips through text ({!to_string} / {!of_string}),
+    so a minimal counterexample can be pasted into a regression test.
+    Every harness installs the time-pinned faults through {!install}.
 
     Generation is a pure function of the {!Rng.t} handed in: the same
     stream yields the same schedule, byte for byte. *)
 
-type backup_phase = Move | Decide [@@deriving show { with_path = false }, eq]
+type backup_phase = Move | Decide [@@deriving eq]
+
+type crash_mode =
+  | Before_transition  (** crash before logging/acting on the transition *)
+  | After_logging of int
+      (** complete the forced log write, then send only the first [k]
+          messages of the transition before crashing *)
+  | After_transition  (** crash after the transition completes fully *)
+[@@deriving show { with_path = false }, eq]
 
 type fault =
   | Crash of { site : int; at : float }
-  | Step_crash of { site : int; step : int; sent : int option }
-      (** crash while executing the [step]-th protocol transition; [sent]
-          is how many of the transition's messages were sent after the
-          forced log write ([None] = before the write).  Interpreted by
-          the engine layer; sim-only drivers ignore it. *)
+  | Step_crash of { site : int; step : int; mode : crash_mode }
+      (** crash while executing the site's [step]-th protocol transition
+          (0-based), in [mode].  Interpreted by the engine layer; the
+          database ignores it. *)
   | Backup_crash of { site : int; phase : backup_phase; sent : int }
       (** crash while acting as elected backup, mid-broadcast of the
           termination protocol's phase-1 moves or phase-2 decides *)
@@ -53,11 +61,11 @@ type fault =
           wave [i] crashes at [first + i*period] and recovers [down]
           seconds later ([down < period], so the site is up between
           waves and up at the end).  A single discrete fault, so
-          shrinking drops the whole storm at once; lowering expands it
+          shrinking drops the whole storm at once; {!install} expands it
           to timed crash/recover pairs ({!storm_events}). *)
-[@@deriving show { with_path = false }, eq]
+[@@deriving eq]
 
-type schedule = fault list [@@deriving show { with_path = false }, eq]
+type schedule = fault list [@@deriving eq]
 
 type profile = {
   horizon : float;  (** timed crashes land in [0, horizon) *)
@@ -243,8 +251,10 @@ let gen_crash_incident rng ~n_sites ~site profile =
     | `Timed -> Crash { site; at = Rng.float rng profile.horizon }
     | `Step ->
         let step = Rng.int rng profile.max_steps in
-        let sent = if Rng.bool rng then None else Some (Rng.int rng (n_sites + 1)) in
-        Step_crash { site; step; sent }
+        let mode =
+          if Rng.bool rng then Before_transition else After_logging (Rng.int rng (n_sites + 1))
+        in
+        Step_crash { site; step; mode }
     | `Backup ->
         let phase = if Rng.bool rng then Move else Decide in
         Backup_crash { site; phase; sent = Rng.int rng n_sites }
@@ -444,7 +454,215 @@ let generate rng ~n_sites ~k profile =
   in
   crashes @ partition @ detector_faults @ msg_faults @ paxos_faults @ storms
 
-let to_string schedule =
-  String.concat "\n" (List.map show_fault schedule)
+(* ------------------------------------------------------------------ *)
+(* Installation: every time-pinned fault, in one fixed family rank —
+   crashes, acceptor crashes, recoveries, storms, partitions, then the
+   message faults and windows.  The rank is observable only when two
+   faults fire at the same instant (the event queue breaks time ties by
+   push order); within a family, list order is kept. *)
 
-let pp = pp_schedule
+let install world schedule =
+  let pass f = List.iter f schedule in
+  pass (function Crash { site; at } -> World.schedule_crash world ~at site | _ -> ());
+  pass (function Acceptor_crash { site; at } -> World.schedule_crash world ~at site | _ -> ());
+  pass (function Recover { site; at } -> World.schedule_recovery world ~at site | _ -> ());
+  pass (fun f ->
+      List.iter
+        (fun (site, crash_at, recover_at) ->
+          World.schedule_crash world ~at:crash_at site;
+          World.schedule_recovery world ~at:recover_at site)
+        (storm_events f));
+  pass (function
+    | Partition { from_t; until_t; groups } when groups <> [] ->
+        World.schedule_partition world ~from_t ~until_t groups
+    | _ -> ());
+  World.set_msg_faults world
+    (List.filter_map (function Msg { nth; fault } -> Some (nth, fault) | _ -> None) schedule);
+  pass (function
+    | Delay_window { site; from_t; until_t; extra } ->
+        World.schedule_latency_spike world ~site ~from_t ~until_t ~extra
+    | Stall { site; from_t; until_t } -> World.schedule_stall world ~site ~from_t ~until_t
+    | Hb_loss { site; from_t; until_t } -> World.schedule_hb_loss world ~site ~from_t ~until_t
+    | _ -> ())
+
+let disk_faults schedule =
+  List.filter_map
+    (function Disk_fault { site; fault; nth } -> Some (site, { Disk.fault; nth }) | _ -> None)
+    schedule
+
+let crash_times schedule =
+  List.concat_map
+    (function
+      | Crash { site; at } | Acceptor_crash { site; at } -> [ (site, at) ]
+      | f -> List.map (fun (site, at, _) -> (site, at)) (storm_events f))
+    schedule
+
+let recovery_times schedule =
+  List.concat_map
+    (function
+      | Recover { site; at } -> [ (site, at) ]
+      | f -> List.map (fun (site, _, at) -> (site, at)) (storm_events f))
+    schedule
+
+(* ------------------------------------------------------------------ *)
+(* Text.  One clause per fault, "; "-separated, so a shrunk
+   counterexample pastes into a test as a single string.  Floats print
+   with %.17g, which [float_of_string] reads back exactly. *)
+
+let float_str x = Printf.sprintf "%.17g" x
+
+let mode_str = function
+  | Before_transition -> "before"
+  | After_logging k -> Printf.sprintf "after-logging:%d" k
+  | After_transition -> "after-transition"
+
+let msg_fault_str = function
+  | World.Fault_drop -> "drop"
+  | World.Fault_duplicate -> "dup"
+  | World.Fault_delay extra -> "delay:" ^ float_str extra
+
+let disk_fault_str = function
+  | Disk.Torn -> "torn"
+  | Disk.Corrupt -> "corrupt"
+  | Disk.Lost_flush -> "lost-flush"
+
+let clause_to_string = function
+  | Step_crash { site; step; mode } ->
+      Printf.sprintf "step-crash site=%d step=%d mode=%s" site step (mode_str mode)
+  | Crash { site; at } -> Printf.sprintf "crash site=%d at=%s" site (float_str at)
+  | Recover { site; at } -> Printf.sprintf "recover site=%d at=%s" site (float_str at)
+  | Backup_crash { site; phase; sent } ->
+      Printf.sprintf "%s site=%d sent=%d"
+        (match phase with Move -> "move-crash" | Decide -> "decide-crash")
+        site sent
+  | Partition { from_t; until_t; groups } ->
+      Printf.sprintf "partition from=%s until=%s groups=%s" (float_str from_t) (float_str until_t)
+        (String.concat "|"
+           (List.map (fun g -> String.concat "," (List.map string_of_int g)) groups))
+  | Msg { nth; fault } -> Printf.sprintf "msg nth=%d fault=%s" nth (msg_fault_str fault)
+  | Disk_fault { site; fault; nth } ->
+      Printf.sprintf "disk site=%d fault=%s nth=%d" site (disk_fault_str fault) nth
+  | Delay_window { site; from_t; until_t; extra } ->
+      Printf.sprintf "delay site=%d from=%s until=%s extra=%s" site (float_str from_t)
+        (float_str until_t) (float_str extra)
+  | Stall { site; from_t; until_t } ->
+      Printf.sprintf "stall site=%d from=%s until=%s" site (float_str from_t) (float_str until_t)
+  | Hb_loss { site; from_t; until_t } ->
+      Printf.sprintf "hb-loss site=%d from=%s until=%s" site (float_str from_t) (float_str until_t)
+  | Acceptor_crash { site; at } -> Printf.sprintf "acceptor-crash site=%d at=%s" site (float_str at)
+  | Lease_fault { at } -> Printf.sprintf "lease-fault at=%s" (float_str at)
+  | Storm { site; first; waves; period; down } ->
+      Printf.sprintf "storm site=%d first=%s waves=%d period=%s down=%s" site (float_str first)
+        waves (float_str period) (float_str down)
+
+let to_string schedule = String.concat "; " (List.map clause_to_string schedule)
+let pp ppf schedule = Format.pp_print_string ppf (to_string schedule)
+
+exception Parse_error of string
+
+let parse_fail fmt = Printf.ksprintf (fun s -> raise (Parse_error s)) fmt
+
+let kv_of_token token =
+  match String.index_opt token '=' with
+  | Some i -> (String.sub token 0 i, String.sub token (i + 1) (String.length token - i - 1))
+  | None -> parse_fail "expected key=value, got %S" token
+
+let int_of key v =
+  match int_of_string_opt v with Some n -> n | None -> parse_fail "bad int for %s: %S" key v
+
+(* Every float in a clause is a time or a duration: the event queue
+   refuses negative and NaN times, so the parser does. *)
+let time key v =
+  match float_of_string_opt v with
+  | Some x when x >= 0.0 -> x
+  | Some _ -> parse_fail "bad time for %s: %S (must be >= 0)" key v
+  | None -> parse_fail "bad float for %s: %S" key v
+
+let parse_clause clause =
+  match String.split_on_char ' ' (String.trim clause) |> List.filter (fun s -> s <> "") with
+  | [] -> None
+  | verb :: tokens ->
+      let kvs = List.map kv_of_token tokens in
+      let get key =
+        match List.assoc_opt key kvs with Some v -> v | None -> parse_fail "missing %s=..." key
+      in
+      let int key = int_of key (get key) in
+      let float key = time key (get key) in
+      let site () = int "site" in
+      let window () = (float "from", float "until") in
+      Some
+        (match verb with
+        | "step-crash" ->
+            let mode =
+              match get "mode" with
+              | "before" -> Before_transition
+              | "after-transition" -> After_transition
+              | v -> (
+                  match String.split_on_char ':' v with
+                  | [ "after-logging"; k ] -> After_logging (int_of "mode" k)
+                  | _ -> parse_fail "bad mode: %S" v)
+            in
+            Step_crash { site = site (); step = int "step"; mode }
+        | "crash" -> Crash { site = site (); at = float "at" }
+        | "recover" -> Recover { site = site (); at = float "at" }
+        | "move-crash" -> Backup_crash { site = site (); phase = Move; sent = int "sent" }
+        | "decide-crash" -> Backup_crash { site = site (); phase = Decide; sent = int "sent" }
+        | "partition" ->
+            let from_t, until_t = window () in
+            let groups =
+              String.split_on_char '|' (get "groups")
+              |> List.map (fun g ->
+                     String.split_on_char ',' g
+                     |> List.filter (fun s -> s <> "")
+                     |> List.map (int_of "groups"))
+            in
+            Partition { from_t; until_t; groups }
+        | "msg" ->
+            let fault =
+              match get "fault" with
+              | "drop" -> World.Fault_drop
+              | "dup" -> World.Fault_duplicate
+              | v -> (
+                  match String.split_on_char ':' v with
+                  | [ "delay"; x ] -> (
+                      World.Fault_delay (time "fault" x))
+                  | _ -> parse_fail "bad msg fault: %S" v)
+            in
+            Msg { nth = int "nth"; fault }
+        | "disk" ->
+            let fault =
+              match get "fault" with
+              | "torn" -> Disk.Torn
+              | "corrupt" -> Disk.Corrupt
+              | "lost-flush" -> Disk.Lost_flush
+              | v -> parse_fail "bad disk fault: %S" v
+            in
+            Disk_fault { site = site (); fault; nth = int "nth" }
+        | "delay" ->
+            let from_t, until_t = window () in
+            Delay_window { site = site (); from_t; until_t; extra = float "extra" }
+        | "stall" ->
+            let from_t, until_t = window () in
+            Stall { site = site (); from_t; until_t }
+        | "hb-loss" ->
+            let from_t, until_t = window () in
+            Hb_loss { site = site (); from_t; until_t }
+        | "acceptor-crash" -> Acceptor_crash { site = site (); at = float "at" }
+        | "lease-fault" -> Lease_fault { at = float "at" }
+        | "storm" ->
+            Storm
+              {
+                site = site ();
+                first = float "first";
+                waves = int "waves";
+                period = float "period";
+                down = float "down";
+              }
+        | v -> parse_fail "unknown fault kind: %S" v)
+
+let of_string_exn s =
+  String.split_on_char '\n' s
+  |> List.concat_map (String.split_on_char ';')
+  |> List.filter_map parse_clause
+
+let of_string s = match of_string_exn s with p -> Ok p | exception Parse_error m -> Error m

@@ -1,4 +1,5 @@
-(** Randomized fault-schedule generation: seeded, discrete, shrinkable.
+(** The fault vocabulary and randomized schedule generation: seeded,
+    discrete, shrinkable, printable.
 
     A schedule composes timed crashes with optional recoveries,
     protocol-step-pinned crashes (interpreted by the engine layer),
@@ -9,13 +10,22 @@
     failures (step-pinned crashes are conservatively treated as down from
     time 0). *)
 
-type backup_phase = Move | Decide [@@deriving show, eq]
+type backup_phase = Move | Decide
+
+type crash_mode =
+  | Before_transition  (** crash before logging/acting on the transition *)
+  | After_logging of int
+      (** complete the forced log write, then send only the first [k]
+          messages of the transition before crashing *)
+  | After_transition  (** crash after the transition completes fully *)
+
+val pp_crash_mode : Format.formatter -> crash_mode -> unit
 
 type fault =
   | Crash of { site : int; at : float }
-  | Step_crash of { site : int; step : int; sent : int option }
-      (** crash at the site's [step]-th protocol transition after sending
-          [sent] of its messages ([None] = before the forced log write) *)
+  | Step_crash of { site : int; step : int; mode : crash_mode }
+      (** crash at the site's [step]-th protocol transition (0-based),
+          in [mode] *)
   | Backup_crash of { site : int; phase : backup_phase; sent : int }
       (** crash mid-broadcast while acting as elected backup *)
   | Recover of { site : int; at : float }
@@ -42,10 +52,13 @@ type fault =
       (** crash-recover storm: [waves] crash/recover cycles on one site —
           wave [i] crashes at [first + i*period], recovers [down] seconds
           later ([down < period]).  One discrete fault: shrinking drops
-          the whole storm, lowering expands it via {!storm_events}. *)
-[@@deriving show, eq]
+          the whole storm, {!install} expands it via {!storm_events}. *)
 
-type schedule = fault list [@@deriving show, eq]
+val equal_fault : fault -> fault -> bool
+
+type schedule = fault list
+
+val equal_schedule : schedule -> schedule -> bool
 
 type profile = {
   horizon : float;
@@ -130,8 +143,45 @@ val interval : fault -> (float * float) option
 
 val storm_events : fault -> (int * float * float) list
 (** [(site, crash_at, recover_at)] per wave of a [Storm]; [[]] for every
-    other fault.  The lowering layers (engine runtime, Paxos runtime,
-    kv chaos) expand storms through this so all three agree. *)
+    other fault. *)
+
+(** {1 Installing a schedule} *)
+
+val install : 'msg World.t -> schedule -> unit
+(** Arm every time-pinned fault on the world: timed and acceptor
+    crashes, recoveries, storms (expanded by {!storm_events}),
+    partitions, message faults, latency spikes, stalls and
+    heartbeat-loss windows.  They go in by one fixed family rank, in
+    that order, and within a family in list order; the rank shows only
+    when two faults fire at the same instant.  Step and backup crashes,
+    disk faults and lease faults belong to the harness that runs the
+    protocol and its log: it reads them off the list. *)
+
+val disk_faults : schedule -> (int * Disk.injection) list
+(** The [Disk_fault] clauses as [(site, injection)], in list order. *)
+
+val crash_times : schedule -> (int * float) list
+(** [(site, at)] for every timed crash: [Crash], [Acceptor_crash] and
+    each storm wave. *)
+
+val recovery_times : schedule -> (int * float) list
+(** [(site, at)] for every [Recover] and each storm wave's recovery. *)
+
+(** {1 Text} *)
 
 val to_string : schedule -> string
+(** One clause per fault in list order, "; "-separated, floats as
+    [%.17g] — e.g. ["crash site=1 at=3.5; msg nth=4 fault=dup"].
+    {!of_string} reads it back exactly. *)
+
 val pp : Format.formatter -> schedule -> unit
+(** {!to_string}. *)
+
+exception Parse_error of string
+
+val of_string : string -> (schedule, string) result
+(** Inverse of {!to_string}, in text order; clauses are separated by
+    ';' or newlines.  Total: malformed input is [Error message]. *)
+
+val of_string_exn : string -> schedule
+(** As {!of_string} but raising {!Parse_error}. *)

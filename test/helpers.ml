@@ -29,3 +29,11 @@ let check_sorted_list name = Alcotest.(check (list string)) name
 (** Quick constructor for qcheck tests registered as alcotest cases. *)
 let qtest ?(count = 200) name gen prop =
   QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen prop)
+
+(** A plan of timed crashes and recoveries, [(site, at)] each. *)
+let timed_plan ?(crashes = []) ?(recoveries = []) () =
+  List.map (fun (site, at) -> Sim.Nemesis.Crash { site; at }) crashes
+  @ List.map (fun (site, at) -> Sim.Nemesis.Recover { site; at }) recoveries
+
+(** A partition clause: [groups] cut apart from [from_t] to [until_t]. *)
+let partition (from_t, until_t, groups) = Sim.Nemesis.Partition { from_t; until_t; groups }

@@ -95,7 +95,8 @@ let test_2pc_sweep_reports_blocking () =
 
 (* ---------------- duplicate-delivery idempotence ---------------- *)
 
-let dup_everything = FP.make ~msg_faults:(List.init 60 (fun i -> (i, Sim.World.Fault_duplicate))) ()
+let dup_everything =
+  List.init 60 (fun nth -> Sim.Nemesis.Msg { nth; fault = Sim.World.Fault_duplicate })
 
 let decided_records (r : R.result) site =
   List.length
@@ -204,6 +205,52 @@ let test_kv_schedule_plan_round_trip () =
       ("storms+windows+disk, detector on", stormy, true, 60);
     ]
 
+(* ---------------- one installer, one fixed rank ---------------- *)
+
+(* A crash, a recovery, a partition and a storm wave all at t = 5: the
+   event queue breaks time ties by push order, so these traces pin the
+   order [Sim.Nemesis.install] arms the families in (crashes, acceptor
+   crashes, recoveries, storms, partitions) on all three harnesses.
+
+   The engine and Paxos Commit traces are byte-identical to those of
+   the per-harness lowering code the installer replaced.  The database
+   harness used to push a storm's crashes with the timed crashes and its
+   partitions before its recoveries; under the one rank its trace swaps
+   "CRASH site 3" behind "RECOVER site 1" at t = 5 and "site 2 detects
+   recovery of site 1" ahead of the partition's false suspicions at
+   t = 7, and is otherwise the same 119 lines (digest
+   05de5a7a4d5e3838dd7979154f7a0108 before). *)
+let same_instant_plan =
+  "crash site=1 at=5; recover site=1 at=5; partition from=5 until=25 groups=3|1,2; storm site=3 \
+   first=5 waves=2 period=20 down=10"
+
+let test_same_instant_traces_pinned () =
+  let plan = FP.of_string_exn same_instant_plan in
+  let digest (t : (_, _) C.target) =
+    let r, _ = t.C.run ~metrics:None ~tracing:true ~seed:1 plan in
+    let trace = t.C.trace r in
+    let rendered =
+      String.concat "\n"
+        (List.map (fun (e : Sim.World.trace_entry) -> Fmt.str "%h  %s" e.at e.what) trace)
+    in
+    (List.length trace, Digest.to_hex (Digest.string rendered))
+  in
+  List.iter
+    (fun (name, (lines, hex), got) ->
+      Alcotest.(check (pair int string)) name (lines, hex) got)
+    [
+      ( "engine central-3pc",
+        (65, "beba2cd9b78e316e63b05372385146ea"),
+        digest (C.target (R.config ~until:C.stall_budget (Lazy.force rb_c3))) );
+      ( "paxos-commit f=1",
+        (62, "0fc748c7b60cd814b4e16b6488cb33f7"),
+        digest (Engine.Paxos.target ~n_sites:3 ~f:1 ()) );
+      ( "kv 3pc",
+        (119, "6a9e21089800cdaaf0e4bf4b7e7b2ded"),
+        digest
+          (Kv.Chaos_db.target (Kv.Chaos_db.config ~protocol:Kv.Node.Three_phase ~n_sites:3 ())) );
+    ]
+
 let suite =
   [
     Alcotest.test_case "run_one is deterministic" `Quick test_run_one_deterministic;
@@ -222,4 +269,6 @@ let suite =
     Alcotest.test_case "kv: run_one deterministic" `Quick test_kv_run_one_deterministic;
     Alcotest.test_case "kv: schedule and plan round trip run identically" `Quick
       test_kv_schedule_plan_round_trip;
+    Alcotest.test_case "same-instant faults: pinned traces on every harness" `Quick
+      test_same_instant_traces_pinned;
   ]

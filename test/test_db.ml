@@ -3,7 +3,7 @@
     blocking-vs-nonblocking story on a live database. *)
 
 let bank_cfg ?(protocol = Kv.Node.Three_phase) ?(seed = 11) ?(crashes = []) ?(recoveries = []) () =
-  Kv.Db.config ~n_sites:4 ~protocol ~seed ~crashes ~recoveries
+  Kv.Db.config ~n_sites:4 ~protocol ~seed ~plan:(Helpers.timed_plan ~crashes ~recoveries ())
     ~initial_data:(Kv.Workload.bank_initial ~accounts:24 ~initial_balance:100) ()
 
 let bank_wl ?(n_txns = 80) ~seed () =
@@ -74,7 +74,7 @@ let test_2pc_blocking_vs_3pc_on_vote_window_crash () =
   let wl = [ (1.0, { Kv.Txn.id = 1; ops = [ Kv.Txn.Add (k1, -5); Kv.Txn.Add (k2, 5) ] }) ] in
   let run protocol =
     Kv.Db.run
-      (Kv.Db.config ~n_sites ~protocol ~seed:3 ~crashes:[ (2, 3.05) ]
+      (Kv.Db.config ~n_sites ~protocol ~seed:3 ~plan:(Helpers.timed_plan ~crashes:[ (2, 3.05) ] ())
          ~initial_data:[ (k1, 100); (k2, 100) ] ())
       wl
   in
@@ -91,8 +91,9 @@ let test_2pc_blocked_txn_resolves_on_recovery () =
   let wl = [ (1.0, { Kv.Txn.id = 1; ops = [ Kv.Txn.Add (k1, -5); Kv.Txn.Add (k2, 5) ] }) ] in
   let r =
     Kv.Db.run
-      (Kv.Db.config ~n_sites ~protocol:Kv.Node.Two_phase ~seed:3 ~crashes:[ (2, 3.05) ]
-         ~recoveries:[ (2, 40.0) ] ~initial_data:[ (k1, 100); (k2, 100) ] ())
+      (Kv.Db.config ~n_sites ~protocol:Kv.Node.Two_phase ~seed:3
+         ~plan:(Helpers.timed_plan ~crashes:[ (2, 3.05) ] ~recoveries:[ (2, 40.0) ] ())
+         ~initial_data:[ (k1, 100); (k2, 100) ] ())
       wl
   in
   Alcotest.(check int) "resolved after recovery" 0 r.Kv.Db.pending;
@@ -173,8 +174,10 @@ let mixed_crash_case () =
   Kv.Db.run
     (Kv.Db.config ~n_sites:4 ~protocol:Kv.Node.Three_phase ~seed:7 ~sync_latency:0.4
        ~group_commit:{ Kv.Kv_wal.max_batch = 8; max_wait = 0.05 }
-       ~pipeline_depth:8 ~crashes:[ (2, 100.0) ] ~recoveries:[ (2, 140.0) ]
-       ~disk_faults:[ (2, { Sim.Disk.fault = Sim.Disk.Lost_flush; nth = 223 }) ]
+       ~pipeline_depth:8
+       ~plan:
+         (Engine.Failure_plan.of_string_exn
+            "crash site=2 at=100; recover site=2 at=140; disk site=2 fault=lost-flush nth=223")
        ())
     (Kv.Workload.mixed (Sim.Rng.create ~seed:7) spec)
 

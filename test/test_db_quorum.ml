@@ -19,8 +19,9 @@ let run ?(termination = Kv.Node.Quorum q) ?(crashes = []) ?(recoveries = []) ?(p
     () =
   let k1, k2 = keys () in
   Kv.Db.run
-    (Kv.Db.config ~n_sites ~protocol:Kv.Node.Three_phase ~termination ~seed:3 ~crashes ~recoveries
-       ~partitions ~initial_data:[ (k1, 100); (k2, 100) ] ())
+    (Kv.Db.config ~n_sites ~protocol:Kv.Node.Three_phase ~termination ~seed:3
+       ~plan:(Helpers.timed_plan ~crashes ~recoveries () @ List.map Helpers.partition partitions)
+       ~initial_data:[ (k1, 100); (k2, 100) ] ())
     [ (1.0, transfer ()) ]
 
 let test_failure_free () =
@@ -58,7 +59,7 @@ let test_partition_bank_workload () =
   let cfg =
     Kv.Db.config ~n_sites:4 ~protocol:Kv.Node.Three_phase ~termination:(Kv.Node.Quorum 3)
       ~seed:41
-      ~partitions:[ (40.0, 120.0, [ [ 1; 2; 3 ]; [ 4 ] ]) ]
+      ~plan:[ Helpers.partition (40.0, 120.0, [ [ 1; 2; 3 ]; [ 4 ] ]) ]
       ~initial_data:(Kv.Workload.bank_initial ~accounts ~initial_balance:100)
       ()
   in

@@ -42,9 +42,8 @@ let test_plan_lookup () =
 
 let test_plan_crashing_sites () =
   let plan =
-    FP.make
-      ~step_crashes:[ { FP.site = 1; step = 0; mode = FP.Before_transition } ]
-      ~timed_crashes:[ (3, 4.0) ] ~move_crashes:[ (2, 0) ] ()
+    FP.of_string_exn
+      "step-crash site=1 step=0 mode=before; crash site=3 at=4; move-crash site=2 sent=0"
   in
   Alcotest.(check (list int)) "all crashing sites" [ 1; 2; 3 ] (FP.crashing_sites plan)
 

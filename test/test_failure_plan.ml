@@ -1,6 +1,7 @@
 (** Tests for {!Engine.Failure_plan}: the textual round-trip a shrunk
     chaos counterexample relies on ([of_string (to_string p) = p]), and
-    the lowering of generated nemesis schedules into executable plans. *)
+    the clause order {!Engine.Failure_plan.of_schedule} sorts a schedule
+    into. *)
 
 module FP = Engine.Failure_plan
 module N = Sim.Nemesis
@@ -11,32 +12,32 @@ let plan : FP.t Alcotest.testable = Alcotest.testable FP.pp FP.equal
 
 let test_round_trip_every_clause () =
   let p =
-    FP.make
-      ~step_crashes:
-        [
-          { FP.site = 1; step = 1; mode = FP.Before_transition };
-          { FP.site = 2; step = 0; mode = FP.After_logging 1 };
-          { FP.site = 3; step = 2; mode = FP.After_transition };
-        ]
-      ~timed_crashes:[ (1, 3.5); (2, 10.25) ]
-      ~recoveries:[ (1, 40.0) ]
-      ~move_crashes:[ (2, 1) ] ~decide_crashes:[ (3, 0) ]
-      ~partitions:[ { FP.from_t = 5.0; until_t = 9.5; groups = [ [ 1 ]; [ 2; 3 ] ] } ]
-      ~msg_faults:
-        [ (0, Sim.World.Fault_drop); (4, Sim.World.Fault_duplicate); (7, Sim.World.Fault_delay 2.75) ]
-      ~disk_faults:
-        [
-          (1, { Sim.Disk.fault = Sim.Disk.Torn; nth = 0 });
-          (2, { Sim.Disk.fault = Sim.Disk.Corrupt; nth = 1 });
-          (3, { Sim.Disk.fault = Sim.Disk.Lost_flush; nth = 4 });
-        ]
-      ~delay_spikes:[ { FP.d_site = 2; d_from = 3.0; d_until = 9.75; d_extra = 2.5 } ]
-      ~stalls:[ { FP.w_site = 1; w_from = 4.0; w_until = 14.5 } ]
-      ~hb_losses:[ { FP.w_site = 3; w_from = 0.25; w_until = 60.0 } ]
-      ~acceptor_crashes:[ (3, 2.0); (5, 4.75) ]
-      ~lease_faults:[ 1.25; 8.0 ]
-      ~storms:[ { FP.s_site = 2; s_first = 10.0; s_waves = 3; s_period = 80.0; s_down = 25.5 } ]
-      ()
+    N.
+      [
+        Step_crash { site = 1; step = 1; mode = Before_transition };
+        Step_crash { site = 2; step = 0; mode = After_logging 1 };
+        Step_crash { site = 3; step = 2; mode = After_transition };
+        Crash { site = 1; at = 3.5 };
+        Crash { site = 2; at = 10.25 };
+        Recover { site = 1; at = 40.0 };
+        Backup_crash { site = 2; phase = Move; sent = 1 };
+        Backup_crash { site = 3; phase = Decide; sent = 0 };
+        Partition { from_t = 5.0; until_t = 9.5; groups = [ [ 1 ]; [ 2; 3 ] ] };
+        Msg { nth = 0; fault = Sim.World.Fault_drop };
+        Msg { nth = 4; fault = Sim.World.Fault_duplicate };
+        Msg { nth = 7; fault = Sim.World.Fault_delay 2.75 };
+        Disk_fault { site = 1; fault = Sim.Disk.Torn; nth = 0 };
+        Disk_fault { site = 2; fault = Sim.Disk.Corrupt; nth = 1 };
+        Disk_fault { site = 3; fault = Sim.Disk.Lost_flush; nth = 4 };
+        Delay_window { site = 2; from_t = 3.0; until_t = 9.75; extra = 2.5 };
+        Stall { site = 1; from_t = 4.0; until_t = 14.5 };
+        Hb_loss { site = 3; from_t = 0.25; until_t = 60.0 };
+        Acceptor_crash { site = 3; at = 2.0 };
+        Acceptor_crash { site = 5; at = 4.75 };
+        Lease_fault { at = 1.25 };
+        Lease_fault { at = 8.0 };
+        Storm { site = 2; first = 10.0; waves = 3; period = 80.0; down = 25.5 };
+      ]
   in
   Alcotest.check plan "round trip" p (FP.of_string_exn (FP.to_string p))
 
@@ -46,42 +47,34 @@ let test_round_trip_empty () =
 let test_parse_pinned_syntax () =
   (* the exact strings counterexamples print in — pinned so a plan pasted
      into a regression test keeps parsing across releases *)
-  let p = FP.of_string_exn "step-crash site=1 step=1 mode=before; msg nth=4 fault=dup" in
-  Alcotest.check plan "parses the documented syntax"
-    (FP.make
-       ~step_crashes:[ { FP.site = 1; step = 1; mode = FP.Before_transition } ]
-       ~msg_faults:[ (4, Sim.World.Fault_duplicate) ]
-       ())
-    p;
-  Alcotest.check plan "newlines separate clauses too"
-    (FP.of_string_exn "crash site=2 at=3\nrecover site=2 at=20")
-    (FP.make ~timed_crashes:[ (2, 3.0) ] ~recoveries:[ (2, 20.0) ] ());
-  Alcotest.check plan "disk clause parses"
-    (FP.of_string_exn "disk site=2 fault=torn nth=0")
-    (FP.make ~disk_faults:[ (2, { Sim.Disk.fault = Sim.Disk.Torn; nth = 0 }) ] ());
-  (* the detector-fault clauses a PR-5 counterexample prints in *)
-  Alcotest.check plan "delay clause parses"
-    (FP.of_string_exn "delay site=2 from=3 until=9.75 extra=2.5")
-    (FP.make ~delay_spikes:[ { FP.d_site = 2; d_from = 3.0; d_until = 9.75; d_extra = 2.5 } ] ());
-  Alcotest.check plan "stall clause parses"
-    (FP.of_string_exn "stall site=2 from=4 until=14")
-    (FP.make ~stalls:[ { FP.w_site = 2; w_from = 4.0; w_until = 14.0 } ] ());
-  Alcotest.check plan "hb-loss clause parses"
-    (FP.of_string_exn "hb-loss site=3 from=1 until=60")
-    (FP.make ~hb_losses:[ { FP.w_site = 3; w_from = 1.0; w_until = 60.0 } ] ());
+  let parses name text expected = Alcotest.check plan name expected (FP.of_string_exn text) in
+  parses "parses the documented syntax" "step-crash site=1 step=1 mode=before; msg nth=4 fault=dup"
+    N.
+      [
+        Step_crash { site = 1; step = 1; mode = Before_transition };
+        Msg { nth = 4; fault = Sim.World.Fault_duplicate };
+      ];
+  parses "newlines separate clauses too" "crash site=2 at=3\nrecover site=2 at=20"
+    N.[ Crash { site = 2; at = 3.0 }; Recover { site = 2; at = 20.0 } ];
+  parses "disk clause parses" "disk site=2 fault=torn nth=0"
+    N.[ Disk_fault { site = 2; fault = Sim.Disk.Torn; nth = 0 } ];
+  (* the detector-fault clauses a detector counterexample prints in *)
+  parses "delay clause parses" "delay site=2 from=3 until=9.75 extra=2.5"
+    N.[ Delay_window { site = 2; from_t = 3.0; until_t = 9.75; extra = 2.5 } ];
+  parses "stall clause parses" "stall site=2 from=4 until=14"
+    N.[ Stall { site = 2; from_t = 4.0; until_t = 14.0 } ];
+  parses "hb-loss clause parses" "hb-loss site=3 from=1 until=60"
+    N.[ Hb_loss { site = 3; from_t = 1.0; until_t = 60.0 } ];
   (* the Paxos-Commit clauses a paxos counterexample prints in *)
-  Alcotest.check plan "acceptor-crash clause parses"
-    (FP.of_string_exn "acceptor-crash site=5 at=2")
-    (FP.make ~acceptor_crashes:[ (5, 2.0) ] ());
-  Alcotest.check plan "lease-fault clause parses"
-    (FP.of_string_exn "lease-fault at=1.89")
-    (FP.make ~lease_faults:[ 1.89 ] ());
+  parses "acceptor-crash clause parses" "acceptor-crash site=5 at=2"
+    N.[ Acceptor_crash { site = 5; at = 2.0 } ];
+  parses "lease-fault clause parses" "lease-fault at=1.89" N.[ Lease_fault { at = 1.89 } ];
   (* the crash-recover storm clause the explorer's corpus files print in *)
-  Alcotest.check plan "storm clause parses"
-    (FP.of_string_exn "storm site=2 first=10 waves=3 period=80 down=25.5")
-    (FP.make
-       ~storms:[ { FP.s_site = 2; s_first = 10.0; s_waves = 3; s_period = 80.0; s_down = 25.5 } ]
-       ())
+  parses "storm clause parses" "storm site=2 first=10 waves=3 period=80 down=25.5"
+    N.[ Storm { site = 2; first = 10.0; waves = 3; period = 80.0; down = 25.5 } ];
+  (* a plan parses into clause order, whatever order the text has *)
+  parses "text order does not matter" "recover site=2 at=20; crash site=2 at=3"
+    N.[ Crash { site = 2; at = 3.0 }; Recover { site = 2; at = 20.0 } ]
 
 let test_parse_error () =
   Alcotest.check_raises "garbage raises Parse_error"
@@ -97,6 +90,10 @@ let test_of_string_is_total () =
       ("crash site=x at=3", "site");
       ("crash at=3", "site");
       ("crash site=1 at=soon", "at");
+      ("crash site=1 at=nan", "at");
+      ("recover site=1 at=-5", "at");
+      ("msg nth=1 fault=delay:-2", "fault");
+      ("storm site=2 first=10 waves=3 period=80 down=-1", "down");
       ("step-crash site=1 step=1 mode=sideways", "mode");
       ("msg nth=4 fault=explode", "fault");
       ("msg nth=four fault=dup", "nth");
@@ -132,19 +129,20 @@ let test_of_string_is_total () =
             true (contains msg needle))
     table
 
-let gen_plan =
+(* Any fault, in any order: plans are these lists put in clause order. *)
+let gen_fault =
   let open QCheck2.Gen in
   let site = int_range 1 5 in
+  let tf = map (fun x -> float_of_int x /. 4.0) (int_range 0 400) in
   let mode =
     oneof
       [
-        return FP.Before_transition;
-        map (fun k -> FP.After_logging k) (int_range 0 3);
-        return FP.After_transition;
+        return N.Before_transition;
+        map (fun k -> N.After_logging k) (int_range 0 3);
+        return N.After_transition;
       ]
   in
-  let tf = map (fun x -> float_of_int x /. 4.0) (int_range 0 400) in
-  let fault =
+  let msg_fault =
     oneof
       [
         return Sim.World.Fault_drop;
@@ -152,73 +150,70 @@ let gen_plan =
         map (fun d -> Sim.World.Fault_delay d) tf;
       ]
   in
-  let* step_crashes =
-    small_list (map2 (fun s (step, mode) -> { FP.site = s; step; mode }) site (pair (int_range 0 4) mode))
+  let window = pair site (pair tf tf) in
+  oneof
+    [
+      map3 (fun site step mode -> N.Step_crash { site; step; mode }) site (int_range 0 4) mode;
+      map2 (fun site at -> N.Crash { site; at }) site tf;
+      map2 (fun site at -> N.Recover { site; at }) site tf;
+      map3
+        (fun site phase sent -> N.Backup_crash { site; phase; sent })
+        site (oneofl [ N.Move; N.Decide ]) (int_range 0 3);
+      map3
+        (fun from_t until_t g -> N.Partition { from_t; until_t; groups = [ g; [ 9 ] ] })
+        tf tf (small_list site);
+      map2 (fun nth fault -> N.Msg { nth; fault }) (int_range 0 50) msg_fault;
+      map3
+        (fun site fault nth -> N.Disk_fault { site; fault; nth })
+        site
+        (oneofl [ Sim.Disk.Torn; Sim.Disk.Corrupt; Sim.Disk.Lost_flush ])
+        (int_range 0 5);
+      map2
+        (fun (site, (from_t, until_t)) extra -> N.Delay_window { site; from_t; until_t; extra })
+        window tf;
+      map (fun (site, (from_t, until_t)) -> N.Stall { site; from_t; until_t }) window;
+      map (fun (site, (from_t, until_t)) -> N.Hb_loss { site; from_t; until_t }) window;
+      map2 (fun site at -> N.Acceptor_crash { site; at }) site tf;
+      map (fun at -> N.Lease_fault { at }) tf;
+      (* down strictly inside the period, as the generator guarantees *)
+      map3
+        (fun site (first, waves) period ->
+          N.Storm { site; first; waves; period; down = period *. 0.5 })
+        site
+        (pair tf (int_range 1 4))
+        (map (fun x -> 20.0 +. x) tf);
+    ]
+
+let gen_schedule = QCheck2.Gen.small_list gen_fault
+let gen_plan = QCheck2.Gen.map FP.of_schedule gen_schedule
+
+(* The clause order of a printed plan, by the clause's verb. *)
+let clause_order =
+  [
+    "step-crash"; "crash"; "recover"; "move-crash"; "decide-crash"; "partition"; "msg"; "disk";
+    "delay"; "stall"; "hb-loss"; "acceptor-crash"; "lease-fault"; "storm";
+  ]
+
+let rank f =
+  let verb = List.hd (String.split_on_char ' ' (N.to_string [ f ])) in
+  let rec go i = function
+    | [] -> assert false
+    | v :: rest -> if v = verb then i else go (i + 1) rest
   in
-  let* timed_crashes = small_list (pair site tf) in
-  let* recoveries = small_list (pair site tf) in
-  let* move_crashes = small_list (pair site (int_range 0 3)) in
-  let* decide_crashes = small_list (pair site (int_range 0 3)) in
-  let* partitions =
-    small_list
-      (map2
-         (fun (f, u) g -> { FP.from_t = f; until_t = u; groups = [ g; [ 9 ] ] })
-         (pair tf tf)
-         (small_list site))
-  in
-  let* msg_faults = small_list (pair (int_range 0 50) fault) in
-  let* disk_faults =
-    small_list
-      (map2
-         (fun site (fault, nth) -> (site, { Sim.Disk.fault; nth }))
-         site
-         (pair
-            (oneof [ return Sim.Disk.Torn; return Sim.Disk.Corrupt; return Sim.Disk.Lost_flush ])
-            (int_range 0 5)))
-  in
-  let* delay_spikes =
-    small_list
-      (map2
-         (fun s ((f, u), e) -> { FP.d_site = s; d_from = f; d_until = u; d_extra = e })
-         site
-         (pair (pair tf tf) tf))
-  in
-  let window =
-    map2 (fun s (f, u) -> { FP.w_site = s; w_from = f; w_until = u }) site (pair tf tf)
-  in
-  let* stalls = small_list window in
-  let* hb_losses = small_list window in
-  let* acceptor_crashes = small_list (pair site tf) in
-  let* lease_faults = small_list tf in
-  let* storms =
-    small_list
-      (map2
-         (fun s ((first, waves), (period, down_frac)) ->
-           (* down strictly inside the period, as the generator guarantees *)
-           { FP.s_site = s; s_first = first; s_waves = waves; s_period = period;
-             s_down = period *. down_frac })
-         site
-         (pair (pair tf (int_range 1 4)) (pair (map (fun x -> 20.0 +. x) tf) (return 0.5))))
-  in
-  return
-    (FP.make ~step_crashes ~timed_crashes ~recoveries ~move_crashes ~decide_crashes ~partitions
-       ~msg_faults ~disk_faults ~delay_spikes ~stalls ~hb_losses ~acceptor_crashes ~lease_faults
-       ~storms ())
+  go 0 clause_order
 
 let prop_round_trip =
   Helpers.qtest "of_string (to_string p) = p" gen_plan (fun p ->
       FP.equal p (FP.of_string_exn (FP.to_string p)))
 
+let prop_schedule_text_round_trip =
+  Helpers.qtest "schedule text keeps list order" gen_schedule (fun s ->
+      N.equal_schedule s (N.of_string_exn (N.to_string s)))
+
 let prop_fault_count_matches_clauses =
   Helpers.qtest "fault_count counts every clause" gen_plan (fun p ->
       let clauses =
-        List.length p.FP.step_crashes + List.length p.FP.timed_crashes
-        + List.length p.FP.recoveries + List.length p.FP.move_crashes
-        + List.length p.FP.decide_crashes + List.length p.FP.partitions
-        + List.length p.FP.msg_faults + List.length p.FP.disk_faults
-        + List.length p.FP.delay_spikes + List.length p.FP.stalls
-        + List.length p.FP.hb_losses + List.length p.FP.acceptor_crashes
-        + List.length p.FP.lease_faults + List.length p.FP.storms
+        if p = [] then 0 else List.length (String.split_on_char ';' (FP.to_string p))
       in
       FP.fault_count p = clauses)
 
@@ -229,61 +224,55 @@ let prop_unsupported_clauses_partition_by_family =
      family accepts a plan stripped of the clauses it names *)
   Helpers.qtest "unsupported_clauses partitions any mixed plan" gen_plan (fun p ->
       let count protocol = List.length (FP.unsupported_clauses ~protocol p) in
-      count "central-2pc"
-      = List.length p.FP.move_crashes + List.length p.FP.decide_crashes
-        + List.length p.FP.acceptor_crashes + List.length p.FP.lease_faults
-      && count "central-3pc" = List.length p.FP.acceptor_crashes + List.length p.FP.lease_faults
-      && count "paxos-commit" = List.length p.FP.move_crashes
-      && FP.unsupported_clauses ~protocol:"paxos-commit" { p with FP.move_crashes = [] } = []
-      && FP.unsupported_clauses ~protocol:"central-3pc"
-           { p with FP.acceptor_crashes = []; lease_faults = [] }
-         = [])
+      let is_move = function N.Backup_crash { phase = N.Move; _ } -> true | _ -> false in
+      let is_decide = function N.Backup_crash { phase = N.Decide; _ } -> true | _ -> false in
+      let is_paxos = function N.Acceptor_crash _ | N.Lease_fault _ -> true | _ -> false in
+      let n pred = List.length (List.filter pred p) in
+      let without pred = List.filter (fun f -> not (pred f)) p in
+      count "central-2pc" = n is_move + n is_decide + n is_paxos
+      && count "central-3pc" = n is_paxos
+      && count "paxos-commit" = n is_move
+      && FP.unsupported_clauses ~protocol:"paxos-commit" (without is_move) = []
+      && FP.unsupported_clauses ~protocol:"central-3pc" (without is_paxos) = [])
 
 (* ---------------- of_schedule ---------------- *)
 
 let test_of_schedule_mapping () =
   let schedule =
-    [
-      N.Crash { site = 2; at = 3.0 };
-      N.Step_crash { site = 1; step = 1; sent = None };
-      N.Step_crash { site = 3; step = 0; sent = Some 2 };
-      N.Backup_crash { site = 2; phase = N.Move; sent = 1 };
-      N.Backup_crash { site = 3; phase = N.Decide; sent = 0 };
-      N.Recover { site = 2; at = 30.0 };
-      N.Partition { from_t = 4.0; until_t = 8.0; groups = [ [ 1 ]; [ 2; 3 ] ] };
-      N.Msg { nth = 5; fault = Sim.World.Fault_duplicate };
-    ]
+    N.
+      [
+        Msg { nth = 5; fault = Sim.World.Fault_duplicate };
+        Crash { site = 2; at = 3.0 };
+        Step_crash { site = 1; step = 1; mode = Before_transition };
+        Backup_crash { site = 3; phase = Decide; sent = 0 };
+        Step_crash { site = 3; step = 0; mode = After_logging 2 };
+        Backup_crash { site = 2; phase = Move; sent = 1 };
+        Recover { site = 2; at = 30.0 };
+        Partition { from_t = 4.0; until_t = 8.0; groups = [ [ 1 ]; [ 2; 3 ] ] };
+      ]
   in
-  Alcotest.check plan "lowers one-to-one"
-    (FP.make
-       ~step_crashes:
-         [
-           { FP.site = 1; step = 1; mode = FP.Before_transition };
-           { FP.site = 3; step = 0; mode = FP.After_logging 2 };
-         ]
-       ~timed_crashes:[ (2, 3.0) ]
-       ~recoveries:[ (2, 30.0) ]
-       ~move_crashes:[ (2, 1) ] ~decide_crashes:[ (3, 0) ]
-       ~partitions:[ { FP.from_t = 4.0; until_t = 8.0; groups = [ [ 1 ]; [ 2; 3 ] ] } ]
-       ~msg_faults:[ (5, Sim.World.Fault_duplicate) ]
-       ())
-    (FP.of_schedule schedule)
+  Alcotest.(check string)
+    "each fault kind lands at its clause position"
+    "step-crash site=1 step=1 mode=before; step-crash site=3 step=0 mode=after-logging:2; crash \
+     site=2 at=3; recover site=2 at=30; move-crash site=2 sent=1; decide-crash site=3 sent=0; \
+     partition from=4 until=8 groups=1|2,3; msg nth=5 fault=dup"
+    (FP.to_string (FP.of_schedule schedule))
 
-let prop_to_schedule_round_trips =
-  (* the corpus-replay path: kv harnesses consume schedules, so a plan
-     persisted as text must survive plan -> schedule -> plan losslessly.
-     After_transition step crashes are the documented exception
-     (of_schedule never emits them), so strip those first. *)
-  Helpers.qtest "of_schedule (to_schedule p) = p" gen_plan (fun p ->
-      let p =
-        {
-          p with
-          FP.step_crashes =
-            List.filter (fun (c : FP.step_crash) -> c.FP.mode <> FP.After_transition)
-              p.FP.step_crashes;
-        }
+let prop_of_schedule_is_a_stable_sort =
+  (* every fault has one rank, so equal per-family subsequences make [p]
+     a permutation of [s] that keeps each family's order *)
+  Helpers.qtest "of_schedule is an idempotent stable permutation" gen_schedule (fun s ->
+      let p = FP.of_schedule s in
+      let family r l = List.filter (fun f -> rank f = r) l in
+      let rec in_clause_order = function
+        | a :: (b :: _ as rest) -> rank a <= rank b && in_clause_order rest
+        | _ -> true
       in
-      FP.equal p (FP.of_schedule (FP.to_schedule p)))
+      FP.equal (FP.of_schedule p) p
+      && in_clause_order p
+      && List.for_all
+           (fun r -> N.equal_schedule (family r s) (family r p))
+           (List.init (List.length clause_order) Fun.id))
 
 let prop_of_schedule_round_trips_textually =
   Helpers.qtest "generated schedules lower to printable plans"
@@ -303,9 +292,10 @@ let suite =
     Alcotest.test_case "parse error on garbage" `Quick test_parse_error;
     Alcotest.test_case "of_string is total on malformed input" `Quick test_of_string_is_total;
     prop_round_trip;
+    prop_schedule_text_round_trip;
     prop_fault_count_matches_clauses;
     prop_unsupported_clauses_partition_by_family;
     Alcotest.test_case "of_schedule maps each fault kind" `Quick test_of_schedule_mapping;
-    prop_to_schedule_round_trips;
+    prop_of_schedule_is_a_stable_sort;
     prop_of_schedule_round_trips_textually;
   ]

@@ -129,9 +129,11 @@ let test_send_during_partition_dropped () =
    opening at 1.5 lets the in-flight votes through and drops the
    precommit): under 3PC both sides terminate — in opposite directions;
    under 2PC the minority blocks instead. *)
+let vote_window_partition = Helpers.partition (1.5, 200.0, [ [ 1; 2 ]; [ 3 ] ])
+
 let test_3pc_splits_brain_under_partition () =
   let r =
-    R.run (R.config ~seed:1 ~partition:(1.5, 200.0, [ [ 1; 2 ]; [ 3 ] ]) (Lazy.force rb3))
+    R.run (R.config ~seed:1 ~plan:[ vote_window_partition ] (Lazy.force rb3))
   in
   Alcotest.(check bool) "INCONSISTENT outcome (split brain)" false r.R.consistent;
   (* majority side committed, minority aborted *)
@@ -142,7 +144,7 @@ let test_3pc_splits_brain_under_partition () =
 
 let test_2pc_blocks_but_stays_consistent () =
   let r =
-    R.run (R.config ~seed:1 ~partition:(1.5, 200.0, [ [ 1; 2 ]; [ 3 ] ]) (Lazy.force rb2))
+    R.run (R.config ~seed:1 ~plan:[ vote_window_partition ] (Lazy.force rb2))
   in
   Alcotest.(check bool) "consistent" true r.R.consistent;
   let outcome s = (List.nth r.R.reports (s - 1)).R.outcome in
@@ -152,9 +154,9 @@ let test_2pc_blocks_but_stays_consistent () =
     (Some Core.Types.Committed) (outcome 3)
 
 let test_no_partition_no_difference () =
-  (* the ablation entry point with an empty partition behaves like run *)
+  (* a partition clause with no groups behaves like a plain run *)
   let r =
-    R.run (R.config ~seed:1 ~partition:(0.0, 0.0, []) (Lazy.force rb3))
+    R.run (R.config ~seed:1 ~plan:[ Helpers.partition (0.0, 0.0, []) ] (Lazy.force rb3))
   in
   Alcotest.(check bool) "consistent" true r.R.consistent;
   Alcotest.(check bool) "all decided" true r.R.all_operational_decided

@@ -8,7 +8,10 @@ module KN = Kv.Node
 
 let bank_cfg ?(protocol = KN.Paxos 1) ?(seed = 11) ?(crashes = []) ?(recoveries = [])
     ?(lease_faults = []) () =
-  Kv.Db.config ~n_sites:4 ~protocol ~seed ~crashes ~recoveries ~lease_faults
+  Kv.Db.config ~n_sites:4 ~protocol ~seed
+    ~plan:
+      (Helpers.timed_plan ~crashes ~recoveries ()
+      @ List.map (fun at -> Sim.Nemesis.Lease_fault { at }) lease_faults)
     ~initial_data:(Kv.Workload.bank_initial ~accounts:24 ~initial_balance:100) ()
 
 let bank_wl ?(n_txns = 80) ~seed () =
@@ -54,7 +57,8 @@ let blocking_run protocol =
   let wl = [ (1.0, txn) ] in
   let coord = Kv.Txn.coordinator ~n_sites txn in
   Kv.Db.run
-    (Kv.Db.config ~n_sites ~protocol ~seed:3 ~crashes:[ (coord, 3.05) ]
+    (Kv.Db.config ~n_sites ~protocol ~seed:3
+       ~plan:(Helpers.timed_plan ~crashes:[ (coord, 3.05) ] ())
        ~initial_data:[ (k1, 100); (k2, 100) ] ())
     wl
 

@@ -62,7 +62,8 @@ let bank_with ~presumption ~crashes ~recoveries =
   let rng = Sim.Rng.create ~seed:21 in
   let wl = Kv.Workload.bank rng ~n_txns:80 ~accounts ~arrival_rate:1.0 in
   let cfg =
-    Kv.Db.config ~n_sites ~protocol:Kv.Node.Two_phase ~presumption ~seed:21 ~crashes ~recoveries
+    Kv.Db.config ~n_sites ~protocol:Kv.Node.Two_phase ~presumption ~seed:21
+      ~plan:(Helpers.timed_plan ~crashes ~recoveries ())
       ~initial_data:(Kv.Workload.bank_initial ~accounts ~initial_balance:100)
       ()
   in

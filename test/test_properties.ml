@@ -108,7 +108,7 @@ let gen_fault_scenario =
     let* site = int_range 1 3 in
     let* step = int_range 0 3 in
     let* mode = gen_mode in
-    return { Engine.Failure_plan.site; step; mode }
+    return (site, step, mode)
   in
   let* n_crashes = int_range 0 2 in
   let* crashes = list_repeat n_crashes gen_crash in
@@ -116,25 +116,25 @@ let gen_fault_scenario =
   let crashes =
     List.fold_left
       (fun acc c ->
-        if List.exists (fun c' -> c'.Engine.Failure_plan.site = c.Engine.Failure_plan.site) acc then acc
-        else c :: acc)
+        if List.exists (fun (site, _, _) -> let s, _, _ = c in site = s) acc then acc else c :: acc)
       [] crashes
   in
   let* recover = bool in
   let* seed = int_range 1 100_000 in
   return (rb_ix, votes, crashes, recover, seed)
 
+let step_crashes = List.map (fun (site, step, mode) -> Sim.Nemesis.Step_crash { site; step; mode })
+
 let prop_runtime_always_consistent =
   Helpers.qtest ~count:150 "runtime: atomicity under random faults" gen_fault_scenario
     (fun (rb_ix, votes, crashes, recover, seed) ->
       let rb = List.nth (Lazy.force rulebooks) rb_ix in
       let plan =
-        Engine.Failure_plan.make ~step_crashes:crashes
-          ~recoveries:
-            (if recover then
-               List.map (fun c -> (c.Engine.Failure_plan.site, 70.0)) crashes
-             else [])
-          ()
+        step_crashes crashes
+        @
+        if recover then
+          List.map (fun (site, _, _) -> Sim.Nemesis.Recover { site; at = 70.0 }) crashes
+        else []
       in
       let votes =
         List.filter_map (fun (s, no) -> if no then Some (s, Core.Types.No) else None) votes
@@ -147,7 +147,7 @@ let prop_3pc_runtime_nonblocking =
     (fun (rb_ix, votes, crashes, _recover, seed) ->
       (* force a 3PC rulebook; no recoveries needed for the property *)
       let rb = List.nth (Lazy.force rulebooks) (1 + (rb_ix land 1) * 2) in
-      let plan = Engine.Failure_plan.make ~step_crashes:crashes () in
+      let plan = step_crashes crashes in
       let votes =
         List.filter_map (fun (s, no) -> if no then Some (s, Core.Types.No) else None) votes
       in
@@ -189,7 +189,7 @@ let prop_db_atomicity =
         match crash with Some (s, t) when recover -> [ (s, t +. 120.0) ] | _ -> []
       in
       let cfg =
-        Kv.Db.config ~n_sites:3 ~protocol ~seed ~crashes ~recoveries
+        Kv.Db.config ~n_sites:3 ~protocol ~seed ~plan:(Helpers.timed_plan ~crashes ~recoveries ())
           ~initial_data:(Kv.Workload.bank_initial ~accounts ~initial_balance:50)
           ()
       in

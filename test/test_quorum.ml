@@ -9,8 +9,8 @@ module FP = Engine.Failure_plan
 let rb3 = lazy (Engine.Rulebook.compile (Core.Catalog.central_3pc 3))
 let rb3_5 = lazy (Engine.Rulebook.compile (Core.Catalog.central_3pc 5))
 
-let qcfg ?votes ?plan ?partition ?(seed = 1) rb n =
-  R.config ?votes ?plan ?partition ~seed ~termination:(R.Quorum (R.majority n)) rb
+let qcfg ?votes ?plan ?(seed = 1) rb n =
+  R.config ?votes ?plan ~seed ~termination:(R.Quorum (R.majority n)) rb
 
 let test_majority () =
   Alcotest.(check int) "majority of 3" 2 (R.majority 3);
@@ -52,14 +52,10 @@ let test_lone_survivor_blocks () =
   (* the price of quorum termination: with n-1 failures the lone survivor
      cannot assemble a quorum and blocks — where Skeen's rule decides *)
   let plan =
-    FP.make
-      ~step_crashes:
-        [
-          { FP.site = 1; step = 1; mode = FP.After_logging 0 };
-          (* site 2 dies right after casting its yes vote *)
-          { FP.site = 2; step = 0; mode = FP.After_transition };
-        ]
-      ()
+    (* site 2 dies right after casting its yes vote *)
+    FP.of_string_exn
+      "step-crash site=1 step=1 mode=after-logging:0; step-crash site=2 step=0 \
+       mode=after-transition"
   in
   let quorum = R.run (qcfg ~plan (Lazy.force rb3) 3) in
   Alcotest.(check int) "quorum: survivor blocked" 1 quorum.R.blocked_operational;
@@ -71,7 +67,7 @@ let test_partition_safe () =
   (* the E13 split-brain scenario: under the quorum rule the minority
      blocks instead of aborting, so consistency survives the partition *)
   let r =
-    R.run (qcfg ~partition:(1.5, 200.0, [ [ 1; 2 ]; [ 3 ] ]) (Lazy.force rb3) 3)
+    R.run (qcfg ~plan:[ Helpers.partition (1.5, 200.0, [ [ 1; 2 ]; [ 3 ] ]) ] (Lazy.force rb3) 3)
   in
   Alcotest.(check bool) "consistent under partition" true r.R.consistent;
   (* after healing everyone converges on commit *)
@@ -86,7 +82,7 @@ let test_partition_minority_blocks_until_heal () =
   (* a partition that never heals: the majority decides, the minority
      stays blocked — consistent, just not live *)
   let r =
-    R.run (qcfg ~partition:(1.5, 9_999.0, [ [ 1; 2 ]; [ 3 ] ]) (Lazy.force rb3) 3)
+    R.run (qcfg ~plan:[ Helpers.partition (1.5, 9_999.0, [ [ 1; 2 ]; [ 3 ] ]) ] (Lazy.force rb3) 3)
   in
   Alcotest.(check bool) "consistent" true r.R.consistent;
   let outcome s = (List.nth r.R.reports (s - 1)).R.outcome in
@@ -97,7 +93,8 @@ let test_five_sites_partition () =
   (* 2-3 split on five sites during the prepare window: only the
      three-site side can decide *)
   let r =
-    R.run (qcfg ~partition:(4.5, 400.0, [ [ 1; 2 ]; [ 3; 4; 5 ] ]) (Lazy.force rb3_5) 5)
+    R.run
+      (qcfg ~plan:[ Helpers.partition (4.5, 400.0, [ [ 1; 2 ]; [ 3; 4; 5 ] ]) ] (Lazy.force rb3_5) 5)
   in
   Alcotest.(check bool) "consistent" true r.R.consistent;
   List.iter
@@ -109,9 +106,7 @@ let test_cascade_below_quorum_blocks () =
   (* backup dies mid move-up leaving a single survivor: below the quorum
      it must block — safety over liveness *)
   let plan =
-    FP.make
-      ~step_crashes:[ { FP.site = 1; step = 2; mode = FP.After_logging 0 } ]
-      ~move_crashes:[ (2, 0) ] ()
+    FP.of_string_exn "step-crash site=1 step=2 mode=after-logging:0; move-crash site=2 sent=0"
   in
   let r = R.run (qcfg ~plan (Lazy.force rb3) 3) in
   Alcotest.(check bool) "consistent" true r.R.consistent;
@@ -122,9 +117,7 @@ let test_cascade_above_quorum_commits () =
      one move; three survivors still form a quorum of prepared sites and
      the next backup finishes the commit (monotone counts) *)
   let plan =
-    FP.make
-      ~step_crashes:[ { FP.site = 1; step = 2; mode = FP.After_logging 0 } ]
-      ~move_crashes:[ (2, 1) ] ()
+    FP.of_string_exn "step-crash site=1 step=2 mode=after-logging:0; move-crash site=2 sent=1"
   in
   let r = R.run (qcfg ~plan (Lazy.force rb3_5) 5) in
   Alcotest.(check bool) "consistent" true r.R.consistent;

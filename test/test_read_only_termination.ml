@@ -18,8 +18,9 @@ let txn_with_readonly_min () =
 let run ~crashes ~recoveries =
   let (k1, k2, k3), txn = txn_with_readonly_min () in
   Kv.Db.run
-    (Kv.Db.config ~n_sites ~protocol:Kv.Node.Three_phase ~read_only_opt:true ~seed:5 ~crashes
-       ~recoveries ~initial_data:[ (k1, 10); (k2, 10); (k3, 10) ] ())
+    (Kv.Db.config ~n_sites ~protocol:Kv.Node.Three_phase ~read_only_opt:true ~seed:5
+       ~plan:(Helpers.timed_plan ~crashes ~recoveries ())
+       ~initial_data:[ (k1, 10); (k2, 10); (k3, 10) ] ())
     [ (1.0, txn) ]
 
 let test_readonly_backup_stays_silent () =

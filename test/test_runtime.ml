@@ -105,9 +105,7 @@ let test_3pc_commit_side_termination () =
 
 let test_2pc_unblocks_on_recovery () =
   let plan =
-    FP.make
-      ~step_crashes:[ { FP.site = 1; step = 1; mode = FP.After_logging 0 } ]
-      ~recoveries:[ (1, 50.0) ] ()
+    FP.of_string_exn "step-crash site=1 step=1 mode=after-logging:0; recover site=1 at=50"
   in
   let r = run ~plan rb_c2 in
   Alcotest.(check int) "no one left blocked" 0 r.R.blocked_operational;
@@ -116,9 +114,7 @@ let test_2pc_unblocks_on_recovery () =
 let test_recovery_before_vote_aborts () =
   (* a slave crashes before voting and recovers: unilateral abort *)
   let plan =
-    FP.make
-      ~step_crashes:[ { FP.site = 2; step = 0; mode = FP.Before_transition } ]
-      ~recoveries:[ (2, 50.0) ] ()
+    FP.of_string_exn "step-crash site=2 step=0 mode=before; recover site=2 at=50"
   in
   let r = run ~plan rb_c3 in
   check_all_outcome "everyone aborted" Core.Types.Aborted r
@@ -127,9 +123,7 @@ let test_recovered_site_learns_commit () =
   (* a slave crashes after voting yes; the rest commit; on recovery it
      must learn the commit, not abort *)
   let plan =
-    FP.make
-      ~step_crashes:[ { FP.site = 3; step = 1; mode = FP.After_transition } ]
-      ~recoveries:[ (3, 80.0) ] ()
+    FP.of_string_exn "step-crash site=3 step=1 mode=after-transition; recover site=3 at=80"
   in
   let r = run ~plan rb_c3 in
   check_all_outcome "everyone committed" Core.Types.Committed r
@@ -138,9 +132,7 @@ let test_cascade_coordinator_then_backup () =
   (* coordinator dies; backup (site 2) dies after moving one site; the
      last survivor must still terminate *)
   let plan =
-    FP.make
-      ~step_crashes:[ { FP.site = 1; step = 1; mode = FP.After_logging 0 } ]
-      ~move_crashes:[ (2, 1) ] ()
+    FP.of_string_exn "step-crash site=1 step=1 mode=after-logging:0; move-crash site=2 sent=1"
   in
   let r = run ~plan rb_c3 in
   Alcotest.(check bool) "consistent" true r.R.consistent;
@@ -150,9 +142,7 @@ let test_cascade_backup_dies_mid_decide () =
   (* backup crashes after sending one Decide: the remaining site already
      has the outcome or takes over; both must agree *)
   let plan =
-    FP.make
-      ~step_crashes:[ { FP.site = 1; step = 2; mode = FP.After_logging 0 } ]
-      ~decide_crashes:[ (2, 1) ] ()
+    FP.of_string_exn "step-crash site=1 step=2 mode=after-logging:0; decide-crash site=2 sent=1"
   in
   let r = run ~plan rb_c3 in
   Alcotest.(check bool) "consistent" true r.R.consistent;
@@ -161,13 +151,9 @@ let test_cascade_backup_dies_mid_decide () =
 let test_down_to_one_survivor () =
   (* kill every site but 3, at different steps: 3PC still terminates *)
   let plan =
-    FP.make
-      ~step_crashes:
-        [
-          { FP.site = 1; step = 1; mode = FP.After_logging 0 };
-          { FP.site = 2; step = 1; mode = FP.After_transition };
-        ]
-      ()
+    FP.of_string_exn
+      "step-crash site=1 step=1 mode=after-logging:0; step-crash site=2 step=1 \
+       mode=after-transition"
   in
   let r = run ~plan rb_c3 in
   Alcotest.(check bool) "consistent" true r.R.consistent;
