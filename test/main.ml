@@ -47,4 +47,5 @@ let () =
       ("backoff", Test_backoff.suite);
       ("explore", Test_explore.suite);
       ("alloc", Test_alloc.suite);
+      ("conformance", Test_conformance.suite);
     ]
