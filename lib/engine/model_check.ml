@@ -27,10 +27,12 @@
     "!decide:…") no catalog FSA matches.
 
     {b Engine.}  Exploration runs entirely over {!Core.Intern}'s compact
-    encoding: state ids and message names are interned to small ints once
-    per run, whole messages pack into single ints (termination messages
-    become tagged name codes above the protocol's — no prefix-string
-    parsing on the hot path), and each global state packs into one
+    encoding: state ids and message names are the small ints the
+    {!Rulebook} interned at compile time (its verdict, final-state and
+    buffer-state tables are indexed by them, shared with {!Runtime}),
+    whole messages pack into single ints (termination messages become
+    tagged name codes above the protocol's — no prefix-string parsing on
+    the hot path), and each global state packs into one
     [int array] that {!Core.Intern.Store} dedups: varints in a byte arena
     under an open-addressing index, with dense indices in discovery
     order.  The BFS frontier is therefore the index range of states not
@@ -106,55 +108,23 @@ module I = Core.Intern
    so a whole termination message still packs into one int via the
    shared [(name * (n+1) + src) * (n+1) + dst] codec. *)
 type ctx = {
-  c : I.t;
+  rb : Rulebook.t;  (** verdicts, final and buffer state codes per site *)
+  c : I.t;  (** [rb.codes] *)
   n : int;
   base : int;  (** first termination name code *)
   s_codes : int;  (** number of interned state ids *)
   full_alive : int;  (** bitset of all n sites *)
-  kinds : Core.Types.state_kind option array array;  (** site-1 -> code *)
-  commit_code : int array;  (** per site: its commit final state's code *)
-  abort_code : int array;
-  buffer_code : int option array;  (** per site: first declared Buffer state *)
-  verdicts : Rulebook.verdict array array;  (** site-1 -> code -> verdict *)
 }
 
-let make_ctx (rulebook : Rulebook.t) : ctx =
-  let protocol = rulebook.Rulebook.protocol in
-  let c = I.compile protocol in
-  let n = c.I.n in
-  let s_codes = I.n_state_codes c in
-  let find_kind i want =
-    let a = Core.Protocol.automaton protocol (i + 1) in
-    List.find_opt (fun s -> s.Core.Automaton.kind = want) a.Core.Automaton.states
-  in
-  let code_exn id =
-    match I.state_code c id with Some x -> x | None -> assert false
-  in
+let make_ctx (rb : Rulebook.t) : ctx =
+  let c = rb.Rulebook.codes in
   {
+    rb;
     c;
-    n;
+    n = c.I.n;
     base = I.size c.I.msg_names;
-    s_codes;
-    full_alive = (1 lsl n) - 1;
-    kinds = c.I.kinds;
-    commit_code =
-      Array.init n (fun i ->
-          match find_kind i Core.Types.Commit with
-          | Some s -> code_exn s.Core.Automaton.id
-          | None -> -1);
-    abort_code =
-      Array.init n (fun i ->
-          match find_kind i Core.Types.Abort with
-          | Some s -> code_exn s.Core.Automaton.id
-          | None -> -1);
-    buffer_code =
-      Array.init n (fun i ->
-          Option.map (fun s -> code_exn s.Core.Automaton.id) (find_kind i Core.Types.Buffer));
-    verdicts =
-      Array.init n (fun i ->
-          Array.init s_codes (fun code ->
-              if c.I.kinds.(i).(code) = None then Rulebook.Blocked
-              else Rulebook.verdict rulebook ~site:(i + 1) ~state:(I.state_name c code)));
+    s_codes = I.n_state_codes c;
+    full_alive = (1 lsl c.I.n) - 1;
   }
 
 (* termination name codes *)
@@ -172,7 +142,7 @@ let move_target_nc ctx nc = nc - ctx.base - 4
 let strep_state_nc ctx nc = nc - ctx.base - 4 - ctx.s_codes
 
 let kind_exn ctx i code =
-  match ctx.kinds.(i).(code) with
+  match ctx.c.I.kinds.(i).(code) with
   | Some k -> k
   | None ->
       Fmt.invalid_arg "Model_check: state %s not declared at site %d" (I.state_name ctx.c code)
@@ -455,9 +425,7 @@ let run (cfg : config) : report =
       out
     end
   in
-  let final_code i (o : Core.Types.outcome) =
-    match o with Core.Types.Committed -> ctx.commit_code.(i) | Aborted -> ctx.abort_code.(i)
-  in
+  let final_code i o = Rulebook.final_code ctx.rb ~site:(i + 1) o in
 
   (* ---- successor enumeration ----
      A transcription of [Model_check_ref]'s successor function over the
@@ -645,7 +613,7 @@ let run (cfg : config) : report =
               (* phase 1 in flight: complete it when every awaited site is
                  acked or dead *)
               if List.for_all (fun j -> not (alive s (j - 1))) awaiting then begin
-                match ctx.verdicts.(i).(s.ilocals.(i)) with
+                match Rulebook.verdict_of_code ctx.rb ~site:(i + 1) ~code:s.ilocals.(i) with
                 | Rulebook.Decide o ->
                     let ilocals = Array.copy s.ilocals in
                     ilocals.(i) <- final_code i o;
@@ -679,7 +647,7 @@ let run (cfg : config) : report =
               else begin
                 match cfg.rule with
                 | `Skeen -> (
-                    match ctx.verdicts.(i).(s.ilocals.(i)) with
+                    match Rulebook.verdict_of_code ctx.rb ~site:(i + 1) ~code:s.ilocals.(i) with
                     | Rulebook.Decide _ ->
                         (* phase 1: move everyone to our state — only once
                            per configuration (no move already in flight
@@ -740,7 +708,7 @@ let run (cfg : config) : report =
                         else if prepared_up >= q then begin
                           (* move the view up to the buffer state, then the
                              shared phase-1 completion commits *)
-                          match ctx.buffer_code.(i) with
+                          match ctx.rb.Rulebook.buffer_code.(i) with
                           | Some target ->
                               let ilocals = Array.copy s.ilocals in
                               ilocals.(i) <- target;
@@ -767,7 +735,9 @@ let run (cfg : config) : report =
                                   { s with ilocals; ipolling; imoving; iepoch })
                           | None -> ()
                         end
-                        else if List.length kinds - prepared_up >= q && ctx.buffer_code.(i) <> None
+                        else if
+                          List.length kinds - prepared_up >= q
+                          && ctx.rb.Rulebook.buffer_code.(i) <> None
                           (* the unprepared-quorum abort is sound only when
                              committing requires a quorum-visible buffer
                              phase; without one (2PC) only visible outcomes

@@ -11,7 +11,8 @@
     detector's deterministic election falls out as the special case. *)
 
 type t =
-  | Proto of Core.Message.t  (** a commit-protocol FSA message *)
+  | Proto of int
+      (** a commit-protocol FSA message, as its {!Core.Intern} message code *)
   | Move_to of { target : string; epoch : int }
       (** termination phase 1: adopt this local state *)
   | Move_ack of string  (** acknowledgement, carrying the adopted state *)
@@ -30,10 +31,9 @@ type t =
   | Epoch_reject of { epoch : int }
       (** a participant refused a directive fenced below its current
           epoch; carries that epoch so the deposed backup stands down *)
-[@@deriving show { with_path = false }, eq]
 
-let to_string = function
-  | Proto m -> Core.Message.show m
+let to_string codes = function
+  | Proto m -> Core.Message.show (Core.Intern.decode_msg codes m)
   | Move_to { target; epoch } -> Printf.sprintf "move-to(%s,e%d)" target epoch
   | Move_ack s -> "move-ack(" ^ s ^ ")"
   | Decide { outcome = Core.Types.Committed; epoch } -> Printf.sprintf "decide(commit,e%d)" epoch

@@ -5,7 +5,8 @@
     only in timeout-detector mode. *)
 
 type t =
-  | Proto of Core.Message.t  (** a commit-protocol FSA message *)
+  | Proto of int
+      (** a commit-protocol FSA message, as its {!Core.Intern} message code *)
   | Move_to of { target : string; epoch : int }
       (** termination phase 1: adopt this local state *)
   | Move_ack of string
@@ -23,7 +24,6 @@ type t =
   | Epoch_reject of { epoch : int }
       (** a directive was fenced; carries the participant's current epoch *)
 
-val pp : Format.formatter -> t -> unit
-val show : t -> string
-val equal : t -> t -> bool
-val to_string : t -> string
+val to_string : Core.Intern.t -> t -> string
+(** The trace rendering; protocol messages decode through the given
+    codes. *)

@@ -3,6 +3,12 @@
     termination protocol (election + two-phase backup protocol) and
     recovery protocol.
 
+    The interpreter runs the protocol as the {!Rulebook} compiled it: a
+    site's state is a state code, its inbox a count per message code, and
+    a step walks the site's transition table for that code.  State names
+    appear only where a run meets the outside: log records, termination
+    messages, reports and traces.
+
     Division of labour with the formal core: the runtime {e executes};
     every safety decision a backup coordinator takes comes from the
     {!Rulebook} compiled from the protocol's reachable state graph — the
@@ -19,8 +25,8 @@ type mode =
   | Normal  (** executing the commit protocol FSA *)
   | Leading of { mutable awaiting : Core.Types.site list }
       (** backup coordinator, phase 1: waiting for move acks *)
-  | Polling of { mutable awaiting : Core.Types.site list; mutable polled : (Core.Types.site * string) list }
-      (** quorum termination: collecting participant states before
+  | Polling of { mutable awaiting : Core.Types.site list; mutable polled : (Core.Types.site * int) list }
+      (** quorum termination: collecting participant state codes before
           applying the quorum decision rule *)
   | Stalled
       (** cannot make progress alone (blocked state, or recovered with a
@@ -55,10 +61,12 @@ type presumption = No_presumption | Presume_abort | Presume_commit
 
 type site_rt = {
   site : Core.Types.site;
-  automaton : Core.Automaton.t;
   wal : Wal.t;
-  mutable state : string;
-  mutable inbox : Core.Message.Multiset.t;
+  mutable state : int;  (** the local state's code in the rulebook's tables *)
+  inbox : int array;
+      (** protocol messages delivered and not yet consumed: a count per
+          message code divided by [n + 1] (name and sender; the
+          destination is this site) *)
   mutable steps : int;  (** FSA transitions fired by this incarnation chain *)
   mutable outcome : Core.Types.outcome option;
   mutable ever_crashed : bool;
@@ -239,19 +247,7 @@ type result = {
   run_metrics : Sim.Metrics.t;
 }
 
-let planned_vote cfg site =
-  Option.value ~default:Core.Types.Yes (List.assoc_opt site cfg.votes)
-
-let vote_allowed cfg site (tr : Core.Automaton.transition) =
-  match tr.Core.Automaton.vote with None -> true | Some v -> v = planned_vote cfg site
-
-(* Pick a final state id of the given outcome's kind in this automaton, for
-   aligning the FSA state with a termination decision. *)
-let final_state_for (a : Core.Automaton.t) (o : Core.Types.outcome) =
-  let want = match o with Core.Types.Committed -> Core.Types.Commit | Aborted -> Core.Types.Abort in
-  match List.find_opt (fun s -> s.Core.Automaton.kind = want) a.Core.Automaton.states with
-  | Some s -> s.Core.Automaton.id
-  | None -> (match o with Core.Types.Committed -> "c" | Aborted -> "a")
+module I = Core.Intern
 
 let l_wal_appends = Sim.Metrics.label "wal_appends"
 let l_termination_queries = Sim.Metrics.label "termination_queries"
@@ -275,6 +271,8 @@ module Exec = struct
   type t = {
     cfg : config;
     protocol : Core.Protocol.t;
+    codes : I.t;  (** [cfg.rulebook.codes] *)
+    votes : Core.Types.vote array;  (** site-1 -> planned vote (default yes) *)
     world : Msg.t Sim.World.t;
     store : Wal.Store.t;
     rts : site_rt array;
@@ -291,6 +289,20 @@ module Exec = struct
   let rt t site = t.rts.(site - 1)
 
   let record t fmt = Sim.World.record t.world fmt
+
+  let state_name t code = I.state_name t.codes code
+
+  let state_code t name =
+    match I.state_code t.codes name with
+    | Some code -> code
+    | None -> Fmt.invalid_arg "Runtime: unknown state %s" name
+
+  (* the outcome a state denotes at this site, [None] unless final *)
+  let outcome_at t (rt : site_rt) code =
+    Core.Types.outcome_of_kind (I.kind_of t.codes ~site:rt.site ~code)
+
+  (* inbox slot of a message code addressed to this site *)
+  let slot t code = code / (t.codes.I.n + 1)
 
   (* every log write goes through here so the run's WAL traffic is
      visible in the metrics *)
@@ -325,7 +337,7 @@ module Exec = struct
       else force_wal t rt (Wal.Decided o);
       rt.outcome <- Some o;
       rt.decided_at <- Some (Sim.World.now t.world);
-      rt.state <- final_state_for rt.automaton o;
+      rt.state <- Rulebook.final_code t.cfg.rulebook ~site:rt.site o;
       rt.mode <- Normal;
       let m = Sim.World.metrics t.world in
       Sim.Metrics.sample m l_decision_latency (Sim.World.now t.world);
@@ -337,104 +349,126 @@ module Exec = struct
 
   (* ---------------- FSA execution ---------------- *)
 
-  let rec try_fire t ctx (rt : site_rt) =
+  (* [tr] may fire: its vote is the site's planned one (or it casts
+     none), and the inbox holds every message it consumes.  [c_consumes]
+     is sorted, so a message consumed twice is a run of equal codes; one
+     addressed to another site can never be in this inbox, whose slots
+     drop the destination. *)
+  let fireable t (rt : site_rt) (tr : I.ctrans) =
+    (match tr.I.c_tr.Core.Automaton.vote with None -> true | Some v -> v = t.votes.(rt.site - 1))
+    &&
+    let cons = tr.I.c_consumes in
+    let len = Array.length cons in
+    let rec go i =
+      i >= len
+      ||
+      let code = cons.(i) in
+      let j = ref (i + 1) in
+      while !j < len && cons.(!j) = code do incr j done;
+      I.msg_dst t.codes code = rt.site && rt.inbox.(slot t code) >= !j - i && go !j
+    in
+    go 0
+
+  (* The rest of a transition once its record is durable: sends, volatile
+     state, the decision.  On the synchronous fast path this runs inline
+     and the whole transition is atomic wrt the scheduler, exactly as
+     before the levers existed.  [crash_after_k]: the planned crash after
+     that many sends, -1 for none. *)
+  let rec after_record t ctx (rt : site_rt) (ctr : I.ctrans) ~crash_after_k =
+    rt.firing <- false;
+    let tr = ctr.I.c_tr in
+    let emits = ctr.I.c_emits in
+    let n_emits = Array.length emits in
+    let announces = outcome_at t rt ctr.I.c_to in
+    (* a termination directive may have arrived while the force was in
+       flight: the record is durable but the commit protocol proper is
+       over — adopt the state (it is on stable storage; a poll may
+       honestly report it) but put nothing more on the wire *)
+    let frozen = rt.impaired || rt.mode <> Normal in
+    if not frozen then
+      for i = 0 to n_emits - 1 do
+        if i = crash_after_k then begin
+          if Sim.World.tracing t.world then
+            record t "site %d crashes mid-transition after %d of %d sends" rt.site crash_after_k
+              n_emits;
+          Sim.World.crash_self ctx
+        end;
+        (* sends from a crashed site are dropped by the world, so only
+           live sends count as externally observed *)
+        if Sim.World.is_alive t.world rt.site then begin
+          (match tr.Core.Automaton.vote with
+          | Some Core.Types.Yes -> rt.sent_yes <- true
+          | Some Core.Types.No | None -> ());
+          match announces with Some _ -> rt.announced <- announces | None -> ()
+        end;
+        Sim.World.send ctx ~dst:(I.msg_dst t.codes emits.(i)) (Msg.Proto emits.(i))
+      done;
+    if (not frozen) && crash_after_k >= n_emits then begin
+      if Sim.World.tracing t.world then
+        record t "site %d crashes right after transition to %s" rt.site tr.Core.Automaton.to_state;
+      Sim.World.crash_self ctx
+    end;
+    if t.cfg.late_force && (not (is_ro t rt.site)) && Sim.World.is_alive t.world rt.site then
+      Wal.sync rt.wal;
+    rt.state <- ctr.I.c_to;
+    (if Sim.World.is_alive t.world rt.site then
+       match announces with Some o -> finalize t rt o | None -> ());
+    if Sim.World.is_alive t.world rt.site && not frozen then try_fire t ctx rt
+
+  and try_fire t ctx (rt : site_rt) =
     if rt.outcome = None && rt.mode = Normal && (not rt.impaired) && not rt.firing then begin
-      let enabled =
-        Core.Automaton.enabled rt.automaton rt.state rt.inbox
-        |> List.filter (vote_allowed t.cfg rt.site)
-      in
-      match enabled with
-      | [] -> ()
-      | tr :: _ -> (
-          let crash_mode = Failure_plan.find_step_crash t.cfg.plan ~site:rt.site ~step:rt.steps in
-          match crash_mode with
-          | Some Failure_plan.Before_transition ->
-              record t "site %d crashes before transition %s->%s" rt.site rt.state
+      (* the first fireable transition in [Automaton.transitions_from]
+         order, the order the table was compiled in *)
+      let trs = t.codes.I.trans.(rt.site - 1).(rt.state) in
+      let i = ref 0 in
+      while !i < Array.length trs && not (fireable t rt trs.(!i)) do incr i done;
+      if !i < Array.length trs then begin
+        let ctr = trs.(!i) in
+        let tr = ctr.I.c_tr in
+        match Failure_plan.find_step_crash t.cfg.plan ~site:rt.site ~step:rt.steps with
+        | Some Failure_plan.Before_transition ->
+            if Sim.World.tracing t.world then
+              record t "site %d crashes before transition %s->%s" rt.site (state_name t rt.state)
                 tr.Core.Automaton.to_state;
-              Sim.World.crash_self ctx
-          | _ ->
-              rt.steps <- rt.steps + 1;
-              (match Core.Message.Multiset.remove_all tr.Core.Automaton.consumes rt.inbox with
-              | Some inbox -> rt.inbox <- inbox
-              | None -> assert false);
-              let crash_after_k =
-                match crash_mode with
-                | Some (Failure_plan.After_logging k) -> Some k
-                | Some Failure_plan.After_transition -> Some (List.length tr.Core.Automaton.emits)
-                | Some Failure_plan.Before_transition | None -> None
-              in
-              let announces =
-                Core.Types.outcome_of_kind
-                  (Core.Automaton.kind_of rt.automaton tr.Core.Automaton.to_state)
-              in
-              (* everything after the record is durable: sends, volatile
-                 state, the decision.  On the synchronous fast path this
-                 runs inline and the whole transition is atomic wrt the
-                 scheduler, exactly as before the levers existed. *)
-              let continue () =
-                rt.firing <- false;
-                (* a termination directive may have arrived while the
-                   force was in flight: the record is durable but the
-                   commit protocol proper is over — adopt the state (it
-                   is on stable storage; a poll may honestly report it)
-                   but put nothing more on the wire *)
-                let frozen = rt.impaired || rt.mode <> Normal in
-                if not frozen then
-                  List.iteri
-                    (fun i m ->
-                      (match crash_after_k with
-                      | Some k when i = k ->
-                          record t "site %d crashes mid-transition after %d of %d sends" rt.site
-                            k
-                            (List.length tr.Core.Automaton.emits);
-                          Sim.World.crash_self ctx
-                      | _ -> ());
-                      (* sends from a crashed site are dropped by the world,
-                         so only live sends count as externally observed *)
-                      if Sim.World.is_alive t.world rt.site then begin
-                        (match tr.Core.Automaton.vote with
-                        | Some Core.Types.Yes -> rt.sent_yes <- true
-                        | Some Core.Types.No | None -> ());
-                        match announces with Some o -> rt.announced <- Some o | None -> ()
-                      end;
-                      Sim.World.send ctx ~dst:m.Core.Message.dst (Msg.Proto m))
-                    tr.Core.Automaton.emits;
-                (match crash_after_k with
-                | Some k when (not frozen) && k >= List.length tr.Core.Automaton.emits ->
-                    record t "site %d crashes right after transition to %s" rt.site
-                      tr.Core.Automaton.to_state;
-                    Sim.World.crash_self ctx
-                | _ -> ());
-                if t.cfg.late_force && (not (is_ro t rt.site)) && Sim.World.is_alive t.world rt.site
-                then Wal.sync rt.wal;
-                rt.state <- tr.Core.Automaton.to_state;
-                (if Sim.World.is_alive t.world rt.site then
-                   match
-                     Core.Types.outcome_of_kind (Core.Automaton.kind_of rt.automaton rt.state)
-                   with
-                   | Some o -> finalize t rt o
-                   | None -> ());
-                if Sim.World.is_alive t.world rt.site && not frozen then try_fire t ctx rt
-              in
-              (* Write-ahead: force the transition record before any message
-                 leaves the site — the paper's rule.  Under the [late_force]
-                 ablation only the append happens here; the sync is deferred
-                 until after the sends, opening exactly the
-                 acted-before-durable window the durability oracle must
-                 catch.  Read-only sites never sync at all. *)
-              let record_ =
-                Wal.Transitioned
-                  { to_state = tr.Core.Automaton.to_state; vote = tr.Core.Automaton.vote }
-              in
-              Sim.Metrics.bump (Sim.World.metrics t.world) l_wal_appends;
-              if t.cfg.late_force || is_ro t rt.site then begin
-                Wal.append rt.wal record_;
-                continue ()
-              end
+            Sim.World.crash_self ctx
+        | crash_mode ->
+            rt.steps <- rt.steps + 1;
+            let consumes = ctr.I.c_consumes in
+            for i = 0 to Array.length consumes - 1 do
+              let k = slot t consumes.(i) in
+              rt.inbox.(k) <- rt.inbox.(k) - 1
+            done;
+            let crash_after_k =
+              match crash_mode with
+              | Some (Failure_plan.After_logging k) -> k
+              | Some Failure_plan.After_transition -> Array.length ctr.I.c_emits
+              | Some Failure_plan.Before_transition | None -> -1
+            in
+            (* Write-ahead: force the transition record before any message
+               leaves the site — the paper's rule.  Under the [late_force]
+               ablation only the append happens here; the sync is deferred
+               until after the sends, opening exactly the
+               acted-before-durable window the durability oracle must
+               catch.  Read-only sites never sync at all. *)
+            let record_ =
+              Wal.Transitioned
+                { to_state = tr.Core.Automaton.to_state; vote = tr.Core.Automaton.vote }
+            in
+            Sim.Metrics.bump (Sim.World.metrics t.world) l_wal_appends;
+            if t.cfg.late_force || is_ro t rt.site then begin
+              Wal.append rt.wal record_;
+              after_record t ctx rt ctr ~crash_after_k
+            end
+            else begin
+              rt.firing <- true;
+              if Wal.batched rt.wal then
+                Wal.force_k rt.wal record_ (fun () -> after_record t ctx rt ctr ~crash_after_k)
               else begin
-                rt.firing <- true;
-                Wal.force_k rt.wal record_ continue
-              end)
+                Wal.force rt.wal record_;
+                after_record t ctx rt ctr ~crash_after_k
+              end
+            end
+      end
     end
 
   (* ---------------- queries (recovery & blocked sites) ---------------- *)
@@ -463,7 +497,8 @@ module Exec = struct
   let enter_stalled t ctx (rt : site_rt) =
     if rt.mode <> Stalled then begin
       rt.mode <- Stalled;
-      record t "site %d stalls (state %s): will query for the outcome" rt.site rt.state;
+      record t "site %d stalls (state %s): will query for the outcome" rt.site
+        (state_name t rt.state);
       start_query_loop t ctx rt
     end
 
@@ -528,7 +563,7 @@ module Exec = struct
     | _ -> ()
 
   let leader_decide t ctx (rt : site_rt) =
-    match Rulebook.verdict t.cfg.rulebook ~site:rt.site ~state:rt.state with
+    match Rulebook.verdict_of_code t.cfg.rulebook ~site:rt.site ~code:rt.state with
     | Rulebook.Decide o ->
         finalize t rt o;
         broadcast_decide t ctx rt o
@@ -536,7 +571,7 @@ module Exec = struct
         (* The decision rule offers no safe outcome: the site blocks.  It
            keeps querying in case a crashed site recovers and resolves the
            transaction (the only way out for 2PC). *)
-        record t "backup %d is BLOCKED in state %s" rt.site rt.state;
+        record t "backup %d is BLOCKED in state %s" rt.site (state_name t rt.state);
         enter_stalled t ctx rt
 
   let maybe_finish_phase1 t ctx (rt : site_rt) =
@@ -568,33 +603,25 @@ module Exec = struct
             record t "backup %d crashes after sending %d move(s)" rt.site k;
             Sim.World.crash_self ctx
         | _ -> ());
-        Sim.World.send ctx ~dst (Msg.Move_to { target; epoch = rt.lead_epoch }))
+        Sim.World.send ctx ~dst
+          (Msg.Move_to { target = state_name t target; epoch = rt.lead_epoch }))
       participants;
     (match crash_after with
     | Some k when k >= List.length participants -> Sim.World.crash_self ctx
     | _ -> ());
     if Sim.World.is_alive t.world rt.site then maybe_finish_phase1 t ctx rt
 
-  (* The buffer ("prepared to commit") state id of this site's FSA. *)
-  let buffer_state_id (rt : site_rt) =
-    List.find_opt
-      (fun (s : Core.Automaton.state) -> s.Core.Automaton.kind = Core.Types.Buffer)
-      rt.automaton.Core.Automaton.states
-    |> Option.map (fun s -> s.Core.Automaton.id)
+  (* The buffer ("prepared to commit") state of this site's FSA. *)
+  let buffer_state t (rt : site_rt) = t.cfg.rulebook.Rulebook.buffer_code.(rt.site - 1)
 
   (* The quorum decision rule over the collected view (which includes the
      leader's own state).  Monotone: sites are only ever moved up into the
      buffer state, so the prepared count can only grow and two quorate
      decisions can never disagree. *)
-  let evaluate_quorum t ctx (rt : site_rt) ~q ~(polled : (Core.Types.site * string) list) =
+  let evaluate_quorum t ctx (rt : site_rt) ~q ~(polled : (Core.Types.site * int) list) =
     if rt.outcome <> None then ()
     else begin
-      let kinds =
-        List.map
-          (fun (site, state) ->
-            Core.Automaton.kind_of (Core.Protocol.automaton t.protocol site) state)
-          polled
-      in
+      let kinds = List.map (fun (site, code) -> I.kind_of t.codes ~site ~code) polled in
       let n_prepared =
         List.length (List.filter (fun k -> k = Core.Types.Buffer || Core.Types.is_commit k) kinds)
       in
@@ -610,12 +637,12 @@ module Exec = struct
         broadcast_decide t ctx rt Core.Types.Aborted
       end
       else if n_prepared >= q then begin
-        match buffer_state_id rt with
+        match buffer_state t rt with
         | Some p ->
             record t "quorum backup %d: %d prepared >= %d -> move up and COMMIT" rt.site
               n_prepared q;
             if rt.state <> p then begin
-              force_wal t rt (Wal.Moved { to_state = p });
+              force_wal t rt (Wal.Moved { to_state = state_name t p });
               rt.state <- p
             end;
             run_phase1 t ctx rt ~target:p
@@ -626,7 +653,7 @@ module Exec = struct
             record t "quorum backup %d: no buffer state, cannot commit -> wait" rt.site;
             enter_stalled t ctx rt
       end
-      else if n_unprepared >= q && buffer_state_id rt <> None then begin
+      else if n_unprepared >= q && buffer_state t rt <> None then begin
         (* Monotonicity makes phase 1 unnecessary on the abort side: the
            unprepared count can only have been larger in the past, so no
            commit quorum can ever have existed.  This reasoning consumes
@@ -663,7 +690,8 @@ module Exec = struct
            deposed backup may be deposed in error and come back — it must
            outrank its own stale orders). *)
         let e = if t.cfg.detector then next_epoch t rt else rt.site - 1 in
-        record t "site %d becomes backup coordinator (state %s, epoch %d)" rt.site rt.state e;
+        record t "site %d becomes backup coordinator (state %s, epoch %d)" rt.site
+          (state_name t rt.state) e;
         rt.lead_epoch <- e;
         rt.epoch_seen <- max rt.epoch_seen e;
         t.directive_epochs <- (rt.site, e) :: t.directive_epochs;
@@ -685,9 +713,9 @@ module Exec = struct
                   participants;
                 maybe_finish_poll t ctx rt ~q)
             | Skeen -> (
-                match Rulebook.verdict t.cfg.rulebook ~site:rt.site ~state:rt.state with
+                match Rulebook.verdict_of_code t.cfg.rulebook ~site:rt.site ~code:rt.state with
                 | Rulebook.Blocked ->
-                    record t "backup %d is BLOCKED in state %s" rt.site rt.state;
+                    record t "backup %d is BLOCKED in state %s" rt.site (state_name t rt.state);
                     enter_stalled t ctx rt
                 | Rulebook.Decide _ ->
                     (* Phase 1: move every reachable, never-crashed
@@ -757,9 +785,9 @@ module Exec = struct
   let on_message t ctx ~src msg =
     let rt = rt t ctx.Sim.World.self in
     match msg with
-    | Msg.Proto m ->
+    | Msg.Proto code ->
         if rt.outcome = None then begin
-          rt.inbox <- Core.Message.Multiset.add m rt.inbox;
+          rt.inbox.(slot t code) <- rt.inbox.(slot t code) + 1;
           try_fire t ctx rt
         end
     | Msg.Heartbeat ->
@@ -796,12 +824,14 @@ module Exec = struct
               (* under the detector a directive is also the failure signal
                  itself: freeze the FSA exactly as an oracle report would *)
               if t.cfg.detector then rt.impaired <- true;
-              if rt.state <> s then begin
+              let target = state_code t s in
+              if rt.state <> target then begin
                 (* forced before the ack: the backup will decide from the
                    belief that this move is stable *)
                 force_wal t rt (Wal.Moved { to_state = s });
-                record t "site %d moves %s -> %s at backup's request" rt.site rt.state s;
-                rt.state <- s
+                record t "site %d moves %s -> %s at backup's request" rt.site
+                  (state_name t rt.state) s;
+                rt.state <- target
               end;
               Sim.World.send ctx ~dst:src (Msg.Move_ack s)
             end)
@@ -826,12 +856,13 @@ module Exec = struct
           (* quorum poll: recovered sites that have not resolved keep quiet
              (their pre-crash state is stale); everyone else reports *)
           if rt.outcome <> None || not rt.ever_crashed then
-            Sim.World.send ctx ~dst:src (Msg.State_rep rt.state)
+            Sim.World.send ctx ~dst:src (Msg.State_rep (state_name t rt.state))
         end
     | Msg.State_rep s -> (
         match (rt.mode, t.cfg.termination) with
         | Polling p, Quorum q ->
-            if not (List.mem_assoc src p.polled) then p.polled <- (src, s) :: p.polled;
+            if not (List.mem_assoc src p.polled) then
+              p.polled <- (src, state_code t s) :: p.polled;
             p.awaiting <- List.filter (fun x -> x <> src) p.awaiting;
             maybe_finish_poll t ctx rt ~q
         | _ -> ())
@@ -968,7 +999,7 @@ module Exec = struct
   let on_restart t ctx =
     let rt = rt t ctx.Sim.World.self in
     rt.ever_crashed <- true;
-    rt.inbox <- Core.Message.Multiset.empty;
+    Array.fill rt.inbox 0 (Array.length rt.inbox) 0;
     rt.mode <- Normal;
     rt.campaigning <- false;
     rt.firing <- false;
@@ -979,16 +1010,16 @@ module Exec = struct
        pre-crash [outcome] would resurrect a decision the disk lost —
        exactly what the durability oracle exists to catch, not mask. *)
     rt.outcome <- None;
-    (match Wal.last_state rt.wal with Some s -> rt.state <- s | None -> ());
+    (match Wal.last_state rt.wal with Some s -> rt.state <- state_code t s | None -> ());
     rt.steps <-
       List.length
         (List.filter (function Wal.Transitioned _ -> true | _ -> false) (Wal.records rt.wal));
     (match Wal.decided rt.wal with
     | Some o ->
         rt.outcome <- Some o;
-        rt.state <- final_state_for rt.automaton o
+        rt.state <- Rulebook.final_code t.cfg.rulebook ~site:rt.site o
     | None -> (
-        match Core.Types.outcome_of_kind (Core.Automaton.kind_of rt.automaton rt.state) with
+        match outcome_at t rt rt.state with
         | Some o ->
             (* The forced log reached a final state before the crash: the
                decision stands even if the [Decided] record is missing. *)
@@ -1002,7 +1033,10 @@ module Exec = struct
               record t "read-only site %d recovers: must ask peers" rt.site;
               enter_stalled t ctx rt
             end
-            else if (not (Wal.voted_yes rt.wal)) && site_has_veto rt.automaton then begin
+            else if
+              (not (Wal.voted_yes rt.wal))
+              && site_has_veto (Core.Protocol.automaton t.protocol rt.site)
+            then begin
               record t "site %d recovers before its commit point: unilateral abort" rt.site;
               finalize t rt Core.Types.Aborted
             end
@@ -1072,8 +1106,11 @@ end
     site. *)
 let run (cfg : config) : result =
   let protocol = cfg.rulebook.Rulebook.protocol in
+  let codes = cfg.rulebook.Rulebook.codes in
   let n = Core.Protocol.n_sites protocol in
-  let world = Sim.World.create ~n_sites:n ~seed:cfg.seed ~msg_to_string:Msg.to_string () in
+  let world =
+    Sim.World.create ~n_sites:n ~seed:cfg.seed ~msg_to_string:(Msg.to_string codes) ()
+  in
   Sim.World.set_tracing world cfg.tracing;
   let store =
     Wal.Store.create ~durable:cfg.durable_wal ?group_commit:cfg.group_commit
@@ -1083,17 +1120,19 @@ let run (cfg : config) : result =
   let rts =
     Array.init n (fun i ->
         let site = i + 1 in
-        let automaton = Core.Protocol.automaton protocol site in
         let wal = Wal.Store.log store ~site in
         Sim.Metrics.bump (Sim.World.metrics world) l_wal_appends;
         Wal.force wal
-          (Wal.Began { protocol = protocol.Core.Protocol.name; initial = automaton.Core.Automaton.initial });
+          (Wal.Began
+             {
+               protocol = protocol.Core.Protocol.name;
+               initial = (Core.Protocol.automaton protocol site).Core.Automaton.initial;
+             });
         {
           site;
-          automaton;
           wal;
-          state = automaton.Core.Automaton.initial;
-          inbox = Core.Message.Multiset.empty;
+          state = codes.I.initial_locals.(i);
+          inbox = Array.make (I.size codes.I.msg_names * (n + 1)) 0;
           steps = 0;
           outcome = None;
           ever_crashed = false;
@@ -1115,6 +1154,10 @@ let run (cfg : config) : result =
     {
       Exec.cfg;
       protocol;
+      codes;
+      votes =
+        Array.init n (fun i ->
+            Option.value ~default:Core.Types.Yes (List.assoc_opt (i + 1) cfg.votes));
       world;
       store;
       rts;
@@ -1134,7 +1177,8 @@ let run (cfg : config) : result =
            ());
   (* Environment input: the initial transaction requests. *)
   List.iter
-    (fun m -> Sim.World.inject world ~dst:m.Core.Message.dst ~at:0.01 (Msg.Proto m))
+    (fun m ->
+      Sim.World.inject world ~dst:m.Core.Message.dst ~at:0.01 (Msg.Proto (I.encode_msg codes m)))
     protocol.Core.Protocol.initial_network;
   (* Every time-pinned fault.  Detector-stressing windows go in
      regardless of mode: a latency spike perturbs message timing either
@@ -1147,7 +1191,7 @@ let run (cfg : config) : result =
     | Some o -> Some o
     | None -> (
         match Wal.last_state rt.wal with
-        | Some s -> Core.Types.outcome_of_kind (Core.Automaton.kind_of rt.automaton s)
+        | Some s -> Exec.outcome_at exec rt (Exec.state_code exec s)
         | None -> None)
   in
   let reports =
@@ -1157,7 +1201,7 @@ let run (cfg : config) : result =
              site = rt.site;
              outcome = rt.outcome;
              wal_outcome = wal_outcome rt;
-             final_state = rt.state;
+             final_state = Exec.state_name exec rt.state;
              operational = Sim.World.is_alive world rt.site;
              ever_crashed = rt.ever_crashed || not (Sim.World.is_alive world rt.site);
              decided_at = rt.decided_at;

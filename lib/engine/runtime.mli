@@ -4,6 +4,16 @@
     recovery protocol.  Every failure-time decision comes from the
     compiled {!Rulebook}.
 
+    The interpreter executes the rulebook's int-coded tables (the
+    [codes] of {!Rulebook.t}): a site's state is a state code, its inbox a
+    count per message code, and a step fires the first transition of
+    [codes.trans] for the current code (compiled in
+    {!Core.Automaton.transitions_from} order) that the inbox enables and
+    the site's planned vote allows.  Kinds, verdicts and final states are
+    array reads.  State names appear only at the edges — log records,
+    termination messages, reports' [final_state] and traces — so logs,
+    traces and reports are those of the string interpreter it replaced.
+
     Election: the backup coordinator is the operational site with the
     smallest id that has not previously crashed during this transaction
     (deterministic under the paper's reliable failure detector);

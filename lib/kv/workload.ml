@@ -18,7 +18,24 @@ type spec = {
 let default_spec =
   { n_txns = 200; arrival_rate = 0.5; keys = 64; ops_per_txn = 4; write_ratio = 0.5; zipf_skew = 0.0 }
 
-let key_name i = Fmt.str "k%04d" i
+(* [Printf.sprintf "k%04d" i], built in one allocation: the generators
+   name a key on every operation they draw. *)
+let key_name i =
+  if i < 0 then Printf.sprintf "k%04d" i
+  else begin
+    let rec digits n = if n < 10 then 1 else 1 + digits (n / 10) in
+    let len = max 4 (digits i) in
+    let b = Bytes.make (len + 1) '0' in
+    Bytes.set b 0 'k';
+    let rec fill n pos =
+      if n > 0 then begin
+        Bytes.set b pos (Char.unsafe_chr (48 + (n mod 10)));
+        fill (n / 10) (pos - 1)
+      end
+    in
+    fill i len;
+    Bytes.unsafe_to_string b
+  end
 
 (** Zipf-ish key draw by inverse-power rejection-free CDF sampling over a
     precomputed table. *)

@@ -11,6 +11,7 @@ type spec = {
 
 val default_spec : spec
 val key_name : int -> string
+(** The key named by index [i]: [Printf.sprintf "k%04d" i]. *)
 
 val mixed : Sim.Rng.t -> spec -> (float * Txn.t) list
 (** Generic read/write workload with Poisson arrivals; transaction ids

@@ -91,6 +91,11 @@ module type S = sig
   val pending_forces : t -> int
   (** Forces whose completion callback has not yet fired. *)
 
+  val batched : t -> bool
+  (** A batcher is armed (group commit or sync latency): [force_k]
+      defers its callback.  Otherwise [force_k t r k] is [force t r; k ()],
+      and a caller may skip building [k]. *)
+
   val crash : t -> repair option
   (** Lose the unsynced tail (with whatever storage faults are armed),
       rescan the durable image, truncate at the first frame that fails
@@ -214,6 +219,7 @@ module Make (R : RECORD) : S with type record := R.record = struct
 
   let after_durable t k = match t.batch with None -> k () | Some b -> Batch.barrier b k
   let pending_forces t = match t.batch with None -> 0 | Some b -> Batch.pending b
+  let batched t = t.batch <> None
 
   let set_faults t injections =
     match t.mode with Memory -> () | Durable disk -> Disk.set_faults disk injections

@@ -147,9 +147,17 @@ let test_workload_zipf_skew () =
   in
   Alcotest.(check bool) "skew concentrates on low keys" true (count 0 > count 50)
 
+let test_key_name () =
+  let mismatches =
+    List.init 20_013 (fun i -> i - 12)
+    |> List.filter (fun i -> Kv.Workload.key_name i <> Printf.sprintf "k%04d" i)
+  in
+  Alcotest.(check (list int)) "indices in -12..20000 named unlike k%04d" [] mismatches
+
 let suite =
   [
     Alcotest.test_case "storage basics" `Quick test_storage_basic;
+    Alcotest.test_case "key names are k%04d" `Quick test_key_name;
     Alcotest.test_case "storage apply journal" `Quick test_storage_apply;
     Alcotest.test_case "key partitioning" `Quick test_txn_partitioning;
     Alcotest.test_case "participants and coordinator" `Quick test_txn_participants;

@@ -42,6 +42,62 @@ let prop_shuffle_permutation =
       let rng = Sim.Rng.create ~seed in
       List.sort compare (Sim.Rng.shuffle rng l) = List.sort compare l)
 
+(* The boxed splitmix64 that [Sim.Rng] kept in a mutable [int64] field
+   before its state moved into an unboxed byte buffer: the reference for
+   the differential below. *)
+module Boxed_rng = struct
+  type t = { mutable state : int64 }
+
+  let create ~seed = { state = Int64.of_int seed }
+
+  let next_int64 t =
+    let open Int64 in
+    t.state <- add t.state 0x9E3779B97F4A7C15L;
+    let z = t.state in
+    let z = mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
+    let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
+    logxor z (shift_right_logical z 31)
+
+  let split t =
+    let x = next_int64 t in
+    let open Int64 in
+    { state = logxor (mul x 0x9E3779B97F4A7C15L) 0xBF58476D1CE4E5B9L }
+
+  let int t bound =
+    Int64.to_int (Int64.rem (Int64.shift_right_logical (next_int64 t) 1) (Int64.of_int bound))
+
+  let float t bound =
+    let x = Int64.to_float (Int64.shift_right_logical (next_int64 t) 11) in
+    x /. 9007199254740992.0 *. bound
+
+  let bool t = Int64.logand (next_int64 t) 1L = 1L
+end
+
+(* 10,000 mixed draws (int over varying bounds, float, bool, int64, and
+   splits that continue on the child or the parent) from a random seed
+   match the boxed reference draw for draw. *)
+let prop_rng_matches_boxed_reference =
+  Helpers.qtest ~count:25 "rng draws match the boxed reference"
+    QCheck2.Gen.(
+      pair int (list_size (return 10_000) (pair (int_range 0 4) (int_range 1 (1 lsl 40)))))
+    (fun (seed, ops) ->
+      let r = ref (Boxed_rng.create ~seed) and g = ref (Sim.Rng.create ~seed) in
+      List.for_all
+        (fun (op, bound) ->
+          match op with
+          | 0 -> Boxed_rng.int !r bound = Sim.Rng.int !g bound
+          | 1 -> Float.equal (Boxed_rng.float !r 3.5) (Sim.Rng.float !g 3.5)
+          | 2 -> Boxed_rng.bool !r = Sim.Rng.bool !g
+          | 3 -> Int64.equal (Boxed_rng.next_int64 !r) (Sim.Rng.next_int64 !g)
+          | _ ->
+              let rc = Boxed_rng.split !r and gc = Sim.Rng.split !g in
+              if Boxed_rng.bool rc = Sim.Rng.bool gc then begin
+                r := rc;
+                g := gc
+              end;
+              Int64.equal (Boxed_rng.next_int64 !r) (Sim.Rng.next_int64 !g))
+        ops)
+
 let test_rng_split_independent () =
   let a = Sim.Rng.create ~seed:5 in
   let b = Sim.Rng.split a in
@@ -549,6 +605,7 @@ let suite =
     Alcotest.test_case "rng seed sensitivity" `Quick test_rng_seed_sensitivity;
     prop_rng_int_range;
     prop_rng_float_range;
+    prop_rng_matches_boxed_reference;
     prop_shuffle_permutation;
     Alcotest.test_case "rng split independence" `Quick test_rng_split_independent;
     Alcotest.test_case "rng bool mixes" `Quick test_rng_bool_mixes;
