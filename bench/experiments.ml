@@ -89,8 +89,9 @@ let e5_buffer_synthesis () =
   Fmt.pr "%a@." Core.Skeleton.pp synth;
   check "E5 canonical 2PC + buffer state = canonical 3PC"
     (Core.Skeleton.equal synth Core.Skeleton.canonical_3pc);
-  let graph = Core.Reachability.build (Core.Catalog.central_2pc 3) in
-  let { Core.Synthesis.protocol; buffers_added } = Core.Synthesis.buffer_protocol graph in
+  let { Core.Synthesis.protocol; buffers_added } =
+    Core.Synthesis.buffer_protocol (Core.Catalog.central_2pc 3)
+  in
   Fmt.pr "message-level synthesis added buffer states: %a@."
     Fmt.(list ~sep:comma (pair ~sep:(any ":") int string))
     buffers_added;

@@ -33,9 +33,9 @@ let b_synchrony =
     (Staged.stage (fun () -> ignore (Core.Synchrony.check (Core.Catalog.central_2pc 3))))
 
 let b_synthesis =
-  let graph = Core.Reachability.build (Core.Catalog.central_2pc 3) in
+  let p = Core.Catalog.central_2pc 3 in
   Test.make ~name:"buffer synthesis: central-2pc n=3"
-    (Staged.stage (fun () -> ignore (Core.Synthesis.buffer_protocol graph)))
+    (Staged.stage (fun () -> ignore (Core.Synthesis.buffer_protocol p)))
 
 let b_runtime_2pc =
   let rb = Engine.Rulebook.compile (Core.Catalog.central_2pc 3) in

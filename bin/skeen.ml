@@ -360,8 +360,9 @@ let fsa_cmd =
 
 let synthesize_cmd =
   let run n =
-    let graph = Core.Reachability.build (build "synthesize" "central-2pc" n) in
-    let { Core.Synthesis.protocol; buffers_added } = Core.Synthesis.buffer_protocol graph in
+    let { Core.Synthesis.protocol; buffers_added } =
+      Core.Synthesis.buffer_protocol (build "synthesize" "central-2pc" n)
+    in
     Fmt.pr "added buffer states: %a@.@."
       Fmt.(box (list ~sep:comma (pair ~sep:(any ":") int string)))
       buffers_added;

@@ -25,7 +25,7 @@ let () =
 
   (* Step 4: transform.  A buffer state is spliced in front of every
      commit transition reachable from a noncommittable state. *)
-  let { Core.Synthesis.protocol = p3; buffers_added } = Core.Synthesis.buffer_protocol graph in
+  let { Core.Synthesis.protocol = p3; buffers_added } = Core.Synthesis.buffer_protocol p2 in
   Fmt.pr "buffer states added: %a@.@."
     Fmt.(list ~sep:comma (pair ~sep:(any " at site ") int string))
     (List.map (fun (s, b) -> (s, b)) buffers_added);
@@ -36,7 +36,7 @@ let () =
   assert report3.Core.Nonblocking.nonblocking;
 
   (* Step 6: the canonical view.  Abstracting both the synthesized
-     protocol and the paper's hand-written 3PC yields the same skeleton as
+     protocol and the paper's 3PC figure yields the same skeleton as
      transforming the canonical 2PC directly. *)
   let canonical = Core.Synthesis.buffer_skeleton Core.Skeleton.canonical_2pc in
   Fmt.pr "canonical transformation:@.%a@." Core.Skeleton.pp canonical;

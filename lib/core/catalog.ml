@@ -29,7 +29,6 @@ let check_n n =
    names of the paper are reused at every site: q, w, p, a, c. *)
 let st_q = { Automaton.id = "q"; kind = Types.Initial }
 let st_w = { Automaton.id = "w"; kind = Types.Wait }
-let st_p = { Automaton.id = "p"; kind = Types.Buffer }
 let st_a = { Automaton.id = "a"; kind = Types.Abort }
 let st_c = { Automaton.id = "c"; kind = Types.Commit }
 
@@ -160,124 +159,6 @@ let central_2pc n =
     ~initial_network:[ msg Message.request Types.env 1 ]
 
 (* ------------------------------------------------------------------ *)
-(* Central-site 3PC (paper Fig. "A nonblocking central site 3PC")      *)
-(* ------------------------------------------------------------------ *)
-
-let central_coordinator_3pc n =
-  let slaves = List.init (n - 1) (fun i -> i + 2) in
-  let t_start =
-    {
-      Automaton.from_state = "q";
-      to_state = "w";
-      consumes = [ msg Message.request Types.env 1 ];
-      emits = List.map (fun i -> msg Message.xact 1 i) slaves;
-      vote = None;
-    }
-  in
-  let decision_transitions =
-    vote_vectors slaves
-    |> List.concat_map (fun vector ->
-           let consumed = List.map (vote_msg ~dst:1) vector in
-           if all_yes vector then
-             [
-               (* all yes / prepare_2 … prepare_n : enter the buffer state *)
-               {
-                 Automaton.from_state = "w";
-                 to_state = "p";
-                 consumes = consumed;
-                 emits = List.map (fun i -> msg Message.prepare 1 i) slaves;
-                 vote = Some Types.Yes;
-               };
-               {
-                 Automaton.from_state = "w";
-                 to_state = "a";
-                 consumes = consumed;
-                 emits = List.map (fun i -> msg Message.abort 1 i) slaves;
-                 vote = Some Types.No;
-               };
-             ]
-           else
-             [
-               {
-                 Automaton.from_state = "w";
-                 to_state = "a";
-                 consumes = consumed;
-                 emits =
-                   List.filter_map
-                     (fun (i, v) ->
-                       if v = Types.Yes then Some (msg Message.abort 1 i) else None)
-                     vector;
-                 vote = None;
-               };
-             ])
-  in
-  let t_commit =
-    {
-      Automaton.from_state = "p";
-      to_state = "c";
-      consumes = List.map (fun i -> msg Message.ack i 1) slaves;
-      emits = List.map (fun i -> msg Message.commit 1 i) slaves;
-      vote = None;
-    }
-  in
-  Automaton.make ~site:1
-    ~states:[ st_q; st_w; st_p; st_a; st_c ]
-    ~initial:"q"
-    ~transitions:((t_start :: decision_transitions) @ [ t_commit ])
-
-let central_slave_3pc i =
-  Automaton.make ~site:i
-    ~states:[ st_q; st_w; st_p; st_a; st_c ]
-    ~initial:"q"
-    ~transitions:
-      [
-        {
-          from_state = "q";
-          to_state = "w";
-          consumes = [ msg Message.xact 1 i ];
-          emits = [ msg Message.yes i 1 ];
-          vote = Some Types.Yes;
-        };
-        {
-          from_state = "q";
-          to_state = "a";
-          consumes = [ msg Message.xact 1 i ];
-          emits = [ msg Message.no i 1 ];
-          vote = Some Types.No;
-        };
-        {
-          from_state = "w";
-          to_state = "p";
-          consumes = [ msg Message.prepare 1 i ];
-          emits = [ msg Message.ack i 1 ];
-          vote = None;
-        };
-        {
-          from_state = "w";
-          to_state = "a";
-          consumes = [ msg Message.abort 1 i ];
-          emits = [];
-          vote = None;
-        };
-        {
-          from_state = "p";
-          to_state = "c";
-          consumes = [ msg Message.commit 1 i ];
-          emits = [];
-          vote = None;
-        };
-      ]
-
-(** Central-site three-phase commit on [n] sites: 2PC with the buffer state
-    [p] (prepared to commit) inserted between [w] and [c]. *)
-let central_3pc n =
-  check_n n;
-  Protocol.make ~name:(Fmt.str "central-3pc-%d" n) ~paradigm:Protocol.Central_site
-    ~automata:
-      (Array.init n (fun i -> if i = 0 then central_coordinator_3pc n else central_slave_3pc (i + 1)))
-    ~initial_network:[ msg Message.request Types.env 1 ]
-
-(* ------------------------------------------------------------------ *)
 (* Decentralized 2PC (paper Fig. "The decentralized 2PC protocol")     *)
 (* ------------------------------------------------------------------ *)
 
@@ -342,75 +223,22 @@ let decentralized_2pc n =
     ~initial_network:(List.init n (fun i -> msg Message.xact Types.env (i + 1)))
 
 (* ------------------------------------------------------------------ *)
-(* Decentralized 3PC (paper Fig. "A nonblocking decentralized 3PC")    *)
+(* 3PC (paper Figs. "A nonblocking central site 3PC", "A nonblocking    *)
+(* decentralized 3PC"): the design method of §6 applied to 2PC          *)
 (* ------------------------------------------------------------------ *)
 
-let dec_site_3pc n i =
-  let everyone = List.init n (fun j -> j + 1) in
-  let t_vote_yes =
-    {
-      Automaton.from_state = "q";
-      to_state = "w";
-      consumes = [ msg Message.xact Types.env i ];
-      emits = List.map (fun j -> msg Message.yes i j) everyone;
-      vote = Some Types.Yes;
-    }
-  and t_vote_no =
-    {
-      Automaton.from_state = "q";
-      to_state = "a";
-      consumes = [ msg Message.xact Types.env i ];
-      emits = List.map (fun j -> msg Message.no i j) everyone;
-      vote = Some Types.No;
-    }
-  in
-  let decision_transitions =
-    vote_vectors everyone
-    |> List.filter_map (fun vector ->
-           if List.assoc i vector <> Types.Yes then None
-           else
-             let consumed = List.map (vote_msg ~dst:i) vector in
-             if all_yes vector then
-               Some
-                 {
-                   Automaton.from_state = "w";
-                   to_state = "p";
-                   consumes = consumed;
-                   emits = List.map (fun j -> msg Message.prepare i j) everyone;
-                   vote = None;
-                 }
-             else
-               Some
-                 {
-                   Automaton.from_state = "w";
-                   to_state = "a";
-                   consumes = consumed;
-                   emits = [];
-                   vote = None;
-                 })
-  in
-  let t_commit =
-    {
-      Automaton.from_state = "p";
-      to_state = "c";
-      consumes = List.map (fun j -> msg Message.prepare j i) everyone;
-      emits = [];
-      vote = None;
-    }
-  in
-  Automaton.make ~site:i
-    ~states:[ st_q; st_w; st_p; st_a; st_c ]
-    ~initial:"q"
-    ~transitions:(t_vote_yes :: t_vote_no :: decision_transitions @ [ t_commit ])
+(** Central-site three-phase commit on [n] sites: central 2PC with the
+    buffer state [p] (prepared to commit) inserted between [w] and [c]. *)
+let central_3pc n =
+  { (Synthesis.buffer_protocol (central_2pc n)).protocol with
+    Protocol.name = Fmt.str "central-3pc-%d" n }
 
-(** Fully decentralized three-phase commit: a third round of [prepare]
-    interchange is inserted before committing, making the protocol
-    nonblocking. *)
+(** Fully decentralized three-phase commit: decentralized 2PC with a third
+    round of [prepare] interchange inserted before committing, making the
+    protocol nonblocking. *)
 let decentralized_3pc n =
-  check_n n;
-  Protocol.make ~name:(Fmt.str "decentralized-3pc-%d" n) ~paradigm:Protocol.Decentralized
-    ~automata:(Array.init n (fun i -> dec_site_3pc n (i + 1)))
-    ~initial_network:(List.init n (fun i -> msg Message.xact Types.env (i + 1)))
+  { (Synthesis.buffer_protocol (decentralized_2pc n)).protocol with
+    Protocol.name = Fmt.str "decentralized-3pc-%d" n }
 
 (* ------------------------------------------------------------------ *)
 (* 1PC (paper §"1-Phase Commit Protocol")                              *)

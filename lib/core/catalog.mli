@@ -3,7 +3,11 @@
 
     Vote collectors read the complete string of votes in one transition
     (as in the paper's figures), so transition counts are exponential in
-    the number of voters; generators insist on [n <= max_sites]. *)
+    the number of voters; generators insist on [n <= max_sites].
+
+    The 3PCs are not written out: each is the paper's design method
+    ({!Synthesis.buffer_protocol}) applied to the 2PC of its paradigm,
+    renamed. *)
 
 val max_sites : int
 
@@ -12,15 +16,20 @@ val central_2pc : int -> Protocol.t
     slaves. *)
 
 val central_3pc : int -> Protocol.t
-(** Central-site three-phase commit: 2PC with the buffer state [p]
-    between [w] and [c] (prepare/ack phase). *)
+(** Central-site three-phase commit ["central-3pc-n"]: {!central_2pc} with
+    the buffer state [p] between [w] and [c] at every site.  The
+    coordinator's all-yes transition sends [prepare] and enters [p]; it
+    commits once every slave's [ack] arrives.  A slave answers [prepare]
+    with [ack]. *)
 
 val decentralized_2pc : int -> Protocol.t
 (** Every site runs the same FSA, broadcasting its vote (including to
     itself, per the paper) and reading the full vote vector. *)
 
 val decentralized_3pc : int -> Protocol.t
-(** A third interchange of [prepare] messages before committing. *)
+(** Decentralized three-phase commit ["decentralized-3pc-n"]:
+    {!decentralized_2pc} with the buffer state [p] between [w] and [c], and
+    a third interchange of [prepare] messages before committing. *)
 
 val one_pc : int -> Protocol.t
 (** One-phase commit: the coordinator relays the client's decision;

@@ -13,11 +13,20 @@
     - {!buffer_skeleton} transforms a canonical skeleton (pure graph
       rewrite) — applied to {!Skeleton.canonical_2pc} it yields exactly
       {!Skeleton.canonical_3pc};
-    - {!buffer_protocol} transforms a full message-level catalog protocol
-      by splicing a prepare/ack phase in front of every commit-entering
-      transition — applied to [Catalog.central_2pc] it yields a protocol
-      whose analysis is nonblocking and whose skeleton equals canonical
-      3PC. *)
+    - {!buffer_protocol} transforms a full message-level protocol by
+      splicing a prepare phase in front of every commit-entering
+      transition — applied to the catalog's 2PCs it yields the catalog's
+      3PCs, which are defined that way. *)
+
+(* [k] fresh buffer-state names ["p"], ["p1"], ["p2"], … avoiding [taken]. *)
+let fresh_names taken k =
+  let rec go j k acc =
+    if k = 0 then List.rev acc
+    else
+      let cand = if j = 0 then "p" else Fmt.str "p%d" j in
+      if List.mem cand taken then go (j + 1) k acc else go (j + 1) (k - 1) (cand :: acc)
+  in
+  go 0 k []
 
 (** [buffer_skeleton sk] inserts a fresh buffer state on every edge from a
     noncommittable state into a commit state.  The buffer state is marked
@@ -33,25 +42,8 @@ let buffer_skeleton (sk : Skeleton.t) : Skeleton.t =
   in
   if offending = [] then sk
   else begin
-    let fresh_names =
-      let taken = List.map (fun s -> s.Skeleton.id) sk.Skeleton.states in
-      let rec gen i acc = function
-        | [] -> List.rev acc
-        | _ :: rest ->
-            let rec next j =
-              let cand = if j = 0 then "p" else Fmt.str "p%d" j in
-              if List.mem cand taken || List.mem cand acc then next (j + 1) else cand
-            in
-            let name = next i in
-            gen (i + 1) (name :: acc) rest
-      in
-      gen 0 [] offending
-    in
-    let buffers =
-      List.map2
-        (fun (src, dst) name -> ((src, dst), name))
-        offending fresh_names
-    in
+    let taken = List.map (fun s -> s.Skeleton.id) sk.Skeleton.states in
+    let buffers = List.combine offending (fresh_names taken (List.length offending)) in
     let states =
       sk.Skeleton.states
       @ List.map
@@ -69,196 +61,120 @@ let buffer_skeleton (sk : Skeleton.t) : Skeleton.t =
     Skeleton.make ~name:(sk.Skeleton.name ^ "+buffer") ~states ~initial:sk.Skeleton.initial ~edges
   end
 
+(** [committable a state]: a state is committable iff it is a commit state,
+    or it is not final and all its successors are committable. *)
+let committable (a : Automaton.t) : string -> bool =
+  let memo = Hashtbl.create 8 in
+  let rec go id =
+    match Hashtbl.find_opt memo id with
+    | Some b -> b
+    | None ->
+        let kind = Automaton.kind_of a id in
+        let b =
+          Types.is_commit kind
+          || ((not (Types.is_final kind)) && List.for_all go (Automaton.successors a id))
+        in
+        Hashtbl.add memo id b;
+        b
+  in
+  go
+
 (** Result of transforming a full protocol: the rewritten protocol plus the
     names of the buffer states introduced at each site. *)
 type protocol_result = { protocol : Protocol.t; buffers_added : (Types.site * string) list }
 
 (* Rewrites one FSA: every transition [src -> c] where [c] is a commit state
-   and [src] is noncommittable gets split into [src -> p] and [p -> c].  In
-   the central-site paradigm the coordinator announces the new phase with
-   [prepare] and collects [ack]; slaves answer [prepare] with [ack] and wait
-   for the deferred commit notice. *)
-let buffer_automaton ~role ~peers ~(is_committable : string -> bool) (a : Automaton.t) :
-    Automaton.t * string list =
-  let offending =
-    List.filter
-      (fun (tr : Automaton.transition) ->
-        Types.is_commit (Automaton.kind_of a tr.Automaton.to_state)
-        && not (is_committable tr.Automaton.from_state))
-      a.Automaton.transitions
+   and [src] is noncommittable is split into a first hop [src -> p], built
+   by [split tr p], and a second hop [p -> c] that consumes what [split]
+   returns and emits what [tr] emitted.  All offending transitions from one
+   source share one buffer state (the prepared state is per site, not per
+   edge), listed right after its source; the second hops follow the
+   original transitions.  The runtime and the model checker iterate these
+   lists, so this order reaches traces and state numbering; the catalog's
+   3PC digests in test_catalog.ml pin it. *)
+let buffer_automaton ~split (a : Automaton.t) : Automaton.t * string list =
+  let committable = committable a in
+  let offending (tr : Automaton.transition) =
+    Types.is_commit (Automaton.kind_of a tr.to_state) && not (committable tr.from_state)
   in
-  if offending = [] then (a, [])
+  let sources =
+    List.filter offending a.transitions
+    |> List.map (fun (tr : Automaton.transition) -> tr.from_state)
+    |> List.sort_uniq compare
+  in
+  if sources = [] then (a, [])
   else begin
-    let taken = ref (List.map (fun s -> s.Automaton.id) a.Automaton.states) in
-    let fresh () =
-      let rec next j =
-        let cand = if j = 0 then "p" else Fmt.str "p%d" j in
-        if List.mem cand !taken then next (j + 1) else cand
-      in
-      let name = next 0 in
-      taken := name :: !taken;
-      name
-    in
-    (* One buffer per source state: all offending transitions from the same
-       source share one buffer state (the prepared state is per-site, not
-       per-edge, in the message-level protocol). *)
-    let sources =
-      List.sort_uniq compare (List.map (fun tr -> tr.Automaton.from_state) offending)
-    in
-    let buffer_of = List.map (fun src -> (src, fresh ())) sources in
-    let site = a.Automaton.site in
-    let transitions =
-      List.concat_map
+    let taken = List.map (fun (s : Automaton.state) -> s.id) a.states in
+    let buffer_of = List.combine sources (fresh_names taken (List.length sources)) in
+    let hops =
+      List.map
         (fun (tr : Automaton.transition) ->
-          if
-            Types.is_commit (Automaton.kind_of a tr.Automaton.to_state)
-            && not (is_committable tr.Automaton.from_state)
-          then begin
-            let p = List.assoc tr.Automaton.from_state buffer_of in
-            match role with
-            | `Coordinator ->
-                (* w -[votes / prepare to all]-> p ; p -[acks / commit to all]-> c *)
-                [
-                  {
-                    tr with
-                    Automaton.to_state = p;
-                    emits = List.map (fun j -> Message.make ~name:Message.prepare ~src:site ~dst:j) peers;
-                  };
-                  {
-                    Automaton.from_state = p;
-                    to_state = tr.Automaton.to_state;
-                    consumes = List.map (fun j -> Message.make ~name:Message.ack ~src:j ~dst:site) peers;
-                    emits = tr.Automaton.emits;
-                    vote = None;
-                  };
-                ]
-            | `Slave ->
-                (* w -(prepare/ack)-> p ; p -(commit)-> c.  The original
-                   consumed commit notice moves to the second hop. *)
-                [
-                  {
-                    Automaton.from_state = tr.Automaton.from_state;
-                    to_state = p;
-                    consumes = [ Message.make ~name:Message.prepare ~src:1 ~dst:site ];
-                    emits = [ Message.make ~name:Message.ack ~src:site ~dst:1 ];
-                    vote = tr.Automaton.vote;
-                  };
-                  {
-                    Automaton.from_state = p;
-                    to_state = tr.Automaton.to_state;
-                    consumes = tr.Automaton.consumes;
-                    emits = tr.Automaton.emits;
-                    vote = None;
-                  };
-                ]
-          end
-          else [ tr ])
-        a.Automaton.transitions
+          if not (offending tr) then (tr, None)
+          else
+            let p = List.assoc tr.from_state buffer_of in
+            let first, consumes = split tr p in
+            let second =
+              { Automaton.from_state = p; to_state = tr.to_state; consumes; emits = tr.emits; vote = None }
+            in
+            (first, Some second))
+        a.transitions
     in
     let states =
-      a.Automaton.states
-      @ List.map (fun (_, p) -> { Automaton.id = p; kind = Types.Buffer }) buffer_of
+      List.concat_map
+        (fun (s : Automaton.state) ->
+          match List.assoc_opt s.id buffer_of with
+          | Some p -> [ s; { Automaton.id = p; kind = Types.Buffer } ]
+          | None -> [ s ])
+        a.states
     in
-    ( Automaton.make ~site ~states ~initial:a.Automaton.initial ~transitions,
+    ( Automaton.make ~site:a.site ~states ~initial:a.initial
+        ~transitions:(List.map fst hops @ List.filter_map snd hops),
       List.map snd buffer_of )
   end
 
-(* Decentralized rewrite: every transition [src -> c] from a noncommittable
-   [src] becomes [src -> p] announcing [prepare] to every site, and
-   [p -> c] consuming the full round of prepares — one extra interchange,
-   exactly the decentralized 3PC construction. *)
-let buffer_automaton_decentralized ~n ~(is_committable : string -> bool) (a : Automaton.t) :
-    Automaton.t * string list =
-  let everyone = List.init n (fun j -> j + 1) in
-  let offending =
-    List.filter
-      (fun (tr : Automaton.transition) ->
-        Types.is_commit (Automaton.kind_of a tr.Automaton.to_state)
-        && not (is_committable tr.Automaton.from_state))
-      a.Automaton.transitions
+(** [buffer_protocol p] applies the buffer-state transformation to a
+    protocol of either paradigm, locating the offending transitions with
+    {!committable}.  Central site: the coordinator's commit announcement
+    becomes a prepare round followed by an ack-collected commit round.
+    Decentralized: one extra interchange of [prepare] messages precedes
+    committing. *)
+let buffer_protocol (p : Protocol.t) : protocol_result =
+  let prepare src dst = Message.make ~name:Message.prepare ~src ~dst in
+  (* [site] sends [prepare] to [peers] on entering the buffer state and
+     commits once every peer has answered with [reply] *)
+  let announce ~site ~peers ~reply (tr : Automaton.transition) buffer =
+    ( { tr with to_state = buffer; emits = List.map (prepare site) peers },
+      List.map (fun j -> Message.make ~name:reply ~src:j ~dst:site) peers )
   in
-  if offending = [] then (a, [])
-  else begin
-    let taken = ref (List.map (fun s -> s.Automaton.id) a.Automaton.states) in
-    let fresh () =
-      let rec next j =
-        let cand = if j = 0 then "p" else Fmt.str "p%d" j in
-        if List.mem cand !taken then next (j + 1) else cand
-      in
-      let name = next 0 in
-      taken := name :: !taken;
-      name
-    in
-    let sources =
-      List.sort_uniq compare (List.map (fun tr -> tr.Automaton.from_state) offending)
-    in
-    let buffer_of = List.map (fun src -> (src, fresh ())) sources in
-    let site = a.Automaton.site in
-    let transitions =
-      List.concat_map
-        (fun (tr : Automaton.transition) ->
-          if
-            Types.is_commit (Automaton.kind_of a tr.Automaton.to_state)
-            && not (is_committable tr.Automaton.from_state)
-          then begin
-            let p = List.assoc tr.Automaton.from_state buffer_of in
-            [
-              {
-                tr with
-                Automaton.to_state = p;
-                emits = List.map (fun j -> Message.make ~name:Message.prepare ~src:site ~dst:j) everyone;
-              };
-              {
-                Automaton.from_state = p;
-                to_state = tr.Automaton.to_state;
-                consumes =
-                  List.map (fun j -> Message.make ~name:Message.prepare ~src:j ~dst:site) everyone;
-                emits = tr.Automaton.emits;
-                vote = None;
-              };
-            ]
-          end
-          else [ tr ])
-        a.Automaton.transitions
-    in
-    let states =
-      a.Automaton.states
-      @ List.map (fun (_, p) -> { Automaton.id = p; kind = Types.Buffer }) buffer_of
-    in
-    ( Automaton.make ~site ~states ~initial:a.Automaton.initial ~transitions,
-      List.map snd buffer_of )
-  end
-
-(** [buffer_protocol graph] applies the buffer-state transformation to a
-    protocol of either paradigm, using the exact committability inferred
-    from its reachable state graph to locate the offending transitions.
-    Central site: the coordinator's commit announcement becomes a prepare
-    round followed by an ack-collected commit round.  Decentralized: one
-    extra interchange of [prepare] messages precedes committing. *)
-let buffer_protocol (graph : Reachability.t) : protocol_result =
-  let p = graph.Reachability.protocol in
-  let cm = Committable.compute graph in
-  let n = Protocol.n_sites p in
-  let slaves = List.init (n - 1) (fun i -> i + 2) in
-  let buffers = ref [] in
-  let automata =
-    Array.init n (fun i ->
-        let site = i + 1 in
-        let a = Protocol.automaton p site in
-        let is_committable state = Committable.is_committable cm ~site ~state in
-        let a', added =
-          match p.Protocol.paradigm with
-          | Protocol.Central_site ->
-              let role = if site = 1 then `Coordinator else `Slave in
-              buffer_automaton ~role ~peers:slaves ~is_committable a
-          | Protocol.Decentralized -> buffer_automaton_decentralized ~n ~is_committable a
-        in
-        List.iter (fun b -> buffers := (site, b) :: !buffers) added;
-        a')
+  (* a slave answers the coordinator's [prepare] with [ack] and commits on
+     the commit notice it used to read in one step *)
+  let answer ~site (tr : Automaton.transition) buffer =
+    ( {
+        tr with
+        to_state = buffer;
+        consumes = [ prepare 1 site ];
+        emits = [ Message.make ~name:Message.ack ~src:site ~dst:1 ];
+      },
+      tr.consumes )
+  in
+  let split site =
+    match p.paradigm with
+    | Protocol.Central_site when site = 1 ->
+        announce ~site ~peers:(List.tl (Protocol.sites p)) ~reply:Message.ack
+    | Protocol.Central_site -> answer ~site
+    | Protocol.Decentralized -> announce ~site ~peers:(Protocol.sites p) ~reply:Message.prepare
+  in
+  let rewritten =
+    List.map
+      (fun site ->
+        let a, added = buffer_automaton ~split:(split site) (Protocol.automaton p site) in
+        (a, List.map (fun b -> (site, b)) added))
+      (Protocol.sites p)
   in
   {
     protocol =
-      Protocol.make ~name:(p.Protocol.name ^ "+buffer") ~paradigm:p.Protocol.paradigm ~automata
-        ~initial_network:p.Protocol.initial_network;
-    buffers_added = List.rev !buffers;
+      Protocol.make ~name:(p.name ^ "+buffer") ~paradigm:p.paradigm
+        ~automata:(Array.of_list (List.map fst rewritten))
+        ~initial_network:p.initial_network;
+    buffers_added = List.concat_map snd rewritten;
   }

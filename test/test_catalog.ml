@@ -132,8 +132,7 @@ let test_phases () =
     ns
 
 let test_synthesis_adds_one_phase () =
-  let graph = Core.Reachability.build (C.central_2pc 3) in
-  let { Core.Synthesis.protocol; _ } = Core.Synthesis.buffer_protocol graph in
+  let { Core.Synthesis.protocol; _ } = Core.Synthesis.buffer_protocol (C.central_2pc 3) in
   Alcotest.(check int) "2pc + buffer = 3 phases" 3 (P.phases protocol)
 
 let test_buffer_state_kinds () =
@@ -145,6 +144,39 @@ let test_buffer_state_kinds () =
         Core.Types.Buffer
         (A.kind_of (P.automaton p3 site) "p"))
     (P.sites p3)
+
+(* MD5 of [Protocol.pp] for both 3PCs at n = 2..10, taken from FSAs
+   written out by hand after the paper's figures before the catalog
+   derived them by synthesis: the exact text of every state, transition
+   and message, in order. *)
+let pinned_3pc_digests =
+  [
+    ("central-3pc", C.central_3pc,
+     [ "4b7478801a6ec550621f29073b36f272"; "9516a796f7711e981fa552c97ab23095";
+       "59dedb95a6cb9500e5421cb4c4e18989"; "3c2973bdc50cff49569153ebda9b39d6";
+       "70dd4fb9db95380646d172e7ca57dc48"; "2ffb94e2e354661894de883a4f980f75";
+       "d37e96ff4780c464dc6f83c4dfb962ff"; "e0ef4694a89de0a8815fd67c3396d873";
+       "9f8651a06c53d78993bd58ca69a4ec58" ]);
+    ("decentralized-3pc", C.decentralized_3pc,
+     [ "0f27af1b3e45c62c969a60625eeeb642"; "80e9ed77ea72ac42f37670c2c862486a";
+       "8690b932e183ccd6fed90836210ab5b8"; "f57335a38cc7db87873495a0e0e52c40";
+       "c58d9bd514222341c67c2e421394d4f7"; "8d0a865d0a763edc90ad8a501394c02e";
+       "6b943f310d9adc46e97fe8983bdf6533"; "0532ff114a194c2ea85c0a6bc25ea796";
+       "f71956a5bde87618db7a25a75d4dc619" ]);
+  ]
+
+let test_3pc_digests () =
+  List.iter
+    (fun (label, build, digests) ->
+      List.iteri
+        (fun i expected ->
+          let n = i + 2 in
+          Alcotest.(check string)
+            (Fmt.str "%s n=%d" label n)
+            expected
+            (Digest.to_hex (Digest.string (Fmt.str "%a" P.pp (build n)))))
+        digests)
+    pinned_3pc_digests
 
 let suite =
   [
@@ -163,4 +195,5 @@ let suite =
     Alcotest.test_case "3PC buffer state kind" `Quick test_buffer_state_kinds;
     Alcotest.test_case "phase counts name the protocols" `Quick test_phases;
     Alcotest.test_case "synthesis adds exactly one phase" `Quick test_synthesis_adds_one_phase;
+    Alcotest.test_case "3PC FSA digests, n=2..10" `Quick test_3pc_digests;
   ]
