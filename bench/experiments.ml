@@ -420,11 +420,10 @@ let e14_quorum_termination () =
   section "E14"
     "Extension: quorum-based termination (safety under partitions, at a liveness price)";
   let rb3 = Engine.Rulebook.compile (Core.Catalog.central_3pc 3) in
-  let q = Engine.Runtime.majority 3 in
   (* the E13 partition, now under the quorum rule *)
   let rq =
     Engine.Runtime.run
-      (Engine.Runtime.config ~plan:e13_partition ~termination:(Engine.Runtime.Quorum q) rb3)
+      (Engine.Runtime.config ~plan:e13_partition ~termination:Engine.Runtime.Quorum rb3)
   in
   Fmt.pr "--- E13's partition, quorum rule ---@.%a@.@." Engine.Runtime.pp_result rq;
   check "E14 quorum termination stays consistent under the E13 partition"
@@ -447,7 +446,7 @@ let e14_quorum_termination () =
   in
   let r_skeen = Engine.Runtime.run (Engine.Runtime.config ~plan rb3) in
   let r_quorum =
-    Engine.Runtime.run (Engine.Runtime.config ~plan ~termination:(Engine.Runtime.Quorum q) rb3)
+    Engine.Runtime.run (Engine.Runtime.config ~plan ~termination:Engine.Runtime.Quorum rb3)
   in
   Fmt.pr "n-1 failures, lone survivor: Skeen rule blocked=%d, quorum rule blocked=%d@."
     r_skeen.Engine.Runtime.blocked_operational r_quorum.Engine.Runtime.blocked_operational;
@@ -573,7 +572,7 @@ let e16_model_checking () =
       let rb = Engine.Rulebook.compile ((Core.Catalog.find label).Core.Catalog.build n) in
       let r =
         Engine.Model_check.run
-          { Engine.Model_check.rulebook = rb; max_crashes = k; limit = 4_000_000; rule = `Quorum ((n / 2) + 1) }
+          { Engine.Model_check.rulebook = rb; max_crashes = k; limit = 4_000_000; rule = `Quorum }
       in
       Fmt.pr "%-22s %3d %3d %10d %13d %9d@." label n k r.Engine.Model_check.explored
         (List.length r.Engine.Model_check.inconsistent)
@@ -605,7 +604,7 @@ let e17_db_partition () =
       wl
   in
   let skeen = run Kv.Node.Skeen in
-  let quorum = run (Kv.Node.Quorum 2) in
+  let quorum = run Kv.Node.Quorum in
   Fmt.pr "--- Skeen rule ---@.%a@.@." Kv.Db.pp_result skeen;
   Fmt.pr "--- quorum rule ---@.%a@.@." Kv.Db.pp_result quorum;
   check "E17 Skeen rule split-brains on this schedule" (not skeen.Kv.Db.atomicity_ok);

@@ -200,8 +200,8 @@ type levers = {
 }
 
 (* --quorum, --presumption, --read-only-opt, --group-commit, --pipeline and
-   --sync-latency; [n] is the site count a quorum is a majority of. *)
-let levers_arg cmd ~n =
+   --sync-latency. *)
+let levers_arg cmd =
   let presumption =
     Arg.(
       value
@@ -252,15 +252,13 @@ let levers_arg cmd ~n =
       & info [ "sync-latency" ] ~docv:"T"
           ~doc:"Simulated disk sync latency in seconds (0 = synchronous forces).")
   in
-  let make n quorum presumption read_only_opt group_commit pipeline_depth sync_latency =
+  let make quorum presumption read_only_opt group_commit pipeline_depth sync_latency =
     let require = require cmd in
     require (Float.is_finite sync_latency && sync_latency >= 0.0) "--sync-latency must be >= 0";
     require (group_commit >= 0) "--group-commit must be >= 0";
     require (pipeline_depth >= 1) "--pipeline must be >= 1";
     {
-      termination =
-        (if quorum then Engine.Runtime.Quorum (Engine.Runtime.majority n)
-         else Engine.Runtime.Skeen);
+      termination = (if quorum then Engine.Runtime.Quorum else Engine.Runtime.Skeen);
       presumption = Option.value presumption ~default:Engine.Runtime.No_presumption;
       read_only_opt;
       group_commit =
@@ -271,7 +269,7 @@ let levers_arg cmd ~n =
     }
   in
   Term.(
-    const make $ n $ quorum_arg $ presumption $ read_only_opt $ group_commit $ pipeline
+    const make $ quorum_arg $ presumption $ read_only_opt $ group_commit $ pipeline
     $ sync_latency)
 
 let metrics_json_arg =
@@ -409,7 +407,7 @@ let simulate_cmd =
     in
     let votes = List.map (fun s -> (s, Core.Types.No)) no_votes in
     let termination =
-      if quorum then Engine.Runtime.Quorum (Engine.Runtime.majority n) else Engine.Runtime.Skeen
+      if quorum then Engine.Runtime.Quorum else Engine.Runtime.Skeen
     in
     let r =
       Engine.Runtime.run (Engine.Runtime.config ~votes ~plan ~seed ~tracing:trace ~termination rb)
@@ -714,7 +712,7 @@ let chaos_cmd =
       $ workers_arg cmd $ target cmd $ k_arg cmd
       $ checked until_arg (fun t ->
             require (Float.is_finite t && t > 0.0) "--until must be positive and finite")
-      $ levers_arg cmd ~n:sites_arg
+      $ levers_arg cmd
       $ checked drops_arg (fun w -> require (w >= 0) "--drops must be >= 0")
       $ checked lost_flush_arg (fun w -> require (w >= 0) "--lost-flush must be >= 0")
       $ seed_base_arg $ replay_arg $ plan_arg $ partitions_arg $ disk_faults_arg $ detector_arg
@@ -1014,7 +1012,7 @@ let bank_cmd =
       $ checked crash_at (fun t -> require cmd (is_time t) "--crash-at must be finite and >= 0")
       $ recover_at_arg cmd
       $ site_opt_arg "isolate" cmd ~n:sites_arg ~doc:"Partition site S away from t=40 to t=160."
-      $ levers_arg cmd ~n:sites_arg $ seed_arg "Workload and simulation seed." $ metrics_json_arg)
+      $ levers_arg cmd $ seed_arg "Workload and simulation seed." $ metrics_json_arg)
 
 let () =
   let doc = "Nonblocking commit protocols (Skeen, SIGMOD 1981): analysis and simulation." in

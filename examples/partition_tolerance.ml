@@ -49,7 +49,7 @@ let () =
     describe "3PC, quorum termination (majority = 2)"
       (Engine.Runtime.run
          (Engine.Runtime.config ~plan:partition
-            ~termination:(Engine.Runtime.Quorum (Engine.Runtime.majority 3))
+            ~termination:Engine.Runtime.Quorum
             rb3))
   in
   assert r3.Engine.Runtime.consistent;

@@ -1,85 +1,48 @@
-(** Exhaustive model checking of a commit protocol {e with failures} and
-    the termination protocol layered on top.
-
-    The paper notes that "failures cause an exponential growth in the
-    number of reachable global states" and sidesteps building that graph;
-    this module builds it anyway, for small site counts and a bounded
-    number of crashes, and verifies over {e every} interleaving what the
-    simulation sweeps can only sample:
-
-    - {b safety}: no reachable global state mixes a committed site with an
-      aborted one (counting the last forced-log state of crashed sites —
-      a coordinator that logged its commit and died counts as committed);
-    - {b termination} (for nonblocking protocols): in every terminal
-      state, every operational site has reached a final state.
-
-    The model extends the paper's global states with: fail-stop crashes
-    (with partially completed transitions: the log forced first, then any
-    prefix of the emitted messages), an instantaneous accurate failure
-    detector, the backup election (lowest operational site), the
-    two-phase backup protocol of the paper driven by the compiled
-    {!Rulebook}, and partial broadcasts by crashing backups.  Recoveries
-    are not modelled (a recovered site only queries; it cannot affect
-    safety of the operational sites' decisions).
+(** Exhaustive model checking of a commit protocol with failures and the
+    termination protocol on top; the interface describes the model.
 
     Termination-protocol messages ride the same network multiset as
-    protocol messages, under reserved names ("!move:…", "!mack",
-    "!decide:…") no catalog FSA matches.
+    protocol messages, under reserved names no catalog FSA matches:
+    "!move:<state>", "!mack", "!streq", "!strep:<state>", "!decide:c" and
+    "!decide:a".
 
     {b Engine.}  Exploration runs entirely over {!Core.Intern}'s compact
     encoding: state ids and message names are the small ints the
     {!Rulebook} interned at compile time (its verdict, final-state and
     buffer-state tables are indexed by them, shared with {!Runtime}),
-    whole messages pack into single ints (termination messages become
-    tagged name codes above the protocol's — no prefix-string parsing on
-    the hot path), and each global state packs into one
-    [int array] that {!Core.Intern.Store} dedups: varints in a byte arena
-    under an open-addressing index, with dense indices in discovery
+    termination messages become tagged name codes above the protocol's so
+    a whole message packs into one int, and each global state packs into
+    one [int array] that {!Core.Intern.Store} dedups: varints in a byte
+    arena under an open-addressing index, with dense indices in discovery
     order.  The BFS frontier is therefore the index range of states not
     yet popped; each popped state is decoded once from the arena, and a
     [parent] index array gives counterexample paths.  The original
     string-keyed engine survives as {!Model_check_ref}; differential
-    tests assert both produce identical [explored] counts and verdicts,
-    a golden table pins every verdict and reported state over the
-    catalog, and [Packed] below exposes the codec for round-trip
-    tests. *)
+    tests assert both produce identical [explored] counts and verdicts, a
+    golden table pins every verdict and reported state over the catalog,
+    and [Packed] below exposes the codec for round-trip tests. *)
 
 module MS = Core.Message.Multiset
 
+(* the public state; its fields are documented in the interface *)
 type st = {
-  locals : string array;  (** last forced-log state per site *)
+  locals : string array;
   voted : bool array;
   alive : bool array;
   aware : bool array;
-      (** per site: has its failure detector reported some crash yet?
-          Detection is asynchronous, so awareness spreads
-          nondeterministically; an aware site freezes its commit-protocol
-          FSA (the protocol is impaired) and may act as backup *)
   crashes_left : int;
   network : MS.t;
   moving : (string * int list) option array;
-      (** per site: as backup coordinator, phase 1 in flight —
-          (move target, sites whose acks are still awaited) *)
   polling : (int list * (int * string) list) option array;
-      (** quorum rule only: a state poll in flight — (sites whose replies
-          are awaited, replies so far) *)
   polled : bool array;
-      (** quorum rule only: this site already ran its one poll (no retry:
-          a below-quorum backup stays blocked, making blocking visible as
-          a terminal state) *)
   epoch : int array;
-      (** highest-ranked backup each site has obeyed.  Successive backups
-          have strictly increasing ranks under fail-stop, so moves from
-          lower ranks are stale directives from deposed backups and are
-          discarded — without this, a stale move re-promotes a participant
-          out of the current backup's state (found at n=4, k=3). *)
 }
 
 type config = {
   rulebook : Rulebook.t;
   max_crashes : int;
   limit : int;  (** abort exploration past this many states *)
-  rule : [ `Skeen | `Quorum of int ];
+  rule : [ `Skeen | `Quorum ];
       (** how backups decide — the paper's rule, or quorum termination *)
 }
 
@@ -426,13 +389,45 @@ let run (cfg : config) : report =
     end
   in
   let final_code i o = Rulebook.final_code ctx.rb ~site:(i + 1) o in
+  let rule = match cfg.rule with `Skeen -> Termination.Skeen | `Quorum -> Termination.Quorum in
+  (* copy-on-write update of one site's slot *)
+  let set a i x =
+    let a = Array.copy a in
+    a.(i) <- x;
+    a
+  in
+  (* site [i] crashes with [ilocals], [ivoted] and [inet] as it left
+     them: the round it had in flight dies with it *)
+  let crash s i ilocals ivoted inet =
+    {
+      s with
+      ilocals;
+      ivoted;
+      inet;
+      ialive = s.ialive land lnot (1 lsl i);
+      icrashes = s.icrashes - 1;
+      imoving = set s.imoving i None;
+      ipolling = set s.ipolling i None;
+    }
+  in
+  (* site [i]'s answer to [src]; a reply to a dead site is dropped *)
+  let reply s i ~src net name =
+    if alive s (src - 1) then I.Net.add_one (I.msg_code c ~name ~src:(i + 1) ~dst:src) net else net
+  in
+  (* a backup leads at least at its own rank *)
+  let lead_epoch s i = set s.iepoch i (max s.iepoch.(i) (i + 1)) in
 
   (* ---- successor enumeration ----
-     A transcription of [Model_check_ref]'s successor function over the
-     interned representation; every branch mirrors the reference 1:1 so
-     the explored state set is identical.  [push] is the caller's sink —
-     successors are packed and deduped as they are produced rather than
-     collected into a list. *)
+     The commit FSAs fire from the rulebook's tables; every termination
+     step (answering a move, closing phase 1, the quorum rule, learning a
+     decide, opening a backup's round) is a {!Termination} rule, so the
+     checker and the runtime share one definition.  What stays here is
+     the enumeration of inputs, the crash-prefix variants and the
+     checker's own guards that keep the graph finite.  The explored state
+     set is the reference engine's ({!Model_check_ref}), which writes the
+     same steps out by hand.  [push] is the caller's sink: successors are
+     packed and deduped as they are produced rather than collected into a
+     list. *)
   let successors s push =
     for i = 0 to n - 1 do
       if alive s i then begin
@@ -452,8 +447,7 @@ let run (cfg : config) : report =
             match I.Net.remove_all tr.I.c_consumes s.inet with
             | None -> ()
             | Some base_net ->
-                let ilocals = Array.copy s.ilocals in
-                ilocals.(i) <- tr.I.c_to;
+                let ilocals = set s.ilocals i tr.I.c_to in
                 let ivoted = if tr.I.c_vote_yes then s.ivoted lor bit else s.ivoted in
                 (* complete transition *)
                 push
@@ -472,33 +466,12 @@ let run (cfg : config) : report =
                       Array.sort compare pfx;
                       deliverable s pfx
                     in
-                    let imoving = Array.copy s.imoving in
-                    imoving.(i) <- None;
-                    let ipolling = Array.copy s.ipolling in
-                    ipolling.(i) <- None;
-                    push
-                      {
-                        s with
-                        ilocals;
-                        ivoted;
-                        ialive = s.ialive land lnot bit;
-                        icrashes = s.icrashes - 1;
-                        inet = I.Net.add_all sent base_net;
-                        imoving;
-                        ipolling;
-                      }
+                    push (crash s i ilocals ivoted (I.Net.add_all sent base_net))
                   done
           done
         end;
         (* 2. spontaneous crash (before any transition) *)
-        if s.icrashes > 0 then begin
-          let imoving = Array.copy s.imoving in
-          imoving.(i) <- None;
-          let ipolling = Array.copy s.ipolling in
-          ipolling.(i) <- None;
-          push
-            { s with ialive = s.ialive land lnot bit; icrashes = s.icrashes - 1; imoving; ipolling }
-        end;
+        if s.icrashes > 0 then push (crash s i s.ilocals s.ivoted s.inet);
         (* 2b. failure detection: after any crash, each site becomes aware
            at a nondeterministic moment; from then on its commit-protocol
            FSA is frozen and it may serve as backup coordinator *)
@@ -513,80 +486,69 @@ let run (cfg : config) : report =
             let nc = I.msg_name_code c m in
             let src = I.msg_src c m in
             if is_move_nc ctx nc then begin
-              if src < s.iepoch.(i) then
-                (* stale directive from a deposed backup: discard *)
-                push { s with inet = net }
-              else if decided s i then
-                (* answer with the outcome instead of an ack *)
-                (match site_outcome s i with
-                | Some o ->
-                    let reply = I.msg_code c ~name:(decide_nc ctx o) ~src:(i + 1) ~dst:src in
-                    let inet =
-                      if alive s (src - 1) then I.Net.add_one reply net else net
-                    in
-                    push { s with inet }
-                | None -> assert false)
-              else begin
-                let ilocals = Array.copy s.ilocals in
-                ilocals.(i) <- move_target_nc ctx nc;
-                let iepoch = Array.copy s.iepoch in
-                iepoch.(i) <- src;
-                let ack = I.msg_code c ~name:(mack_nc ctx) ~src:(i + 1) ~dst:src in
-                let inet = if alive s (src - 1) then I.Net.add_one ack net else net in
-                push { s with ilocals; iepoch; inet }
-              end
+              (* a move is fenced at its sender's rank *)
+              match
+                Termination.answer_move ~outcome:(site_outcome s i) ~recovered:false ~fencing:true
+                  ~epoch_seen:s.iepoch.(i) ~epoch:src
+              with
+              | Termination.Reply o -> push { s with inet = reply s i ~src net (decide_nc ctx o) }
+              | Termination.Adopt e ->
+                  push
+                    {
+                      s with
+                      ilocals = set s.ilocals i (move_target_nc ctx nc);
+                      iepoch = set s.iepoch i e;
+                      inet = reply s i ~src net (mack_nc ctx);
+                    }
+              | Termination.Ignore | Termination.Fence -> push { s with inet = net }
             end
             else if nc = mack_nc ctx then (
               match s.imoving.(i) with
               | Some (target, awaiting) when List.mem src awaiting ->
                   let awaiting = List.filter (fun x -> x <> src) awaiting in
-                  let imoving = Array.copy s.imoving in
-                  imoving.(i) <- Some (target, awaiting);
-                  push { s with inet = net; imoving }
+                  push { s with inet = net; imoving = set s.imoving i (Some (target, awaiting)) }
               | _ -> push { s with inet = net })
-            else if nc = streq_nc ctx then begin
+            else if nc = streq_nc ctx then
               (* quorum poll: report the current local state *)
-              let reply =
-                I.msg_code c ~name:(strep_nc ctx s.ilocals.(i)) ~src:(i + 1) ~dst:src
-              in
-              let inet = if alive s (src - 1) then I.Net.add_one reply net else net in
-              push { s with inet }
-            end
+              push { s with inet = reply s i ~src net (strep_nc ctx s.ilocals.(i)) }
             else if is_strep_nc ctx nc then (
               match s.ipolling.(i) with
               | Some (awaiting, reps) when List.mem src awaiting ->
                   let awaiting = List.filter (fun x -> x <> src) awaiting in
-                  let ipolling = Array.copy s.ipolling in
-                  ipolling.(i) <-
-                    Some (awaiting, rep_pack ctx ~src ~code:(strep_state_nc ctx nc) :: reps);
-                  push { s with inet = net; ipolling }
+                  let reps = rep_pack ctx ~src ~code:(strep_state_nc ctx nc) :: reps in
+                  push { s with inet = net; ipolling = set s.ipolling i (Some (awaiting, reps)) }
               | _ -> push { s with inet = net })
             else begin
-              (* a decide *)
-              let o =
-                if nc = ctx.base + 2 then Core.Types.Committed else Core.Types.Aborted
-              in
-              if decided s i then push { s with inet = net }
-              else begin
-                let ilocals = Array.copy s.ilocals in
-                ilocals.(i) <- final_code i o;
-                let imoving = Array.copy s.imoving in
-                imoving.(i) <- None;
-                push { s with ilocals; inet = net; imoving }
-              end
+              (* a decide; the checker fences none *)
+              let o = if nc = ctx.base + 2 then Core.Types.Committed else Core.Types.Aborted in
+              match
+                Termination.learn_decide ~fencing:false ~epoch_seen:s.iepoch.(i) ~epoch:src
+                  ~outcome:(site_outcome s i)
+              with
+              | Termination.Learn ->
+                  push
+                    {
+                      s with
+                      ilocals = set s.ilocals i (final_code i o);
+                      inet = net;
+                      imoving = set s.imoving i None;
+                    }
+              | Termination.Known | Termination.Fenced -> push { s with inet = net }
             end
           end
         done;
         (* 4. backup coordinator actions at the elected leader, once it is
            aware of a failure *)
         if leader s = i && some_crash s && s.iaware land bit <> 0 then begin
-          let others = List.init n (fun j -> j) |> List.filter (fun j -> j <> i && alive s j) in
+          let others =
+            List.filter (fun j -> j <> i + 1 && alive s (j - 1)) (List.init n (fun j -> j + 1))
+          in
           (* broadcast helper with partial-crash variants.  All broadcasts
              send one name from src i+1 to ascending destinations, so the
              code array is sorted, as is any prefix of it. *)
           let broadcast name after =
             let msgs =
-              Array.of_list (List.map (fun j -> I.msg_code c ~name ~src:(i + 1) ~dst:(j + 1)) others)
+              Array.of_list (List.map (fun dst -> I.msg_code c ~name ~src:(i + 1) ~dst) others)
             in
             (* complete broadcast *)
             push (after { s with inet = I.Net.add_all (deliverable s msgs) s.inet });
@@ -594,158 +556,95 @@ let run (cfg : config) : report =
               for k = 0 to Array.length msgs do
                 let sent = deliverable s (Array.sub msgs 0 k) in
                 let s' = after { s with inet = I.Net.add_all sent s.inet } in
-                let imoving = Array.copy s'.imoving in
-                imoving.(i) <- None;
-                let ipolling = Array.copy s'.ipolling in
-                ipolling.(i) <- None;
-                push
-                  {
-                    s' with
-                    ialive = s'.ialive land lnot bit;
-                    icrashes = s.icrashes - 1;
-                    imoving;
-                    ipolling;
-                  }
+                push (crash s' i s'.ilocals s'.ivoted s'.inet)
               done
           in
-          match s.imoving.(i) with
-          | Some (_, awaiting) ->
-              (* phase 1 in flight: complete it when every awaited site is
-                 acked or dead *)
-              if List.for_all (fun j -> not (alive s (j - 1))) awaiting then begin
-                match Rulebook.verdict_of_code ctx.rb ~site:(i + 1) ~code:s.ilocals.(i) with
-                | Rulebook.Decide o ->
-                    let ilocals = Array.copy s.ilocals in
-                    ilocals.(i) <- final_code i o;
-                    let imoving = Array.copy s.imoving in
-                    imoving.(i) <- None;
-                    broadcast (decide_nc ctx o) (fun s -> { s with ilocals; imoving })
-                | Rulebook.Blocked -> ()
-              end
-          | None ->
-              if decided s i then begin
-                (* already final: phase 1 omitted; announce, but only if
-                   someone still needs it and no announcement is already
-                   in flight (keeps the graph finite) *)
-                match site_outcome s i with
-                | Some o ->
-                    let dnc = decide_nc ctx o in
-                    let needed =
-                      List.exists
-                        (fun j ->
-                          (not (decided s j))
-                          && not
-                               (Array.exists
-                                  (fun m ->
-                                    I.msg_dst c m = j + 1 && I.msg_name_code c m = dnc)
-                                  s.inet))
-                        others
+          match (s.imoving.(i), s.ipolling.(i)) with
+          | Some (_, awaiting), _ -> (
+              match
+                Termination.close_phase1 ctx.rb ~site:(i + 1) ~code:s.ilocals.(i) ~awaiting
+                  ~failed:(fun j -> not (alive s (j - 1)))
+              with
+              | Some (Rulebook.Decide o) ->
+                  let ilocals = set s.ilocals i (final_code i o) in
+                  let imoving = set s.imoving i None in
+                  broadcast (decide_nc ctx o) (fun s -> { s with ilocals; imoving })
+              | Some Rulebook.Blocked | None -> ())
+          | None, Some (awaiting, reps) when not (decided s i) -> (
+              (* a poll in flight, complete once every awaited site replied
+                 or died: the quorum rule over the view *)
+              if List.for_all (fun j -> not (alive s (j - 1))) awaiting then
+                let kind r = kind_exn ctx (rep_src ctx r - 1) (rep_code ctx r) in
+                let kinds = kind_exn ctx i s.ilocals.(i) :: List.map kind reps in
+                let ipolling = set s.ipolling i None in
+                let decide o =
+                  let ilocals = set s.ilocals i (final_code i o) in
+                  broadcast (decide_nc ctx o) (fun s -> { s with ilocals; ipolling })
+                in
+                match
+                  Termination.quorum ~n_sites:n ~buffer:ctx.rb.Rulebook.buffer_code.(i) kinds
+                with
+                | Termination.Seen o -> decide o
+                | Termination.Unprepared _ -> decide Core.Types.Aborted
+                | Termination.Move_up (target, _) ->
+                    (* awaited: the polled live sites not already at the
+                       target.  The move itself goes to every other live
+                       site: a harmless re-move for already-buffered ones
+                       keeps the broadcast uniform *)
+                    let ilocals = set s.ilocals i target in
+                    let to_move =
+                      List.filter_map
+                        (fun r ->
+                          let src = rep_src ctx r in
+                          if src <> i + 1 && alive s (src - 1) && rep_code ctx r <> target then
+                            Some src
+                          else None)
+                        reps
                     in
-                    if needed then broadcast dnc (fun s -> s)
-                | None -> assert false
-              end
-              else begin
-                match cfg.rule with
-                | `Skeen -> (
-                    match Rulebook.verdict_of_code ctx.rb ~site:(i + 1) ~code:s.ilocals.(i) with
-                    | Rulebook.Decide _ ->
-                        (* phase 1: move everyone to our state — only once
-                           per configuration (no move already in flight
-                           from us) *)
-                        let already =
-                          Array.exists
-                            (fun m ->
-                              I.msg_src c m = i + 1 && is_move_nc ctx (I.msg_name_code c m))
-                            s.inet
-                        in
-                        if not already then begin
-                          let target = s.ilocals.(i) in
-                          let imoving = Array.copy s.imoving in
-                          imoving.(i) <- Some (target, List.map (fun j -> j + 1) others);
-                          let iepoch = Array.copy s.iepoch in
-                          iepoch.(i) <- max iepoch.(i) (i + 1);
-                          broadcast (move_nc ctx target) (fun s -> { s with imoving; iepoch })
-                        end
-                    | Rulebook.Blocked -> ())
-                | `Quorum q -> (
-                    match s.ipolling.(i) with
-                    | None ->
-                        if s.ipolled land bit = 0 then begin
-                          (* start the (single) state poll *)
-                          let ipolling = Array.copy s.ipolling in
-                          ipolling.(i) <- Some (List.map (fun j -> j + 1) others, []);
-                          let iepoch = Array.copy s.iepoch in
-                          iepoch.(i) <- max iepoch.(i) (i + 1);
-                          broadcast (streq_nc ctx) (fun s ->
-                              { s with ipolled = s.ipolled lor bit; ipolling; iepoch })
-                        end
-                    | Some (awaiting, reps)
-                      when awaiting = [] || List.for_all (fun j -> not (alive s (j - 1))) awaiting
-                      -> (
-                        (* the view is complete: decide by counts, moves
-                           monotone (never demoting a precommit) *)
-                        let view = rep_pack ctx ~src:(i + 1) ~code:s.ilocals.(i) :: reps in
-                        let kinds =
-                          List.map (fun r -> kind_exn ctx (rep_src ctx r - 1) (rep_code ctx r)) view
-                        in
-                        let commit_decide o =
-                          let ilocals = Array.copy s.ilocals in
-                          ilocals.(i) <- final_code i o;
-                          let ipolling = Array.copy s.ipolling in
-                          ipolling.(i) <- None;
-                          broadcast (decide_nc ctx o) (fun s -> { s with ilocals; ipolling })
-                        in
-                        let prepared_up =
-                          List.length
-                            (List.filter
-                               (fun k -> k = Core.Types.Buffer || Core.Types.is_commit k)
-                               kinds)
-                        in
-                        if List.exists Core.Types.is_commit kinds then
-                          commit_decide Core.Types.Committed
-                        else if List.exists Core.Types.is_abort kinds then
-                          commit_decide Core.Types.Aborted
-                        else if prepared_up >= q then begin
-                          (* move the view up to the buffer state, then the
-                             shared phase-1 completion commits *)
-                          match ctx.rb.Rulebook.buffer_code.(i) with
-                          | Some target ->
-                              let ilocals = Array.copy s.ilocals in
-                              ilocals.(i) <- target;
-                              let ipolling = Array.copy s.ipolling in
-                              ipolling.(i) <- None;
-                              let to_move =
-                                List.filter_map
-                                  (fun r ->
-                                    let src = rep_src ctx r in
-                                    if src <> i + 1 && alive s (src - 1) && rep_code ctx r <> target
-                                    then Some src
-                                    else None)
-                                  reps
-                              in
-                              let imoving = Array.copy s.imoving in
-                              imoving.(i) <- Some (target, to_move);
-                              let iepoch = Array.copy s.iepoch in
-                              iepoch.(i) <- max iepoch.(i) (i + 1);
-                              (* the move goes to every other operational
-                                 site — a harmless re-move for
-                                 already-buffered ones keeps the broadcast
-                                 uniform *)
-                              broadcast (move_nc ctx target) (fun s ->
-                                  { s with ilocals; ipolling; imoving; iepoch })
-                          | None -> ()
-                        end
-                        else if
-                          List.length kinds - prepared_up >= q
-                          && ctx.rb.Rulebook.buffer_code.(i) <> None
-                          (* the unprepared-quorum abort is sound only when
-                             committing requires a quorum-visible buffer
-                             phase; without one (2PC) only visible outcomes
-                             may decide *)
-                        then commit_decide Core.Types.Aborted
-                        else (* below quorum either way: blocked *) ())
-                    | Some _ -> ())
-              end
+                    let imoving = set s.imoving i (Some (target, to_move)) in
+                    let iepoch = lead_epoch s i in
+                    broadcast (move_nc ctx target) (fun s ->
+                        { s with ilocals; ipolling; imoving; iepoch })
+                | Termination.No_buffer | Termination.Short _ -> ())
+          | None, _ -> (
+              match
+                Termination.open_round rule ctx.rb ~site:(i + 1) ~code:s.ilocals.(i)
+                  ~outcome:(site_outcome s i) ~participants:others
+              with
+              | Termination.Announce o ->
+                  (* only if a live site is undecided with no announcement
+                     to it in flight *)
+                  let dnc = decide_nc ctx o in
+                  let waiting j =
+                    not
+                      (decided s (j - 1)
+                      || Array.exists (fun m -> I.msg_dst c m = j && I.msg_name_code c m = dnc) s.inet)
+                  in
+                  if List.exists waiting others then broadcast dnc (fun s -> s)
+              | Termination.Start (Termination.Moving { target; awaiting }) ->
+                  (* one move in flight from this backup at a time *)
+                  let already =
+                    Array.exists
+                      (fun m -> I.msg_src c m = i + 1 && is_move_nc ctx (I.msg_name_code c m))
+                      s.inet
+                  in
+                  if not already then begin
+                    let imoving = set s.imoving i (Some (target, awaiting)) in
+                    let iepoch = lead_epoch s i in
+                    broadcast (move_nc ctx target) (fun s -> { s with imoving; iepoch })
+                  end
+              | Termination.Start (Termination.Polling { awaiting; _ }) ->
+                  (* one poll per backup, and no retry: a below-quorum
+                     backup stays blocked, which makes blocking visible as
+                     a terminal state.  The checker's view adds the
+                     backup's own state when the poll closes. *)
+                  if s.ipolled land bit = 0 then begin
+                    let ipolling = set s.ipolling i (Some (awaiting, [])) in
+                    let iepoch = lead_epoch s i in
+                    broadcast (streq_nc ctx) (fun s ->
+                        { s with ipolled = s.ipolled lor bit; ipolling; iepoch })
+                  end
+              | Termination.Blocked -> ())
         end
       end
     done

@@ -13,7 +13,10 @@
     prefix of the emitted messages sent), asynchronous per-site failure
     detection, backup election by rank, the two-phase backup protocol
     driven by the {!Rulebook}, partial broadcasts by crashing backups, and
-    cascading backup failures.  Recoveries are not modelled.
+    cascading backup failures.  Recoveries are not modelled.  Every
+    termination step is a {!Termination} rule, the same the {!Runtime}
+    drives; the checker adds only the enumeration of inputs, the
+    crash-prefix variants and the guards that keep its graph finite.
 
     Provenance note: an earlier version of this model (and of the runtime)
     let a site's commit-protocol FSA keep running after termination began;
@@ -30,27 +33,43 @@
     differential tests assert both agree. *)
 
 type st = {
-  locals : string array;
+  locals : string array;  (** last forced-log state per site *)
   voted : bool array;
   alive : bool array;
   aware : bool array;
+      (** per site: has its failure detector reported some crash yet?
+          Detection is asynchronous, so awareness spreads
+          nondeterministically; an aware site freezes its commit-protocol
+          FSA (the protocol is impaired) and may act as backup *)
   crashes_left : int;
   network : Core.Message.Multiset.t;
   moving : (string * int list) option array;
+      (** per site: as backup coordinator, phase 1 in flight —
+          (move target, sites whose acks are still awaited) *)
   polling : (int list * (int * string) list) option array;
+      (** quorum rule only: a state poll in flight — (sites whose replies
+          are awaited, replies so far) *)
   polled : bool array;
+      (** quorum rule only: this site already ran its one poll (no retry:
+          a below-quorum backup stays blocked, making blocking visible as
+          a terminal state) *)
   epoch : int array;
-      (** highest-ranked backup each site has obeyed (election epoch) *)
+      (** highest-ranked backup each site has obeyed.  Successive backups
+          have strictly increasing ranks under fail-stop, so moves from
+          lower ranks are stale directives from deposed backups and are
+          fenced — without this, a stale move re-promotes a participant
+          out of the current backup's state (found at n=4, k=3). *)
 }
 
 type config = {
   rulebook : Rulebook.t;
   max_crashes : int;
   limit : int;  (** abort exploration past this many states *)
-  rule : [ `Skeen | `Quorum of int ];
+  rule : [ `Skeen | `Quorum ];
       (** how backups decide: the paper's rule, or quorum termination
-          (single poll per backup; a below-quorum backup stays blocked,
-          so quorum runs may legitimately report blocked terminals) *)
+          over a majority of the sites (single poll per backup; a
+          below-quorum backup stays blocked, so quorum runs may
+          legitimately report blocked terminals) *)
 }
 
 type report = {

@@ -75,7 +75,7 @@ type config = Model_check.config = {
   rulebook : Rulebook.t;
   max_crashes : int;
   limit : int;
-  rule : [ `Skeen | `Quorum of int ];
+  rule : [ `Skeen | `Quorum ];
 }
 
 type report = Model_check.report = {
@@ -373,7 +373,8 @@ let run (cfg : config) : report =
                             (fun s -> { s with moving; epoch })
                         end
                     | Rulebook.Blocked -> ())
-                | `Quorum q -> (
+                | `Quorum -> (
+                    let q = (n / 2) + 1 in
                     match st.polling.(i) with
                     | None ->
                         if not st.polled.(i) then begin

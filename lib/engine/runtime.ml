@@ -1,18 +1,15 @@
 (** The protocol runtime: executes any catalog {!Core.Protocol.t} on the
-    simulator, one interpreter per site, together with the paper's
-    termination protocol (election + two-phase backup protocol) and
-    recovery protocol.
+    simulator, one interpreter per site over the {!Rulebook}'s int-coded
+    tables (state names appear only where a run meets the outside: log
+    records, termination messages, reports and traces), together with the
+    paper's termination and recovery protocols.
 
-    The interpreter runs the protocol as the {!Rulebook} compiled it: a
-    site's state is a state code, its inbox a count per message code, and
-    a step walks the site's transition table for that code.  State names
-    appear only where a run meets the outside: log records, termination
-    messages, reports and traces.
-
-    Division of labour with the formal core: the runtime {e executes};
-    every safety decision a backup coordinator takes comes from the
-    {!Rulebook} compiled from the protocol's reachable state graph — the
-    decision rule of the paper, including the detection of blocking states.
+    Division of labour: every rule a backup coordinator or a directed
+    site follows is a {!Termination} call, and every safety decision comes
+    from the {!Rulebook} compiled from the protocol's reachable state
+    graph.  The runtime keeps the I/O around them: sends with backup-crash
+    injection, WAL forces, trace lines, timers, metrics, and the
+    detector-only campaign, epoch rejects and thaw.
 
     Election: the paper admits "any distributed election mechanism".  We
     use the deterministic rule induced by the reliable failure detector the
@@ -23,31 +20,14 @@
 
 type mode =
   | Normal  (** executing the commit protocol FSA *)
-  | Leading of { mutable awaiting : Core.Types.site list }
-      (** backup coordinator, phase 1: waiting for move acks *)
-  | Polling of { mutable awaiting : Core.Types.site list; mutable polled : (Core.Types.site * int) list }
-      (** quorum termination: collecting participant state codes before
-          applying the quorum decision rule *)
+  | Backup of Termination.phase
+      (** backup coordinator: phase 1's moves, or a quorum poll, in flight *)
   | Stalled
       (** cannot make progress alone (blocked state, or recovered with a
           yes vote on the log): periodically queries for the outcome *)
 
-(** How a backup coordinator decides (see {!start_termination}).
-
-    [Skeen] is the paper's rule: decide from the backup's own local state
-    via the compiled {!Rulebook} — maximally live under fail-stop crashes
-    (any single survivor terminates) but unsafe if the failure detector
-    can lie (network partitions).
-
-    [Quorum q] is the quorum-based termination the paper's companion work
-    introduces: the backup polls reachable participants and commits only
-    if at least [q] are prepared-to-commit (buffer state or beyond),
-    aborts only if at least [q] are not, and otherwise waits.  With
-    [q > n/2] two sides of a partition can never decide differently —
-    at the price of blocking minorities.  Moves are monotone (a site is
-    never demoted out of its buffer state), which makes the counts
-    one-directional and the rule cascade-safe without ballots. *)
-type termination_rule = Skeen | Quorum of int
+(** How a backup coordinator decides: {!Termination.rule}. *)
+type termination_rule = Termination.rule = Skeen | Quorum
 
 (** The classic commit-protocol presumptions, promoted from the database
     layer: the covered outcome's [Decided] record is appended but not
@@ -206,9 +186,6 @@ let config ?(votes = []) ?(plan = Failure_plan.none) ?(seed = 1) ?(tracing = fal
     election_timeout;
     fencing;
   }
-
-(** A majority quorum for [n] sites. *)
-let majority n = (n / 2) + 1
 
 type site_report = {
   site : Core.Types.site;
@@ -562,23 +539,6 @@ module Exec = struct
     | Some k when k >= List.length peers -> Sim.World.crash_self ctx
     | _ -> ()
 
-  let leader_decide t ctx (rt : site_rt) =
-    match Rulebook.verdict_of_code t.cfg.rulebook ~site:rt.site ~code:rt.state with
-    | Rulebook.Decide o ->
-        finalize t rt o;
-        broadcast_decide t ctx rt o
-    | Rulebook.Blocked ->
-        (* The decision rule offers no safe outcome: the site blocks.  It
-           keeps querying in case a crashed site recovers and resolves the
-           transaction (the only way out for 2PC). *)
-        record t "backup %d is BLOCKED in state %s" rt.site (state_name t rt.state);
-        enter_stalled t ctx rt
-
-  let maybe_finish_phase1 t ctx (rt : site_rt) =
-    match rt.mode with
-    | Leading l when l.awaiting = [] && rt.outcome = None -> leader_decide t ctx rt
-    | Leading _ | Polling _ | Normal | Stalled -> ()
-
   (* Read-only sites are excluded from moves and polls: their state is
      volatile, so counting it toward a quorum (or deciding from a move
      they acked) would let a crash shrink a commit quorum after the
@@ -591,10 +551,65 @@ module Exec = struct
            && (not (List.mem s rt.down_view))
            && not (List.mem s rt.tainted_view))
 
-  (* Phase 1 of the backup protocol: ask the given participants to make a
-     transition to [target]; phase 2 happens in [maybe_finish_phase1]. *)
-  let run_phase1 t ctx (rt : site_rt) ~target ~participants =
-    rt.mode <- Leading { awaiting = participants };
+  let decide t ctx (rt : site_rt) o =
+    finalize t rt o;
+    broadcast_decide t ctx rt o
+
+  (* Close the round in flight once nothing it awaits is left: phase 1
+     ends in the backup's Rulebook verdict, a poll in the quorum rule's.
+     A blocked backup keeps querying in case a crashed site recovers and
+     resolves the transaction (the only way out for 2PC). *)
+  let rec maybe_finish t ctx (rt : site_rt) =
+    match rt.mode with
+    | Backup (Termination.Moving { awaiting; _ }) -> (
+        (* failure reports prune [awaiting] as they arrive *)
+        match
+          Termination.close_phase1 t.cfg.rulebook ~site:rt.site ~code:rt.state ~awaiting
+            ~failed:(fun _ -> false)
+        with
+        | Some (Rulebook.Decide o) -> decide t ctx rt o
+        | Some Rulebook.Blocked ->
+            record t "backup %d is BLOCKED in state %s" rt.site (state_name t rt.state);
+            enter_stalled t ctx rt
+        | None -> ())
+    | Backup (Termination.Polling { awaiting = []; reps }) -> (
+        rt.mode <- Normal;
+        let q = Termination.majority t.codes.I.n in
+        let kinds = List.map (fun (site, code) -> I.kind_of t.codes ~site ~code) reps in
+        match
+          Termination.quorum ~n_sites:t.codes.I.n
+            ~buffer:t.cfg.rulebook.Rulebook.buffer_code.(rt.site - 1) kinds
+        with
+        | Termination.Seen o ->
+            record t "quorum backup %d: %s" rt.site
+              (match o with
+              | Core.Types.Committed -> "a commit is visible -> COMMIT"
+              | Aborted -> "an abort is visible -> ABORT");
+            decide t ctx rt o
+        | Termination.Move_up (p, prepared) ->
+            record t "quorum backup %d: %d prepared >= %d -> move up and COMMIT" rt.site prepared q;
+            if rt.state <> p then begin
+              force_wal t rt (Wal.Moved { to_state = state_name t p });
+              rt.state <- p
+            end;
+            run_phase1 t ctx rt ~target:p
+              ~awaiting:(List.filter_map (fun (s, _) -> if s <> rt.site then Some s else None) reps)
+        | Termination.No_buffer ->
+            record t "quorum backup %d: no buffer state, cannot commit -> wait" rt.site;
+            enter_stalled t ctx rt
+        | Termination.Unprepared unprepared ->
+            record t "quorum backup %d: %d unprepared >= %d -> ABORT" rt.site unprepared q;
+            decide t ctx rt Core.Types.Aborted
+        | Termination.Short (prepared, unprepared) ->
+            record t "quorum backup %d: no quorum (%d prepared, %d unprepared, need %d) -> wait"
+              rt.site prepared unprepared q;
+            enter_stalled t ctx rt)
+    | Backup (Termination.Polling _) | Normal | Stalled -> ()
+
+  (* Phase 1 of the backup protocol: ask the awaited sites to move to
+     [target]. *)
+  and run_phase1 t ctx (rt : site_rt) ~target ~awaiting =
+    rt.mode <- Backup (Termination.Moving { target; awaiting });
     let crash_after = Failure_plan.backup_crash t.cfg.plan ~site:rt.site ~phase:Sim.Nemesis.Move in
     List.iteri
       (fun i dst ->
@@ -605,84 +620,15 @@ module Exec = struct
         | _ -> ());
         Sim.World.send ctx ~dst
           (Msg.Move_to { target = state_name t target; epoch = rt.lead_epoch }))
-      participants;
+      awaiting;
     (match crash_after with
-    | Some k when k >= List.length participants -> Sim.World.crash_self ctx
+    | Some k when k >= List.length awaiting -> Sim.World.crash_self ctx
     | _ -> ());
-    if Sim.World.is_alive t.world rt.site then maybe_finish_phase1 t ctx rt
-
-  (* The buffer ("prepared to commit") state of this site's FSA. *)
-  let buffer_state t (rt : site_rt) = t.cfg.rulebook.Rulebook.buffer_code.(rt.site - 1)
-
-  (* The quorum decision rule over the collected view (which includes the
-     leader's own state).  Monotone: sites are only ever moved up into the
-     buffer state, so the prepared count can only grow and two quorate
-     decisions can never disagree. *)
-  let evaluate_quorum t ctx (rt : site_rt) ~q ~(polled : (Core.Types.site * int) list) =
-    if rt.outcome <> None then ()
-    else begin
-      let kinds = List.map (fun (site, code) -> I.kind_of t.codes ~site ~code) polled in
-      let n_prepared =
-        List.length (List.filter (fun k -> k = Core.Types.Buffer || Core.Types.is_commit k) kinds)
-      in
-      let n_unprepared = List.length kinds - n_prepared in
-      if List.exists Core.Types.is_commit kinds then begin
-        record t "quorum backup %d: a commit is visible -> COMMIT" rt.site;
-        finalize t rt Core.Types.Committed;
-        broadcast_decide t ctx rt Core.Types.Committed
-      end
-      else if List.exists Core.Types.is_abort kinds then begin
-        record t "quorum backup %d: an abort is visible -> ABORT" rt.site;
-        finalize t rt Core.Types.Aborted;
-        broadcast_decide t ctx rt Core.Types.Aborted
-      end
-      else if n_prepared >= q then begin
-        match buffer_state t rt with
-        | Some p ->
-            record t "quorum backup %d: %d prepared >= %d -> move up and COMMIT" rt.site
-              n_prepared q;
-            if rt.state <> p then begin
-              force_wal t rt (Wal.Moved { to_state = state_name t p });
-              rt.state <- p
-            end;
-            run_phase1 t ctx rt ~target:p
-              ~participants:(List.filter_map (fun (s, _) -> if s <> rt.site then Some s else None) polled)
-        | None ->
-            (* no buffer state (a 2PC run under the quorum rule): without
-               a visible commit there is nothing safe to promote *)
-            record t "quorum backup %d: no buffer state, cannot commit -> wait" rt.site;
-            enter_stalled t ctx rt
-      end
-      else if n_unprepared >= q && buffer_state t rt <> None then begin
-        (* Monotonicity makes phase 1 unnecessary on the abort side: the
-           unprepared count can only have been larger in the past, so no
-           commit quorum can ever have existed.  This reasoning consumes
-           the buffer phase: it is sound only for protocols whose commit is
-           gated by a quorum of prepared-to-commit sites.  In 2PC the
-           coordinator commits straight from its wait state, so a quorum of
-           unprepared participants proves nothing — the model checker found
-           exactly that unsoundness, hence the buffer-state guard. *)
-        record t "quorum backup %d: %d unprepared >= %d -> ABORT" rt.site n_unprepared q;
-        finalize t rt Core.Types.Aborted;
-        broadcast_decide t ctx rt Core.Types.Aborted
-      end
-      else begin
-        record t "quorum backup %d: no quorum (%d prepared, %d unprepared, need %d) -> wait"
-          rt.site n_prepared n_unprepared q;
-        enter_stalled t ctx rt
-      end
-    end
-
-  let maybe_finish_poll t ctx (rt : site_rt) ~q =
-    match rt.mode with
-    | Polling p when p.awaiting = [] ->
-        rt.mode <- Normal;
-        evaluate_quorum t ctx rt ~q ~polled:p.polled
-    | Polling _ | Leading _ | Normal | Stalled -> ()
+    if Sim.World.is_alive t.world rt.site then maybe_finish t ctx rt
 
   let start_termination t ctx (rt : site_rt) =
     match rt.mode with
-    | Leading _ | Polling _ | Stalled -> ()
+    | Backup _ | Stalled -> ()
     | Normal -> (
         (* Elect an epoch: the site's rank under the oracle (a deposed
            backup is dead, round 0 suffices and orders exactly like the
@@ -695,33 +641,26 @@ module Exec = struct
         rt.lead_epoch <- e;
         rt.epoch_seen <- max rt.epoch_seen e;
         t.directive_epochs <- (rt.site, e) :: t.directive_epochs;
-        Sim.Metrics.bump (Sim.World.metrics t.world) l_elections;
-        match rt.outcome with
-        | Some o ->
-            (* Already final: phase 1 may be omitted (paper §8). *)
-            broadcast_decide t ctx rt o
-        | None ->
-            Sim.Metrics.bump (Sim.World.metrics t.world) l_termination_rounds;
-            (
-            match t.cfg.termination with
-            | Quorum q -> (
-                (* poll the reachable participants' states first *)
-                let participants = reachable_participants t rt in
-                rt.mode <- Polling { awaiting = participants; polled = [ (rt.site, rt.state) ] };
-                List.iter
-                  (fun dst -> Sim.World.send ctx ~dst (Msg.State_req { epoch = e }))
-                  participants;
-                maybe_finish_poll t ctx rt ~q)
-            | Skeen -> (
-                match Rulebook.verdict_of_code t.cfg.rulebook ~site:rt.site ~code:rt.state with
-                | Rulebook.Blocked ->
-                    record t "backup %d is BLOCKED in state %s" rt.site (state_name t rt.state);
-                    enter_stalled t ctx rt
-                | Rulebook.Decide _ ->
-                    (* Phase 1: move every reachable, never-crashed
-                       participant to our local state, then decide. *)
-                    run_phase1 t ctx rt ~target:rt.state
-                      ~participants:(reachable_participants t rt))))
+        let m = Sim.World.metrics t.world in
+        Sim.Metrics.bump m l_elections;
+        let opening =
+          Termination.open_round t.cfg.termination t.cfg.rulebook ~site:rt.site ~code:rt.state
+            ~outcome:rt.outcome ~participants:(reachable_participants t rt)
+        in
+        (match opening with
+        | Termination.Announce _ -> ()
+        | Termination.Start _ | Termination.Blocked -> Sim.Metrics.bump m l_termination_rounds);
+        match opening with
+        | Termination.Announce o -> broadcast_decide t ctx rt o
+        | Termination.Blocked ->
+            record t "backup %d is BLOCKED in state %s" rt.site (state_name t rt.state);
+            enter_stalled t ctx rt
+        | Termination.Start (Termination.Moving { target; awaiting }) ->
+            run_phase1 t ctx rt ~target ~awaiting
+        | Termination.Start (Termination.Polling { awaiting; _ } as poll) ->
+            rt.mode <- Backup poll;
+            List.iter (fun dst -> Sim.World.send ctx ~dst (Msg.State_req { epoch = e })) awaiting;
+            maybe_finish t ctx rt)
 
   let rec reconsider_leadership t ctx (rt : site_rt) =
     match eligible_leader t rt with
@@ -740,7 +679,7 @@ module Exec = struct
      [election_timeout] lets it lead. *)
   and start_campaign t ctx (rt : site_rt) =
     match rt.mode with
-    | Leading _ | Polling _ | Stalled -> ()
+    | Backup _ | Stalled -> ()
     | Normal ->
         if not rt.campaigning then begin
           let lower = List.filter (fun s -> s < rt.site) (Sim.World.sites t.world) in
@@ -762,20 +701,24 @@ module Exec = struct
 
   (* ---------------- handlers ---------------- *)
 
+  (* a stale directive from a deposed backup: fence it.  Under the
+     detector the deposed backup is possibly still alive — tell it, so it
+     stands down instead of deciding alone. *)
+  let fence t ctx (rt : site_rt) ~src ~what e =
+    Sim.Metrics.bump (Sim.World.metrics t.world) l_epoch_rejected_directives;
+    record t "site %d fences stale %s from deposed backup %d (e%d < e%d)" rt.site what src e
+      rt.epoch_seen;
+    if t.cfg.detector then Sim.World.send ctx ~dst:src (Msg.Epoch_reject { epoch = rt.epoch_seen })
+
   let handle_peer_down t ctx failed =
     let rt = rt t ctx.Sim.World.self in
     rt.impaired <- true;
     if not (List.mem failed rt.down_view) then rt.down_view <- failed :: rt.down_view;
     if not (List.mem failed rt.tainted_view) then rt.tainted_view <- failed :: rt.tainted_view;
     (match rt.mode with
-    | Leading l ->
-        l.awaiting <- List.filter (fun x -> x <> failed) l.awaiting;
-        maybe_finish_phase1 t ctx rt
-    | Polling p ->
-        p.awaiting <- List.filter (fun x -> x <> failed) p.awaiting;
-        (match t.cfg.termination with
-        | Quorum q -> maybe_finish_poll t ctx rt ~q
-        | Skeen -> ())
+    | Backup phase ->
+        rt.mode <- Backup (Termination.drop phase failed);
+        maybe_finish t ctx rt
     | Normal | Stalled -> ());
     (* Even a site that has already decided must reconsider: if it is now
        the backup coordinator it announces the outcome, so that sites left
@@ -794,60 +737,46 @@ module Exec = struct
         (* evidence of life only — already consumed by [Detector.heard] *)
         ()
     | Msg.Move_to { target = s; epoch = e } -> (
-        match rt.outcome with
-        | Some o ->
+        match
+          Termination.answer_move ~outcome:rt.outcome ~recovered:rt.ever_crashed
+            ~fencing:t.cfg.fencing ~epoch_seen:rt.epoch_seen ~epoch:e
+        with
+        | Termination.Reply o ->
             rt.announced <- Some o;
             Sim.World.send ctx ~dst:src (Msg.Decide { outcome = o; epoch = max e rt.epoch_seen })
-        | None ->
-            if rt.ever_crashed then
-              (* Recovered sites follow the recovery protocol only. *)
-              ()
-            else if t.cfg.fencing && e < rt.epoch_seen then begin
-              (* a stale directive from a deposed backup: fence it.  Under
-                 the detector the deposed backup is possibly still alive —
-                 tell it, so it stands down instead of deciding alone. *)
-              Sim.Metrics.bump (Sim.World.metrics t.world) l_epoch_rejected_directives;
-              record t "site %d fences stale move from deposed backup %d (e%d < e%d)" rt.site src
-                e rt.epoch_seen;
-              if t.cfg.detector then
-                Sim.World.send ctx ~dst:src (Msg.Epoch_reject { epoch = rt.epoch_seen })
-            end
-            else begin
-              (* a backup with higher authority (from a view in which we
-                 are not the leader) is directing us: abandon any poll or
-                 phase 1 of our own and follow it *)
-              rt.epoch_seen <- max rt.epoch_seen e;
-              (match rt.mode with
-              | Polling _ -> rt.mode <- Normal
-              | Leading _ when t.cfg.detector -> rt.mode <- Normal
-              | Normal | Leading _ | Stalled -> ());
-              (* under the detector a directive is also the failure signal
-                 itself: freeze the FSA exactly as an oracle report would *)
-              if t.cfg.detector then rt.impaired <- true;
-              let target = state_code t s in
-              if rt.state <> target then begin
-                (* forced before the ack: the backup will decide from the
-                   belief that this move is stable *)
-                force_wal t rt (Wal.Moved { to_state = s });
-                record t "site %d moves %s -> %s at backup's request" rt.site
-                  (state_name t rt.state) s;
-                rt.state <- target
-              end;
-              Sim.World.send ctx ~dst:src (Msg.Move_ack s)
-            end)
+        | Termination.Ignore -> ()
+        | Termination.Fence -> fence t ctx rt ~src ~what:"move" e
+        | Termination.Adopt epoch ->
+            (* a backup with higher authority (from a view in which we
+               are not the leader) is directing us: abandon any poll or
+               phase 1 of our own and follow it *)
+            rt.epoch_seen <- epoch;
+            (match rt.mode with
+            | Backup (Termination.Polling _) -> rt.mode <- Normal
+            | Backup (Termination.Moving _) when t.cfg.detector -> rt.mode <- Normal
+            | Normal | Backup _ | Stalled -> ());
+            (* under the detector a directive is also the failure signal
+               itself: freeze the FSA exactly as an oracle report would *)
+            if t.cfg.detector then rt.impaired <- true;
+            let target = state_code t s in
+            if rt.state <> target then begin
+              (* forced before the ack: the backup will decide from the
+                 belief that this move is stable *)
+              force_wal t rt (Wal.Moved { to_state = s });
+              record t "site %d moves %s -> %s at backup's request" rt.site
+                (state_name t rt.state) s;
+              rt.state <- target
+            end;
+            Sim.World.send ctx ~dst:src (Msg.Move_ack s))
     | Msg.Move_ack _ -> (
         match rt.mode with
-        | Leading l ->
-            l.awaiting <- List.filter (fun x -> x <> src) l.awaiting;
-            maybe_finish_phase1 t ctx rt
-        | Polling _ | Normal | Stalled -> ())
+        | Backup (Termination.Moving _ as phase) ->
+            rt.mode <- Backup (Termination.drop phase src);
+            maybe_finish t ctx rt
+        | Backup (Termination.Polling _) | Normal | Stalled -> ())
     | Msg.State_req { epoch = e } ->
-        if t.cfg.detector && t.cfg.fencing && e < rt.epoch_seen then begin
-          Sim.Metrics.bump (Sim.World.metrics t.world) l_epoch_rejected_directives;
-          record t "site %d fences stale state-req from deposed backup %d (e%d < e%d)" rt.site
-            src e rt.epoch_seen;
-          Sim.World.send ctx ~dst:src (Msg.Epoch_reject { epoch = rt.epoch_seen })
-        end
+        if t.cfg.detector && t.cfg.fencing && e < rt.epoch_seen then
+          fence t ctx rt ~src ~what:"state-req" e
         else begin
           if t.cfg.detector then begin
             rt.epoch_seen <- max rt.epoch_seen e;
@@ -859,33 +788,30 @@ module Exec = struct
             Sim.World.send ctx ~dst:src (Msg.State_rep (state_name t rt.state))
         end
     | Msg.State_rep s -> (
-        match (rt.mode, t.cfg.termination) with
-        | Polling p, Quorum q ->
-            if not (List.mem_assoc src p.polled) then
-              p.polled <- (src, state_code t s) :: p.polled;
-            p.awaiting <- List.filter (fun x -> x <> src) p.awaiting;
-            maybe_finish_poll t ctx rt ~q
-        | _ -> ())
-    | Msg.Decide { outcome = o; epoch = e } ->
-        if t.cfg.detector && t.cfg.fencing && e < rt.epoch_seen then begin
-          Sim.Metrics.bump (Sim.World.metrics t.world) l_epoch_rejected_directives;
-          record t "site %d fences stale decide from deposed backup %d (e%d < e%d)" rt.site src
-            e rt.epoch_seen;
-          Sim.World.send ctx ~dst:src (Msg.Epoch_reject { epoch = rt.epoch_seen })
-        end
-        else begin
-          if t.cfg.detector then rt.epoch_seen <- max rt.epoch_seen e;
-          let was_leading =
-            match rt.mode with Leading _ -> true | Polling _ | Normal | Stalled -> false
-          in
-          if rt.outcome = None then begin
-            finalize t rt o;
-            (* A participant that was already final answered our Move_to
-               with the outcome: relay it so phase 2 still reaches
-               everyone. *)
-            if was_leading then broadcast_decide t ctx rt o
-          end
-        end
+        match rt.mode with
+        | Backup (Termination.Polling _ as poll) ->
+            rt.mode <- Backup (Termination.report poll src (state_code t s));
+            maybe_finish t ctx rt
+        | Backup (Termination.Moving _) | Normal | Stalled -> ())
+    | Msg.Decide { outcome = o; epoch = e } -> (
+        match
+          Termination.learn_decide
+            ~fencing:(t.cfg.detector && t.cfg.fencing)
+            ~epoch_seen:rt.epoch_seen ~epoch:e ~outcome:rt.outcome
+        with
+        | Termination.Fenced -> fence t ctx rt ~src ~what:"decide" e
+        | answer ->
+            if t.cfg.detector then rt.epoch_seen <- max rt.epoch_seen e;
+            if answer = Termination.Learn then begin
+              let was_leading =
+                match rt.mode with Backup (Termination.Moving _) -> true | _ -> false
+              in
+              finalize t rt o;
+              (* A participant that was already final answered our Move_to
+                 with the outcome: relay it so phase 2 still reaches
+                 everyone. *)
+              if was_leading then broadcast_decide t ctx rt o
+            end)
     | Msg.Query_outcome ->
         (match rt.outcome with Some o -> rt.announced <- Some o | None -> ());
         Sim.World.send ctx ~dst:src (Msg.Outcome_reply rt.outcome);
@@ -935,7 +861,7 @@ module Exec = struct
     | Msg.Epoch_reject { epoch = e } -> (
         rt.epoch_seen <- max rt.epoch_seen e;
         match rt.mode with
-        | Leading _ | Polling _ ->
+        | Backup _ ->
             (* Deposed while directing: abandon the round WITHOUT deciding
                (the higher-epoch backup owns the transaction now) and fall
                back to querying for its outcome. *)
@@ -975,12 +901,12 @@ module Exec = struct
        healed partition however reported sites "down" that never crashed,
        and under the quorum rule a blocked minority must now re-poll *)
     match t.cfg.termination with
-    | Quorum _ when rt.outcome = None ->
+    | Quorum when rt.outcome = None ->
         (match rt.mode with
-        | Stalled | Polling _ -> rt.mode <- Normal
-        | Normal | Leading _ -> ());
+        | Stalled | Backup (Termination.Polling _) -> rt.mode <- Normal
+        | Normal | Backup (Termination.Moving _) -> ());
         reconsider_leadership t ctx rt
-    | Quorum _ | Skeen -> ()
+    | Quorum | Skeen -> ()
 
   (* The oracle's reports and the detector's suspicions drive the same
      view machinery; in detector mode the oracle events are ignored (the

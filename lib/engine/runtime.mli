@@ -1,7 +1,9 @@
 (** The protocol runtime: executes any catalog {!Core.Protocol.t} on the
     simulator — one FSA interpreter per site — together with the paper's
     termination protocol (election + two-phase backup protocol) and
-    recovery protocol.  Every failure-time decision comes from the
+    recovery protocol.  The termination protocol's rules are
+    {!Termination}'s, which the runtime drives with sends, log forces,
+    timers and traces; every failure-time decision comes from the
     compiled {!Rulebook}.
 
     The interpreter executes the rulebook's int-coded tables (the
@@ -20,21 +22,10 @@
     recovered sites run the recovery protocol instead of competing.
     Cascading failures re-run the election automatically. *)
 
-(** How a backup coordinator decides.
-
-    [Skeen] is the paper's rule: decide from the backup's own local state
-    via the compiled {!Rulebook} — maximally live under fail-stop crashes
-    (any single survivor terminates) but unsafe if the failure detector
-    can lie (network partitions).
-
-    [Quorum q] is quorum-based termination (the direction of Skeen's
-    companion quorum-commit work): the backup polls reachable
-    participants and commits only if at least [q] are prepared-to-commit,
-    aborts only if at least [q] are not, and otherwise waits.  With
-    [q > n/2] two partition sides can never decide differently, at the
-    price of blocking minorities.  Moves are monotone (no demotions), so
-    the rule is cascade-safe without ballots. *)
-type termination_rule = Skeen | Quorum of int
+(** How a backup coordinator decides: the paper's rule, or quorum
+    termination over a majority of the sites.  The rules themselves live
+    in {!Termination}; the runtime drives them. *)
+type termination_rule = Termination.rule = Skeen | Quorum
 
 (** The classic commit-protocol presumptions, promoted from the database
     layer: the covered outcome's [Decided] record is appended but not
@@ -43,9 +34,6 @@ type termination_rule = Skeen | Quorum of int
     has not yet voted is indistinguishable from one that forgot a
     covered outcome, and the cohort may still commit). *)
 type presumption = No_presumption | Presume_abort | Presume_commit
-
-val majority : int -> int
-(** [majority n = n/2 + 1]. *)
 
 type config = {
   rulebook : Rulebook.t;

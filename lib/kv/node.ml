@@ -32,7 +32,7 @@ type protocol = Two_phase | Three_phase | Paxos of int
 type presumption = Engine.Runtime.presumption = No_presumption | Presume_abort | Presume_commit
 [@@deriving show { with_path = false }, eq]
 
-type termination = Engine.Runtime.termination_rule = Skeen | Quorum of int
+type termination = Engine.Runtime.termination_rule = Skeen | Quorum
 
 type p_status = P_working | P_prepared | P_precommitted | P_done of bool
 [@@deriving show { with_path = false }, eq]
@@ -948,44 +948,7 @@ let pax_initiate node ctx (p : p_txn) ~exclude =
   nudge ();
   query_round ~on_round:nudge node ctx ~txn:p.txn ~targets ~attempt:0
 
-(** The backup coordinator's action for one orphaned transaction, driven by
-    the paper's decision rule applied to {e its own} participant state. *)
-let run_termination node ctx (p : p_txn) =
-  if not (Hashtbl.mem node.backups p.txn) then begin
-    metric ctx l_terminations;
-    let others = reachable_others node p in
-    match p.status with
-    | P_done commit ->
-        (* already final: phase 1 omitted (announce once the outcome
-           record — possibly still in a pending batch — is durable) *)
-        if others <> [] then
-          Kv_wal.after_durable node.wal (fun () ->
-              note_announce node ~txn:p.txn ~commit;
-              List.iter
-                (fun dst -> Sim.World.send ctx ~dst (Kv_msg.Outcome { txn = p.txn; commit }))
-                others)
-    | P_precommitted ->
-        (* decision rule: concurrency set of the buffer state contains a
-           commit state -> COMMIT.  Phase 1: move everyone up to
-           precommitted; phase 2 on the acks. *)
-        let epoch = elect_epoch node ~txn:p.txn in
-        Hashtbl.replace node.backups p.txn { b_awaiting = others; b_commit = true };
-        List.iter
-          (fun dst -> Sim.World.send ctx ~dst (Kv_msg.Precommit { txn = p.txn; epoch }))
-          others;
-        if others = [] then on_precommit_ack node ctx ~src:node.site ~txn:p.txn
-    | P_prepared | P_working ->
-        (* decision rule: no commit state in the concurrency set -> ABORT.
-           Phase 1: move everyone down to prepared; phase 2 on the acks. *)
-        let epoch = elect_epoch node ~txn:p.txn in
-        Hashtbl.replace node.backups p.txn { b_awaiting = others; b_commit = false };
-        List.iter
-          (fun dst -> Sim.World.send ctx ~dst (Kv_msg.Demote { txn = p.txn; epoch }))
-          others;
-        if others = [] then on_demote_ack node ctx ~src:node.site ~txn:p.txn
-  end
-
-(* ---- quorum termination (Quorum): poll, then decide by counts ---- *)
+(* ---- quorum termination (Quorum): poll, then the shared quorum rule ---- *)
 
 let local_pstate node ~txn : [ `Working | `Prepared | `Precommitted | `Done of bool ] =
   match Hashtbl.find_opt node.p_txns txn with
@@ -1001,45 +964,48 @@ let local_pstate node ~txn : [ `Working | `Prepared | `Precommitted | `Done of b
       | Kv_wal.P_in_doubt { precommitted; _ } -> if precommitted then `Precommitted else `Prepared
       | Kv_wal.P_unknown -> `Working)
 
-let rec evaluate_quorum_poll node ctx (p : p_txn) ~q (poll : poll_state) =
-  if poll.q_awaiting = [] && Hashtbl.mem node.pollings p.txn then begin
-    Hashtbl.remove node.pollings p.txn;
+let kind_of_pstate : [ `Working | `Prepared | `Precommitted | `Done of bool ] -> _ = function
+  | `Working -> Core.Types.Initial
+  | `Prepared -> Core.Types.Wait
+  | `Precommitted -> Core.Types.Buffer
+  | `Done commit -> if commit then Core.Types.Commit else Core.Types.Abort
+
+(* The shared quorum rule over the polled statuses; kv always has a
+   buffer phase (the precommit), so it is [Some ()]. *)
+let rec evaluate_quorum_poll node ctx ~txn (poll : poll_state) =
+  match Hashtbl.find_opt node.p_txns txn with
+  | Some p when poll.q_awaiting = [] && Hashtbl.mem node.pollings txn -> (
+    Hashtbl.remove node.pollings txn;
     let reps = poll.q_reps in
-    let has f = List.exists (fun (_, r) -> f r) reps in
-    let count f = List.length (List.filter (fun (_, r) -> f r) reps) in
-    let prepared_up = function `Precommitted | `Done true -> true | _ -> false in
-    if has (fun r -> r = `Done true) then finish_orphan node ctx p ~commit:true
-    else if has (fun r -> r = `Done false) then finish_orphan node ctx p ~commit:false
-    else if count prepared_up >= q then begin
-      (* move the reachable prepared participants up, then commit *)
-      let to_move =
-        List.filter_map (fun (s, r) -> if s <> node.site && r = `Prepared then Some s else None) reps
-      in
-      let move_others () =
-        Hashtbl.replace node.backups p.txn { b_awaiting = to_move; b_commit = true };
-        List.iter
-          (fun dst ->
-            Sim.World.send ctx ~dst (Kv_msg.Precommit { txn = p.txn; epoch = poll.q_epoch }))
-          to_move;
-        if to_move = [] then on_precommit_ack node ctx ~src:node.site ~txn:p.txn
-      in
-      match Hashtbl.find_opt node.p_txns p.txn with
-      | Some me when me.status = P_prepared ->
-          me.status <- P_precommitted;
-          Kv_wal.force_k node.wal (Kv_wal.P_precommitted { txn = p.txn }) move_others
-      | _ -> move_others ()
-    end
-    else if count (fun r -> r = `Working || r = `Prepared) >= q then
-      (* monotone: no demotion needed — a commit quorum can never have
-         existed and never will among these states *)
-      finish_orphan node ctx p ~commit:false
-    else begin
-      (* below quorum either way: wait for recoveries/healing; the query
-         loop doubles as the retry channel *)
-      metric ctx l_quorum_blocked;
-      query_loop node ctx ~txn:p.txn ~targets:p.participants
-    end
-  end
+    match
+      Engine.Termination.quorum ~n_sites:node.n_sites ~buffer:(Some ())
+        (List.map (fun (_, r) -> kind_of_pstate r) reps)
+    with
+    | Engine.Termination.Seen o -> finish_orphan node ctx p ~commit:(o = Core.Types.Committed)
+    | Engine.Termination.Unprepared _ -> finish_orphan node ctx p ~commit:false
+    | Engine.Termination.Move_up ((), _) -> (
+        (* move the reachable prepared participants up, then commit *)
+        let to_move =
+          List.filter_map (fun (s, r) -> if s <> node.site && r = `Prepared then Some s else None) reps
+        in
+        let move_others () =
+          Hashtbl.replace node.backups txn { b_awaiting = to_move; b_commit = true };
+          List.iter
+            (fun dst -> Sim.World.send ctx ~dst (Kv_msg.Precommit { txn; epoch = poll.q_epoch }))
+            to_move;
+          if to_move = [] then on_precommit_ack node ctx ~src:node.site ~txn
+        in
+        if p.status = P_prepared then begin
+          p.status <- P_precommitted;
+          Kv_wal.force_k node.wal (Kv_wal.P_precommitted { txn }) move_others
+        end
+        else move_others ())
+    | Engine.Termination.No_buffer | Engine.Termination.Short _ ->
+        (* below quorum either way: wait for recoveries/healing; the query
+           loop doubles as the retry channel *)
+        metric ctx l_quorum_blocked;
+        query_loop node ctx ~txn ~targets:p.participants)
+  | _ -> ()
 
 and finish_orphan node ctx (p : p_txn) ~commit =
   p_finish node ctx p ~commit ~announce:(fun () ->
@@ -1050,26 +1016,26 @@ and finish_orphan node ctx (p : p_txn) ~commit =
           if dst <> node.site then Sim.World.send ctx ~dst (Kv_msg.Outcome { txn = p.txn; commit }))
         p.participants)
 
-(** Quorum termination for one orphaned transaction: poll the reachable
-    participants' states, then commit only on a quorum of
-    prepared-to-commit sites, abort only on a quorum of not-prepared ones,
-    and wait otherwise. *)
-let run_quorum_termination node ctx (p : p_txn) ~q =
+(** The backup coordinator's action for one orphaned transaction.  A
+    final backup announces its outcome (phase 1 omitted).  Under [Skeen]
+    it decides by the paper's rule applied to {e its own} participant
+    state; under [Quorum] it polls the reachable participants' states for
+    {!evaluate_quorum_poll}. *)
+let run_termination node ctx (p : p_txn) =
   if (not (Hashtbl.mem node.backups p.txn)) && not (Hashtbl.mem node.pollings p.txn) then begin
     metric ctx l_terminations;
-    match p.status with
-    | P_done commit ->
-        let others = reachable_others node p in
+    let others = reachable_others node p in
+    match (p.status, node.termination) with
+    | P_done commit, _ ->
+        (* already final: phase 1 omitted (announce once the outcome
+           record — possibly still in a pending batch — is durable) *)
         if others <> [] then
           Kv_wal.after_durable node.wal (fun () ->
               note_announce node ~txn:p.txn ~commit;
               List.iter
-                (fun dst ->
-                  if dst <> node.site then
-                    Sim.World.send ctx ~dst (Kv_msg.Outcome { txn = p.txn; commit }))
+                (fun dst -> Sim.World.send ctx ~dst (Kv_msg.Outcome { txn = p.txn; commit }))
                 others)
-    | P_working | P_prepared | P_precommitted ->
-        let others = reachable_others node p in
+    | (P_working | P_prepared | P_precommitted), Quorum ->
         let epoch = elect_epoch node ~txn:p.txn in
         let poll =
           {
@@ -1082,7 +1048,26 @@ let run_quorum_termination node ctx (p : p_txn) ~q =
         List.iter
           (fun dst -> Sim.World.send ctx ~dst (Kv_msg.PState_req { txn = p.txn; epoch }))
           others;
-        evaluate_quorum_poll node ctx p ~q poll
+        evaluate_quorum_poll node ctx ~txn:p.txn poll
+    | P_precommitted, Skeen ->
+        (* decision rule: concurrency set of the buffer state contains a
+           commit state -> COMMIT.  Phase 1: move everyone up to
+           precommitted; phase 2 on the acks. *)
+        let epoch = elect_epoch node ~txn:p.txn in
+        Hashtbl.replace node.backups p.txn { b_awaiting = others; b_commit = true };
+        List.iter
+          (fun dst -> Sim.World.send ctx ~dst (Kv_msg.Precommit { txn = p.txn; epoch }))
+          others;
+        if others = [] then on_precommit_ack node ctx ~src:node.site ~txn:p.txn
+    | (P_prepared | P_working), Skeen ->
+        (* decision rule: no commit state in the concurrency set -> ABORT.
+           Phase 1: move everyone down to prepared; phase 2 on the acks. *)
+        let epoch = elect_epoch node ~txn:p.txn in
+        Hashtbl.replace node.backups p.txn { b_awaiting = others; b_commit = false };
+        List.iter
+          (fun dst -> Sim.World.send ctx ~dst (Kv_msg.Demote { txn = p.txn; epoch }))
+          others;
+        if others = [] then on_demote_ack node ctx ~src:node.site ~txn:p.txn
   end
 
 (* Called when this site learns that [failed] crashed: handle every
@@ -1158,10 +1143,7 @@ let on_peer_down node ctx failed =
                    automatically.  A backup already in a final state
                    announces the outcome directly (phase 1 omitted). *)
                 (match eligible_backup node p with
-                | Some backup when backup = node.site -> (
-                    match node.termination with
-                    | Skeen -> run_termination node ctx p
-                    | Quorum q -> run_quorum_termination node ctx p ~q)
+                | Some backup when backup = node.site -> run_termination node ctx p
                 | Some _ -> ()
                 | None ->
                     (* every participant crashed at least once: fall back to
@@ -1173,9 +1155,7 @@ let on_peer_down node ctx failed =
     (fun txn (poll : poll_state) ->
       if List.mem failed poll.q_awaiting then begin
         poll.q_awaiting <- List.filter (fun s -> s <> failed) poll.q_awaiting;
-        match (Hashtbl.find_opt node.p_txns txn, node.termination) with
-        | Some p, Quorum q -> evaluate_quorum_poll node ctx p ~q poll
-        | _ -> ()
+        evaluate_quorum_poll node ctx ~txn poll
       end)
     node.pollings
 
@@ -1203,7 +1183,7 @@ let on_peer_up node ctx recovered =
   (* under quorum termination a healed partition may have restored the
      quorum: re-poll every still-orphaned transaction *)
   match node.termination with
-  | Quorum q ->
+  | Quorum ->
       Hashtbl.iter
         (fun _ (p : p_txn) ->
           match p.status with
@@ -1212,7 +1192,7 @@ let on_peer_up node ctx recovered =
               match eligible_backup node p with
               | Some backup when backup = node.site ->
                   Hashtbl.remove node.pollings p.txn;
-                  run_quorum_termination node ctx p ~q
+                  run_termination node ctx p
               | _ -> ())
           | _ -> ())
         node.p_txns
@@ -1446,13 +1426,11 @@ let on_message node ctx ~src (msg : Kv_msg.t) =
         | None -> ()
       end
   | Kv_msg.PState_rep { txn; state } -> (
-      match (Hashtbl.find_opt node.pollings txn, node.termination) with
-      | Some poll, Quorum q when List.mem src poll.q_awaiting -> (
+      match Hashtbl.find_opt node.pollings txn with
+      | Some poll when List.mem src poll.q_awaiting ->
           poll.q_awaiting <- List.filter (fun s -> s <> src) poll.q_awaiting;
           poll.q_reps <- (src, state) :: poll.q_reps;
-          match Hashtbl.find_opt node.p_txns txn with
-          | Some p -> evaluate_quorum_poll node ctx p ~q poll
-          | None -> ())
+          evaluate_quorum_poll node ctx ~txn poll
       | _ -> ())
   | Kv_msg.PaxAccept { txn; ballot; commit; participants = _ } ->
       (* acceptor, phase 2a: accept unless a higher ballot was promised;

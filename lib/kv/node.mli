@@ -25,13 +25,14 @@ val show_presumption : presumption -> string
 val equal_presumption : presumption -> presumption -> bool
 
 (** The protocol engine's termination rules
-    ({!Engine.Runtime.termination_rule}), re-exported.  How orphaned
+    ({!Engine.Termination.rule}), re-exported.  How orphaned
     transactions are terminated when their coordinator dies under 3PC:
     [Skeen] decides from the backup's own transaction state (the paper's
-    rule — live but partition-unsafe); [Quorum q] polls reachable
-    participants and requires [q] of them either way, with monotone moves
-    (never demoting a precommit). *)
-type termination = Engine.Runtime.termination_rule = Skeen | Quorum of int
+    rule — live but partition-unsafe); [Quorum] polls reachable
+    participants and applies {!Engine.Termination.quorum} over a majority
+    of the [n_sites] sites, with monotone moves (never demoting a
+    precommit). *)
+type termination = Engine.Runtime.termination_rule = Skeen | Quorum
 
 type p_status = P_working | P_prepared | P_precommitted | P_done of bool
 

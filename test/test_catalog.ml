@@ -131,10 +131,6 @@ let test_phases () =
       Alcotest.(check int) "decentralized 3pc has 3 phases" 3 (P.phases (C.decentralized_3pc n)))
     ns
 
-let test_synthesis_adds_one_phase () =
-  let { Core.Synthesis.protocol; _ } = Core.Synthesis.buffer_protocol (C.central_2pc 3) in
-  Alcotest.(check int) "2pc + buffer = 3 phases" 3 (P.phases protocol)
-
 let test_buffer_state_kinds () =
   let p3 = C.central_3pc 3 in
   List.iter
@@ -194,6 +190,5 @@ let suite =
     Alcotest.test_case "hasty 2PC variant" `Quick test_hasty_variant;
     Alcotest.test_case "3PC buffer state kind" `Quick test_buffer_state_kinds;
     Alcotest.test_case "phase counts name the protocols" `Quick test_phases;
-    Alcotest.test_case "synthesis adds exactly one phase" `Quick test_synthesis_adds_one_phase;
     Alcotest.test_case "3PC FSA digests, n=2..10" `Quick test_3pc_digests;
   ]

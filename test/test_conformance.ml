@@ -81,7 +81,7 @@ let unvoted_veto_2pc =
 let pinned =
   let c2 = Core.Catalog.central_2pc and c3 = Core.Catalog.central_3pc in
   let d2 = Core.Catalog.decentralized_2pc and d3 = Core.Catalog.decentralized_3pc in
-  let q2 = R.Quorum 2 in
+  let q2 = R.Quorum in
   [
     ("central-2pc n=3", config (c2 3), "800ac6e1cbebc7bce2ea3cb0ecdd2af5");
     ("central-2pc n=4", config (c2 4), "2c1bd338e8b94f9690813f966b1199e2");

@@ -3,7 +3,6 @@
     paper's rule, and pays for it by blocking below-quorum survivors. *)
 
 let n_sites = 3
-let q = (n_sites / 2) + 1
 
 (* one cross-site transfer between sites 2 and 3, coordinated by site 2 *)
 let keys () =
@@ -15,7 +14,7 @@ let transfer () =
   let k1, k2 = keys () in
   { Kv.Txn.id = 1; ops = [ Kv.Txn.Add (k1, -5); Kv.Txn.Add (k2, 5) ] }
 
-let run ?(termination = Kv.Node.Quorum q) ?(crashes = []) ?(recoveries = []) ?(partitions = [])
+let run ?(termination = Kv.Node.Quorum) ?(crashes = []) ?(recoveries = []) ?(partitions = [])
     () =
   let k1, k2 = keys () in
   Kv.Db.run
@@ -57,7 +56,7 @@ let test_partition_bank_workload () =
   let rng = Sim.Rng.create ~seed:41 in
   let wl = Kv.Workload.bank rng ~n_txns:100 ~accounts ~arrival_rate:1.0 in
   let cfg =
-    Kv.Db.config ~n_sites:4 ~protocol:Kv.Node.Three_phase ~termination:(Kv.Node.Quorum 3)
+    Kv.Db.config ~n_sites:4 ~protocol:Kv.Node.Three_phase ~termination:Kv.Node.Quorum
       ~seed:41
       ~plan:[ Helpers.partition (40.0, 120.0, [ [ 1; 2; 3 ]; [ 4 ] ]) ]
       ~initial_data:(Kv.Workload.bank_initial ~accounts ~initial_balance:100)
@@ -86,7 +85,7 @@ let test_skeen_vs_quorum_on_partition () =
      minority participant prepared, where the paper's rule aborts it *)
   let partitions = [ (2.8, 200.0, [ [ 1; 2 ]; [ 3 ] ]) ] in
   let skeen = run ~termination:Kv.Node.Skeen ~partitions () in
-  let quorum = run ~termination:(Kv.Node.Quorum q) ~partitions () in
+  let quorum = run ~termination:Kv.Node.Quorum ~partitions () in
   Alcotest.(check bool) "quorum stays atomic" true quorum.Kv.Db.atomicity_ok;
   Alcotest.(check bool) "skeen split-brains on this schedule" false skeen.Kv.Db.atomicity_ok
 

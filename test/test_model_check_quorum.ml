@@ -16,7 +16,7 @@ let run label n k =
       MC.rulebook = rb label n;
       max_crashes = k;
       limit = 4_000_000;
-      rule = `Quorum ((n / 2) + 1);
+      rule = `Quorum;
     }
 
 let test_quorum_3pc_safe () =

@@ -131,7 +131,7 @@ let test_model_check_differential_quorum () =
     (fun (e : Core.Catalog.entry) ->
       List.iter
         (fun (n, k) ->
-          let cfg = check_config (e.Core.Catalog.build n) k (`Quorum ((n / 2) + 1)) in
+          let cfg = check_config (e.Core.Catalog.build n) k `Quorum in
           assert_reports_equal
             (Fmt.str "%s n=%d k=%d quorum" e.Core.Catalog.label n k)
             (MC.run cfg) (Engine.Model_check_ref.run cfg))
@@ -248,10 +248,9 @@ let reported_digest (r : MC.report) =
 let check_golden rows =
   List.iter
     (fun (label, n, k, rule, explored, safe, nonblocking, n_inconsistent, n_blocked, digest) ->
-      let rule = match rule with `Skeen -> `Skeen | `Quorum -> `Quorum ((n / 2) + 1) in
       let r = MC.run (check_config (build_of label n) k rule) in
       let ctx =
-        Fmt.str "%s n=%d k=%d%s" label n k (match rule with `Skeen -> "" | `Quorum _ -> " quorum")
+        Fmt.str "%s n=%d k=%d%s" label n k (match rule with `Skeen -> "" | `Quorum -> " quorum")
       in
       Alcotest.(check int) (ctx ^ " explored") explored r.MC.explored;
       Alcotest.(check bool) (ctx ^ " safe") safe r.MC.safe;
