@@ -190,26 +190,32 @@ module Store = struct
       ix
     end
 
-  let get t ix =
+  let get_into t ix (buf : int array) =
     if ix < 0 || ix >= t.count then Fmt.invalid_arg "Intern.Store.get: no state %d" ix;
-    let stop = t.starts.(ix + 1) in
+    let start = t.starts.(ix) and stop = t.starts.(ix + 1) in
     let n = ref 0 in
-    for p = t.starts.(ix) to stop - 1 do
+    for p = start to stop - 1 do
       if Char.code (Bytes.unsafe_get t.arena p) < 0x80 then incr n
     done;
-    let out = Array.make !n 0 in
-    let pos = ref t.starts.(ix) in
-    for i = 0 to !n - 1 do
-      let v = ref 0 and shift = ref 0 and more = ref true in
-      while !more do
-        let b = Char.code (Bytes.unsafe_get t.arena !pos) in
-        incr pos;
-        v := !v lor ((b land 0x7f) lsl !shift);
-        shift := !shift + 7;
-        more := b >= 0x80
-      done;
-      out.(i) <- !v
-    done;
+    if !n <= Array.length buf then begin
+      let pos = ref start in
+      for i = 0 to !n - 1 do
+        let v = ref 0 and shift = ref 0 and more = ref true in
+        while !more do
+          let b = Char.code (Bytes.unsafe_get t.arena !pos) in
+          incr pos;
+          v := !v lor ((b land 0x7f) lsl !shift);
+          shift := !shift + 7;
+          more := b >= 0x80
+        done;
+        Array.unsafe_set buf i !v
+      done
+    end;
+    !n
+
+  let get t ix =
+    let out = Array.make (get_into t ix [||]) 0 in
+    ignore (get_into t ix out);
     out
 end
 
@@ -249,8 +255,6 @@ module Net = struct
       with Missing -> None
     end
 
-  let contains_all consumes net = remove_all consumes net <> None
-
   (** [add_all adds net]: merge [adds] (sorted) into [net]. *)
   let add_all (adds : int array) (net : int array) : int array =
     let na = Array.length adds and nn = Array.length net in
@@ -270,27 +274,6 @@ module Net = struct
       done;
       out
     end
-
-  let add_one code net =
-    let nn = Array.length net in
-    let out = Array.make (nn + 1) 0 in
-    let i = ref 0 in
-    while !i < nn && net.(!i) <= code do
-      out.(!i) <- net.(!i);
-      incr i
-    done;
-    out.(!i) <- code;
-    Array.blit net !i out (!i + 1) (nn - !i);
-    out
-
-  (** Remove the element at index [ix] (used when consuming one known
-      occurrence during iteration). *)
-  let remove_index ix net =
-    let nn = Array.length net in
-    let out = Array.make (nn - 1) 0 in
-    Array.blit net 0 out 0 ix;
-    Array.blit net (ix + 1) out ix (nn - 1 - ix);
-    out
 end
 
 (* ---------------- compiled protocols ---------------- *)

@@ -51,6 +51,12 @@ module Store : sig
   val get : t -> int -> int array
   (** The state stored at an index, decoded into a fresh array.
       @raise Invalid_argument on an index outside [0 .. length t - 1]. *)
+
+  val get_into : t -> int -> int array -> int
+  (** [get_into t ix buf] is the length of the state stored at [ix]; when
+      [buf] holds that many values, the state is decoded into its prefix,
+      else [buf] is left unchanged.  Allocates nothing.
+      @raise Invalid_argument as {!get}. *)
 end
 
 (** {1 Sorted int-multiset operations}
@@ -64,12 +70,8 @@ module Net : sig
   (** [remove_all consumes net]: remove one occurrence of each code
       (both sorted); [None] if any is missing. *)
 
-  val contains_all : int array -> int array -> bool
   val add_all : int array -> int array -> int array
   (** Merge two sorted arrays. *)
-
-  val add_one : int -> int array -> int array
-  val remove_index : int -> int array -> int array
 end
 
 (** {1 Compiled protocols} *)

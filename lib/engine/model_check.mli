@@ -28,9 +28,12 @@
     The exploration engine runs over {!Core.Intern}'s packed int-array
     encoding (interned ids, one-int messages) and keeps every explored
     state once, in {!Core.Intern.Store}'s byte arena; the BFS frontier is
-    the range of store indices not yet popped.  The original
-    string-keyed engine is kept as {!Model_check_ref} and the
-    differential tests assert both agree. *)
+    the range of store indices not yet popped.  Each popped state is
+    decoded into arrays reused from pop to pop, and each successor is
+    packed in place from it plus one site's edit, so a visited state
+    costs a few minor words (the termination rules' answers), not a
+    record per successor.  The original string-keyed engine is kept as
+    {!Model_check_ref} and the differential tests assert both agree. *)
 
 type st = {
   locals : string array;  (** last forced-log state per site *)

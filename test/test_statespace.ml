@@ -224,6 +224,8 @@ let golden_fast : golden_row list =
     ("paxos-commit", 4, 1, `Quorum, 11291, true, false, 0, 236, "958792661339b34aa94482058319ed4e");
     ("central-2pc-hasty", 3, 0, `Skeen, 39, true, true, 0, 0, "d41d8cd98f00b204e9800998ecf8427e");
     ("central-2pc-hasty", 3, 1, `Skeen, 2108, true, false, 0, 49, "9b9eb8ba5dd816020ed0865ef8a1703b");
+    ("unilateral-abort", 2, 1, `Skeen, 241, false, false, 14, 26, "fe17007c44569a77e8f8635317804fc9");
+    ("unilateral-abort", 2, 1, `Quorum, 255, false, false, 14, 38, "317d7d2e24c8d70dacbf9f25c7f11622");
   ]
 
 (* The decentralized n=4 rows take most of a second each. *)
@@ -235,8 +237,43 @@ let golden_slow : golden_row list =
     ("decentralized-3pc", 4, 1, `Quorum, 226577, true, false, 0, 1616, "b6cae6d86f0a3450d24b8db07fe982b5");
   ]
 
+(* Two sites that each vote yes to the other and commit on the other's
+   yes, but may also abort on their own after voting: unsafe by design.
+   Every catalog row is safe, so only these rows pin the inconsistent
+   states the checker reports, in its discovery order, and the
+   counterexample path it rebuilds from its parent indices. *)
+let unilateral_abort n =
+  if n <> 2 then Fmt.invalid_arg "unilateral_abort: two sites, not %d" n;
+  let msg name src dst = Core.Message.make ~name ~src ~dst in
+  let site i =
+    let other = 3 - i in
+    let tr from_state to_state consumes emits vote =
+      { Core.Automaton.from_state; to_state; consumes; emits; vote }
+    in
+    Core.Automaton.make ~site:i
+      ~states:
+        [
+          { Core.Automaton.id = "q"; kind = Core.Types.Initial };
+          { id = "w"; kind = Core.Types.Wait };
+          { id = "c"; kind = Core.Types.Commit };
+          { id = "a"; kind = Core.Types.Abort };
+        ]
+      ~initial:"q"
+      ~transitions:
+        [
+          tr "q" "w" [ msg Core.Message.request 0 i ] [ msg Core.Message.yes i other ] (Some Core.Types.Yes);
+          tr "q" "a" [ msg Core.Message.request 0 i ] [ msg Core.Message.no i other ] (Some Core.Types.No);
+          tr "w" "c" [ msg Core.Message.yes other i ] [] None;
+          tr "w" "a" [] [] None;
+        ]
+  in
+  Core.Protocol.make ~name:"unilateral-abort-2" ~paradigm:Core.Protocol.Decentralized
+    ~automata:[| site 1; site 2 |]
+    ~initial_network:[ msg Core.Message.request 0 1; msg Core.Message.request 0 2 ]
+
 let build_of label =
   if label = "central-2pc-hasty" then Core.Catalog.central_2pc_hasty
+  else if label = "unilateral-abort" then unilateral_abort
   else (Core.Catalog.find label).Core.Catalog.build
 
 let reported_digest (r : MC.report) =
