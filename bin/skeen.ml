@@ -10,6 +10,7 @@
     - [simulate]    execute a transaction with optional crash injection
     - [chaos]       randomized fault schedules + oracles + shrinking
     - [explore]     coverage-guided fault-space search over a plan corpus
+    - [model-check] exhaustive state-space verification ([--bench] times it)
     - [bank]        run the bank workload on the KV store *)
 
 open Cmdliner
@@ -872,17 +873,22 @@ let explore_cmd =
       $ seed_arg ~docv:"S" ~default:0 "Root seed of the search stream."
       $ storms_arg)
 
-(* ---------------- model-check / check ---------------- *)
+(* ---------------- model-check ---------------- *)
 
-(* One body for both names: check the flags, explore (running out of
-   states is reported, not raised), print the report; [bench] adds the
-   wall-time line. *)
-let model_check cmd ~doc ~bench =
+(* Check the flags, explore (running out of states is reported, not
+   raised), print the report; [--bench] adds the wall-time line. *)
+let model_check_cmd =
+  let cmd = "model-check" in
   let crashes_arg =
     Arg.(value & opt int 1 & info [ "k"; "crashes" ] ~docv:"K" ~doc:"Maximum number of crashes.")
   in
   let limit_arg =
     Arg.(value & opt int 4_000_000 & info [ "limit" ] ~docv:"N" ~doc:"State exploration limit.")
+  in
+  let bench_arg =
+    Arg.(
+      value & flag
+      & info [ "bench" ] ~doc:"Report wall-clock time, states/sec and the peak major heap for the run.")
   in
   let run p k limit bench =
     require cmd (k >= 0) "--crashes must be >= 0";
@@ -907,26 +913,15 @@ let model_check cmd ~doc ~bench =
         List.iteri (fun i st -> Fmt.pr "%2d: %a@." i Engine.Model_check.pp_st st) path
     | None -> ()
   in
-  Cmd.v (Cmd.info cmd ~doc) Term.(const run $ protocol cmd $ crashes_arg $ limit_arg $ bench)
-
-let model_check_cmd =
-  model_check "model-check" ~bench:(Term.const false)
-    ~doc:
-      "Exhaustively verify a protocol (with its termination protocol) under up to K crashes: \
-       no interleaving may violate atomicity, and for nonblocking protocols every terminal \
-       state must have all operational sites decided."
-
-let check_cmd =
-  model_check "check"
-    ~bench:
-      Arg.(
-        value & flag
-        & info [ "bench" ]
-            ~doc:"Report wall-clock time, states/sec and the peak major heap for the run.")
-    ~doc:
-      "Exhaustively verify a protocol with the interned state-space engine; $(b,--bench) \
-       additionally reports wall-clock throughput (states/sec) and the peak major heap (the \
-       process's top heap size)."
+  Cmd.v
+    (Cmd.info cmd
+       ~doc:
+         "Exhaustively verify a protocol (with its termination protocol) under up to K crashes \
+          with the interned state-space engine: no interleaving may violate atomicity, and for \
+          nonblocking protocols every terminal state must have all operational sites decided.  \
+          $(b,--bench) additionally reports wall-clock throughput (states/sec) and the peak \
+          major heap (the process's top heap size).")
+    Term.(const run $ protocol cmd $ crashes_arg $ limit_arg $ bench_arg)
 
 (* ---------------- election ---------------- *)
 
@@ -1035,7 +1030,6 @@ let () =
             chaos_cmd;
             explore_cmd;
             model_check_cmd;
-            check_cmd;
             election_cmd;
             bank_cmd;
           ]))

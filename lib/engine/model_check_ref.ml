@@ -71,24 +71,8 @@ let move_target m = String.sub m.Core.Message.name 6 (String.length m.Core.Messa
 let outcome_of_decide m =
   if m.Core.Message.name = "!decide:c" then Core.Types.Committed else Core.Types.Aborted
 
-type config = Model_check.config = {
-  rulebook : Rulebook.t;
-  max_crashes : int;
-  limit : int;
-  rule : [ `Skeen | `Quorum ];
-}
-
-type report = Model_check.report = {
-  explored : int;
-  inconsistent : st list;
-  blocked_terminals : st list;
-  safe : bool;
-  nonblocking : bool;
-  counterexample : st list option;
-}
-
-let run (cfg : config) : report =
-  let protocol = cfg.rulebook.Rulebook.protocol in
+let run (cfg : Model_check.config) : Model_check.report =
+  let protocol = cfg.Model_check.rulebook.Rulebook.protocol in
   let n = Core.Protocol.n_sites protocol in
   let automaton i = Core.Protocol.automaton protocol (i + 1) in
   let kind_of i id = Core.Automaton.kind_of (automaton i) id in
@@ -313,7 +297,7 @@ let run (cfg : config) : report =
                  acked or dead *)
               if List.for_all (fun j -> not st.alive.(j - 1)) awaiting || awaiting = [] then begin
                 match
-                  Rulebook.verdict cfg.rulebook ~site:(i + 1) ~state:st.locals.(i)
+                  Rulebook.verdict cfg.Model_check.rulebook ~site:(i + 1) ~state:st.locals.(i)
                 with
                 | Rulebook.Decide o ->
                     let locals = Array.copy st.locals in
@@ -350,9 +334,11 @@ let run (cfg : config) : report =
                 | None -> assert false
               end
               else begin
-                match cfg.rule with
+                match cfg.Model_check.rule with
                 | `Skeen -> (
-                    match Rulebook.verdict cfg.rulebook ~site:(i + 1) ~state:st.locals.(i) with
+                    match
+                      Rulebook.verdict cfg.Model_check.rulebook ~site:(i + 1) ~state:st.locals.(i)
+                    with
                     | Rulebook.Decide _ ->
                         (* phase 1: move everyone to our state — only once
                            per configuration (no move already in flight
@@ -479,7 +465,7 @@ let run (cfg : config) : report =
       voted = Array.make n false;
       alive = Array.make n true;
       aware = Array.make n false;
-      crashes_left = cfg.max_crashes;
+      crashes_left = cfg.Model_check.max_crashes;
       network = MS.of_list protocol.Core.Protocol.initial_network;
       moving = Array.make n None;
       polling = Array.make n None;
@@ -497,7 +483,7 @@ let run (cfg : config) : report =
   while not (Queue.is_empty queue) do
     let st = Queue.pop queue in
     incr explored;
-    if !explored > cfg.limit then failwith "Model_check.run: state limit exceeded";
+    if !explored > cfg.Model_check.limit then failwith "Model_check.run: state limit exceeded";
     (* safety: mixed outcomes across ALL sites (crashed sites' last forced
        log state counts) *)
     let kinds = Array.to_list (Array.mapi (fun i id -> kind_of i id) st.locals) in
@@ -527,7 +513,7 @@ let run (cfg : config) : report =
     go target []
   in
   {
-    explored = !explored;
+    Model_check.explored = !explored;
     inconsistent = !inconsistent;
     blocked_terminals = !blocked_terminals;
     safe = !inconsistent = [];

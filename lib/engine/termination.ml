@@ -26,12 +26,12 @@ let report phase site code =
 
 type opening = Announce of Core.Types.outcome | Start of phase | Blocked
 
-let open_round rule rb ~site ~code ~outcome ~participants =
+let open_round ?row rule rb ~site ~code ~outcome ~participants =
   match (outcome, rule) with
   | Some o, _ -> Announce o
   | None, Quorum -> Start (Polling { awaiting = participants; reps = [ (site, code) ] })
   | None, Skeen -> (
-      match Rulebook.verdict_of_code rb ~site ~code with
+      match Rulebook.verdict_of_code rb ~site:(Option.value row ~default:site) ~code with
       | Rulebook.Decide _ -> Start (Moving { target = code; awaiting = participants })
       | Rulebook.Blocked -> Blocked)
 

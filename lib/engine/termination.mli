@@ -3,11 +3,12 @@
     {!Rulebook} verdict (phase 2); the quorum variant polls the sites'
     states first and decides by counts.  Each rule is a pure function of a
     site's state code, outcome, round in flight ({!phase}) and epoch that
-    returns a decision.  {!Runtime} and {!Model_check} drive every rule and
-    [Kv.Node] drives {!quorum}; the drivers keep the I/O (sends, log
-    forces, timers, traces; input enumeration, crash variants, the packed
-    state).  No rule takes an argument naming its caller: a harness
-    difference enters as data (an epoch, [fencing], an awaited set) or
+    returns a decision.  {!Runtime} and {!Model_check} drive every rule;
+    [Kv.Node] drives {!open_round}, {!drop}, {!report}, {!close_phase1}
+    and {!quorum}.  The drivers keep the I/O (sends, log forces, timers,
+    traces; input enumeration, crash variants, the packed state).  No
+    rule takes an argument naming its caller: a harness difference enters
+    as data (an epoch, [fencing], an awaited set, a rulebook row) or
     stays in the driver.
 
     {b Where the drivers differ}, each pinned by a golden row or a
@@ -22,7 +23,22 @@
     - on a move, {!answer_move} tests the outcome before the epoch, the
       runtime's order; the checker can share it because a stale mover
       there is always dead (the leader is the lowest live site and sites
-      never recover), so the reply it gets is dropped like the move.
+      never recover), so the reply it gets is dropped like the move;
+    - kv answers moves itself, in its own order: it fences a stale move
+      before it looks at its own outcome, and a final participant never
+      replies with its outcome: it acks a move toward it ([P_done true]
+      acks a move to the buffer state, [P_done false] any other) and
+      ignores the rest; a working participant, or one that never heard
+      of the transaction, acks a move down without moving;
+    - kv's staleness under the oracle is by identity: a move from a site
+      known to have crashed is stale whatever its epoch (epochs fence
+      only under the detector);
+    - every kv site decides by one rulebook row, site 2 of central 3PC at
+      n = 3 ([?row] of {!open_round}), whatever its site count: a
+      participant row's verdicts do not depend on n;
+    - kv closes phase 1 on the verdict of the round's target, the state
+      the backup held when the round opened; the runtime reads its state
+      when the round closes.
 
     {b Where Paxos Commit's recovery differs} (its F=0 case is this
     protocol; {!Paxos} is not routed through these rules): its leader
@@ -67,6 +83,7 @@ type opening =
   | Blocked  (** the Skeen verdict offers no safe outcome *)
 
 val open_round :
+  ?row:site ->
   rule ->
   Rulebook.t ->
   site:site ->
@@ -74,7 +91,8 @@ val open_round :
   outcome:Core.Types.outcome option ->
   participants:site list ->
   opening
-(** A newly elected backup's first step; [participants] are awaited. *)
+(** A newly elected backup's first step; [participants] are awaited.
+    [code] is a state of the rulebook's site [row] (default [site]). *)
 
 type move_answer =
   | Reply of Core.Types.outcome  (** already final: answer with the outcome *)

@@ -11,22 +11,22 @@ type t =
   | Vote of { txn : int; vote : [ `Yes | `No | `Read_only ] }
       (** [`Read_only]: the participant only read, has released its locks,
           and need not hear the outcome (the R*-style optimization) *)
-  | Precommit of { txn : int; epoch : int }
-      (** 3PC buffer phase; also termination phase 1 "move up".  Carries
-          the issuing coordinator's election epoch
-          ([round * n_sites + (site - 1)], the live coordinator at round
-          0) so participants can fence directives from deposed-but-alive
-          backups in detector mode. *)
-  | Precommit_ack of { txn : int }
-  | Demote of { txn : int; epoch : int }  (** termination phase 1 "move down" to prepared *)
-  | Demote_ack of { txn : int }
+  | Move of { txn : int; target : int; epoch : int }
+      (** move to the state [target] of {!row}: the 3PC buffer phase and
+          termination phase 1.  A move to the buffer state moves a
+          prepared participant up; any other target moves a precommitted
+          one back down to prepared.  Carries the issuing coordinator's
+          election epoch ([round * n_sites + (site - 1)], the live
+          coordinator at round 0) so participants can fence directives
+          from deposed-but-alive backups in detector mode. *)
+  | Move_ack of { txn : int; target : int }  (** echoes the move's [target] *)
   | Outcome of { txn : int; commit : bool }
   | Done of { txn : int }  (** participant's final acknowledgement *)
   | Status_req of { txn : int }  (** recovery: what happened to this transaction? *)
   | Status_rep of { txn : int; outcome : bool option }
   | PState_req of { txn : int; epoch : int }
       (** quorum termination: a backup polls participant progress *)
-  | PState_rep of { txn : int; state : [ `Working | `Prepared | `Precommitted | `Done of bool ] }
+  | PState_rep of { txn : int; state : int }  (** a participant's state code in {!row} *)
   | Heartbeat  (** detector mode: periodic evidence of life *)
   | Epoch_reject of { txn : int; epoch : int }
       (** a directive for [txn] was fenced; carries the participant's
@@ -52,16 +52,21 @@ type t =
           even though the coordinator may still be alive *)
 [@@deriving show { with_path = false }, eq]
 
+(* Compiled once, when the module is initialised, so that parallel sweep
+   domains only read it. *)
+let rulebook = Engine.Rulebook.compile (Core.Catalog.central_3pc 3)
+let row = 2
+let kind code = Core.Intern.kind_of rulebook.Engine.Rulebook.codes ~site:row ~code
+let move_name target = if kind target = Core.Types.Buffer then "precommit" else "demote"
+
 let to_string = function
   | Client_begin t -> Fmt.str "client-begin(t%d)" t.Txn.id
   | Prepare { txn; ops; _ } -> Fmt.str "prepare(t%d,%d ops)" txn (List.length ops)
   | Vote { txn; vote } ->
       Fmt.str "vote(t%d,%s)" txn
         (match vote with `Yes -> "yes" | `No -> "no" | `Read_only -> "read-only")
-  | Precommit { txn; epoch } -> Fmt.str "precommit(t%d,e%d)" txn epoch
-  | Precommit_ack { txn } -> Fmt.str "precommit-ack(t%d)" txn
-  | Demote { txn; epoch } -> Fmt.str "demote(t%d,e%d)" txn epoch
-  | Demote_ack { txn } -> Fmt.str "demote-ack(t%d)" txn
+  | Move { txn; target; epoch } -> Fmt.str "%s(t%d,e%d)" (move_name target) txn epoch
+  | Move_ack { txn; target } -> Fmt.str "%s-ack(t%d)" (move_name target) txn
   | Outcome { txn; commit } -> Fmt.str "outcome(t%d,%s)" txn (if commit then "commit" else "abort")
   | Done { txn } -> Fmt.str "done(t%d)" txn
   | Status_req { txn } -> Fmt.str "status-req(t%d)" txn
@@ -71,12 +76,12 @@ let to_string = function
   | PState_req { txn; epoch } -> Fmt.str "pstate-req(t%d,e%d)" txn epoch
   | PState_rep { txn; state } ->
       Fmt.str "pstate-rep(t%d,%s)" txn
-        (match state with
-        | `Working -> "working"
-        | `Prepared -> "prepared"
-        | `Precommitted -> "precommitted"
-        | `Done true -> "committed"
-        | `Done false -> "aborted")
+        (match kind state with
+        | Core.Types.Initial -> "working"
+        | Wait -> "prepared"
+        | Buffer -> "precommitted"
+        | Commit -> "committed"
+        | Abort -> "aborted")
   | Heartbeat -> "heartbeat"
   | Epoch_reject { txn; epoch } -> Fmt.str "epoch-reject(t%d,e%d)" txn epoch
   | PaxAccept { txn; ballot; commit; _ } ->

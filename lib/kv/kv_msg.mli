@@ -6,18 +6,18 @@ type t =
       (** phase 1: execute, lock, vote; carries the participant list so
           survivors can run the termination protocol *)
   | Vote of { txn : int; vote : [ `Yes | `No | `Read_only ] }
-  | Precommit of { txn : int; epoch : int }
-      (** 3PC buffer phase / termination move-up, fenced by election epoch *)
-  | Precommit_ack of { txn : int }
-  | Demote of { txn : int; epoch : int }  (** termination phase 1 on the abort side *)
-  | Demote_ack of { txn : int }
+  | Move of { txn : int; target : int; epoch : int }
+      (** move to the state [target] of {!row}, fenced by election epoch:
+          the 3PC buffer phase and termination phase 1.  Prints as
+          [precommit] when [target] is the buffer state, else [demote]. *)
+  | Move_ack of { txn : int; target : int }
   | Outcome of { txn : int; commit : bool }
   | Done of { txn : int }
   | Status_req of { txn : int }
   | Status_rep of { txn : int; outcome : bool option }
   | PState_req of { txn : int; epoch : int }
       (** quorum termination: a backup polls participant progress *)
-  | PState_rep of { txn : int; state : [ `Working | `Prepared | `Precommitted | `Done of bool ] }
+  | PState_rep of { txn : int; state : int }  (** a state code of {!row} *)
   | Heartbeat  (** detector mode: periodic evidence of life *)
   | Epoch_reject of { txn : int; epoch : int }
       (** a directive was fenced; carries the participant's current epoch *)
@@ -34,6 +34,16 @@ type t =
   | Lease_expire
       (** fault injection: standby acceptors act as if the leader lease
           lapsed, opening higher-ballot recovery while it may be alive *)
+
+val rulebook : Engine.Rulebook.t
+(** Central 3PC on 3 sites, compiled once per process.  A participant
+    row's verdicts are the same at every site count, so every kv site
+    terminates by this rulebook's {!row}, whatever [n_sites] is. *)
+
+val row : Core.Types.site
+(** The participant row (site 2) whose state codes the termination
+    messages carry: [q] working, [w] prepared, [p] precommitted, [c] and
+    [a] done. *)
 
 val pp : Format.formatter -> t -> unit
 val show : t -> string

@@ -8,11 +8,10 @@
     {e blocks}: it must hold its locks until the coordinator recovers, and
     every transaction that touches those keys queues behind it.  Under
     3PC, the surviving participants elect a backup coordinator which
-    applies the paper's decision rule to its own local state (prepared →
-    abort, precommitted → commit), preceded by the two-phase backup
-    protocol: move every operational participant to my state, collect
-    acknowledgements, then announce the decision — so cascading backup
-    failures stay safe. *)
+    runs {!Engine.Termination}'s rounds: move every operational
+    participant to its own state, collect acknowledgements, then announce
+    the compiled rulebook's verdict on that state (prepared → abort,
+    precommitted → commit) — so cascading backup failures stay safe. *)
 
 type protocol = Two_phase | Three_phase | Paxos of int
 [@@deriving show { with_path = false }, eq]
@@ -74,17 +73,6 @@ type pax_rec = {
   mutable pr_commit : bool;  (** the adopted (or free-instance Abort) value *)
 }
 
-(** Termination-protocol state for one orphaned transaction (3PC backup
-    coordinator): phase 1 in flight. *)
-type backup_state = { mutable b_awaiting : Core.Types.site list; b_commit : bool }
-
-(** Quorum termination: a state poll in flight. *)
-type poll_state = {
-  mutable q_awaiting : Core.Types.site list;
-  mutable q_reps : (Core.Types.site * [ `Working | `Prepared | `Precommitted | `Done of bool ]) list;
-  q_epoch : int;  (** the epoch this poll (and its move-ups) is fenced at *)
-}
-
 type t = {
   site : Core.Types.site;
   n_sites : int;
@@ -99,8 +87,9 @@ type t = {
   mutable locks : Lock_table.t;  (** volatile *)
   p_txns : (int, p_txn) Hashtbl.t;  (** volatile *)
   c_txns : (int, c_txn) Hashtbl.t;  (** volatile *)
-  backups : (int, backup_state) Hashtbl.t;  (** volatile *)
-  pollings : (int, poll_state) Hashtbl.t;  (** volatile: quorum-termination polls *)
+  rounds : (int, Engine.Termination.phase * int) Hashtbl.t;
+      (** volatile: the termination round this site leads as backup
+          coordinator, with the epoch its directives carry *)
   pax_recoveries : (int, pax_rec) Hashtbl.t;  (** volatile: Paxos recovery rounds led here *)
   ro_done : (int, unit) Hashtbl.t;
       (** volatile: transactions this site completed as a read-only
@@ -186,8 +175,7 @@ let create ?(presumption = No_presumption) ?(termination = Skeen) ?(read_only_op
     locks = Lock_table.create ();
     p_txns = Hashtbl.create 32;
     c_txns = Hashtbl.create 32;
-    backups = Hashtbl.create 8;
-    pollings = Hashtbl.create 8;
+    rounds = Hashtbl.create 8;
     pax_recoveries = Hashtbl.create 8;
     ro_done = Hashtbl.create 8;
     sent_yes_txns = Hashtbl.create 8;
@@ -298,6 +286,22 @@ let l_kv_vote_phase = Sim.Metrics.label "kv_vote_phase"
 let l_kv_lock_wait = Sim.Metrics.label "kv_lock_wait"
 let l_commit_latency = Sim.Metrics.label "commit_latency"
 let l_abort_latency = Sim.Metrics.label "abort_latency"
+
+module T = Engine.Termination
+
+(* A participant's status as a state code of {!Kv_msg.row}, the form the
+   termination rules and messages take. *)
+let code_of_status =
+  let code id = Option.get (Core.Intern.state_code Kv_msg.rulebook.Engine.Rulebook.codes id) in
+  let q = code "q" and w = code "w" and p = code "p" and c = code "c" and a = code "a" in
+  function
+  | P_working -> q
+  | P_prepared -> w
+  | P_precommitted -> p
+  | P_done commit -> if commit then c else a
+
+(* the buffer state: a move there is 3PC's precommit *)
+let precommitted = code_of_status P_precommitted
 
 (* ------------------------------------------------------------------ *)
 (* participant (resource manager) side                                 *)
@@ -590,7 +594,8 @@ let c_all_votes_in node ctx (c : c_txn) =
             let epoch = node.site - 1 in
             bump_epoch node ~txn:c.c_id epoch;
             List.iter
-              (fun dst -> Sim.World.send ctx ~dst (Kv_msg.Precommit { txn = c.c_id; epoch }))
+              (fun dst ->
+                Sim.World.send ctx ~dst (Kv_msg.Move { txn = c.c_id; target = precommitted; epoch }))
               up;
             if up = [] then c_announce node ctx c ~commit:true)
       end
@@ -722,51 +727,6 @@ let on_vote node ctx ~src ~txn ~vote =
               c.c_participants <- List.filter (fun s -> s <> src) c.c_participants;
               if c.awaiting_votes = [] then c_all_votes_in node ctx c
           | `No -> c_announce node ctx c ~commit:false))
-
-let on_precommit_ack node ctx ~src ~txn =
-  (* either the coordinator collecting 3PC acks, or a backup coordinator in
-     termination phase 1 (commit side) *)
-  (match Hashtbl.find_opt node.c_txns txn with
-  | Some c when c.c_status = C_precommitting ->
-      c.awaiting_acks <- List.filter (fun s -> s <> src) c.awaiting_acks;
-      if c.awaiting_acks = [] then c_announce node ctx c ~commit:true
-  | Some _ | None -> ());
-  match Hashtbl.find_opt node.backups txn with
-  | Some b when b.b_commit ->
-      b.b_awaiting <- List.filter (fun s -> s <> src) b.b_awaiting;
-      if b.b_awaiting = [] then begin
-        Hashtbl.remove node.backups txn;
-        match Hashtbl.find_opt node.p_txns txn with
-        | Some p ->
-            p_finish node ctx p ~commit:true ~announce:(fun () ->
-                note_announce node ~txn ~commit:true;
-                List.iter
-                  (fun dst ->
-                    if dst <> node.site then
-                      Sim.World.send ctx ~dst (Kv_msg.Outcome { txn; commit = true }))
-                  p.participants)
-        | None -> ()
-      end
-  | Some _ | None -> ()
-
-let on_demote_ack node ctx ~src ~txn =
-  match Hashtbl.find_opt node.backups txn with
-  | Some b when not b.b_commit ->
-      b.b_awaiting <- List.filter (fun s -> s <> src) b.b_awaiting;
-      if b.b_awaiting = [] then begin
-        Hashtbl.remove node.backups txn;
-        match Hashtbl.find_opt node.p_txns txn with
-        | Some p ->
-            p_finish node ctx p ~commit:false ~announce:(fun () ->
-                note_announce node ~txn ~commit:false;
-                List.iter
-                  (fun dst ->
-                    if dst <> node.site then
-                      Sim.World.send ctx ~dst (Kv_msg.Outcome { txn; commit = false }))
-                  p.participants)
-        | None -> ()
-      end
-  | Some _ | None -> ()
 
 (* ------------------------------------------------------------------ *)
 (* termination protocol (3PC) and blocking (2PC)                       *)
@@ -948,66 +908,22 @@ let pax_initiate node ctx (p : p_txn) ~exclude =
   nudge ();
   query_round ~on_round:nudge node ctx ~txn:p.txn ~targets ~attempt:0
 
-(* ---- quorum termination (Quorum): poll, then the shared quorum rule ---- *)
+(* ---- the backup coordinator: Engine.Termination's rounds ---- *)
 
-let local_pstate node ~txn : [ `Working | `Prepared | `Precommitted | `Done of bool ] =
-  match Hashtbl.find_opt node.p_txns txn with
-  | Some p -> (
-      match p.status with
-      | P_working -> `Working
-      | P_prepared -> `Prepared
-      | P_precommitted -> `Precommitted
-      | P_done o -> `Done o)
-  | None -> (
-      match Kv_wal.classify_participant node.wal ~txn with
-      | Kv_wal.P_resolved o -> `Done o
-      | Kv_wal.P_in_doubt { precommitted; _ } -> if precommitted then `Precommitted else `Prepared
-      | Kv_wal.P_unknown -> `Working)
+(* What this site would report of [txn] to a poll, from volatile state
+   while it is a participant and from its log after. *)
+let local_code node ~txn =
+  code_of_status
+    (match Hashtbl.find_opt node.p_txns txn with
+    | Some p -> p.status
+    | None -> (
+        match Kv_wal.classify_participant node.wal ~txn with
+        | Kv_wal.P_resolved o -> P_done o
+        | Kv_wal.P_in_doubt { precommitted; _ } ->
+            if precommitted then P_precommitted else P_prepared
+        | Kv_wal.P_unknown -> P_working))
 
-let kind_of_pstate : [ `Working | `Prepared | `Precommitted | `Done of bool ] -> _ = function
-  | `Working -> Core.Types.Initial
-  | `Prepared -> Core.Types.Wait
-  | `Precommitted -> Core.Types.Buffer
-  | `Done commit -> if commit then Core.Types.Commit else Core.Types.Abort
-
-(* The shared quorum rule over the polled statuses; kv always has a
-   buffer phase (the precommit), so it is [Some ()]. *)
-let rec evaluate_quorum_poll node ctx ~txn (poll : poll_state) =
-  match Hashtbl.find_opt node.p_txns txn with
-  | Some p when poll.q_awaiting = [] && Hashtbl.mem node.pollings txn -> (
-    Hashtbl.remove node.pollings txn;
-    let reps = poll.q_reps in
-    match
-      Engine.Termination.quorum ~n_sites:node.n_sites ~buffer:(Some ())
-        (List.map (fun (_, r) -> kind_of_pstate r) reps)
-    with
-    | Engine.Termination.Seen o -> finish_orphan node ctx p ~commit:(o = Core.Types.Committed)
-    | Engine.Termination.Unprepared _ -> finish_orphan node ctx p ~commit:false
-    | Engine.Termination.Move_up ((), _) -> (
-        (* move the reachable prepared participants up, then commit *)
-        let to_move =
-          List.filter_map (fun (s, r) -> if s <> node.site && r = `Prepared then Some s else None) reps
-        in
-        let move_others () =
-          Hashtbl.replace node.backups txn { b_awaiting = to_move; b_commit = true };
-          List.iter
-            (fun dst -> Sim.World.send ctx ~dst (Kv_msg.Precommit { txn; epoch = poll.q_epoch }))
-            to_move;
-          if to_move = [] then on_precommit_ack node ctx ~src:node.site ~txn
-        in
-        if p.status = P_prepared then begin
-          p.status <- P_precommitted;
-          Kv_wal.force_k node.wal (Kv_wal.P_precommitted { txn }) move_others
-        end
-        else move_others ())
-    | Engine.Termination.No_buffer | Engine.Termination.Short _ ->
-        (* below quorum either way: wait for recoveries/healing; the query
-           loop doubles as the retry channel *)
-        metric ctx l_quorum_blocked;
-        query_loop node ctx ~txn ~targets:p.participants)
-  | _ -> ()
-
-and finish_orphan node ctx (p : p_txn) ~commit =
+let finish_orphan node ctx (p : p_txn) ~commit =
   p_finish node ctx p ~commit ~announce:(fun () ->
       if List.exists (fun dst -> dst <> node.site) p.participants then
         note_announce node ~txn:p.txn ~commit;
@@ -1016,58 +932,98 @@ and finish_orphan node ctx (p : p_txn) ~commit =
           if dst <> node.site then Sim.World.send ctx ~dst (Kv_msg.Outcome { txn = p.txn; commit }))
         p.participants)
 
-(** The backup coordinator's action for one orphaned transaction.  A
-    final backup announces its outcome (phase 1 omitted).  Under [Skeen]
-    it decides by the paper's rule applied to {e its own} participant
-    state; under [Quorum] it polls the reachable participants' states for
-    {!evaluate_quorum_poll}. *)
+(* Send a round's directives, then close it if nothing is awaited. *)
+let rec start_round node ctx ~txn ~epoch phase =
+  Hashtbl.replace node.rounds txn (phase, epoch);
+  (match phase with
+  | T.Moving { target; awaiting } ->
+      List.iter (fun dst -> Sim.World.send ctx ~dst (Kv_msg.Move { txn; target; epoch })) awaiting
+  | T.Polling { awaiting; _ } ->
+      List.iter (fun dst -> Sim.World.send ctx ~dst (Kv_msg.PState_req { txn; epoch })) awaiting);
+  settle node ctx ~txn
+
+(* Close the round in flight once nothing it awaits is left: phase 1 ends
+   in the verdict on the state the backup moved everyone to, a poll in the
+   quorum rule's. *)
+and settle node ctx ~txn =
+  let rb = Kv_msg.rulebook and row = Kv_msg.row in
+  match (Hashtbl.find_opt node.rounds txn, Hashtbl.find_opt node.p_txns txn) with
+  | Some (T.Moving { target; awaiting }, _), p -> (
+      match T.close_phase1 rb ~site:row ~code:target ~awaiting ~failed:(fun _ -> false) with
+      | None -> ()
+      | Some verdict -> (
+          Hashtbl.remove node.rounds txn;
+          match (verdict, p) with
+          | Engine.Rulebook.Decide o, Some p ->
+              finish_orphan node ctx p ~commit:(o = Core.Types.Committed)
+          | Engine.Rulebook.Blocked, Some p -> query_loop node ctx ~txn ~targets:p.participants
+          | _, None -> ()))
+  | Some (T.Polling { awaiting = []; reps }, epoch), Some p -> (
+      Hashtbl.remove node.rounds txn;
+      let kinds =
+        List.map (fun (_, code) -> Core.Intern.kind_of rb.Engine.Rulebook.codes ~site:row ~code) reps
+      in
+      match T.quorum ~n_sites:node.n_sites ~buffer:rb.Engine.Rulebook.buffer_code.(row - 1) kinds with
+      | T.Seen o -> finish_orphan node ctx p ~commit:(o = Core.Types.Committed)
+      | T.Unprepared _ -> finish_orphan node ctx p ~commit:false
+      | T.Move_up (target, _) ->
+          (* move the reachable prepared participants up, then commit *)
+          let prepared = code_of_status P_prepared in
+          let awaiting =
+            List.filter_map (fun (s, c) -> if s <> node.site && c = prepared then Some s else None) reps
+          in
+          let move_others () = start_round node ctx ~txn ~epoch (T.Moving { target; awaiting }) in
+          if p.status = P_prepared then begin
+            p.status <- P_precommitted;
+            Kv_wal.force_k node.wal (Kv_wal.P_precommitted { txn }) move_others
+          end
+          else move_others ()
+      | T.No_buffer | T.Short _ ->
+          (* below quorum either way: wait for recoveries/healing; the query
+             loop doubles as the retry channel *)
+          metric ctx l_quorum_blocked;
+          query_loop node ctx ~txn ~targets:p.participants)
+  | _ -> ()
+
+(* A site the round awaits acked, reported, or was reported down. *)
+let drop_awaited node ctx ~txn site =
+  match Hashtbl.find_opt node.rounds txn with
+  | Some (phase, epoch) ->
+      Hashtbl.replace node.rounds txn (T.drop phase site, epoch);
+      settle node ctx ~txn
+  | None -> ()
+
+(** The backup coordinator's action for one orphaned transaction, by
+    {!Engine.Termination.open_round} over the participant row of
+    {!Kv_msg.rulebook}.  A final backup announces its outcome (phase 1
+    omitted).  Under [Skeen] it moves every reachable participant to its
+    own state and decides by that state's verdict on the acks; under
+    [Quorum] it polls their states for the quorum rule. *)
 let run_termination node ctx (p : p_txn) =
-  if (not (Hashtbl.mem node.backups p.txn)) && not (Hashtbl.mem node.pollings p.txn) then begin
+  if not (Hashtbl.mem node.rounds p.txn) then begin
     metric ctx l_terminations;
     let others = reachable_others node p in
-    match (p.status, node.termination) with
-    | P_done commit, _ ->
-        (* already final: phase 1 omitted (announce once the outcome
-           record — possibly still in a pending batch — is durable) *)
+    let outcome =
+      match p.status with
+      | P_done commit -> Some (if commit then Core.Types.Committed else Core.Types.Aborted)
+      | P_working | P_prepared | P_precommitted -> None
+    in
+    match
+      T.open_round ~row:Kv_msg.row node.termination Kv_msg.rulebook ~site:node.site
+        ~code:(code_of_status p.status) ~outcome ~participants:others
+    with
+    | T.Announce o ->
+        (* announce once the outcome record — possibly still in a pending
+           batch — is durable *)
+        let commit = o = Core.Types.Committed in
         if others <> [] then
           Kv_wal.after_durable node.wal (fun () ->
               note_announce node ~txn:p.txn ~commit;
               List.iter
                 (fun dst -> Sim.World.send ctx ~dst (Kv_msg.Outcome { txn = p.txn; commit }))
                 others)
-    | (P_working | P_prepared | P_precommitted), Quorum ->
-        let epoch = elect_epoch node ~txn:p.txn in
-        let poll =
-          {
-            q_awaiting = others;
-            q_reps = [ (node.site, local_pstate node ~txn:p.txn) ];
-            q_epoch = epoch;
-          }
-        in
-        Hashtbl.replace node.pollings p.txn poll;
-        List.iter
-          (fun dst -> Sim.World.send ctx ~dst (Kv_msg.PState_req { txn = p.txn; epoch }))
-          others;
-        evaluate_quorum_poll node ctx ~txn:p.txn poll
-    | P_precommitted, Skeen ->
-        (* decision rule: concurrency set of the buffer state contains a
-           commit state -> COMMIT.  Phase 1: move everyone up to
-           precommitted; phase 2 on the acks. *)
-        let epoch = elect_epoch node ~txn:p.txn in
-        Hashtbl.replace node.backups p.txn { b_awaiting = others; b_commit = true };
-        List.iter
-          (fun dst -> Sim.World.send ctx ~dst (Kv_msg.Precommit { txn = p.txn; epoch }))
-          others;
-        if others = [] then on_precommit_ack node ctx ~src:node.site ~txn:p.txn
-    | (P_prepared | P_working), Skeen ->
-        (* decision rule: no commit state in the concurrency set -> ABORT.
-           Phase 1: move everyone down to prepared; phase 2 on the acks. *)
-        let epoch = elect_epoch node ~txn:p.txn in
-        Hashtbl.replace node.backups p.txn { b_awaiting = others; b_commit = false };
-        List.iter
-          (fun dst -> Sim.World.send ctx ~dst (Kv_msg.Demote { txn = p.txn; epoch }))
-          others;
-        if others = [] then on_demote_ack node ctx ~src:node.site ~txn:p.txn
+    | T.Start phase -> start_round node ctx ~txn:p.txn ~epoch:(elect_epoch node ~txn:p.txn) phase
+    | T.Blocked -> query_loop node ctx ~txn:p.txn ~targets:p.participants
   end
 
 (* Called when this site learns that [failed] crashed: handle every
@@ -1092,16 +1048,20 @@ let on_peer_down node ctx failed =
             if c.awaiting_acks = [] then c_announce node ctx c ~commit:true
         | (C_collecting | C_decided _), _ -> ())
     node.c_txns;
-  (* Backup side: a participant crashed during termination phase 1. *)
-  Hashtbl.iter
-    (fun txn b ->
-      if List.mem failed b.b_awaiting then begin
-        b.b_awaiting <- List.filter (fun s -> s <> failed) b.b_awaiting;
-        if b.b_awaiting = [] then
-          if b.b_commit then on_precommit_ack node ctx ~src:failed ~txn
-          else on_demote_ack node ctx ~src:failed ~txn
-      end)
-    node.backups;
+  (* Backup side: rounds awaiting the crashed site, phase 1 moves before
+     the participant side and quorum polls after it. *)
+  let drop_failed ~moving =
+    Hashtbl.iter
+      (fun txn (phase, _) ->
+        match phase with
+        | T.Moving { awaiting; _ } when moving && List.mem failed awaiting ->
+            drop_awaited node ctx ~txn failed
+        | T.Polling { awaiting; _ } when (not moving) && List.mem failed awaiting ->
+            drop_awaited node ctx ~txn failed
+        | T.Moving _ | T.Polling _ -> ())
+      node.rounds
+  in
+  drop_failed ~moving:true;
   (* Participant side: orphaned transactions (their coordinator died). *)
   Hashtbl.iter
     (fun _ p ->
@@ -1150,14 +1110,7 @@ let on_peer_down node ctx failed =
                        querying (total-failure case) *)
                     query_loop node ctx ~txn:p.txn ~targets:p.participants)))
     node.p_txns;
-  (* quorum polls waiting on the crashed site *)
-  Hashtbl.iter
-    (fun txn (poll : poll_state) ->
-      if List.mem failed poll.q_awaiting then begin
-        poll.q_awaiting <- List.filter (fun s -> s <> failed) poll.q_awaiting;
-        evaluate_quorum_poll node ctx ~txn poll
-      end)
-    node.pollings
+  drop_failed ~moving:false
 
 let on_peer_up node ctx recovered =
   node.down_view <- List.filter (fun s -> s <> recovered) node.down_view;
@@ -1187,11 +1140,11 @@ let on_peer_up node ctx recovered =
       Hashtbl.iter
         (fun _ (p : p_txn) ->
           match p.status with
-          | (P_prepared | P_precommitted)
-            when List.mem p.coordinator node.tainted && not (Hashtbl.mem node.backups p.txn) -> (
-              match eligible_backup node p with
-              | Some backup when backup = node.site ->
-                  Hashtbl.remove node.pollings p.txn;
+          | (P_prepared | P_precommitted) when List.mem p.coordinator node.tainted -> (
+              match (Hashtbl.find_opt node.rounds p.txn, eligible_backup node p) with
+              | Some (T.Moving _, _), _ -> ()
+              | _, Some backup when backup = node.site ->
+                  Hashtbl.remove node.rounds p.txn;
                   run_termination node ctx p
               | _ -> ())
           | _ -> ())
@@ -1218,8 +1171,7 @@ let on_restart node ctx =
   Queue.clear node.admission_q;
   Hashtbl.reset node.p_txns;
   Hashtbl.reset node.c_txns;
-  Hashtbl.reset node.backups;
-  Hashtbl.reset node.pollings;
+  Hashtbl.reset node.rounds;
   Hashtbl.reset node.pax_recoveries;
   Hashtbl.reset node.ro_done;
   (* participant side *)
@@ -1330,45 +1282,46 @@ let on_message node ctx ~src (msg : Kv_msg.t) =
   | Kv_msg.Client_begin txn -> admit_client node ctx txn
   | Kv_msg.Prepare { txn; ops; participants } -> on_prepare node ctx ~src ~txn ~ops ~participants
   | Kv_msg.Vote { txn; vote } -> on_vote node ctx ~src ~txn ~vote
-  | Kv_msg.Precommit { txn; epoch } when stale_directive node ~src ~txn ~epoch ->
+  | Kv_msg.Move { txn; epoch; _ } when stale_directive node ~src ~txn ~epoch ->
       fence_directive node ctx ~src ~txn
-  | Kv_msg.Demote { txn; epoch } when stale_directive node ~src ~txn ~epoch ->
-      fence_directive node ctx ~src ~txn
-  | Kv_msg.Precommit { txn; epoch } -> (
+  | Kv_msg.Move { txn; target; epoch } -> (
       bump_epoch node ~txn epoch;
+      let ack () = Sim.World.send ctx ~dst:src (Kv_msg.Move_ack { txn; target }) in
       match Hashtbl.find_opt node.p_txns txn with
-      | Some p -> (
+      | Some p when target = precommitted -> (
+          (* the buffer phase, or termination phase 1 on the commit side *)
           match p.status with
           | P_prepared ->
               p.status <- P_precommitted;
               (* forced before the ack: a recovered backup must find the
                  buffer state it was told about *)
-              Kv_wal.force_k node.wal
-                (Kv_wal.P_precommitted { txn })
-                (fun () -> Sim.World.send ctx ~dst:src (Kv_msg.Precommit_ack { txn }))
+              Kv_wal.force_k node.wal (Kv_wal.P_precommitted { txn }) ack
           | P_precommitted | P_done true ->
               (* duplicate: the ack must still not outrun the record it
                  vouches for (it may sit in a pending batch) *)
-              Kv_wal.after_durable node.wal (fun () ->
-                  Sim.World.send ctx ~dst:src (Kv_msg.Precommit_ack { txn }))
+              Kv_wal.after_durable node.wal ack
           | P_working | P_done false -> ())
-      | None -> ())
-  | Kv_msg.Precommit_ack { txn } -> on_precommit_ack node ctx ~src ~txn
-  | Kv_msg.Demote { txn; epoch } -> (
-      bump_epoch node ~txn epoch;
-      match Hashtbl.find_opt node.p_txns txn with
-      | Some p ->
-          (* termination phase 1, abort side: adopt the backup's state
-             (prepared), surrendering a precommit if we held one *)
-          (match p.status with
-          | P_precommitted -> p.status <- P_prepared
-          | P_working | P_prepared | P_done _ -> ());
-          (match p.status with
-          | P_prepared | P_working -> Sim.World.send ctx ~dst:src (Kv_msg.Demote_ack { txn })
-          | P_done false -> Sim.World.send ctx ~dst:src (Kv_msg.Demote_ack { txn })
-          | P_done true | P_precommitted -> ())
-      | None -> Sim.World.send ctx ~dst:src (Kv_msg.Demote_ack { txn }))
-  | Kv_msg.Demote_ack { txn } -> on_demote_ack node ctx ~src ~txn
+      | Some p -> (
+          (* termination phase 1, abort side: move down to prepared,
+             surrendering a precommit if we held one *)
+          match p.status with
+          | P_precommitted ->
+              p.status <- P_prepared;
+              ack ()
+          | P_working | P_prepared | P_done false -> ack ()
+          | P_done true -> ())
+      | None -> if target <> precommitted then ack ())
+  | Kv_msg.Move_ack { txn; target } -> (
+      (* the coordinator collecting its precommit acks, or a backup
+         coordinator in termination phase 1 *)
+      (match Hashtbl.find_opt node.c_txns txn with
+      | Some c when c.c_status = C_precommitting && target = precommitted ->
+          c.awaiting_acks <- List.filter (fun s -> s <> src) c.awaiting_acks;
+          if c.awaiting_acks = [] then c_announce node ctx c ~commit:true
+      | Some _ | None -> ());
+      match Hashtbl.find_opt node.rounds txn with
+      | Some (T.Moving m, _) when m.target = target -> drop_awaited node ctx ~txn src
+      | Some _ | None -> ())
   | Kv_msg.Outcome { txn; commit } -> (
       match Hashtbl.find_opt node.p_txns txn with
       | Some p -> p_finish node ctx p ~commit
@@ -1411,26 +1364,24 @@ let on_message node ctx ~src (msg : Kv_msg.t) =
          is still in a pending batch must not be reported until it is
          durable, or a crash could shrink a counted commit quorum *)
       Kv_wal.after_durable node.wal (fun () ->
-          Sim.World.send ctx ~dst:src (Kv_msg.PState_rep { txn; state = local_pstate node ~txn }))
+          Sim.World.send ctx ~dst:src (Kv_msg.PState_rep { txn; state = local_code node ~txn }))
   | Kv_msg.Heartbeat -> ()
   | Kv_msg.Epoch_reject { txn; epoch } ->
       (* a participant refused our directive: a newer backup owns this
          transaction.  Stand down without deciding — abandon the
          termination attempt and fall back to querying for the outcome. *)
       bump_epoch node ~txn epoch;
-      if Hashtbl.mem node.backups txn || Hashtbl.mem node.pollings txn then begin
-        Hashtbl.remove node.backups txn;
-        Hashtbl.remove node.pollings txn;
+      if Hashtbl.mem node.rounds txn then begin
+        Hashtbl.remove node.rounds txn;
         match Hashtbl.find_opt node.p_txns txn with
         | Some p -> query_loop node ctx ~txn ~targets:(reachable_others node p)
         | None -> ()
       end
   | Kv_msg.PState_rep { txn; state } -> (
-      match Hashtbl.find_opt node.pollings txn with
-      | Some poll when List.mem src poll.q_awaiting ->
-          poll.q_awaiting <- List.filter (fun s -> s <> src) poll.q_awaiting;
-          poll.q_reps <- (src, state) :: poll.q_reps;
-          evaluate_quorum_poll node ctx ~txn poll
+      match Hashtbl.find_opt node.rounds txn with
+      | Some ((T.Polling { awaiting; _ } as poll), epoch) when List.mem src awaiting ->
+          Hashtbl.replace node.rounds txn (T.report poll src state, epoch);
+          settle node ctx ~txn
       | _ -> ())
   | Kv_msg.PaxAccept { txn; ballot; commit; participants = _ } ->
       (* acceptor, phase 2a: accept unless a higher ballot was promised;

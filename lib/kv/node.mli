@@ -64,8 +64,6 @@ type c_txn = {
       (** Paxos: acceptors that accepted this coordinator's proposal *)
 }
 
-type backup_state = { mutable b_awaiting : Core.Types.site list; b_commit : bool }
-
 (** A standby acceptor leading Paxos recovery for one transaction. *)
 type pax_rec = {
   pr_ballot : int;
@@ -74,14 +72,6 @@ type pax_rec = {
   mutable pr_accepts : Core.Types.site list;
   mutable pr_phase2 : bool;
   mutable pr_commit : bool;
-}
-
-(** Quorum termination: a state poll in flight. *)
-type poll_state = {
-  mutable q_awaiting : Core.Types.site list;
-  mutable q_reps :
-    (Core.Types.site * [ `Working | `Prepared | `Precommitted | `Done of bool ]) list;
-  q_epoch : int;  (** the epoch this poll (and its move-ups) is fenced at *)
 }
 
 type t = {
@@ -96,8 +86,8 @@ type t = {
   mutable locks : Lock_table.t;  (** volatile *)
   p_txns : (int, p_txn) Hashtbl.t;  (** volatile *)
   c_txns : (int, c_txn) Hashtbl.t;  (** volatile *)
-  backups : (int, backup_state) Hashtbl.t;  (** volatile *)
-  pollings : (int, poll_state) Hashtbl.t;  (** volatile *)
+  rounds : (int, Engine.Termination.phase * int) Hashtbl.t;
+      (** volatile: the termination round led here, with its epoch *)
   pax_recoveries : (int, pax_rec) Hashtbl.t;  (** volatile: Paxos recovery rounds led here *)
   ro_done : (int, unit) Hashtbl.t;
       (** volatile: read-only participations already completed, so a

@@ -293,6 +293,80 @@ let test_judgement_golden () =
   Alcotest.(check bool) "some row misses an applied write set" true
     (List.exists (fun (_, _, _, m, _, _, _, _) -> m > 0) judgement_golden)
 
+(* ---- the Skeen backup on one transfer across all four sites ---- *)
+
+(* Site 1 coordinates.  Sends are numbered from 0 in the order they leave:
+   0-3 the prepares, 4-7 the votes, 8-11 the precommits to sites 1-4, so
+   [msg nth=9 fault=drop] keeps site 2 prepared while sites 3 and 4
+   precommit.  Site 2 is the first backup. *)
+let backup_case plan =
+  let n_sites = 4 and sites = [ 1; 2; 3; 4 ] in
+  let key_at site =
+    List.find (fun k -> Kv.Txn.owner ~n_sites k = site) (List.init 100 Kv.Workload.key_name)
+  in
+  let r =
+    Kv.Db.run
+      (Kv.Db.config ~n_sites ~protocol:Kv.Node.Three_phase ~seed:3 ~tracing:true
+         ~plan:(Engine.Failure_plan.of_string_exn plan)
+         ~initial_data:(List.map (fun s -> (key_at s, 100)) sites)
+         ())
+      [ (1.0, { Kv.Txn.id = 1; ops = List.map (fun s -> Kv.Txn.Add (key_at s, 1)) sites }) ]
+  in
+  (* the fate, two counters, and every move a backup sent *)
+  let backup_move (e : Sim.World.trace_entry) =
+    match Scanf.sscanf_opt e.what "send %d->%d %[a-z](t%d,e%d)" (fun _ _ verb _ ep -> (verb, ep)) with
+    | Some (("precommit" | "demote"), epoch) -> epoch > 0
+    | _ -> false
+  in
+  Fmt.str "%a" Kv.Db.pp_txn_fate (List.assoc 1 r.Kv.Db.fates)
+  :: Printf.sprintf "terminations=%d messages_sent=%d"
+       (Sim.Metrics.counter r.Kv.Db.run_metrics "terminations")
+       r.Kv.Db.messages_sent
+  :: List.filter_map
+       (fun (e : Sim.World.trace_entry) ->
+         if backup_move e then Some (Printf.sprintf "%.2f %s" e.at e.what) else None)
+       r.Kv.Db.trace
+
+let check_backup name plan expected =
+  Alcotest.(check (list string)) name expected (backup_case plan)
+
+let test_backup_moves_up () =
+  (* site 3 misses its precommit; site 2 is precommitted, so it moves
+     site 3 up and commits *)
+  check_backup "commit-side move-up" "msg nth=10 fault=drop; crash site=1 at=5.5"
+    [
+      "Fate_committed";
+      "terminations=1 messages_sent=25";
+      "7.50 send 2->3 precommit(t1,e1)";
+      "7.50 send 2->4 precommit(t1,e1)";
+    ]
+
+let test_backup_demotes () =
+  (* site 2 misses its precommit; it is prepared, so it moves the
+     precommitted sites 3 and 4 down and aborts *)
+  check_backup "abort-side demote" "msg nth=9 fault=drop; crash site=1 at=5.5"
+    [
+      "Fate_aborted";
+      "terminations=1 messages_sent=25";
+      "7.50 send 2->3 demote(t1,e1)";
+      "7.50 send 2->4 demote(t1,e1)";
+    ]
+
+let test_backup_cascade () =
+  (* site 2 moves site 3 up (its move to site 4 is lost) and dies before
+     the ack is back.  Site 3 takes over when the coordinator, recovered
+     meanwhile, fails again: it is precommitted, moves site 4 up and
+     commits *)
+  check_backup "cascade"
+    "msg nth=10 fault=drop; msg nth=11 fault=drop; crash site=1 at=5.5; msg nth=15 fault=drop; \
+     crash site=2 at=8.8; recover site=1 at=12; crash site=1 at=20"
+    [
+      "Fate_committed";
+      "terminations=2 messages_sent=34";
+      "7.50 send 2->3 precommit(t1,e1)";
+      "22.00 send 3->4 precommit(t1,e2)";
+    ]
+
 let test_config_rejects_bad_numbers () =
   let rejects what f =
     Alcotest.check_raises what (Invalid_argument ("Db.config: " ^ what)) (fun () -> ignore (f ()))
@@ -322,5 +396,8 @@ let suite =
     Alcotest.test_case "down participants refused" `Quick test_refuse_when_participant_down;
     Alcotest.test_case "end-of-run judgement matches the golden table" `Quick
       test_judgement_golden;
+    Alcotest.test_case "Skeen backup: commit-side move-up" `Quick test_backup_moves_up;
+    Alcotest.test_case "Skeen backup: abort-side demote" `Quick test_backup_demotes;
+    Alcotest.test_case "Skeen backup: cascade after phase 1" `Quick test_backup_cascade;
     Alcotest.test_case "config rejects bad numbers" `Quick test_config_rejects_bad_numbers;
   ]
