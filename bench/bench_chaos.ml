@@ -68,8 +68,7 @@ let engine_row (label, build, n, k, seeds, expected_blocking) =
       ( "min_shrunk_faults",
         if min_shrunk = max_int then Sim.Json.Null else Sim.Json.Int min_shrunk );
       ("expected_blocking", Sim.Json.Bool expected_blocking);
-      (* chaos_runs/shrink_runs counters and the per-oracle wall_oracle_*_s
-         timing histograms *)
+      (* chaos_runs/shrink_runs counters and the schedule_faults histogram *)
       ("metrics", Sim.Metrics.to_json summary.Engine.Chaos.metrics);
     ]
 

@@ -87,8 +87,8 @@ type summary = {
   counterexamples : counterexample list;
   violations_by_oracle : (oracle * int) list;
   metrics : Sim.Metrics.t;
-      (** chaos_runs, shrink_runs, per-oracle violation counters and
-          wall_oracle_*_s timing histograms, schedule_faults histogram *)
+      (** chaos_runs, shrink_runs, per-oracle violation counters,
+          schedule_faults histogram *)
 }
 
 let outcome_str = function Core.Types.Committed -> "commit" | Core.Types.Aborted -> "abort"
@@ -243,40 +243,14 @@ let check_split_brain (result : Runtime.result) =
     ~detail:(fun (site, e) -> Printf.sprintf "epoch %d claimed by two sites, e.g. site %d" e site)
     result.Runtime.directive_epochs
 
-let l_wall_oracle_atomicity = Sim.Metrics.label "wall_oracle_atomicity_s"
-let l_wall_oracle_progress = Sim.Metrics.label "wall_oracle_progress_s"
-let l_wall_oracle_recovery = Sim.Metrics.label "wall_oracle_recovery_s"
-let l_wall_oracle_durability = Sim.Metrics.label "wall_oracle_durability_s"
-let l_wall_oracle_split_brain = Sim.Metrics.label "wall_oracle_split_brain_s"
-
-(* Run the five oracles, timing each into [metrics] when provided.  The
-   timing histograms carry the reserved [wall_] prefix: they are host
-   wall-clock measurements through the one shared clock ({!Sim.Clock}),
-   nondeterministic across runs and excluded from sweep
-   merge-equivalence checks.  Never [Sys.time] here — that is
-   process-wide CPU time, which sums across a parallel sweep's domains
-   and turns every per-oracle histogram into garbage.  The clock reads
-   are chained: each oracle's time runs from the previous read, so five
-   oracles take six reads. *)
-let violations_of ?metrics ?presumption ?read_only result =
-  let last = ref (match metrics with Some _ -> Sim.Clock.now () | None -> 0.0) in
-  let timed l f =
-    let v = f result in
-    (match metrics with
-    | None -> ()
-    | Some m ->
-        let t = Sim.Clock.now () in
-        (* gettimeofday is not formally monotonic: clamp as [Clock.time] does *)
-        Sim.Metrics.sample m l (Float.max 0.0 (t -. !last));
-        last := t);
-    v
-  in
-  let atomicity = timed l_wall_oracle_atomicity check_atomicity in
-  let progress = timed l_wall_oracle_progress (check_progress ?read_only) in
-  let recovery = timed l_wall_oracle_recovery (check_recovery ?read_only) in
-  let durability = timed l_wall_oracle_durability (check_durability ?presumption ?read_only) in
-  let split_brain = timed l_wall_oracle_split_brain check_split_brain in
-  List.filter_map Fun.id [ atomicity; progress; recovery; durability; split_brain ]
+(* Run the five oracles (pure reads of [result]).  [metrics] is not
+   written: a sweep seed reads no clock, and a caller that wants the
+   oracles' cost times this call from outside, as the perf ledger's
+   [chaos.oracles_us] span does. *)
+let violations_of ?metrics:_ ?presumption ?read_only result =
+  List.filter_map Fun.id
+    [ check_atomicity result; check_progress ?read_only result; check_recovery ?read_only result;
+      check_durability ?presumption ?read_only result; check_split_brain result ]
 
 (* The per-run detector counters worth aggregating across a sweep: they
    answer "how often did suspicion misfire, and what did fencing stop". *)
@@ -427,7 +401,7 @@ let target ?(profile = Sim.Nemesis.default_profile) (cfg : Runtime.config) =
   let judge ~metrics ~tracing ~seed plan =
     let result = Runtime.run { cfg with plan; seed; tracing } in
     (match metrics with Some m -> aggregate_run_metrics m result | None -> ());
-    (result, violations_of ?metrics ~presumption:cfg.presumption ~read_only:cfg.read_only result)
+    (result, violations_of ~presumption:cfg.presumption ~read_only:cfg.read_only result)
   in
   plan_target ~name:cfg.rulebook.Rulebook.protocol.Core.Protocol.name
     ~n_sites:(Core.Protocol.n_sites cfg.rulebook.Rulebook.protocol)

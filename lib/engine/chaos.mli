@@ -66,9 +66,9 @@ type summary = {
   counterexamples : counterexample list;
   violations_by_oracle : (oracle * int) list;
   metrics : Sim.Metrics.t;
-      (** chaos_runs / shrink_runs / violations_* counters, per-oracle
-          [wall_oracle_*_s] timing histograms (host wall clock,
-          nondeterministic), schedule_faults histogram *)
+      (** chaos_runs / shrink_runs / violations_* counters,
+          schedule_faults histogram.  A sweep reads no clock per seed; the
+          perf ledger's [chaos.oracles_us] row times the oracles. *)
 }
 
 val violations_of :
@@ -77,9 +77,11 @@ val violations_of :
   ?read_only:Core.Types.site list ->
   Runtime.result ->
   violation list
-(** Run the five engine oracles on a finished run (timing each into
-    [metrics] when given).  [Split_brain] checks no election epoch in
-    [result.directive_epochs] is claimed by two distinct sites.
+(** Run the five engine oracles on a finished run.  [metrics] is
+    accepted and not written: the oracles read no clock, and a caller
+    that wants their cost times the call from outside.  [Split_brain]
+    checks no election epoch in [result.directive_epochs] is claimed by
+    two distinct sites.
     [presumption] licenses exactly one durability gap: an announced
     covered outcome whose appended-not-forced [Decided] record the crash
     took.  [read_only] sites are exempt from the progress, recovery and

@@ -747,8 +747,8 @@ let run (cfg : config) : Runtime.result =
 (* Chaos integration                                                   *)
 (* ------------------------------------------------------------------ *)
 
-let violations ?metrics ~(cfg : config) (result : Runtime.result) =
-  let vs = Chaos.violations_of ?metrics result in
+let violations ~(cfg : config) (result : Runtime.result) =
+  let vs = Chaos.violations_of result in
   (* Paxos promises liveness only up to f acceptor failures: progress
      violations beyond the fault model are waived; safety still binds *)
   let accs = acceptors ~n_sites:cfg.n_sites ~f:cfg.f in
@@ -779,7 +779,7 @@ let target ?profile ?(until = Chaos.stall_budget) ~n_sites ~f () =
   Chaos.plan_target
     ~name:(Printf.sprintf "paxos-commit-f%d" f)
     ~n_sites ~profile
-    (fun ~metrics ~tracing ~seed plan ->
+    (fun ~metrics:_ ~tracing ~seed plan ->
       let cfg = config ~plan ~seed ~tracing ~until ~n_sites ~f () in
       let result = run cfg in
-      (result, violations ?metrics ~cfg result))
+      (result, violations ~cfg result))

@@ -63,7 +63,7 @@ val run : config -> Runtime.result
     does not exist here and are ignored — the CLI rejects them up front
     via {!Failure_plan.unsupported_clauses}. *)
 
-val violations : ?metrics:Sim.Metrics.t -> cfg:config -> Runtime.result -> Chaos.violation list
+val violations : cfg:config -> Runtime.result -> Chaos.violation list
 (** The five {!Chaos} oracles, with one Paxos-specific exemption:
     progress violations are waived when more than [f] acceptors are down
     at the end of the run — beyond the fault model the protocol promises

@@ -20,9 +20,8 @@ let put_string b s =
   Buffer.add_uint16_le b n;
   Buffer.add_string b s
 
-let to_bytes r =
-  let b = Buffer.create 32 in
-  (match r with
+let encode b r =
+  match r with
   | Began { protocol; initial } ->
       Buffer.add_uint8 b 0;
       put_string b protocol;
@@ -37,7 +36,11 @@ let to_bytes r =
       put_string b to_state
   | Decided o ->
       Buffer.add_uint8 b 3;
-      Buffer.add_uint8 b (match o with Core.Types.Committed -> 0 | Core.Types.Aborted -> 1));
+      Buffer.add_uint8 b (match o with Core.Types.Committed -> 0 | Core.Types.Aborted -> 1)
+
+let to_bytes r =
+  let b = Buffer.create 32 in
+  encode b r;
   Buffer.to_bytes b
 
 let of_bytes bytes =
@@ -93,7 +96,7 @@ let of_bytes bytes =
 include Sim.Log.Make (struct
   type nonrec record = record
 
-  let to_bytes = to_bytes
+  let encode = encode
   let of_bytes = of_bytes
 end)
 

@@ -55,9 +55,8 @@ let put_lock b (k, m) =
   put_string b k;
   Buffer.add_uint8 b (match m with Lock_table.Shared -> 0 | Lock_table.Exclusive -> 1)
 
-let to_bytes r =
-  let b = Buffer.create 48 in
-  (match r with
+let encode b r =
+  match r with
   | P_prepared { txn; coordinator; participants; writes; locks } ->
       Buffer.add_uint8 b 0;
       put_int b txn;
@@ -95,7 +94,11 @@ let to_bytes r =
       Buffer.add_uint8 b 8;
       put_int b txn;
       put_int b ballot;
-      put_bool b commit);
+      put_bool b commit
+
+let to_bytes r =
+  let b = Buffer.create 48 in
+  encode b r;
   Buffer.to_bytes b
 
 let of_bytes bytes =
@@ -177,7 +180,7 @@ let of_bytes bytes =
 include Sim.Log.Make (struct
   type nonrec record = record
 
-  let to_bytes = to_bytes
+  let encode = encode
   let of_bytes = of_bytes
 end)
 

@@ -772,14 +772,16 @@ let reachable_others node (p : p_txn) =
    Deterministic under the oracle.  Under the detector, taint is hearsay
    (every suspicion taints) and an all-tainted participant set would
    deadlock the transaction — fall back to current suspicion only; epoch
-   fencing keeps the extra candidates safe. *)
-let eligible_backup node (p : p_txn) =
+   fencing keeps the extra candidates safe.  [alive] counts one site as up
+   and untainted: the election as it stood before that site's failure. *)
+let eligible_backup ?(alive = 0) node (p : p_txn) =
   let pick ~ignore_taint =
     List.filter
       (fun s ->
-        (not (List.mem s node.down_view))
-        && (ignore_taint || not (List.mem s node.tainted))
-        && (s <> node.site || not node.ever_crashed))
+        s = alive
+        || (not (List.mem s node.down_view))
+           && (ignore_taint || not (List.mem s node.tainted))
+           && (s <> node.site || not node.ever_crashed))
       p.participants
   in
   match pick ~ignore_taint:false with
@@ -1029,8 +1031,9 @@ let run_termination node ctx (p : p_txn) =
 (* Called when this site learns that [failed] crashed: handle every
    transaction whose progress depended on it. *)
 let on_peer_down node ctx failed =
+  let fresh = not (List.mem failed node.tainted) in
   if not (List.mem failed node.down_view) then node.down_view <- failed :: node.down_view;
-  if not (List.mem failed node.tainted) then node.tainted <- failed :: node.tainted;
+  if fresh then node.tainted <- failed :: node.tainted;
   (* Coordinator side: a crashed participant means a missing vote (abort),
      a missing precommit ack (skip it), or a missing done (ignore). *)
   Hashtbl.iter
@@ -1062,7 +1065,19 @@ let on_peer_down node ctx failed =
       node.rounds
   in
   drop_failed ~moving:true;
-  (* Participant side: orphaned transactions (their coordinator died). *)
+  (* Elect the backup: deterministic given the reliable failure detector.
+     A final backup announces its outcome directly (phase 1 omitted). *)
+  let elect (p : p_txn) =
+    match eligible_backup node p with
+    | Some backup when backup = node.site -> run_termination node ctx p
+    | Some _ -> ()
+    | None ->
+        (* every participant crashed at least once: fall back to querying
+           (total-failure case) *)
+        query_loop node ctx ~txn:p.txn ~targets:p.participants
+  in
+  (* Participant side: orphaned transactions (their coordinator died), and
+     3PC ones whose coordinator was already down when their backup died. *)
   Hashtbl.iter
     (fun _ p ->
       if p.coordinator = failed then
@@ -1097,18 +1112,13 @@ let on_peer_down node ctx failed =
                       |> List.sort_uniq compare
                     in
                     query_loop node ctx ~txn:p.txn ~targets)
-            | Three_phase ->
-                (* Elect the backup.  Deterministic given the reliable
-                   failure detector; cascading failures re-elect
-                   automatically.  A backup already in a final state
-                   announces the outcome directly (phase 1 omitted). *)
-                (match eligible_backup node p with
-                | Some backup when backup = node.site -> run_termination node ctx p
-                | Some _ -> ()
-                | None ->
-                    (* every participant crashed at least once: fall back to
-                       querying (total-failure case) *)
-                    query_loop node ctx ~txn:p.txn ~targets:p.participants)))
+            | Three_phase -> elect p)
+      else if
+        node.protocol = Three_phase && fresh
+        && (p.status = P_prepared || p.status = P_precommitted)
+        && List.mem p.coordinator node.down_view
+        && eligible_backup ~alive:failed node p = Some failed
+      then elect p)
     node.p_txns;
   drop_failed ~moving:false
 

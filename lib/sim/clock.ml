@@ -1,7 +1,7 @@
 (** The one host clock for every wall-clock measurement in the tree.
 
     Simulation time lives in {!World.now}; everything measured about the
-    host — bench rows, oracle timing, sweep throughput — must come
+    host — bench rows, sweep throughput — must come
     through here.  [Sys.time] is process-wide {e CPU} time: under
     {!Sweep}'s domains it sums across workers and any histogram fed from
     it is garbage, so no timed path may call it (a lesson this module

@@ -1,10 +1,6 @@
-(** The one host clock for wall-clock measurements (bench rows, oracle
-    timing, sweep throughput).  Never [Sys.time]: CPU time sums across
-    {!Sweep} domains, so CPU-time histograms are garbage under parallel
-    sweeps. *)
-
-val now : unit -> float
-(** Host wall-clock seconds ([Unix.gettimeofday]). *)
+(** The one host clock for wall-clock measurements (bench rows, sweep
+    throughput).  Never [Sys.time]: CPU time sums across {!Sweep}
+    domains, so CPU-time histograms are garbage under parallel sweeps. *)
 
 val time : (unit -> 'a) -> 'a * float
 (** [time f] runs [f] and returns its result with the elapsed wall time,

@@ -1,9 +1,10 @@
 (** A simulated disk with an explicit sync barrier and injectable
     storage faults.
 
-    [write] lands bytes in a volatile buffer; [sync] is the fsync
-    barrier that makes everything written so far durable; [crash]
-    discards whatever the last sync did not cover.  The paper's "write a
+    One byte buffer with a durable mark and a limbo mark: [write]
+    appends a volatile tail; [sync], the fsync barrier, moves both marks
+    to its end; [crash] cuts the buffer back to the durable mark,
+    discarding whatever the last sync did not cover.  The paper's "write a
     record in stable storage" is [write] + [sync] — a protocol acting
     between the two is exposed to exactly the partial states its
     recovery protocol must handle.
@@ -45,6 +46,9 @@ val set_faults : t -> injection list -> unit
 val stats : t -> stats
 
 val write : t -> Bytes.t -> unit
+val write_frame : t -> Buffer.t -> unit
+(** [write t (Frame.encode (Buffer.to_bytes b))], framed in place. *)
+
 val sync : t -> unit
 
 val crash : t -> unit

@@ -3,8 +3,8 @@
     The paper assumes each site has a local log and forces a record to
     it before acting; the recovery protocol reads the same log.  This
     module is that log, once: records go through the codec the record
-    module supplies, are framed with a length prefix + CRC-32
-    ({!Disk.Frame}), and are written to a simulated {!Disk} whose sync
+    module supplies into a scratch buffer, are framed with a length
+    prefix + CRC-32 ({!Disk.Frame}) in place on a simulated {!Disk} whose sync
     barrier defines what a crash preserves.  {!S.append} alone is not
     durable — a site must {!S.force} (append + sync) before any
     externally visible action, the paper's forced write.  On crash the
@@ -16,13 +16,13 @@
     record type and codec, and adds the queries its recovery needs. *)
 
 (** What a log instance needs from its records: a codec whose
-    [of_bytes] is a total inverse of [to_bytes] —
-    [of_bytes (to_bytes r) = Ok r], and any truncated or mangled
-    payload is an [Error], never an exception. *)
+    [of_bytes] is a total inverse of [encode] — [of_bytes] of what
+    [encode b r] appended to an empty [b] is [Ok r], and any truncated
+    or mangled payload is an [Error], never an exception. *)
 module type RECORD = sig
   type record
 
-  val to_bytes : record -> Bytes.t
+  val encode : Buffer.t -> record -> unit
   val of_bytes : Bytes.t -> (record, string) result
 end
 
@@ -155,7 +155,7 @@ module Make (R : RECORD) : S with type record := R.record = struct
     reason : string option;
   }
 
-  type mode = Memory | Durable of Disk.t
+  type mode = Memory | Durable of { disk : Disk.t; scratch : Buffer.t }
 
   type group_commit = Batch.group = { max_batch : int; max_wait : float }
 
@@ -171,11 +171,11 @@ module Make (R : RECORD) : S with type record := R.record = struct
   }
 
   let create ?(seed = 0) ?(durable = true) ?group_commit ?(sync_latency = 0.0) () =
-    let mode = if durable then Durable (Disk.create ~seed ()) else Memory in
+    let mode = if durable then Durable { disk = Disk.create ~seed (); scratch = Buffer.create 32 } else Memory in
     let batch =
       match mode with
       | Memory -> None
-      | Durable disk ->
+      | Durable { disk; _ } ->
           if group_commit = None && sync_latency = 0.0 then None
           else
             Some (Batch.create ?group:group_commit ~sync_latency ~sync:(fun () -> Disk.sync disk) ())
@@ -199,9 +199,12 @@ module Make (R : RECORD) : S with type record := R.record = struct
     t.cache <- r :: t.cache;
     match t.mode with
     | Memory -> ()
-    | Durable disk -> Disk.write disk (Disk.Frame.encode (R.to_bytes r))
+    | Durable { disk; scratch } ->
+        Buffer.clear scratch;
+        R.encode scratch r;
+        Disk.write_frame disk scratch
 
-  let sync t = match t.mode with Memory -> () | Durable disk -> Disk.sync disk
+  let sync t = match t.mode with Memory -> () | Durable { disk; _ } -> Disk.sync disk
 
   let force t r =
     count_force t;
@@ -222,15 +225,15 @@ module Make (R : RECORD) : S with type record := R.record = struct
   let batched t = t.batch <> None
 
   let set_faults t injections =
-    match t.mode with Memory -> () | Durable disk -> Disk.set_faults disk injections
+    match t.mode with Memory -> () | Durable { disk; _ } -> Disk.set_faults disk injections
 
-  let disk t = match t.mode with Memory -> None | Durable d -> Some d
+  let disk t = match t.mode with Memory -> None | Durable { disk; _ } -> Some disk
 
   let crash t =
     (match t.batch with Some b -> Batch.crash b | None -> ());
     match t.mode with
     | Memory -> None
-    | Durable disk ->
+    | Durable { disk; _ } ->
         let before = List.length t.cache in
         Disk.crash disk;
         let image = Disk.durable_contents disk in

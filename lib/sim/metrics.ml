@@ -124,11 +124,14 @@ type t = {
 let create () =
   { counts = [||]; counted = []; peaks = [||]; peaked = []; hists = [||]; observed = []; timers = None }
 
-(* A slot array grown to cover label [l]: 64 slots at first, then at
-   least doubling.  Its size follows the labels the registry touches, not
-   how many the process has interned. *)
+(* A slot array grown to cover label [l]: the least power of two that
+   holds it and doubles [a].  Its size follows the labels the registry
+   touches, not how many the process has interned; power-of-two sizes
+   keep a sweep's short-lived registries in few major-heap size classes
+   (sized to fit, they raised chaos-detector's peak heap by 12%). *)
 let grown a l fill =
-  let a' = Array.make (max (l + 1) (max 64 (2 * Array.length a))) fill in
+  let rec fit n = if n > l then n else fit (2 * n) in
+  let a' = Array.make (fit (max 1 (2 * Array.length a))) fill in
   Array.blit a 0 a' 0 (Array.length a);
   a'
 

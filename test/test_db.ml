@@ -299,19 +299,19 @@ let test_judgement_golden () =
    0-3 the prepares, 4-7 the votes, 8-11 the precommits to sites 1-4, so
    [msg nth=9 fault=drop] keeps site 2 prepared while sites 3 and 4
    precommit.  Site 2 is the first backup. *)
-let backup_case plan =
+let backup_run plan =
   let n_sites = 4 and sites = [ 1; 2; 3; 4 ] in
   let key_at site =
     List.find (fun k -> Kv.Txn.owner ~n_sites k = site) (List.init 100 Kv.Workload.key_name)
   in
-  let r =
-    Kv.Db.run
-      (Kv.Db.config ~n_sites ~protocol:Kv.Node.Three_phase ~seed:3 ~tracing:true
-         ~plan:(Engine.Failure_plan.of_string_exn plan)
-         ~initial_data:(List.map (fun s -> (key_at s, 100)) sites)
-         ())
-      [ (1.0, { Kv.Txn.id = 1; ops = List.map (fun s -> Kv.Txn.Add (key_at s, 1)) sites }) ]
-  in
+  Kv.Db.run
+    (Kv.Db.config ~n_sites ~protocol:Kv.Node.Three_phase ~seed:3 ~tracing:true
+       ~plan:(Engine.Failure_plan.of_string_exn plan)
+       ~initial_data:(List.map (fun s -> (key_at s, 100)) sites)
+       ())
+    [ (1.0, { Kv.Txn.id = 1; ops = List.map (fun s -> Kv.Txn.Add (key_at s, 1)) sites }) ]
+
+let backup_case r =
   (* the fate, two counters, and every move a backup sent *)
   let backup_move (e : Sim.World.trace_entry) =
     match Scanf.sscanf_opt e.what "send %d->%d %[a-z](t%d,e%d)" (fun _ _ verb _ ep -> (verb, ep)) with
@@ -328,7 +328,7 @@ let backup_case plan =
        r.Kv.Db.trace
 
 let check_backup name plan expected =
-  Alcotest.(check (list string)) name expected (backup_case plan)
+  Alcotest.(check (list string)) name expected (backup_case (backup_run plan))
 
 let test_backup_moves_up () =
   (* site 3 misses its precommit; site 2 is precommitted, so it moves
@@ -354,18 +354,44 @@ let test_backup_demotes () =
 
 let test_backup_cascade () =
   (* site 2 moves site 3 up (its move to site 4 is lost) and dies before
-     the ack is back.  Site 3 takes over when the coordinator, recovered
-     meanwhile, fails again: it is precommitted, moves site 4 up and
-     commits *)
+     the ack is back.  Site 3 takes over as soon as it learns of site 2's
+     failure, the coordinator still down: it is precommitted, moves site 4
+     up and commits.  When the coordinator, recovered meanwhile, fails
+     again, site 3 is done and announces its outcome (a third
+     termination) *)
   check_backup "cascade"
     "msg nth=10 fault=drop; msg nth=11 fault=drop; crash site=1 at=5.5; msg nth=15 fault=drop; \
      crash site=2 at=8.8; recover site=1 at=12; crash site=1 at=20"
     [
       "Fate_committed";
-      "terminations=2 messages_sent=34";
+      "terminations=3 messages_sent=40";
       "7.50 send 2->3 precommit(t1,e1)";
-      "22.00 send 3->4 precommit(t1,e2)";
+      "10.80 send 3->4 precommit(t1,e2)";
     ]
+
+let test_dead_backup_replaced () =
+  (* the cascade without the coordinator's recovery: sites 3 and 4 never
+     crash and learn of site 2's failure while the coordinator is still
+     down, so they elect site 3 instead of holding transaction 1's locks
+     until the coordinator returns *)
+  let plan =
+    "msg nth=10 fault=drop; msg nth=11 fault=drop; crash site=1 at=5.5; msg nth=15 fault=drop; \
+     crash site=2 at=8.8"
+  in
+  let r = backup_run plan in
+  Alcotest.(check (list string))
+    "dead backup replaced"
+    [
+      "Fate_committed";
+      "terminations=2 messages_sent=24";
+      "7.50 send 2->3 precommit(t1,e1)";
+      "10.80 send 3->4 precommit(t1,e2)";
+    ]
+    (backup_case r);
+  Alcotest.(check (list (pair int int)))
+    "no operational site left in doubt" []
+    (List.map (fun (site, txn, _) -> (site, txn)) r.Kv.Db.in_doubt);
+  Alcotest.(check int) "none pending" 0 r.Kv.Db.pending
 
 let test_config_rejects_bad_numbers () =
   let rejects what f =
@@ -399,5 +425,6 @@ let suite =
     Alcotest.test_case "Skeen backup: commit-side move-up" `Quick test_backup_moves_up;
     Alcotest.test_case "Skeen backup: abort-side demote" `Quick test_backup_demotes;
     Alcotest.test_case "Skeen backup: cascade after phase 1" `Quick test_backup_cascade;
+    Alcotest.test_case "Skeen backup: a dead backup is replaced" `Quick test_dead_backup_replaced;
     Alcotest.test_case "config rejects bad numbers" `Quick test_config_rejects_bad_numbers;
   ]

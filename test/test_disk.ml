@@ -1,11 +1,16 @@
 (** Tests for {!Sim.Disk}: the write/sync/crash durability contract, the
-    three injectable storage faults, and the {!Sim.Disk.Frame} scan that
-    recovery relies on to cut a damaged log back to its valid prefix. *)
+    three injectable storage faults, the on-disk frame bytes, and the
+    {!Sim.Disk.Frame} scan that recovery relies on to cut a damaged log
+    back to its valid prefix. *)
 
 module D = Sim.Disk
 
 let b s = Bytes.of_string s
 let s b = Bytes.to_string b
+
+(* durable, limbo and pending bytes: the disk's two marks and its end *)
+let marks d = (D.durable_bytes d, D.limbo_bytes d, D.pending_bytes d)
+let check_marks what expected d = Alcotest.(check (triple int int int)) what expected (marks d)
 
 (* ---------------- write / sync / crash ---------------- *)
 
@@ -103,6 +108,46 @@ let test_corrupt_crash_flips_exactly_one_bit () =
   Alcotest.(check int) "exactly one flipped bit" 1 !flipped_bits;
   Alcotest.(check int) "fault counted" 1 (D.stats d).D.corrupt_fired
 
+(* A lying sync leaves limbo behind; the crash that follows draws its
+   fault over limbo and pending as one tail. *)
+let lie_then_crash ~seed fault =
+  let d = D.create ~seed () in
+  D.write d (b "durable.");
+  D.sync d;
+  check_marks "synced" (8, 0, 0) d;
+  D.set_faults d [ { D.fault = D.Lost_flush; nth = 1 }; { D.fault; nth = 0 } ];
+  D.write d (b "limbo");
+  check_marks "written" (8, 0, 5) d;
+  D.sync d;
+  check_marks "the lie moved pending to limbo" (8, 5, 0) d;
+  D.write d (b "pending");
+  check_marks "more written" (8, 5, 7) d;
+  Alcotest.(check string) "a live reader sees all of it" "durable.limbopending" (s (D.contents d));
+  D.crash d;
+  d
+
+let test_lie_then_torn_crash () =
+  let d = lie_then_crash ~seed:3 D.Torn in
+  (* the torn prefix runs past the limbo into the pending bytes *)
+  check_marks "a prefix of limbo ++ pending persisted" (18, 0, 0) d;
+  Alcotest.(check string) "durable image" "durable.limbopendi" (s (D.durable_contents d));
+  Alcotest.(check string) "live view = durable view" "durable.limbopendi" (s (D.contents d));
+  D.write d (b "+");
+  D.sync d;
+  check_marks "appends land after the prefix" (19, 0, 0) d;
+  Alcotest.(check string) "in order" "durable.limbopendi+" (s (D.durable_contents d))
+
+let test_lie_then_corrupt_crash () =
+  let d = lie_then_crash ~seed:3 D.Corrupt in
+  check_marks "limbo ++ pending persisted in full" (20, 0, 0) d;
+  (* one bit of the 12-byte tail flipped: bit 6 of its 3rd byte, in the
+     limbo bytes *)
+  Alcotest.(check string) "durable image" "durable.li-bopending" (s (D.durable_contents d));
+  Alcotest.(check int) "fault counted" 1 (D.stats d).D.corrupt_fired;
+  D.truncate d 8;
+  check_marks "repair cuts the tail" (8, 0, 0) d;
+  Alcotest.(check string) "back to the synced prefix" "durable." (s (D.contents d))
+
 let test_faults_key_on_occurrence_index () =
   (* an injection armed for the second crash must not fire at the first *)
   let d = D.create ~seed:5 () in
@@ -113,6 +158,41 @@ let test_faults_key_on_occurrence_index () =
   D.write d (b "two");
   D.crash d;
   Alcotest.(check int) "second crash fires the injection" 1 (D.stats d).D.corrupt_fired
+
+(* ---------------- the frame bytes ---------------- *)
+
+let test_crc32_known_answer () =
+  Alcotest.(check int32) "CRC-32 of \"123456789\"" 0xCBF43926l
+    (D.Frame.crc32 (b "123456789") ~off:0 ~len:9);
+  Alcotest.(check int32) "of a slice" 0xCBF43926l (D.Frame.crc32 (b "xx123456789y") ~off:2 ~len:9);
+  Alcotest.(check int32) "of nothing" 0l (D.Frame.crc32 (b "") ~off:0 ~len:0)
+
+(* u32-LE length 3, u32-LE CRC-32 of "abc" (0x352441C2), "abc" *)
+let abc_frame = "\x03\x00\x00\x00\xc2\x41\x24\x35abc"
+
+let test_frame_encode_bytes () =
+  Alcotest.(check string) "frame bytes" abc_frame (s (D.Frame.encode (b "abc")))
+
+module String_log = Sim.Log.Make (struct
+  type record = string
+
+  let encode = Buffer.add_string
+  let of_bytes p = Ok (Bytes.to_string p)
+end)
+
+let test_log_append_frame_bytes () =
+  let log = String_log.create () in
+  String_log.append log "abc";
+  let d = Option.get (String_log.disk log) in
+  Alcotest.(check string) "appended frame = encoded frame" abc_frame (s (D.contents d));
+  String_log.force log "abc";
+  Alcotest.(check string) "frames follow each other" (abc_frame ^ abc_frame) (s (D.durable_contents d));
+  (* an engine record, through its codec: tag 0, two u16-LE-prefixed strings *)
+  let wal = Engine.Wal.create () in
+  Engine.Wal.force wal (Engine.Wal.Began { protocol = "central-3pc"; initial = "q1" });
+  Alcotest.(check string) "engine WAL frame"
+    "\x12\x00\x00\x00\x32\xc7\x72\x9b\x00\x0b\x00central-3pc\x02\x00q1"
+    (s (D.durable_contents (Option.get (Engine.Wal.disk wal))))
 
 (* ---------------- the frame scan ---------------- *)
 
@@ -190,6 +270,11 @@ let suite =
       test_torn_crash_keeps_strict_prefix_of_tail;
     Alcotest.test_case "corrupt crash flips one bit" `Quick test_corrupt_crash_flips_exactly_one_bit;
     Alcotest.test_case "faults key on occurrence index" `Quick test_faults_key_on_occurrence_index;
+    Alcotest.test_case "lying sync, then a torn crash" `Quick test_lie_then_torn_crash;
+    Alcotest.test_case "lying sync, then a corrupt crash" `Quick test_lie_then_corrupt_crash;
+    Alcotest.test_case "CRC-32 known answer" `Quick test_crc32_known_answer;
+    Alcotest.test_case "frame bytes of Frame.encode" `Quick test_frame_encode_bytes;
+    Alcotest.test_case "frame bytes of Log.append" `Quick test_log_append_frame_bytes;
     Alcotest.test_case "frame round trip" `Quick test_frame_round_trip;
     Alcotest.test_case "frame scan: torn body" `Quick test_frame_scan_stops_at_torn_body;
     Alcotest.test_case "frame scan: checksum mismatch" `Quick
