@@ -72,12 +72,6 @@ let b_model_check =
     (Staged.stage (fun () ->
          ignore (Engine.Model_check.run { Engine.Model_check.rulebook = rb; max_crashes = 1; limit = 1_000_000; rule = `Skeen })))
 
-let b_election =
-  Test.make ~name:"election: bully, 5 sites + leader crash"
-    (Staged.stage (fun () ->
-         let t = Engine.Election.create ~n_sites:5 ~seed:1 () in
-         ignore (Engine.Election.run t ~crashes:[ (5, 10.0) ] ())))
-
 let b_lock_table =
   Test.make ~name:"lock table: 100 acquire/release cycles"
     (Staged.stage (fun () ->
@@ -102,7 +96,6 @@ let micro_tests =
       b_runtime_termination;
       b_kv_bank;
       b_model_check;
-      b_election;
       b_lock_table;
     ]
 

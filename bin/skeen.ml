@@ -642,7 +642,7 @@ let chaos_cmd =
     | Database { protocol; n } ->
         if election_timeout <> 4.0 then
           ignoring "--election-timeout"
-            "the protocol engine (the database elects no backup coordinator)";
+            "the protocol engine (the database elects its backup by rank, with no campaign)";
         let cfg =
           Kv.Chaos_db.config ~protocol ~termination ~presumption ~read_only_opt ?group_commit
             ~sync_latency ~pipeline_depth ~n_sites:n ~until ~detector ~fencing ~heartbeat_period
@@ -923,44 +923,6 @@ let model_check_cmd =
           major heap (the process's top heap size).")
     Term.(const run $ protocol cmd $ crashes_arg $ limit_arg $ bench_arg)
 
-(* ---------------- election ---------------- *)
-
-let election_cmd =
-  let crash =
-    Arg.(
-      value & opt_all (pair ~sep:'@' int float) []
-      & info [ "crash" ] ~docv:"S@T" ~doc:"Crash site S at time T (repeatable).")
-  in
-  let recover =
-    Arg.(
-      value & opt_all (pair ~sep:'@' int float) []
-      & info [ "recover" ] ~docv:"S@T" ~doc:"Recover site S at time T (repeatable).")
-  in
-  let run n crashes recoveries seed =
-    let require = require "election" in
-    let valid (s, at) = s >= 1 && s <= n && is_time at in
-    require (n >= 1) "-n must be >= 1";
-    List.iter
-      (fun (flag, events) ->
-        require (List.for_all valid events)
-          (Printf.sprintf "%s takes S@T with S a site in 1..%d and T finite and >= 0" flag n))
-      [ ("--crash", crashes); ("--recover", recoveries) ];
-    let t = Engine.Election.create ~n_sites:n ~seed () in
-    ignore (Engine.Election.run t ~crashes ~recoveries ());
-    List.iter
-      (fun s ->
-        Fmt.pr "site %d: leader %a, witnessed %a@." s
-          Fmt.(option ~none:(any "none") int)
-          (Engine.Election.leader_at t ~site:s)
-          Fmt.(box (list ~sep:comma (pair ~sep:(any "@") int (fmt "%.1f"))))
-          (List.map (fun (at, l) -> (l, at)) (Engine.Election.leader_history t ~site:s)))
-      (List.init n (fun i -> i + 1));
-    Fmt.pr "agreement among operational sites: %b@." (Engine.Election.agreement t)
-  in
-  Cmd.v
-    (Cmd.info "election" ~doc:"Run the bully election protocol under a crash schedule.")
-    Term.(const run $ sites_arg $ crash $ recover $ seed_arg "Simulation seed.")
-
 (* ---------------- bank ---------------- *)
 
 let bank_cmd =
@@ -1030,6 +992,5 @@ let () =
             chaos_cmd;
             explore_cmd;
             model_check_cmd;
-            election_cmd;
             bank_cmd;
           ]))

@@ -4,11 +4,9 @@
     failure detector's heartbeats and the bully-election traffic.
 
     Termination directives ([Move_to], [State_req], [Decide]) carry the
-    issuing backup's election epoch so a participant can fence stale
-    directives from a deposed-but-alive backup.  Epochs are allotted as
-    [round * n_sites + (site - 1)], which makes them globally unique per
-    site and, at round 0, ordered exactly like site rank — the reliable
-    detector's deterministic election falls out as the special case. *)
+    issuing backup's election epoch ({!Termination.epoch}) so a
+    participant can fence stale directives from a deposed-but-alive
+    backup. *)
 
 type t =
   | Proto of int

@@ -1,6 +1,6 @@
 (** Wire messages exchanged by the protocol runtime.  Termination
     directives carry the issuing backup's election epoch
-    ([round * n_sites + (site - 1)]) so participants can fence directives
+    ({!Termination.epoch}) so participants can fence directives
     from deposed-but-alive backups; heartbeat and election messages exist
     only in timeout-detector mode. *)
 

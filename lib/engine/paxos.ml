@@ -125,15 +125,22 @@ let alive t rt = Sim.World.is_alive t.world rt.site
 let all_sites t = List.init t.cfg.n_sites (fun i -> i + 1)
 let others t rt = List.filter (fun s -> s <> rt.site) (all_sites t)
 
-(* Ballots reuse the election-epoch encoding round * n + (site - 1), so
-   the leader of a ballot is recoverable from the ballot alone — ballot
-   0 is round 0 at site 1, the TM. *)
-let leader_of t ballot = (ballot mod t.cfg.n_sites) + 1
+(* Ballots are election epochs ({!Termination.epoch}), so the leader of
+   a ballot is recoverable from the ballot alone — ballot 0 is round 0 at
+   site 1, the TM. *)
+let leader_of t ballot = Termination.leader_of ~n_sites:t.cfg.n_sites ballot
 
-(* Recovery-eligible standbys: the TM and every acceptor (phase 1 needs
-   acceptor replies, not acceptor identity, but keeping the candidate
-   set small keeps elections deterministic). *)
-let candidates t = List.sort_uniq compare (1 :: t.acceptor_set)
+(* The standby that leads recovery ({!Termination.eligible}): the lowest
+   live one by the world's ground truth, with no taint, [except] skipped.
+   Standbys are the TM and every acceptor (phase 1 needs acceptor
+   replies, not acceptor identity, but keeping the candidate set small
+   keeps elections deterministic). *)
+let standby ?(except = 0) t rt =
+  let candidates = List.sort_uniq compare (1 :: t.acceptor_set) in
+  let down = List.filter (fun s -> s = except || not (Sim.World.is_alive t.world s)) candidates in
+  Termination.eligible ~fallback:false
+    { Termination.self = rt.site; crashed = false; down; tainted = [] }
+    candidates
 
 let l_wal_appends = Sim.Metrics.label "wal_appends"
 let l_paxos_recoveries = Sim.Metrics.label "paxos_recoveries"
@@ -273,12 +280,7 @@ let new_lead ballot ~phase2 =
 let start_recovery t ctx rt =
   let already = match rt.leading with Some ld -> ld.l_ballot > 0 | None -> false in
   if rt.outcome = None && not already then begin
-    let n = t.cfg.n_sites in
-    let rec pick round =
-      let b = (round * n) + (rt.site - 1) in
-      if b > rt.highest_seen then b else pick (round + 1)
-    in
-    let ballot = pick 1 in
+    let ballot = Termination.epoch ~round:1 ~n_sites:t.cfg.n_sites ~site:rt.site rt.highest_seen in
     rt.highest_seen <- ballot;
     let ld = new_lead ballot ~phase2:false in
     rt.leading <- Some ld;
@@ -319,12 +321,7 @@ let rec arm_query t ctx rt =
                    wiped its lead state: nobody else will act for it *)
                 || (believed = rt.site && rt.leading = None)
               in
-              if leaderless then
-                match
-                  List.filter (fun s -> Sim.World.is_alive t.world s) (candidates t)
-                with
-                | s :: _ when s = rt.site -> start_recovery t ctx rt
-                | _ -> ());
+              if leaderless && standby t rt = Some rt.site then start_recovery t ctx rt);
              Sim.Metrics.bump (metrics t) l_outcome_queries;
              List.iter (fun dst -> Sim.World.send ctx ~dst Query_outcome) (others t rt);
              arm_query t ctx rt
@@ -500,15 +497,10 @@ let on_p_reject t ctx rt ~ballot =
 
 let on_lease_expire t ctx rt =
   if rt.outcome = None then begin
-    let believed = leader_of t rt.highest_seen in
-    let standbys =
-      List.filter (fun s -> s <> believed && Sim.World.is_alive t.world s) (candidates t)
-    in
-    match standbys with
-    | s :: _ when s = rt.site ->
-        Sim.Metrics.bump (metrics t) l_lease_takeovers;
-        start_recovery t ctx rt
-    | _ -> ()
+    if standby ~except:(leader_of t rt.highest_seen) t rt = Some rt.site then begin
+      Sim.Metrics.bump (metrics t) l_lease_takeovers;
+      start_recovery t ctx rt
+    end
   end
 
 let on_message t ctx ~src msg =
@@ -543,11 +535,10 @@ let on_peer_down t ctx failed =
       | None -> false
     in
     if tm_escalates then start_recovery t ctx rt
-    else if not (Sim.World.is_alive t.world (leader_of t rt.highest_seen)) then begin
-      match List.filter (fun s -> Sim.World.is_alive t.world s) (candidates t) with
-      | s :: _ when s = rt.site -> start_recovery t ctx rt
-      | _ -> ()
-    end
+    else if
+      (not (Sim.World.is_alive t.world (leader_of t rt.highest_seen)))
+      && standby t rt = Some rt.site
+    then start_recovery t ctx rt
   end
 
 let on_peer_up t ctx _recovered =

@@ -15,7 +15,7 @@
     Recovery: when the current leader is reported failed (or a leader
     lease expires while it is alive), the lowest-numbered live standby
     among TM-and-acceptors opens phase 1 at a higher ballot.  Ballots
-    reuse the election-epoch encoding [round * n_sites + (site - 1)], so
+    are election epochs ({!Termination.epoch}) from round 1, so
     they are globally unique per site and land in
     [Runtime.result.directive_epochs] for the split-brain oracle.  The
     new leader adopts the highest-ballot accepted value of each

@@ -12,11 +12,14 @@
     detector-only campaign, epoch rejects and thaw.
 
     Election: the paper admits "any distributed election mechanism".  We
-    use the deterministic rule induced by the reliable failure detector the
-    paper assumes: the backup coordinator is the operational site with the
-    smallest id that has not previously crashed during this transaction
-    (a recovered site runs the recovery protocol instead of competing for
-    leadership).  Cascading failures re-run the election automatically. *)
+    use {!Termination.eligible}, the deterministic rule induced by the
+    reliable failure detector the paper assumes: the backup coordinator is
+    the operational, non-read-only site with the smallest id that has not
+    previously crashed during this transaction (a recovered site runs the
+    recovery protocol instead of competing for leadership).  Under the
+    timeout detector the rule falls back to suspicion alone when every
+    site is tainted, and the candidate campaigns before it leads.
+    Cascading failures re-run the election automatically. *)
 
 type mode =
   | Normal  (** executing the commit protocol FSA *)
@@ -58,27 +61,19 @@ type site_rt = {
   mutable tainted_view : Core.Types.site list;  (** sites known to have crashed at least once *)
   mutable decided_at : float option;
   mutable epoch_seen : int;
-      (** highest election epoch this site has obeyed (-1 before any).
-          Epochs are allotted [round * n_sites + (site - 1)]: globally
-          unique per site, and at round 0 ordered exactly like site rank —
-          so under the reliable detector (where deposed backups are dead
-          and rounds stay 0) this generalizes the old [leader_rank_seen]
-          rule bit-for-bit.  A directive fenced below [epoch_seen] is a
-          stale order from a deposed backup and must be ignored —
-          otherwise it can re-move a participant out of the state the
-          current backup put it in (the model checker found exactly that
-          split-brain at n=4 with three cascading crashes; with a lying
-          detector the deposed backup is still *alive*, which is why rank
-          alone stopped being enough). *)
+      (** highest election epoch ({!Termination.epoch}) this site has
+          obeyed (-1 before any).  A directive below it is a stale order
+          from a deposed backup and must be ignored — otherwise it can
+          re-move a participant out of the state the current backup put
+          it in (the model checker found exactly that split-brain at n=4
+          with three cascading crashes). *)
   mutable campaigning : bool;
       (** detector mode: this site has broadcast [Elect] and is waiting
           for a better-ranked site to object before leading *)
   mutable lead_epoch : int;
-      (** the epoch this site last assumed leadership at — [site - 1]
-          (its rank-order authority) until it first leads.  Stamped on
-          every directive it issues, so under the oracle a [Move_to] from
-          site [s] always carries epoch [s - 1], exactly the rank the old
-          rule fenced on. *)
+      (** the epoch this site last assumed leadership at — [site - 1],
+          its rank, until it first leads.  Stamped on every directive it
+          issues. *)
   mutable impaired : bool;
       (** a site failure has been detected: the commit protocol proper is
           over and only the termination/recovery protocols may change this
@@ -481,43 +476,30 @@ module Exec = struct
 
   (* ---------------- termination protocol ---------------- *)
 
-  (* Leadership is computed from this site's local detector reports only:
-     the paper assumes those reports are reliable, and the partition
-     ablation shows what breaks when they are not. *)
-  let eligible_leader t (rt : site_rt) =
-    let pick ~ignore_taint =
-      Sim.World.sites t.world
-      (* read-only sites never lead: their log is volatile, so a decision
-         derived from it could not honour the force discipline *)
-      |> List.filter (fun s -> not (is_ro t s))
-      |> List.filter (fun s ->
-             if s = rt.site then not rt.ever_crashed
-             else
-               (not (List.mem s rt.down_view))
-               && (ignore_taint || not (List.mem s rt.tainted_view)))
-      |> function [] -> None | s :: _ -> Some s
-    in
-    match pick ~ignore_taint:false with
-    | Some _ as r -> r
-    | None ->
-        (* Under the oracle, taint is fact and an all-tainted view really
-           is a total failure.  Under the detector it is hearsay — every
-           suspicion, false ones included, taints — so insisting on it
-           forever would deadlock runs where every site was briefly
-           suspected.  Fall back to current suspicion only; epochs keep
-           the extra candidates safe. *)
-        if t.cfg.detector then pick ~ignore_taint:true else None
+  (* Leadership is computed from this site's local detector reports only
+     (the partition ablation shows what breaks when they lie).  Read-only
+     sites never lead: their volatile log cannot honour the force
+     discipline.  Under the oracle taint is fact, so an all-tainted view is
+     a total failure; under the detector every suspicion taints, so the
+     election falls back to current suspicion and epochs keep the extra
+     candidates safe. *)
+  let leaders t = List.filter (fun s -> not (is_ro t s)) (Sim.World.sites t.world)
 
-  (* The smallest epoch of this site's allotment ([round * n + site - 1])
-     that outranks everything it has already obeyed — a deposed backup
-     re-elects itself one round up instead of re-issuing stale orders. *)
+  let elector (rt : site_rt) =
+    { Termination.self = rt.site; crashed = rt.ever_crashed; down = rt.down_view;
+      tainted = rt.tainted_view }
+
+  let eligible_leader t rt = Termination.eligible ~fallback:t.cfg.detector (elector rt) (leaders t)
+
+  (* The epoch this site leads or campaigns at: its rank under the oracle
+     (a deposed backup is dead, round 0 suffices and orders exactly like
+     rank), the smallest of its allotment above everything it has obeyed
+     under the detector (a deposed backup may be deposed in error and come
+     back — it re-elects itself one round up instead of re-issuing stale
+     orders). *)
   let next_epoch t (rt : site_rt) =
-    let n = List.length (Sim.World.sites t.world) in
-    let rec go r =
-      let e = (r * n) + rt.site - 1 in
-      if e > rt.epoch_seen then e else go (r + 1)
-    in
-    go 0
+    Termination.epoch ~n_sites:t.codes.I.n ~site:rt.site
+      (if t.cfg.detector then rt.epoch_seen else -1)
 
   let broadcast_decide t ctx (rt : site_rt) o =
     let peers = List.filter (fun s -> s <> rt.site) (Sim.World.sites t.world) in
@@ -544,12 +526,8 @@ module Exec = struct
      they acked) would let a crash shrink a commit quorum after the
      fact.  They still learn the outcome from phase 2 broadcasts. *)
   let reachable_participants t (rt : site_rt) =
-    Sim.World.sites t.world
-    |> List.filter (fun s ->
-           s <> rt.site
-           && (not (is_ro t s))
-           && (not (List.mem s rt.down_view))
-           && not (List.mem s rt.tainted_view))
+    let e = elector rt in
+    List.filter (fun s -> s <> rt.site && Termination.trusted e s) (leaders t)
 
   let decide t ctx (rt : site_rt) o =
     finalize t rt o;
@@ -630,12 +608,7 @@ module Exec = struct
     match rt.mode with
     | Backup _ | Stalled -> ()
     | Normal -> (
-        (* Elect an epoch: the site's rank under the oracle (a deposed
-           backup is dead, round 0 suffices and orders exactly like the
-           old rank rule), the next free round under the detector (a
-           deposed backup may be deposed in error and come back — it must
-           outrank its own stale orders). *)
-        let e = if t.cfg.detector then next_epoch t rt else rt.site - 1 in
+        let e = next_epoch t rt in
         record t "site %d becomes backup coordinator (state %s, epoch %d)" rt.site
           (state_name t rt.state) e;
         rt.lead_epoch <- e;
@@ -841,14 +814,11 @@ module Exec = struct
         end
     | Msg.Outcome_reply None -> ()
     | Msg.Elect { epoch = e } ->
-        (* A worse-ranked site believes the leader chain is broken.  If we
-           are a live, never-crashed better-ranked site we object — the
-           candidate stands down — and take the hint to reconsider leading
-           ourselves.  A suspected-but-alive site's objection is exactly
-           the second chance that makes false suspicion survivable.
-           Read-only sites never object: an objection is a promise to
-           take over, and they are excluded from leadership. *)
-        if rt.site < src && (not rt.ever_crashed) && not (is_ro t rt.site) then begin
+        (* A worse-ranked site believes the leader chain is broken.  A
+           better-ranked site that could lead objects (an objection is a
+           promise to take over) and reconsiders leading itself. *)
+        if Termination.objects ~campaigner:src ~fallback:t.cfg.detector (elector rt) (leaders t)
+        then begin
           record t "site %d objects to site %d's campaign (epoch %d)" rt.site src e;
           Sim.World.send ctx ~dst:src Msg.Elect_ack;
           reconsider_leadership t ctx rt

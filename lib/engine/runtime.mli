@@ -16,10 +16,12 @@
     termination messages, reports' [final_state] and traces — so logs,
     traces and reports are those of the string interpreter it replaced.
 
-    Election: the backup coordinator is the operational site with the
-    smallest id that has not previously crashed during this transaction
-    (deterministic under the paper's reliable failure detector);
-    recovered sites run the recovery protocol instead of competing.
+    Election ({!Termination.eligible}): the backup coordinator is the
+    smallest-id site that is not read-only, not reported down, and has not
+    crashed during this transaction (recovered sites run the recovery
+    protocol).  Under the timeout detector the election falls back to
+    current suspicion when every site is tainted, and a candidate leads
+    only if no better-ranked site objects within [election_timeout].
     Cascading failures re-run the election automatically. *)
 
 (** How a backup coordinator decides: the paper's rule, or quorum

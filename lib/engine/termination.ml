@@ -70,3 +70,26 @@ type decide_answer = Fenced | Known | Learn
 
 let learn_decide ~fencing ~epoch_seen ~epoch ~outcome =
   if fencing && epoch < epoch_seen then Fenced else if outcome <> None then Known else Learn
+
+type elector = { self : site; crashed : bool; down : site list; tainted : site list }
+
+let up ?(alive = 0) e s = s = alive || ((not (List.mem s e.down)) && not (s = e.self && e.crashed))
+let trusted ?(alive = 0) e s = up ~alive e s && (s = alive || not (List.mem s e.tainted))
+
+let eligible ?alive ~fallback e candidates =
+  match List.find_opt (trusted ?alive e) candidates with
+  | Some _ as leader -> leader
+  | None -> if fallback then List.find_opt (up ?alive e) candidates else None
+
+let objects ~campaigner ~fallback e candidates =
+  e.self < campaigner && List.mem e.self candidates
+  && eligible ~fallback e [ e.self ] = Some e.self
+
+let epoch ?(round = 0) ~n_sites ~site above =
+  let rec go r =
+    let e = (r * n_sites) + site - 1 in
+    if e > above then e else go (r + 1)
+  in
+  go round
+
+let leader_of ~n_sites epoch = (epoch mod n_sites) + 1

@@ -3,13 +3,17 @@
     {!Rulebook} verdict (phase 2); the quorum variant polls the sites'
     states first and decides by counts.  Each rule is a pure function of a
     site's state code, outcome, round in flight ({!phase}) and epoch that
-    returns a decision.  {!Runtime} and {!Model_check} drive every rule;
-    [Kv.Node] drives {!open_round}, {!drop}, {!report}, {!close_phase1}
-    and {!quorum}.  The drivers keep the I/O (sends, log forces, timers,
-    traces; input enumeration, crash variants, the packed state).  No
-    rule takes an argument naming its caller: a harness difference enters
-    as data (an epoch, [fencing], an awaited set, a rulebook row) or
-    stays in the driver.
+    returns a decision; so is the election ({!eligible}, {!objects},
+    {!epoch}).  {!Runtime} drives every rule but {!leader_of};
+    {!Model_check} every backup rule but no election rule; [Kv.Node]
+    {!open_round}, {!drop}, {!report}, {!close_phase1}, {!quorum},
+    {!eligible} and {!epoch}; {!Paxos} {!eligible}, {!epoch} and
+    {!leader_of}.  The drivers keep the I/O (sends, log
+    forces, timers, traces; input enumeration, crash variants, the packed
+    state).  No rule takes an argument naming its caller: a harness
+    difference enters as data (an epoch, [fencing], an awaited set, a
+    rulebook row, a candidate list, a fallback flag) or stays in the
+    driver.
 
     {b Where the drivers differ}, each pinned by a golden row or a
     conformance digest:
@@ -39,6 +43,19 @@
     - kv closes phase 1 on the verdict of the round's target, the state
       the backup held when the round opened; the runtime reads its state
       when the round closes.
+
+    {b Where the elections differ}:
+    - the checker keeps its own "lowest live site" loop over the packed
+      state's alive bitmask: its sites never recover, so taint, fallback
+      and epoch rounds never arise, and the loop allocates nothing per
+      successor (its minor-words-per-state gate);
+    - Paxos standbys judge liveness by the world's ground truth, with no
+      taint, from round 1, so every recovery ballot outranks round 0;
+    - kv's acceptors take taint, their own crash included, as a
+      preference ([fallback] always on): their promises are durable;
+    - the runtime's and kv's backups fall back only under the detector,
+      where taint is hearsay; the runtime's candidates omit read-only
+      sites.
 
     {b Where Paxos Commit's recovery differs} (its F=0 case is this
     protocol; {!Paxos} is not routed through these rules): its leader
@@ -140,3 +157,41 @@ val learn_decide :
   fencing:bool -> epoch_seen:int -> epoch:int -> outcome:Core.Types.outcome option -> decide_answer
 (** [Fenced] below the obeyed epoch (with [fencing]), [Known] if already
     final, else [Learn]. *)
+
+(** {2 The election}
+
+    The paper lets the backup "be elected by any distributed election
+    mechanism"; every harness uses this one.  Rank is site number.  Safety
+    never rests on the pick: directives carry epochs, and a site fences
+    those below the highest it has obeyed. *)
+
+(** What the electing site knows. *)
+type elector = {
+  self : site;
+  crashed : bool;  (** [self] crashed during the transaction: it recovers, never leads *)
+  down : site list;  (** reported down now *)
+  tainted : site list;  (** reported down at least once *)
+}
+
+val trusted : ?alive:site -> elector -> site -> bool
+(** Up (not [down], not a [crashed] [self]) and not [tainted].  [alive]
+    is trusted whatever the lists say: the view as it stood before that
+    site's failure.  A backup awaits the trusted sites. *)
+
+val eligible : ?alive:site -> fallback:bool -> elector -> site list -> site option
+(** The first {!trusted} candidate; failing that, with [fallback], the
+    first that is up. *)
+
+val objects : campaigner:site -> fallback:bool -> elector -> site list -> bool
+(** Whether [self] objects to a worse-ranked [campaigner]: it is a
+    candidate, and {!eligible} over itself alone picks it.  A suspected
+    but live better-ranked site objects, which is what makes a false
+    suspicion survivable. *)
+
+val epoch : ?round:int -> n_sites:int -> site:site -> int -> int
+(** [epoch ~n_sites ~site above] is the least [r·n_sites + site − 1] with
+    [r >= round] (default 0) that is above [above]: unique to its site,
+    and at round 0 ordered like rank ([epoch ~site (-1) = site − 1]). *)
+
+val leader_of : n_sites:int -> int -> site
+(** The site whose epoch this is: the inverse of {!epoch}. *)

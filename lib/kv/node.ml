@@ -116,11 +116,9 @@ type t = {
           sound staleness test — epoch fencing replaces it *)
   fencing : bool;  (** [false]: the split-brain ablation (detector mode) *)
   epoch_seen : (int, int) Hashtbl.t;
-      (** per transaction: highest election epoch obeyed (absent = -1).
-          Epochs are [round * n_sites + (site - 1)] — globally unique per
-          site, the live coordinator at round 0.  Deliberately NOT reset
-          on restart: a recovered site keeps fencing orders it already
-          knows to be stale. *)
+      (** per transaction: highest election epoch
+          ({!Engine.Termination.epoch}) obeyed (absent = -1).  Not reset
+          on restart: a recovered site keeps fencing stale orders. *)
   mutable directive_epochs : (int * int) list;
       (** reverse-chronological (txn, epoch) at each termination this
           site led — feed for the split-brain oracle *)
@@ -209,6 +207,8 @@ let note_announce node ~txn ~commit =
   if not (List.mem commit (Hashtbl.find_all node.announced_outcomes txn)) then
     Hashtbl.add node.announced_outcomes txn commit
 
+module T = Engine.Termination
+
 (* ---- election epochs (see the [epoch_seen] field doc) ---- *)
 
 let epoch_of node ~txn = Option.value ~default:(-1) (Hashtbl.find_opt node.epoch_seen txn)
@@ -216,23 +216,20 @@ let epoch_of node ~txn = Option.value ~default:(-1) (Hashtbl.find_opt node.epoch
 let bump_epoch node ~txn e =
   if e > epoch_of node ~txn then Hashtbl.replace node.epoch_seen txn e
 
-(* The smallest epoch of this site's allotment that outranks everything it
-   has obeyed for [txn].  In oracle mode terminations use plain rank
-   ([site - 1], round 0): a deposed backup is dead there, and rank order
-   is exactly the old deterministic election. *)
-let next_epoch node ~txn =
-  let seen = epoch_of node ~txn in
-  let rec go r =
-    let e = (r * node.n_sites) + node.site - 1 in
-    if e > seen then e else go (r + 1)
-  in
-  go 0
-
-let elect_epoch node ~txn =
-  let e = if node.detector then next_epoch node ~txn else node.site - 1 in
+(* Claim for [txn] the least epoch of this site's allotment from [round]
+   on that is above [above] ({!T.epoch}): obey it, and record it for the
+   split-brain oracle. *)
+let claim_epoch ?round node ~txn above =
+  let e = T.epoch ?round ~n_sites:node.n_sites ~site:node.site above in
   bump_epoch node ~txn e;
   node.directive_epochs <- (txn, e) :: node.directive_epochs;
   e
+
+(* A termination's epoch: in oracle mode plain rank ([site - 1], round 0)
+   — a deposed backup is dead there, and rank order is exactly the
+   deterministic election; under the detector, above everything this
+   site has obeyed for [txn]. *)
+let elect_epoch node ~txn = claim_epoch node ~txn (if node.detector then epoch_of node ~txn else -1)
 
 (* ---- Paxos Commit: acceptor set and ballots ---- *)
 
@@ -242,22 +239,12 @@ let pax_f node = match node.protocol with Paxos f -> f | Two_phase | Three_phase
    2f+1 lowest-numbered sites regardless of which site leads *)
 let acceptors node = List.init ((2 * pax_f node) + 1) (fun i -> i + 1)
 
-(* A standby leader's ballot: the epoch encoding, at round >= 1 so it
+(* A standby leader's ballot: the epoch encoding from round 1, so it
    always outranks every coordinator's round-0 ballot (site - 1 <= n - 1)
    — that is what obliges it to run phase 1 and adopt any accepted value
-   before proposing.  Recorded in [directive_epochs] like a termination
-   election, feeding the split-brain oracle; bumping [epoch_seen] makes
-   consecutive ballots from this site strictly increase. *)
-let pax_elect_ballot node ~txn =
-  let seen = max (epoch_of node ~txn) (node.n_sites - 1) in
-  let rec go r =
-    let e = (r * node.n_sites) + node.site - 1 in
-    if e > seen then e else go (r + 1)
-  in
-  let e = go 1 in
-  bump_epoch node ~txn e;
-  node.directive_epochs <- (txn, e) :: node.directive_epochs;
-  e
+   before proposing.  Claiming it makes consecutive ballots from this site
+   strictly increase. *)
+let pax_elect_ballot node ~txn = claim_epoch ~round:1 node ~txn (epoch_of node ~txn)
 
 let now ctx = Sim.World.now ctx.Sim.World.world
 let metrics ctx = Sim.World.metrics ctx.Sim.World.world
@@ -286,8 +273,6 @@ let l_kv_vote_phase = Sim.Metrics.label "kv_vote_phase"
 let l_kv_lock_wait = Sim.Metrics.label "kv_lock_wait"
 let l_commit_latency = Sim.Metrics.label "commit_latency"
 let l_abort_latency = Sim.Metrics.label "abort_latency"
-
-module T = Engine.Termination
 
 (* A participant's status as a state code of {!Kv_msg.row}, the form the
    termination rules and messages take. *)
@@ -762,58 +747,33 @@ let rec query_round ?(on_round = fun () -> ()) node ctx ~txn ~targets ~attempt =
 
 let query_loop node ctx ~txn ~targets = query_round node ctx ~txn ~targets ~attempt:0
 
+let elector node =
+  { T.self = node.site; crashed = node.ever_crashed; down = node.down_view; tainted = node.tainted }
+
 let reachable_others node (p : p_txn) =
-  List.filter
-    (fun s ->
-      s <> node.site && (not (List.mem s node.down_view)) && not (List.mem s node.tainted))
-    p.participants
+  let e = elector node in
+  List.filter (fun s -> s <> node.site && T.trusted e s) p.participants
 
 (* The backup election: lowest operational, never-crashed participant.
-   Deterministic under the oracle.  Under the detector, taint is hearsay
-   (every suspicion taints) and an all-tainted participant set would
-   deadlock the transaction — fall back to current suspicion only; epoch
-   fencing keeps the extra candidates safe.  [alive] counts one site as up
-   and untainted: the election as it stood before that site's failure. *)
-let eligible_backup ?(alive = 0) node (p : p_txn) =
-  let pick ~ignore_taint =
-    List.filter
-      (fun s ->
-        s = alive
-        || (not (List.mem s node.down_view))
-           && (ignore_taint || not (List.mem s node.tainted))
-           && (s <> node.site || not node.ever_crashed))
-      p.participants
-  in
-  match pick ~ignore_taint:false with
-  | backup :: _ -> Some backup
-  | [] -> (
-      if not node.detector then None
-      else match pick ~ignore_taint:true with backup :: _ -> Some backup | [] -> None)
+   Under the detector taint is hearsay and an all-tainted participant set
+   would deadlock the transaction, so it falls back to current suspicion;
+   epoch fencing keeps the extra candidates safe. *)
+let eligible_backup ?alive node (p : p_txn) =
+  T.eligible ?alive ~fallback:node.detector (elector node) p.participants
 
 (* ---- Paxos Commit recovery (the replicated-coordinator path) ---- *)
 
-(* The standby-leader election: lowest operational acceptor, preferring
-   never-crashed ones.  Unlike [eligible_backup], taint is only a
-   preference here, never a veto: an acceptor's promise/accept state is
-   WAL-durable ([A_promised] records) and every directive is ballot-
-   fenced, so a crashed-and-recovered acceptor leads recovery safely —
-   vetoing it would deadlock any schedule that touches every acceptor
-   once, with a live majority still reachable.  [exclude] skips a site
-   regardless (the still-alive coordinator, under a lease fault); 0
-   excludes nobody. *)
+(* The standby-leader election: lowest operational acceptor.  Taint, this
+   site's own crash included, is only a preference: promises are
+   WAL-durable ([A_promised]) and directives ballot-fenced, so a recovered
+   acceptor leads safely, and a veto would deadlock any schedule that
+   touches every acceptor once.  [exclude] skips a site (the still-alive
+   coordinator, under a lease fault); 0 excludes nobody. *)
 let eligible_acceptor node ~exclude =
-  let pick ~ignore_taint =
-    List.filter
-      (fun s ->
-        s <> exclude
-        && (not (List.mem s node.down_view))
-        && (ignore_taint || not (List.mem s node.tainted))
-        && (ignore_taint || s <> node.site || not node.ever_crashed))
-      (acceptors node)
-  in
-  match pick ~ignore_taint:false with
-  | a :: _ -> Some a
-  | [] -> ( match pick ~ignore_taint:true with a :: _ -> Some a | [] -> None)
+  let tainted = if node.ever_crashed then node.site :: node.tainted else node.tainted in
+  T.eligible ~fallback:true
+    { (elector node) with crashed = false; tainted }
+    (List.filter (fun s -> s <> exclude) (acceptors node))
 
 (* A recovery leader's decision: logged coordinator-style (C_begin first,
    so classification and restart re-announcement work), forced before the

@@ -110,9 +110,9 @@ type t = {
           sound staleness test — epoch fencing replaces it *)
   fencing : bool;  (** [false]: the split-brain ablation (detector mode) *)
   epoch_seen : (int, int) Hashtbl.t;
-      (** per transaction: highest election epoch obeyed (absent = -1);
-          epochs are [round * n_sites + (site - 1)], globally unique per
-          site.  Not reset on restart. *)
+      (** per transaction: highest election epoch
+          ({!Engine.Termination.epoch}) obeyed (absent = -1).  Not reset
+          on restart. *)
   mutable directive_epochs : (int * int) list;
       (** reverse-chronological (txn, epoch) at each termination this
           site led — feed for the split-brain oracle *)

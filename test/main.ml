@@ -19,7 +19,6 @@ let () =
       ("sim", Test_sim.suite);
       ("metrics", Test_metrics.suite);
       ("engine", Test_engine.suite);
-      ("election", Test_election.suite);
       ("partition", Test_partition.suite);
       ("properties", Test_properties.suite);
       ("quorum", Test_quorum.suite);

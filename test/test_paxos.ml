@@ -257,6 +257,14 @@ let test_engine_ballots_unique_per_site () =
       Alcotest.(check int) (Fmt.str "ballot %d decodes to its site" e) site ((e mod n_sites) + 1))
     epochs
 
+let test_engine_lowest_live_standby_leads () =
+  (* the TM (site 1) dies: the shared election picks the lowest live
+     standby, site 2, which opens recovery at its first round-1 ballot *)
+  let _, r = ep_result ~plan:(FP.of_string_exn "crash site=1 at=3") ~n_sites:4 ~f:1 ~seed:5 () in
+  let recoveries = List.filter (fun (_, e) -> e > 0) r.Engine.Runtime.directive_epochs in
+  Alcotest.(check (list (pair int int))) "site 2 leads at ballot 5" [ (2, 5) ] recoveries;
+  Alcotest.(check bool) "every survivor decides" true r.Engine.Runtime.all_operational_decided
+
 let test_engine_family_validation () =
   (* the CLI gate: acceptor-crash / lease-fault clauses only run under
      Paxos; move-crash names a 3PC termination phase Paxos lacks *)
@@ -306,6 +314,8 @@ let suite =
       test_pinned_split_brain_plan_survived;
     Alcotest.test_case "engine: ballots unique and decodable per site" `Quick
       test_engine_ballots_unique_per_site;
+    Alcotest.test_case "engine: the lowest live standby leads recovery" `Quick
+      test_engine_lowest_live_standby_leads;
     Alcotest.test_case "engine: plan family validation" `Quick test_engine_family_validation;
     Alcotest.test_case "engine: paxos chaos sweep clean (50 seeds)" `Slow test_engine_sweep_clean;
   ]

@@ -217,6 +217,62 @@ let test_close_phase1 () =
   Alcotest.(check bool) "a failed site is awaited no more" true
     (close ~failed:(fun s -> s = 3) [ 3 ] = Some (Engine.Rulebook.Decide Core.Types.Committed))
 
+(* The election: one rule for every harness's leader, epochs and
+   objection, each driver passing its own view as data. *)
+let test_election_rule () =
+  let elect ?alive ?(fallback = false) ?(self = 1) ?(crashed = false) ?(down = []) ?(tainted = [])
+      candidates =
+    T.eligible ?alive ~fallback { T.self; crashed; down; tainted } candidates
+  in
+  let check = Alcotest.(check (option int)) in
+  check "the first candidate up and trusted" (Some 2) (elect ~down:[ 1 ] [ 1; 2; 3 ]);
+  check "a tainted site is passed over" (Some 3) (elect ~tainted:[ 2 ] [ 2; 3 ]);
+  check "without fallback an all-tainted view elects nobody" None
+    (elect ~tainted:[ 2; 3 ] [ 2; 3 ]);
+  check "with fallback it elects the first site up" (Some 3)
+    (elect ~fallback:true ~down:[ 2 ] ~tainted:[ 2; 3 ] [ 2; 3 ]);
+  check "a site that crashed is never its own candidate" (Some 2)
+    (elect ~self:1 ~crashed:true [ 1; 2 ]);
+  check "not even under fallback" None
+    (elect ~fallback:true ~self:1 ~crashed:true ~tainted:[ 2 ] ~down:[ 2 ] [ 1; 2 ]);
+  check "another site's crash is its taint, not a veto" (Some 1) (elect ~self:2 ~crashed:true [ 1; 2 ]);
+  check "kv's alive override: up and trusted whatever the lists say" (Some 1)
+    (elect ~alive:1 ~down:[ 1 ] ~tainted:[ 1 ] [ 1; 2; 3 ]);
+  check "the override adds a candidate, it takes none away" (Some 1)
+    (elect ~alive:3 ~tainted:[ 2 ] [ 1; 2; 3 ]);
+  (* the runtime's objection: a better-ranked candidate that would elect itself *)
+  let objects ?(crashed = false) ?(candidates = [ 1; 2; 3; 4 ]) ~self campaigner =
+    T.objects ~campaigner ~fallback:false { T.self; crashed; down = [ 1 ]; tainted = [ 1 ] } candidates
+  in
+  Alcotest.(check bool) "a better-ranked live site objects" true (objects ~self:2 4);
+  Alcotest.(check bool) "even below a site it does not suspect" true (objects ~self:2 3);
+  Alcotest.(check bool) "a worse-ranked site does not" false (objects ~self:4 3);
+  Alcotest.(check bool) "nor the campaigner itself" false (objects ~self:3 3);
+  Alcotest.(check bool) "nor a site that crashed" false (objects ~crashed:true ~self:2 4);
+  Alcotest.(check bool) "nor a site that is not a candidate" false
+    (objects ~candidates:[ 1; 3; 4 ] ~self:2 4)
+
+let test_epoch_rule () =
+  let check = Alcotest.(check int) in
+  List.iter
+    (fun site -> check (Fmt.str "round 0 is site %d's rank" site) (site - 1) (T.epoch ~n_sites:4 ~site (-1)))
+    [ 1; 2; 3; 4 ];
+  check "the least epoch above seen, a round up" 5 (T.epoch ~n_sites:4 ~site:2 3);
+  check "seen itself is never reissued" 9 (T.epoch ~n_sites:4 ~site:2 5);
+  for n_sites = 2 to 5 do
+    for site = 1 to n_sites do
+      for seen = -1 to 3 * n_sites do
+        let e = T.epoch ~n_sites ~site seen in
+        let b = T.epoch ~round:1 ~n_sites ~site seen in
+        Alcotest.(check bool) "strictly above seen" true (e > seen && b > seen);
+        Alcotest.(check bool) "the least such" true (e - n_sites <= seen || e < n_sites);
+        Alcotest.(check bool) "a standby ballot is >= n" true (b >= n_sites);
+        check "leader_of inverts the epoch rule" site (T.leader_of ~n_sites e);
+        check "and the standby ballot's" site (T.leader_of ~n_sites b)
+      done
+    done
+  done
+
 let suite =
   [
     Alcotest.test_case "majority sizes" `Quick test_majority;
@@ -234,4 +290,6 @@ let suite =
     Alcotest.test_case "quorum rule: all five outcomes" `Quick test_quorum_rule;
     Alcotest.test_case "answering a move: fence, reply, adopt" `Quick test_answer_move;
     Alcotest.test_case "phase 1 closes on the last awaited site" `Quick test_close_phase1;
+    Alcotest.test_case "election: eligibility, fallback, objection" `Quick test_election_rule;
+    Alcotest.test_case "election epochs: rank, rounds, leader_of" `Quick test_epoch_rule;
   ]
