@@ -296,52 +296,81 @@ let aggregate_run_metrics m result =
    metrics stay byte-identical to every pinned expectation — plus
    terminal outcomes, bucketed detector/election activity and oracle
    near-miss flags.  Everything here is deterministic in the run; no
-   wall-clock measurement may leak in. *)
+   wall-clock measurement may leak in.  The fixed vocabulary is interned
+   here once, so a run builds no string. *)
+module Cov = Sim.Coverage
+
+(* a site class: its edge class and its "final-*" and "end-*" keys *)
+let site_class name = (Cov.symbol name, Cov.symbol ("final-" ^ name), Cov.symbol ("end-" ^ name))
+let coordinator = site_class "coord"
+let participant = site_class "part"
+let k_outcome = Cov.symbol "outcome"
+let k_consistent = Cov.symbol "consistent"
+let k_blocked = Cov.symbol "blocked"
+let k_epochs = Cov.symbol "epochs"
+let k_epoch_sites = Cov.symbol "epoch-sites"
+let s_plus_y = Cov.symbol "+y"
+let s_plus_n = Cov.symbol "+n"
+let s_moved = Cov.symbol "mv-"
+let s_none = Cov.symbol "none"
+let outcome_index = function Core.Types.Committed -> 0 | Core.Types.Aborted -> 1
+let s_outcomes = Array.map Cov.symbol [| "commit"; "abort" |]
+let s_decided = Array.map Cov.symbol [| "dec-commit"; "dec-abort" |]
+
+(* "end-*" values by [outcome * 4 + crashed * 2 + down], outcome 2 being
+   undecided: "commit", "commit+down", "commit+crashed", ... *)
+let s_ends =
+  Array.init 12 (fun i ->
+      Cov.symbol
+        ([| "commit"; "abort"; "undecided" |].(i / 4)
+        ^ (if i land 2 <> 0 then "+crashed" else "")
+        ^ if i land 1 <> 0 then "+down" else ""))
+
+let detector_keys = List.map (fun (name, l) -> (Cov.symbol name, l)) detector_counters
+
+let record_label = function
+  | Wal.Began { initial; _ } -> Cov.symbol initial
+  | Wal.Transitioned { to_state; vote = None } -> Cov.symbol to_state
+  | Wal.Transitioned { to_state; vote = Some Core.Types.Yes } -> Cov.concat (Cov.symbol to_state) s_plus_y
+  | Wal.Transitioned { to_state; vote = Some Core.Types.No } -> Cov.concat (Cov.symbol to_state) s_plus_n
+  | Wal.Moved { to_state } -> Cov.concat s_moved (Cov.symbol to_state)
+  | Wal.Decided o -> s_decided.(outcome_index o)
+
+(* distinct sites among the epoch claims *)
+let rec epoch_sites = function
+  | [] -> 0
+  | (site, _) :: rest -> (if List.mem_assoc site rest then 0 else 1) + epoch_sites rest
+
 let fingerprint_of (result : Runtime.result) =
-  let open Sim.Coverage in
-  let site_features (r : Runtime.site_report) =
-    let class_ = if r.site = 1 then "coord" else "part" in
-    let labels =
-      List.map
-        (function
-          | Wal.Began { initial; _ } -> initial
-          | Wal.Transitioned { to_state; vote } -> (
-              match vote with
-              | Some Core.Types.Yes -> to_state ^ "+y"
-              | Some Core.Types.No -> to_state ^ "+n"
-              | None -> to_state)
-          | Wal.Moved { to_state } -> "mv-" ^ to_state
-          | Wal.Decided o -> "dec-" ^ outcome_str o)
-        (Wal.records (Wal.Store.log result.store ~site:r.site))
-    in
-    let rec edges = function
-      | a :: (b :: _ as rest) -> edge ~class_ a b :: edges rest
-      | [] | [ _ ] -> []
-    in
-    edges labels
-    @ [
-        feat ("final-" ^ class_) r.final_state;
-        feat ("end-" ^ class_)
-          (Printf.sprintf "%s%s%s"
-             (match effective r with Some o -> outcome_str o | None -> "undecided")
-             (if r.ever_crashed then "+crashed" else "")
-             (if r.operational then "" else "+down"));
-      ]
-  in
-  List.concat_map site_features result.reports
-  @ [
-      feat "outcome"
-        (match result.global_outcome with Some o -> outcome_str o | None -> "none");
-      feat "consistent" (string_of_bool result.consistent);
-      feat "blocked" (bucket result.blocked_operational);
-      feat "epochs" (bucket (List.length result.directive_epochs));
-      feat "epoch-sites"
-        (bucket
-           (List.length (List.sort_uniq compare (List.map fst result.directive_epochs))));
-    ]
-  @ List.map
-      (fun (name, l) -> feat name (bucket (Sim.Metrics.count result.run_metrics l)))
-      detector_counters
+  let fp = ref [] in
+  let emit f = fp := f :: !fp in
+  List.iter
+    (fun (r : Runtime.site_report) ->
+      let class_, k_final, k_end = if r.site = 1 then coordinator else participant in
+      (* newest record first: each record's label starts an edge to the
+         label of the record logged after it *)
+      let later = ref class_ and newest = ref true in
+      Wal.iter_newest_first (Wal.Store.log result.store ~site:r.site) (fun record ->
+          let label = record_label record in
+          if not !newest then emit (Cov.edge ~class_ label !later);
+          newest := false;
+          later := label);
+      emit (Cov.feat k_final (Cov.symbol r.final_state));
+      let decided = match effective r with Some o -> outcome_index o | None -> 2 in
+      let crashed = if r.ever_crashed then 2 else 0 and down = if r.operational then 0 else 1 in
+      emit (Cov.feat k_end s_ends.((decided * 4) + crashed + down)))
+    result.reports;
+  emit
+    (Cov.feat k_outcome
+       (match result.global_outcome with Some o -> s_outcomes.(outcome_index o) | None -> s_none));
+  emit (Cov.feat k_consistent (Cov.bool result.consistent));
+  emit (Cov.feat k_blocked (Cov.bucket result.blocked_operational));
+  emit (Cov.feat k_epochs (Cov.bucket (List.length result.directive_epochs)));
+  emit (Cov.feat k_epoch_sites (Cov.bucket (epoch_sites result.directive_epochs)));
+  List.iter
+    (fun (key, l) -> emit (Cov.feat key (Cov.bucket (Sim.Metrics.count result.run_metrics l))))
+    detector_keys;
+  !fp
 
 (* ---------------- targets ---------------- *)
 

@@ -98,13 +98,13 @@ val split_brain :
     violation, described by [detail] of the first offending claim, when
     one epoch key is claimed by two distinct sites. *)
 
-val fingerprint_of : Runtime.result -> string list
+val fingerprint_of : Runtime.result -> Sim.Coverage.feature list
 (** The run's behavioural signature for the coverage-guided explorer
     ({!Explore}): per-site-class protocol-state edges walked by the
     stable log (read post hoc from the WAL store — the runtime's metrics
     stay untouched), terminal outcomes, bucketed detector/election
-    activity ({!Sim.Coverage.bucket}) and oracle near-miss flags.
-    Deterministic in the run. *)
+    activity ({!Sim.Coverage.bucket}) and oracle near-miss flags, in no
+    particular order.  Deterministic in the run; builds no string. *)
 
 (** {1 Targets} *)
 

@@ -87,7 +87,7 @@ let unsupported ~families plan =
 (* ------------------------------------------------------------------ *)
 
 type report = {
-  fingerprint : string list;
+  fingerprint : Sim.Coverage.feature list;
   violations : (string * string) list;  (** (oracle name, detail) *)
 }
 
@@ -273,19 +273,21 @@ type result = {
 let mode_name = function `Guided -> "guided" | `Random -> "random"
 
 (* Parent selection: half the draws from the top-novelty quartile, half
-   uniform — exploit what paid off without starving the long tail. *)
-let pick_parent rng corpus =
-  match corpus with
-  | [] -> Failure_plan.none
-  | entries ->
-      let pool =
-        if Sim.Rng.bool rng then begin
-          let sorted = List.stable_sort (fun (_, a) (_, b) -> compare (b : int) a) entries in
-          List.filteri (fun i _ -> i < max 1 (List.length sorted / 4)) sorted
-        end
-        else entries
-      in
-      fst (Sim.Rng.choice rng pool)
+   uniform — exploit what paid off without starving the long tail.  The
+   corpus changes only in a batch's sequential fold, so both pools are
+   built once per batch: [all] is the corpus newest first, [top] its
+   first quarter (at least one entry) by novelty, ties newest first. *)
+type pools = { all : (Failure_plan.t * int) array; top : (Failure_plan.t * int) array }
+
+let pools corpus =
+  let all = Array.of_list corpus in
+  let sorted = Array.copy all in
+  Array.stable_sort (fun (_, a) (_, b) -> compare (b : int) a) sorted;
+  { all; top = Array.sub sorted 0 (min (Array.length sorted) (max 1 (Array.length sorted / 4))) }
+
+let pick_parent rng { all; top } =
+  let pool = if Sim.Rng.bool rng then top else all in
+  fst pool.(Sim.Rng.int rng (Array.length pool))
 
 let search ?(workers = 1) ?(batch = 16) ?(max_shrunk = 4) ?(seed = 0) ?(initial = [])
     ?progress harness ~mode ~budget () =
@@ -308,16 +310,17 @@ let search ?(workers = 1) ?(batch = 16) ?(max_shrunk = 4) ?(seed = 0) ?(initial 
     let n = min batch (budget - !runs) in
     (* candidate derivation is sequential in the search rng: worker
        count must never influence what gets run *)
+    let parents = pools (match mode with `Guided -> !corpus | `Random -> []) in
     let candidates =
       Array.init n (fun i ->
           match mode with
           | `Random -> harness.random_plan ~seed:(!runs + i)
           | `Guided ->
-              if !corpus = [] then harness.random_plan ~seed:(!runs + i)
+              if Array.length parents.all = 0 then harness.random_plan ~seed:(!runs + i)
               else begin
-                let parent = pick_parent rng !corpus in
-                if Sim.Rng.flip rng ~p:0.3 && List.length !corpus > 1 then
-                  splice rng parent (pick_parent rng !corpus)
+                let parent = pick_parent rng parents in
+                if Sim.Rng.flip rng ~p:0.3 && Array.length parents.all > 1 then
+                  splice rng parent (pick_parent rng parents)
                 else
                   mutate rng ~n_sites:harness.n_sites ~horizon:harness.horizon
                     ~families:harness.families parent

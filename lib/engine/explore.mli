@@ -42,7 +42,9 @@ val unsupported : families:family list -> Failure_plan.t -> string list
     always pass. *)
 
 type report = {
-  fingerprint : string list;  (** {!Sim.Coverage} features of the run *)
+  fingerprint : Sim.Coverage.feature list;
+      (** {!Sim.Coverage} features of the run: interned ints, rendered
+          to names only for a result's [features] *)
   violations : (string * string) list;  (** (oracle name, detail) *)
 }
 
@@ -85,7 +87,7 @@ type result = {
   budget : int;
   runs : int;
   coverage : int;  (** distinct features at the end *)
-  features : string list;
+  features : string list;  (** every feature seen, rendered and sorted *)
   curve : (int * int) list;  (** (runs completed, cumulative coverage) per batch *)
   corpus : (Failure_plan.t * int) list;
       (** admitted plans in admission order, with the novelty each brought *)
@@ -134,7 +136,7 @@ val load_corpus : dir:string -> (string * Failure_plan.t) list
 
 val of_target :
   ('o, 'r) Chaos.target ->
-  fingerprint:('r -> string list) ->
+  fingerprint:('r -> Sim.Coverage.feature list) ->
   families:family list ->
   k:int ->
   harness

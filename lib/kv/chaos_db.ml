@@ -187,29 +187,28 @@ let violations (cfg : Db.config) (r : Db.result) =
    byte-identical.  Deterministic in the run. *)
 let fingerprint_of (r : Db.result) =
   let open Sim.Coverage in
-  let fate_str = function
+  let count key n = feat (symbol key) (bucket n) in
+  let fate = function
     | Db.Fate_committed -> "committed"
     | Db.Fate_aborted -> "aborted"
     | Db.Fate_pending -> "pending"
   in
-  List.map (fun (txn, fate) -> feat (Printf.sprintf "fate%d" txn) (fate_str fate)) r.Db.fates
+  List.map (fun (txn, f) -> feat (symbol ("fate" ^ string_of_int txn)) (symbol (fate f))) r.Db.fates
   @ [
-      feat "committed" (bucket r.Db.committed);
-      feat "aborted" (bucket r.Db.aborted);
-      feat "pending" (bucket r.Db.pending);
-      feat "deadlock-aborts" (bucket (r.Db.deadlock_aborts + r.Db.lock_timeouts));
-      feat "in-doubt" (bucket (List.length r.Db.in_doubt));
-      feat "missing-applied" (bucket (List.length r.Db.missing_applied));
-      feat "contradiction" (string_of_bool r.Db.outcome_contradiction);
-      feat "breaches" (bucket (List.length r.Db.durability_breaches));
-      feat "epochs" (bucket (List.length r.Db.directive_epochs));
-      feat "epoch-sites"
-        (bucket
-           (List.length
-              (List.sort_uniq compare (List.map (fun (_, s, _) -> s) r.Db.directive_epochs))));
-      feat "blocked-time" (bucket (int_of_float r.Db.blocked_time));
+      count "committed" r.Db.committed;
+      count "aborted" r.Db.aborted;
+      count "pending" r.Db.pending;
+      count "deadlock-aborts" (r.Db.deadlock_aborts + r.Db.lock_timeouts);
+      count "in-doubt" (List.length r.Db.in_doubt);
+      count "missing-applied" (List.length r.Db.missing_applied);
+      feat (symbol "contradiction") (bool r.Db.outcome_contradiction);
+      count "breaches" (List.length r.Db.durability_breaches);
+      count "epochs" (List.length r.Db.directive_epochs);
+      count "epoch-sites"
+        (List.length (List.sort_uniq compare (List.map (fun (_, s, _) -> s) r.Db.directive_epochs)));
+      count "blocked-time" (int_of_float r.Db.blocked_time);
     ]
-  @ List.map (fun (name, v) -> feat name (bucket v)) (Sim.Metrics.counters r.Db.run_metrics)
+  @ List.map (fun (name, v) -> count name v) (Sim.Metrics.counters r.Db.run_metrics)
 
 (* One Db.config per public call: the schedule's faults and the run's
    seed and tracing are set per run. *)

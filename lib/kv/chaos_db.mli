@@ -35,7 +35,7 @@ val paxos_profile : f:int -> Sim.Nemesis.profile -> Sim.Nemesis.profile
     lease faults — the database counterpart of
     {!Engine.Paxos.sweep_profile}. *)
 
-val fingerprint_of : Db.result -> string list
+val fingerprint_of : Db.result -> Sim.Coverage.feature list
 (** The run's behavioural signature for the coverage-guided explorer
     ({!Engine.Explore}): per-transaction fates, bucketed outcome /
     conflict / election counters ({!Sim.Coverage.bucket}) and oracle

@@ -76,6 +76,7 @@ type pax_rec = {
 type t = {
   site : Core.Types.site;
   n_sites : int;
+  round0 : int;  (** the ballot this site coordinates under *)
   protocol : protocol;
   presumption : presumption;
   termination : termination;
@@ -164,6 +165,7 @@ let create ?(presumption = No_presumption) ?(termination = Skeen) ?(read_only_op
   {
     site;
     n_sites;
+    round0 = Engine.Termination.epoch ~n_sites ~site (-1);
     protocol;
     presumption;
     termination;
@@ -514,7 +516,7 @@ let c_announce node ctx (c : c_txn) ~commit =
 let rec pax_accept_round node ctx ~txn ~attempt =
   match Hashtbl.find_opt node.c_txns txn with
   | Some c when c.c_status = C_precommitting ->
-      let ballot = node.site - 1 in
+      let ballot = node.round0 in
       List.iter
         (fun dst ->
           Sim.World.send ctx ~dst
@@ -541,7 +543,7 @@ let pax_propose node ctx (c : c_txn) =
         (Kv_wal.C_precommitted { txn = c.c_id })
         (fun () ->
           (* the round-0 authority of the epoch encoding *)
-          bump_epoch node ~txn:c.c_id (node.site - 1);
+          bump_epoch node ~txn:c.c_id node.round0;
           pax_accept_round node ctx ~txn:c.c_id ~attempt:0)
 
 let c_all_votes_in node ctx (c : c_txn) =
@@ -576,7 +578,7 @@ let c_all_votes_in node ctx (c : c_txn) =
           (Kv_wal.C_precommitted { txn = c.c_id })
           (fun () ->
             (* the live coordinator's round-0 authority *)
-            let epoch = node.site - 1 in
+            let epoch = node.round0 in
             bump_epoch node ~txn:c.c_id epoch;
             List.iter
               (fun dst ->
@@ -1416,7 +1418,7 @@ let on_message node ctx ~src (msg : Kv_msg.t) =
   | Kv_msg.PaxAccepted { txn; ballot; commit } -> (
       (* the round-0 coordinator collecting its own proposal *)
       (match Hashtbl.find_opt node.c_txns txn with
-      | Some c when c.c_status = C_precommitting && ballot = node.site - 1 ->
+      | Some c when c.c_status = C_precommitting && ballot = node.round0 ->
           if not (List.mem src c.pax_accepts) then c.pax_accepts <- src :: c.pax_accepts;
           if List.length c.pax_accepts >= pax_f node + 1 then c_announce node ctx c ~commit
       | _ -> ());

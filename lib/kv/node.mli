@@ -77,6 +77,9 @@ type pax_rec = {
 type t = {
   site : Core.Types.site;
   n_sites : int;
+  round0 : int;
+      (** the ballot this site coordinates under: its round-0 epoch,
+          {!Engine.Termination.epoch} [~site (-1)] *)
   protocol : protocol;
   presumption : presumption;
   termination : termination;

@@ -52,33 +52,12 @@ let bucket_index v =
 
 type label = int
 
-(* The process-wide name table.  Readers take the published snapshot
-   with one atomic load and never lock.  A new name copies the snapshot
-   under [lock] and publishes the copy, so a published table is never
-   mutated and sweep domains can read it while another domain interns. *)
-type names = { ids : (string, label) Hashtbl.t; by_id : string array }
-
-let names = Atomic.make { ids = Hashtbl.create 64; by_id = [||] }
-let lock = Mutex.create ()
-
-let find_label name = Hashtbl.find_opt (Atomic.get names).ids name
-
-let label name =
-  match find_label name with
-  | Some l -> l
-  | None ->
-      Mutex.protect lock (fun () ->
-          let cur = Atomic.get names in
-          match Hashtbl.find_opt cur.ids name with
-          | Some l -> l
-          | None ->
-              let l = Array.length cur.by_id in
-              let ids = Hashtbl.copy cur.ids in
-              Hashtbl.replace ids name l;
-              Atomic.set names { ids; by_id = Array.append cur.by_id [| name |] };
-              l)
-
-let label_name l = (Atomic.get names).by_id.(l)
+(* The process-wide name table (see {!Symtab}): lookups never lock, so
+   sweep domains can read it while another domain interns. *)
+let names = Symtab.create ()
+let find_label name = Symtab.find names name
+let label name = Symtab.intern names name
+let label_name l = Symtab.name names l
 
 (* ---------------- state ---------------- *)
 
@@ -151,8 +130,7 @@ let incr ?by t name = bump ?by t (label name)
 let counter t name = match find_label name with Some l -> count t l | None -> 0
 
 let sorted_by_name ls value =
-  let by_id = (Atomic.get names).by_id in
-  List.rev_map (fun l -> (by_id.(l), value l)) ls
+  List.rev_map (fun l -> (label_name l, value l)) ls
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
 let counters t = sorted_by_name t.counted (fun l -> t.counts.(l))

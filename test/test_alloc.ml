@@ -50,6 +50,16 @@
       list and nothing else is built.  Measured at 3.0 (28.0 when a force
       built the payload, the frame and a boxed CRC as fresh values and
       the sync built a closure); the bound is that plus 10%.
+    - Minor words per {!Engine.Chaos.fingerprint_of} over the results of
+      the explorer's engine configuration (central 3PC, n=3, [until =
+      Chaos.stall_budget]) on the plans of seeds 0–499 of
+      {!Engine.Chaos.schedule}, 25.8 features per run, once the runs'
+      state names are interned.  Measured at 133.3 (2,031.4 when every
+      feature was a formatted string and each site's log was copied
+      into a list); the bound is that plus 10%.
+    - {!Sim.Coverage.add} of a fingerprint the accumulator has already
+      seen allocates nothing: membership is an int-set lookup (401.5
+      words per fingerprint when [add] sorted and hashed strings).
     - Lock release costs what the transaction holds: after 10,000
       distinct keys have each been locked and released, one [acquire]
       plus [release_all] of a single key allocates at most 100 words.
@@ -196,6 +206,39 @@ let test_wal_force () =
     (Fmt.str "%.1f minor words per Wal.force <= %.1f" per_force bound)
     true (per_force <= bound)
 
+let explore_results () =
+  let cfg = Engine.Runtime.config ~until:C.stall_budget (rulebook ()) in
+  let t = C.target cfg in
+  Array.init 500 (fun seed ->
+      Engine.Runtime.run { cfg with plan = Engine.Failure_plan.of_schedule (C.schedule t ~k:1 ~seed); seed })
+
+let test_fingerprint_words () =
+  let results = explore_results () in
+  (* a first pass interns the run's state names *)
+  Array.iter (fun r -> ignore (C.fingerprint_of r)) results;
+  let w0 = Gc.minor_words () in
+  Array.iter (fun r -> ignore (Sys.opaque_identity (C.fingerprint_of r))) results;
+  let per_run = (Gc.minor_words () -. w0) /. float_of_int (Array.length results) in
+  let bound = 133.3 *. 1.1 in
+  Alcotest.(check bool)
+    (Fmt.str "%.1f minor words per fingerprint_of <= %.1f" per_run bound)
+    true (per_run <= bound)
+
+let test_coverage_add_seen () =
+  let fingerprints = Array.map C.fingerprint_of (explore_results ()) in
+  let cov = Sim.Coverage.create () in
+  Array.iter (fun f -> ignore (Sim.Coverage.add cov f)) fingerprints;
+  let fresh = ref 0 in
+  let w0 = Gc.minor_words () in
+  for i = 0 to Array.length fingerprints - 1 do
+    fresh := !fresh + Sim.Coverage.add cov fingerprints.(i)
+  done;
+  let per_add = (Gc.minor_words () -. w0) /. float_of_int (Array.length fingerprints) in
+  Alcotest.(check int) "nothing new the second time" 0 !fresh;
+  Alcotest.(check bool)
+    (Fmt.str "%.1f minor words per seen Coverage.add <= 0.0" per_add)
+    true (per_add <= 0.0)
+
 let test_release_ignores_table_size () =
   let module L = Kv.Lock_table in
   let t = L.create () in
@@ -265,6 +308,9 @@ let suite =
     Alcotest.test_case "minor words per kv-mixed transaction" `Quick test_kv_minor_words_per_txn;
     Alcotest.test_case "minor words per fresh registry" `Quick test_fresh_registry;
     Alcotest.test_case "minor words per steady-state Wal.force" `Quick test_wal_force;
+    Alcotest.test_case "minor words per Chaos.fingerprint_of" `Quick test_fingerprint_words;
+    Alcotest.test_case "Coverage.add of a seen fingerprint allocates nothing" `Quick
+      test_coverage_add_seen;
     Alcotest.test_case "one release allocates the same in a 10,000-key table" `Quick
       test_release_ignores_table_size;
     Alcotest.test_case "re-interning a stored state allocates nothing" `Quick
