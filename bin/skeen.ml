@@ -787,8 +787,7 @@ let explore_cmd =
     let load_corpus dir =
       let entries =
         try Engine.Explore.load_corpus ~dir
-        with Engine.Failure_plan.Parse_error msg ->
-          refuse cmd (Printf.sprintf "bad plan in %s: %s" dir msg)
+        with Engine.Failure_plan.Parse_error msg -> refuse cmd msg
       in
       List.iter
         (fun (name, plan) ->

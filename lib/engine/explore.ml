@@ -431,10 +431,14 @@ let load_corpus ~dir =
     |> List.filter (fun f -> Filename.check_suffix f ".plan")
     |> List.sort compare
     |> List.map (fun f ->
-           let ic = open_in (Filename.concat dir f) in
+           let path = Filename.concat dir f in
+           let ic = open_in path in
            let s = really_input_string ic (in_channel_length ic) in
            close_in ic;
-           (f, Failure_plan.of_string_exn s))
+           match Failure_plan.of_string_exn s with
+           | plan -> (f, plan)
+           | exception Failure_plan.Parse_error msg ->
+               raise (Failure_plan.Parse_error (path ^ ": " ^ msg)))
 
 (* ------------------------------------------------------------------ *)
 (* Harnesses over chaos targets: [run] and [shrink] are the target's, and

@@ -132,7 +132,8 @@ val save_corpus : dir:string -> result -> unit
 val load_corpus : dir:string -> (string * Failure_plan.t) list
 (** [(filename, plan)] for every [*.plan] file, sorted by name; [[]] if
     [dir] does not exist.
-    @raise Failure_plan.Parse_error on a malformed entry. *)
+    @raise Failure_plan.Parse_error on a malformed entry, its message
+    prefixed with the entry's path. *)
 
 val of_target :
   ('o, 'r) Chaos.target ->

@@ -126,57 +126,98 @@ type result = {
   run_metrics : Sim.Metrics.t;
 }
 
-(* The first index [i] of the sorted-by-[key] array [a] with
-   [key a.(i) >= k]. *)
-let lower_bound a key (k : int) =
-  let lo = ref 0 and hi = ref (Array.length a) in
-  while !lo < !hi do
-    let mid = (!lo + !hi) lsr 1 in
-    if key a.(mid) < k then lo := mid + 1 else hi := mid
-  done;
-  !lo
+(* ---- the per-site, per-transaction report the judgement reads ----
 
-let mem a (x : int) =
-  let i = lower_bound a Fun.id x in
-  i < Array.length a && a.(i) = x
+   [ids] holds the judged txn ids, sorted and unique: the workload's ids
+   (for a repeated id the first listed transaction is the one kept in
+   [txns]) and any id seen only in a log, a storage journal or a node's
+   sticky tables ([txns] holds [None] there).  [bits.(slot * n_sites +
+   site - 1)] holds one int of flags per (slot, site): what the site's
+   repaired log, its applied journal and its externally visible actions
+   say about that transaction.  A harness that can state these flags for
+   its sites can be judged by the same code. *)
 
-(* One site's repaired log as the judgement reads it, built in two walks
-   of the log's newest-first cache (count, then fill) into flat int
-   arrays, with no copy of the log.  [prepared] holds the ids with a
-   [P_prepared] record, sorted.  [resolved] holds [(txn lsl 1) lor
-   commit] for every [C_decided] / [P_outcome] record, sorted by id and
-   oldest record first within an id. *)
-type log_index = { prepared : int array; resolved : int array }
+let b_prepared = 1  (* a [P_prepared] record *)
+let b_commit = 2  (* a commit record: [C_decided] or [P_outcome] *)
+let b_abort = 4  (* an abort record *)
+let b_oldest_commit = 8  (* the site's oldest outcome record is a commit *)
+let b_applied = 16  (* the write set is in the site's storage journal *)
+let b_sent_yes = 32  (* a yes vote went on the wire *)
+let b_announced_commit = 64
+let b_announced_abort = 128
 
-let index_log wal =
-  let n_prepared = ref 0 and n_resolved = ref 0 in
-  Kv_wal.iter_newest_first wal (function
-    | Kv_wal.P_prepared _ -> incr n_prepared
-    | Kv_wal.C_decided _ | Kv_wal.P_outcome _ -> incr n_resolved
-    | _ -> ());
-  let prepared = Array.make !n_prepared 0 and resolved = Array.make !n_resolved 0 in
-  (* fill from the back, so the arrays start in log order and the stable
-     sort keeps one id's outcomes oldest first *)
-  Kv_wal.iter_newest_first wal (function
-    | Kv_wal.P_prepared { txn; _ } ->
-        decr n_prepared;
-        prepared.(!n_prepared) <- txn
-    | Kv_wal.C_decided { txn; commit } | Kv_wal.P_outcome { txn; commit } ->
-        decr n_resolved;
-        resolved.(!n_resolved) <- (txn lsl 1) lor Bool.to_int commit
-    | _ -> ());
-  Array.sort Int.compare prepared;
-  Array.stable_sort (fun a b -> Int.compare (a asr 1) (b asr 1)) resolved;
-  { prepared; resolved }
+type report = { ids : int array; txns : Txn.t option array; bits : int array }
 
-(* Did [log] resolve [txn] with outcome [commit]? *)
-let resolved_as log ~txn ~commit =
-  let r = log.resolved and want = (txn lsl 1) lor Bool.to_int commit in
-  let i = ref (lower_bound r (fun x -> x asr 1) txn) in
-  while !i < Array.length r && r.(!i) asr 1 = txn && r.(!i) <> want do
-    incr i
-  done;
-  !i < Array.length r && r.(!i) = want
+(* The slot of [id] in the sorted [ids], or -1.  Workload ids are
+   usually dense, so the slot is tried first at [id - ids.(0)]. *)
+let slot_of ids id =
+  let n = Array.length ids in
+  let k = if n = 0 then -1 else id - Array.unsafe_get ids 0 in
+  if k >= 0 && k < n && Array.unsafe_get ids k = id then k
+  else begin
+    let lo = ref 0 and hi = ref n in
+    while !lo < !hi do
+      let mid = (!lo + !hi) lsr 1 in
+      if Array.unsafe_get ids mid < id then lo := mid + 1 else hi := mid
+    done;
+    if !lo < n && Array.unsafe_get ids !lo = id then !lo else -1
+  end
+
+(* Every fact the report holds, as [visit site txn flag]: each site's log
+   and applied journal newest first, then its sticky tables.  An outcome
+   record's flag also rewrites [b_oldest_commit] (see [mark]), so the last
+   one visited, the oldest, decides it. *)
+let visit_sites ~wal ~storages ~(nodes : Node.t array) visit =
+  Array.iteri
+    (fun i (n : Node.t) ->
+      let site = i + 1 in
+      Kv_wal.iter_newest_first (wal site) (function
+        | Kv_wal.P_prepared { txn; _ } -> visit site txn b_prepared
+        | Kv_wal.C_decided { txn; commit } | Kv_wal.P_outcome { txn; commit } ->
+            visit site txn (if commit then b_commit else b_abort)
+        | _ -> ());
+      Storage.iter_applied storages.(i) (fun txn -> visit site txn b_applied);
+      Hashtbl.iter (fun txn () -> visit site txn b_sent_yes) n.Node.sent_yes_txns;
+      Hashtbl.iter
+        (fun txn commit ->
+          visit site txn (if commit then b_announced_commit else b_announced_abort))
+        n.Node.announced_outcomes)
+    nodes
+
+let mark bits i flag =
+  let v = Array.unsafe_get bits i in
+  let v =
+    if flag = b_commit then v lor b_oldest_commit
+    else if flag = b_abort then v land lnot b_oldest_commit
+    else v
+  in
+  Array.unsafe_set bits i (v lor flag)
+
+let build_report ~n_sites ~workload visit_all =
+  (* the workload by txn id, first listed first; one slot per id, holding
+     the first listed transaction of a repeated id *)
+  let by_id = Array.of_list workload in
+  Array.stable_sort (fun (_, a) (_, b) -> Int.compare a.Txn.id b.Txn.id) by_id;
+  let slots =
+    List.filteri
+      (fun i (_, t) -> i = 0 || (snd by_id.(i - 1)).Txn.id <> t.Txn.id)
+      (Array.to_list by_id)
+    |> List.map (fun (_, t) -> (t.Txn.id, Some t))
+  in
+  let fill slots =
+    let ids = Array.of_list (List.map fst slots) and txns = Array.of_list (List.map snd slots) in
+    let bits = Array.make (Array.length ids * n_sites) 0 and unknown = ref [] in
+    visit_all (fun site txn flag ->
+        let s = slot_of ids txn in
+        if s < 0 then unknown := txn :: !unknown else mark bits ((s * n_sites) + site - 1) flag);
+    ({ ids; txns; bits }, !unknown)
+  in
+  match fill slots with
+  | r, [] -> r
+  | _, unknown ->
+      (* ids outside the workload: give each a slot and fill again *)
+      let extra = List.map (fun id -> (id, None)) (List.sort_uniq Int.compare unknown) in
+      fst (fill (List.merge (fun (a, _) (b, _) -> Int.compare a b) slots extra))
 
 let l_forces_per_commit = Sim.Metrics.label "forces_per_commit"
 let l_wal_forces = Sim.Metrics.label "wal_forces"
@@ -286,66 +327,56 @@ let run (cfg : config) (workload : (float * Txn.t) list) : result =
           | None -> ())
         n.Node.p_txns)
     nodes;
-  (* ---- the judgement: one pass over the workload and one over each
-     site's repaired log ---- *)
-  let logs = Array.init cfg.n_sites (fun i -> index_log (wal (i + 1))) in
-  let fate_tbl : (int, txn_fate) Hashtbl.t = Hashtbl.create 64 in
-  let contradiction = ref false in
-  let note txn fate =
-    match Hashtbl.find_opt fate_tbl txn with
-    | None -> Hashtbl.replace fate_tbl txn fate
-    | Some f when f = fate -> ()
-    | Some Fate_pending -> Hashtbl.replace fate_tbl txn fate
-    | Some _ when fate = Fate_pending -> ()
-    | Some _ -> contradiction := true
-  in
-  List.iter (fun (_, txn) -> note txn.Txn.id Fate_pending) workload;
-  (* site by site, each site's outcomes for a txn oldest first: the first
-     outcome noted wins, as in log order *)
-  Array.iter
-    (fun log ->
-      Array.iter
-        (fun r -> note (r asr 1) (if r land 1 = 1 then Fate_committed else Fate_aborted))
-        log.resolved)
-    logs;
-  (* the workload by txn id, first listed first: ids may repeat in a
-     hand-built workload, and the first listed is the one judged *)
-  let by_id = Array.of_list workload in
-  let id (_, t) = t.Txn.id in
-  Array.stable_sort (fun a b -> Int.compare (id a) (id b)) by_id;
-  let find_txn txn =
-    let i = lower_bound by_id id txn in
-    if i < Array.length by_id && id by_id.(i) = txn then Some (snd by_id.(i)) else None
-  in
-  let applied = Array.map Storage.applied_txns storages in
-  (* committed writes must be applied at every participant site that is
-     currently operational (a down site applies them on recovery) *)
-  let missing_applied = ref [] in
-  Hashtbl.iter
-    (fun txn fate ->
-      if fate = Fate_committed then
-        match find_txn txn with
-        | None -> ()
-        | Some t ->
-            let participants = Txn.participants ~n_sites:cfg.n_sites t in
-            List.iter
-              (fun site ->
-                if
-                  Sim.World.is_alive world site
-                  && Txn.ops_for ~n_sites:cfg.n_sites t ~site
-                     |> List.exists (function Txn.Put _ | Txn.Add _ -> true | Txn.Get _ -> false)
-                  && not (mem applied.(site - 1) txn)
-                then missing_applied := (txn, site, participants) :: !missing_applied)
-              participants)
-    fate_tbl;
-  let missing_applied = List.sort compare !missing_applied in
-  let fates =
-    Hashtbl.fold (fun txn fate acc -> (txn, fate) :: acc) fate_tbl [] |> List.sort compare
-  in
-  let count f = List.length (List.filter (fun (_, x) -> x = f) fates) in
-  let committed = count Fate_committed
-  and aborted = count Fate_aborted
-  and pending = count Fate_pending in
+  (* ---- the judgement: one walk of each site's log, applied journal
+     and sticky tables into the report, then one pass over its slots ---- *)
+  let n_sites = cfg.n_sites in
+  let r = build_report ~n_sites ~workload (visit_sites ~wal ~storages ~nodes) in
+  let bits s site = Array.unsafe_get r.bits ((s * n_sites) + site - 1) in
+  let contradiction = ref false and fates = ref [] and missing_applied = ref [] in
+  let committed = ref 0 and aborted = ref 0 and pending = ref 0 in
+  for s = Array.length r.ids - 1 downto 0 do
+    let txn = r.ids.(s) in
+    (* the lowest site's oldest outcome wins *)
+    let any = ref 0 and first = ref 0 in
+    for site = n_sites downto 1 do
+      let v = bits s site in
+      any := !any lor v;
+      if v land (b_commit lor b_abort) <> 0 then first := v
+    done;
+    if !any land b_commit <> 0 && !any land b_abort <> 0 then contradiction := true;
+    let resolved = !any land (b_commit lor b_abort) <> 0 in
+    if resolved || r.txns.(s) <> None then begin
+      let fate =
+        if not resolved then (incr pending; Fate_pending)
+        else if !first land b_oldest_commit <> 0 then (incr committed; Fate_committed)
+        else (incr aborted; Fate_aborted)
+      in
+      fates := (txn, fate) :: !fates;
+      (* committed writes must be applied at every participant site that
+         is currently operational (a down site applies them on recovery) *)
+      match (fate, r.txns.(s)) with
+      | Fate_committed, Some t ->
+          let owned =
+            List.map
+              (fun op ->
+                ( Txn.owner ~n_sites (Txn.key_of_op op),
+                  match op with Txn.Put _ | Txn.Add _ -> true | Txn.Get _ -> false ))
+              t.Txn.ops
+          in
+          let participants = List.sort_uniq Int.compare (List.map fst owned) in
+          List.iter
+            (fun site ->
+              if
+                bits s site land b_applied = 0
+                && Sim.World.is_alive world site
+                && List.exists (fun (s, write) -> write && s = site) owned
+              then missing_applied := (txn, site, participants) :: !missing_applied)
+            (List.rev participants)
+      | _ -> ()
+    end
+  done;
+  let fates = !fates and missing_applied = !missing_applied in
+  let committed = !committed and aborted = !aborted and pending = !pending in
   let latencies = Array.to_list nodes |> List.concat_map (fun n -> n.Node.latencies) in
   let in_doubt =
     Array.to_list nodes
@@ -361,38 +392,25 @@ let run (cfg : config) (workload : (float * Txn.t) list) : result =
                n.Node.p_txns [])
     |> List.sort compare
   in
-  (* ---- durability oracle inputs: externally visible actions (recorded
-     in the nodes' sticky tables at send time, surviving crashes because
-     the world cannot un-see a message) judged against what each site's
-     repaired stable log can justify ---- *)
-  let durability_breaches =
-    Array.to_list nodes
-    |> List.concat_map (fun (n : Node.t) ->
-           let log = logs.(n.Node.site - 1) in
-           let unjustified_votes =
-             Hashtbl.fold
-               (fun txn () acc ->
-                 if mem log.prepared txn then acc
-                 else
-                   (n.Node.site, txn, "yes vote on the wire with no prepared record on the log")
-                   :: acc)
-               n.Node.sent_yes_txns []
-           in
-           let contradicted_announcements =
-             Hashtbl.fold
-               (fun txn commit acc ->
-                 if resolved_as log ~txn ~commit:(not commit) then
-                   ( n.Node.site,
-                     txn,
-                     Printf.sprintf "announced %s but the log resolved the other way"
-                       (if commit then "commit" else "abort") )
-                   :: acc
-                 else acc)
-               n.Node.announced_outcomes []
-           in
-           unjustified_votes @ contradicted_announcements)
-    |> List.sort_uniq compare
-  in
+  (* ---- durability: externally visible actions (recorded in the nodes'
+     sticky tables at send time, surviving crashes because the world
+     cannot un-see a message) judged against what each site's repaired
+     stable log can justify.  Site by site and slot by slot, each slot's
+     breaches in text order, so the list comes out sorted. ---- *)
+  let durability_breaches = ref [] in
+  for site = n_sites downto 1 do
+    for s = Array.length r.ids - 1 downto 0 do
+      let v = bits s site and txn = r.ids.(s) in
+      let breach what = durability_breaches := (site, txn, what) :: !durability_breaches in
+      if v land b_sent_yes <> 0 && v land b_prepared = 0 then
+        breach "yes vote on the wire with no prepared record on the log";
+      if v land b_announced_commit <> 0 && v land b_abort <> 0 then
+        breach "announced commit but the log resolved the other way";
+      if v land b_announced_abort <> 0 && v land b_commit <> 0 then
+        breach "announced abort but the log resolved the other way"
+    done
+  done;
+  let durability_breaches = !durability_breaches in
   let metrics = Sim.World.metrics world in
   (* account interrupted measurements (e.g. kv_lock_wait timers of sites
      that crashed holding locks) before the registry is snapshot or

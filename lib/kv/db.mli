@@ -79,11 +79,11 @@ val equal_txn_fate : txn_fate -> txn_fate -> bool
 
 (** What a run did and the end-of-run judgement of it.  The judgement
     fields ([atomicity_ok], [outcome_contradiction], [missing_applied],
-    [in_doubt], [durability_breaches], [fates]) cost O(n log n) in the
-    workload and in each site's log, on top of the simulation: one sort of
-    the workload by txn id, and per site two walks of the log, one sort of
-    its ids and one of its applied set.  They do not grow with txns × log
-    length. *)
+    [durability_breaches], [fates]) are read from one per-site,
+    per-transaction report of flags, on top of the simulation: one sort
+    of the workload by txn id, one walk of each site's log, applied
+    journal and sticky tables into the report, and one pass over its
+    sites × txns slots.  They do not grow with txns × log length. *)
 type result = {
   committed : int;
   aborted : int;

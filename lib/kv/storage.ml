@@ -29,23 +29,9 @@ let apply t ~txn writes =
   t.version <- t.version + 1;
   t.applied <- (txn, writes) :: t.applied
 
-(** Sorted in place in one flat array: the end-of-run judgement takes this
-    for every site, and a sorted copy of the journal list would cost the
-    run's peak heap. *)
-let applied_txns t =
-  let a = Array.make (List.length t.applied) 0 in
-  List.iteri (fun i (txn, _) -> a.(i) <- txn) t.applied;
-  Array.sort Int.compare a;
-  (* squeeze out repeats in place *)
-  let n = ref 0 in
-  Array.iter
-    (fun x ->
-      if !n = 0 || a.(!n - 1) <> x then begin
-        a.(!n) <- x;
-        incr n
-      end)
-    a;
-  if !n = Array.length a then a else Array.sub a 0 !n
+(** [iter_applied t f] calls [f] on each applied transaction's id, newest
+    first. *)
+let iter_applied t f = List.iter (fun (txn, _) -> f txn) t.applied
 
 let keys t = Hashtbl.fold (fun k _ acc -> k :: acc) t.table [] |> List.sort compare
 

@@ -16,8 +16,8 @@ val load : t -> (key * int) list -> unit
 val apply : t -> txn:int -> (key * int) list -> unit
 (** Atomically install a committed write set on behalf of [txn]. *)
 
-val applied_txns : t -> int array
-(** Every transaction applied here, sorted, without duplicates. *)
+val iter_applied : t -> (int -> unit) -> unit
+(** Visit the id of every transaction applied here, newest first. *)
 
 val keys : t -> key list
 val total : t -> int

@@ -32,24 +32,51 @@ module Frame = struct
   let header_len = 8
   let max_record = 1 lsl 20
 
-  (* CRC-32 (IEEE 802.3, reflected, polynomial 0xEDB88320), table-driven
-     over native ints: a 32-bit value fits an OCaml int unboxed.  Built at
-     module initialisation: sweep workers on several domains compute
-     checksums at once, and forcing one lazy table from two domains
-     raises [CamlinternalLazy.Undefined]. *)
-  let table =
-    Array.init 256 (fun n ->
-        let c = ref n in
-        for _ = 0 to 7 do
-          c := if !c land 1 <> 0 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
-        done;
-        !c)
+  (* CRC-32 (IEEE 802.3, reflected, polynomial 0xEDB88320), sliced by
+     eight over native ints: a 32-bit value fits an OCaml int unboxed.
+     [tables.(k * 256 + n)] is the CRC of byte [n] followed by [k] zero
+     bytes, so one step folds eight bytes with eight lookups; a tail of
+     four or more bytes takes one four-byte step, and the rest goes byte
+     by byte through table 0.  Built at module initialisation:
+     sweep workers on several domains compute checksums at once, and
+     forcing one lazy table from two domains raises
+     [CamlinternalLazy.Undefined]. *)
+  let tables =
+    let t = Array.make (8 * 256) 0 in
+    for n = 0 to 255 do
+      let c = ref n in
+      for _ = 0 to 7 do
+        c := if !c land 1 <> 0 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+      done;
+      t.(n) <- !c
+    done;
+    for i = 256 to (8 * 256) - 1 do
+      let c = t.(i - 256) in
+      t.(i) <- (c lsr 8) lxor t.(c land 0xff)
+    done;
+    t
+
+  let[@inline] lookup k n = Array.unsafe_get tables ((k lsl 8) lor (n land 0xff))
+  let[@inline] u32 b i = Int32.to_int (Bytes.get_int32_le b i) land 0xFFFFFFFF
 
   let crc b ~off ~len =
     if off < 0 || len < 0 || off > Bytes.length b - len then invalid_arg "Disk.Frame.crc32";
-    let c = ref 0xFFFFFFFF in
-    for i = off to off + len - 1 do
-      c := Array.unsafe_get table ((!c lxor Char.code (Bytes.unsafe_get b i)) land 0xff) lxor (!c lsr 8)
+    let c = ref 0xFFFFFFFF and i = ref off in
+    let stop8 = off + len - 8 in
+    while !i <= stop8 do
+      let lo = !c lxor u32 b !i and hi = u32 b (!i + 4) in
+      c :=
+        lookup 7 lo lxor lookup 6 (lo lsr 8) lxor lookup 5 (lo lsr 16) lxor lookup 4 (lo lsr 24)
+        lxor lookup 3 hi lxor lookup 2 (hi lsr 8) lxor lookup 1 (hi lsr 16) lxor lookup 0 (hi lsr 24);
+      i := !i + 8
+    done;
+    if !i <= stop8 + 4 then begin
+      let w = !c lxor u32 b !i in
+      c := lookup 3 w lxor lookup 2 (w lsr 8) lxor lookup 1 (w lsr 16) lxor lookup 0 (w lsr 24);
+      i := !i + 4
+    end;
+    for j = !i to off + len - 1 do
+      c := lookup 0 (!c lxor Char.code (Bytes.unsafe_get b j)) lxor (!c lsr 8)
     done;
     !c lxor 0xFFFFFFFF
 

@@ -570,6 +570,13 @@ let kv_of_token token =
 let int_of key v =
   match int_of_string_opt v with Some n -> n | None -> parse_fail "bad int for %s: %S" key v
 
+(* Every int but a site is an index or a count: a negative one names
+   nothing, and the fault would never fire. *)
+let count_of key v =
+  match int_of key v with
+  | n when n >= 0 -> n
+  | _ -> parse_fail "bad count for %s: %S (must be >= 0)" key v
+
 (* Every float in a clause is a time or a duration: the event queue
    refuses negative and NaN times, so the parser does. *)
 let time key v =
@@ -586,10 +593,15 @@ let parse_clause clause =
       let get key =
         match List.assoc_opt key kvs with Some v -> v | None -> parse_fail "missing %s=..." key
       in
-      let int key = int_of key (get key) in
+      let count key = count_of key (get key) in
       let float key = time key (get key) in
-      let site () = int "site" in
-      let window () = (float "from", float "until") in
+      let site () = int_of "site" (get "site") in
+      let window () =
+        let from_t = float "from" and until_t = float "until" in
+        if until_t < from_t then
+          parse_fail "bad window: until=%s is before from=%s" (get "until") (get "from");
+        (from_t, until_t)
+      in
       Some
         (match verb with
         | "step-crash" ->
@@ -599,14 +611,14 @@ let parse_clause clause =
               | "after-transition" -> After_transition
               | v -> (
                   match String.split_on_char ':' v with
-                  | [ "after-logging"; k ] -> After_logging (int_of "mode" k)
+                  | [ "after-logging"; k ] -> After_logging (count_of "mode" k)
                   | _ -> parse_fail "bad mode: %S" v)
             in
-            Step_crash { site = site (); step = int "step"; mode }
+            Step_crash { site = site (); step = count "step"; mode }
         | "crash" -> Crash { site = site (); at = float "at" }
         | "recover" -> Recover { site = site (); at = float "at" }
-        | "move-crash" -> Backup_crash { site = site (); phase = Move; sent = int "sent" }
-        | "decide-crash" -> Backup_crash { site = site (); phase = Decide; sent = int "sent" }
+        | "move-crash" -> Backup_crash { site = site (); phase = Move; sent = count "sent" }
+        | "decide-crash" -> Backup_crash { site = site (); phase = Decide; sent = count "sent" }
         | "partition" ->
             let from_t, until_t = window () in
             let groups =
@@ -628,7 +640,7 @@ let parse_clause clause =
                       World.Fault_delay (time "fault" x))
                   | _ -> parse_fail "bad msg fault: %S" v)
             in
-            Msg { nth = int "nth"; fault }
+            Msg { nth = count "nth"; fault }
         | "disk" ->
             let fault =
               match get "fault" with
@@ -637,7 +649,7 @@ let parse_clause clause =
               | "lost-flush" -> Disk.Lost_flush
               | v -> parse_fail "bad disk fault: %S" v
             in
-            Disk_fault { site = site (); fault; nth = int "nth" }
+            Disk_fault { site = site (); fault; nth = count "nth" }
         | "delay" ->
             let from_t, until_t = window () in
             Delay_window { site = site (); from_t; until_t; extra = float "extra" }
@@ -654,7 +666,7 @@ let parse_clause clause =
               {
                 site = site ();
                 first = float "first";
-                waves = int "waves";
+                waves = count "waves";
                 period = float "period";
                 down = float "down";
               }

@@ -69,7 +69,13 @@ and 'msg t = {
   mutable send_seq : int;
       (** global count of send attempts from live senders; the key space
           of the message-fault schedule below *)
-  msg_faults : (int, msg_fault) Hashtbl.t;
+  mutable fault_at : int array;
+      (** the armed message-fault indices, ascending and unique *)
+  mutable fault_kind : msg_fault array;  (** the fault armed at each [fault_at] index *)
+  mutable fault_next : int;
+      (** cursor into [fault_at]: every entry before it names a send index
+          already passed.  [send_seq] only grows, so a send compares one
+          armed index instead of looking its own up. *)
   mutable crash_hooks : (site -> unit) list;
       (** invoked (registration order) at the instant a site crashes,
           before anything observes the failure: the durability layer loses
@@ -161,7 +167,9 @@ let create ?(detection_delay = 2.0) ~n_sites ~seed ~msg_to_string () =
       stopped = false;
       partitions = [];
       send_seq = 0;
-      msg_faults = Hashtbl.create 16;
+      fault_at = [||];
+      fault_kind = [||];
+      fault_next = 0;
       crash_hooks = [];
       delay_windows = [];
       stall_windows = [];
@@ -244,6 +252,25 @@ let schedule_partition w ~from_t ~until_t groups =
         p_group)
     p_group
 
+(* Over faults sorted by index, each index's last binding, as
+   [Hashtbl.replace] kept it: counted, then written into [at]/[kind]. *)
+let rec count_last n = function
+  | (a, _) :: ((b, _) :: _ as rest) when a = b -> count_last n rest
+  | _ :: rest -> count_last (n + 1) rest
+  | [] -> n
+
+let rec fill_last at kind i = function
+  | (a, _) :: ((b, _) :: _ as rest) when a = b -> fill_last at kind i rest
+  | (nth, f) :: rest ->
+      at.(i) <- nth;
+      kind.(i) <- f;
+      fill_last at kind (i + 1) rest
+  | [] -> ()
+
+let rec ascending = function
+  | (a, _) :: ((b, _) :: _ as rest) -> a < b && ascending rest
+  | _ -> true
+
 (** [send ctx ~dst msg] puts [msg] on the wire.  Messages from a crashed
     sender are dropped (models partial transmission when a handler crashes
     itself mid-broadcast); messages sent across an active partition are
@@ -253,9 +280,32 @@ let schedule_partition w ~from_t ~until_t groups =
     a partition starts is not retroactively lost); messages reach [dst]
     only if it is still the same incarnation when the message arrives. *)
 let set_msg_faults w faults =
-  Hashtbl.reset w.msg_faults;
-  List.iter (fun (nth, f) -> Hashtbl.replace w.msg_faults nth f) faults;
-  w.last_msg_fault <- List.fold_left (fun acc (nth, _) -> max acc nth) (-1) faults
+  let sorted =
+    if ascending faults then faults
+    else List.stable_sort (fun (x, _) (y, _) -> Int.compare x y) faults
+  in
+  let n = count_last 0 sorted in
+  w.fault_at <- Array.make n 0;
+  w.fault_kind <- Array.make n Fault_drop;
+  fill_last w.fault_at w.fault_kind 0 sorted;
+  w.fault_next <- 0;
+  w.last_msg_fault <- (if n = 0 then -1 else w.fault_at.(n - 1))
+
+(* The fault armed at send index [nth], moving the cursor past it. *)
+let advance_faults w nth =
+  let armed = w.fault_at in
+  let i = ref w.fault_next in
+  while !i < Array.length armed && Array.unsafe_get armed !i < nth do
+    incr i
+  done;
+  w.fault_next <- !i;
+  if !i < Array.length armed && Array.unsafe_get armed !i = nth then begin
+    w.fault_next <- !i + 1;
+    Some (Array.unsafe_get w.fault_kind !i)
+  end
+  else None
+
+let[@inline] msg_fault_at w nth = if nth > w.last_msg_fault then None else advance_faults w nth
 
 let sends_attempted w = w.send_seq
 let add_crash_hook w f = w.crash_hooks <- w.crash_hooks @ [ f ]
@@ -368,7 +418,7 @@ let send ctx ~dst msg =
       if w.tracing then record w "partition drops %d->%d %s" src dst (w.msg_to_string msg)
     end
     else
-      match if Hashtbl.length w.msg_faults = 0 then None else Hashtbl.find_opt w.msg_faults nth with
+      match msg_fault_at w nth with
       | Some Fault_drop ->
           Metrics.bump w.metrics l_messages_chaos_dropped;
           if w.tracing then

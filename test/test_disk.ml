@@ -167,6 +167,28 @@ let test_crc32_known_answer () =
   Alcotest.(check int32) "of a slice" 0xCBF43926l (D.Frame.crc32 (b "xx123456789y") ~off:2 ~len:9);
   Alcotest.(check int32) "of nothing" 0l (D.Frame.crc32 (b "") ~off:0 ~len:0)
 
+(* The textbook bitwise CRC-32, one bit at a time: the reference the
+   sliced table walk must match on any buffer, offset and length. *)
+let crc32_bitwise buf ~off ~len =
+  let c = ref 0xFFFFFFFF in
+  for i = off to off + len - 1 do
+    c := !c lxor Char.code (Bytes.get buf i);
+    for _ = 0 to 7 do
+      c := if !c land 1 <> 0 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+    done
+  done;
+  Int32.of_int (!c lxor 0xFFFFFFFF)
+
+let prop_crc32_matches_bitwise =
+  Helpers.qtest ~count:500 "CRC-32 matches the bitwise reference on any slice"
+    QCheck2.Gen.(
+      triple (string_size (int_range 0 340)) (int_range 0 40) (int_range 0 300))
+    (fun (s, off, len) ->
+      let buf = Bytes.of_string s in
+      let off = min off (Bytes.length buf) in
+      let len = min len (Bytes.length buf - off) in
+      Int32.equal (D.Frame.crc32 buf ~off ~len) (crc32_bitwise buf ~off ~len))
+
 (* u32-LE length 3, u32-LE CRC-32 of "abc" (0x352441C2), "abc" *)
 let abc_frame = "\x03\x00\x00\x00\xc2\x41\x24\x35abc"
 
@@ -273,6 +295,7 @@ let suite =
     Alcotest.test_case "lying sync, then a torn crash" `Quick test_lie_then_torn_crash;
     Alcotest.test_case "lying sync, then a corrupt crash" `Quick test_lie_then_corrupt_crash;
     Alcotest.test_case "CRC-32 known answer" `Quick test_crc32_known_answer;
+    prop_crc32_matches_bitwise;
     Alcotest.test_case "frame bytes of Frame.encode" `Quick test_frame_encode_bytes;
     Alcotest.test_case "frame bytes of Log.append" `Quick test_log_append_frame_bytes;
     Alcotest.test_case "frame round trip" `Quick test_frame_round_trip;

@@ -150,7 +150,9 @@ let gen_fault =
         map (fun d -> Sim.World.Fault_delay d) tf;
       ]
   in
-  let window = pair site (pair tf tf) in
+  (* the parser refuses a window that ends before it starts *)
+  let ordered = map (fun (a, b) -> (Float.min a b, Float.max a b)) (pair tf tf) in
+  let window = pair site ordered in
   oneof
     [
       map3 (fun site step mode -> N.Step_crash { site; step; mode }) site (int_range 0 4) mode;
@@ -159,9 +161,9 @@ let gen_fault =
       map3
         (fun site phase sent -> N.Backup_crash { site; phase; sent })
         site (oneofl [ N.Move; N.Decide ]) (int_range 0 3);
-      map3
-        (fun from_t until_t g -> N.Partition { from_t; until_t; groups = [ g; [ 9 ] ] })
-        tf tf (small_list site);
+      map2
+        (fun (from_t, until_t) g -> N.Partition { from_t; until_t; groups = [ g; [ 9 ] ] })
+        ordered (small_list site);
       map2 (fun nth fault -> N.Msg { nth; fault }) (int_range 0 50) msg_fault;
       map3
         (fun site fault nth -> N.Disk_fault { site; fault; nth })

@@ -16,10 +16,15 @@ let test_storage_apply () =
   Kv.Storage.apply s ~txn:7 [ ("a", 5); ("c", 1) ];
   Alcotest.(check (option int)) "a overwritten" (Some 5) (Kv.Storage.get s "a");
   Alcotest.(check (option int)) "c created" (Some 1) (Kv.Storage.get s "c");
-  Alcotest.(check (array int)) "applied txns" [| 7 |] (Kv.Storage.applied_txns s);
+  let journal () =
+    let ids = ref [] in
+    Kv.Storage.iter_applied s (fun txn -> ids := txn :: !ids);
+    List.rev !ids
+  in
+  Alcotest.(check (list int)) "applied txns" [ 7 ] (journal ());
   Kv.Storage.apply s ~txn:3 [ ("a", 6) ];
   Kv.Storage.apply s ~txn:3 [ ("a", 6) ];
-  Alcotest.(check (array int)) "sorted, repeats dropped" [| 3; 7 |] (Kv.Storage.applied_txns s)
+  Alcotest.(check (list int)) "newest first, repeats kept" [ 3; 3; 7 ] (journal ())
 
 (* ---------------- Txn ---------------- *)
 

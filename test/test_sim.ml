@@ -237,6 +237,57 @@ let test_eventq_no_retention () =
       ("pop_top", fun q -> ignore (Sim.Eventq.pop_top q));
     ]
 
+(* Rounds of pushes and pops that take the queue past a depth of 1,000,
+   through the pool growths 16 -> 32 -> ... -> 2048 and more, on four
+   distinct times, so most keys tie on time.  Every popped payload must
+   come out in FIFO order within its time, and none may stay reachable
+   while the queue is still deep.  Payloads are boxed and tracked
+   weakly; the pushes happen out of line so no stack slot holds one. *)
+let[@inline never] push_tracked q tracked ~next times =
+  List.iter
+    (fun t ->
+      let p = ref !next in
+      Weak.set tracked !next (Some p);
+      Sim.Eventq.push q ~time:(float_of_int t) p;
+      incr next)
+    times
+
+let prop_eventq_pool_growth =
+  Helpers.qtest ~count:20 "deep queues across pool growths: FIFO ties, no popped payload retained"
+    QCheck2.Gen.(
+      list_size (int_range 2 4)
+        (pair (list_size (int_range 600 1_400) (int_range 0 3)) (int_range 0 500)))
+    (fun rounds ->
+      let total = List.fold_left (fun a (ts, _) -> a + List.length ts) 0 rounds in
+      let tracked = Weak.create total in
+      let q = Sim.Eventq.create () in
+      let next = ref 0 and popped = ref [] and ok = ref true in
+      (* the newest popped index per time, for the FIFO check *)
+      let last = Array.make 4 (-1) in
+      let pop_one () =
+        let time = Sim.Eventq.top_time q in
+        let i = !(Sim.Eventq.pop_top q) in
+        let t = int_of_float time in
+        if i <= last.(t) then ok := false;
+        last.(t) <- i;
+        popped := i :: !popped
+      in
+      List.iter
+        (fun (times, pops) ->
+          push_tracked q tracked ~next times;
+          for _ = 1 to min pops (Sim.Eventq.length q) do
+            pop_one ()
+          done;
+          if Sim.Eventq.length q > 1_000 then begin
+            Gc.full_major ();
+            if List.exists (Weak.check tracked) !popped then ok := false
+          end)
+        rounds;
+      while not (Sim.Eventq.is_empty q) do
+        pop_one ()
+      done;
+      !ok && List.length !popped = total)
+
 (* ---------------- Metrics ---------------- *)
 
 let test_metrics () =
@@ -619,6 +670,7 @@ let suite =
     prop_eventq_sorted;
     prop_eventq_model;
     Alcotest.test_case "eventq retains no popped payload" `Quick test_eventq_no_retention;
+    prop_eventq_pool_growth;
     Alcotest.test_case "metrics" `Quick test_metrics;
     Alcotest.test_case "world delivery" `Quick test_world_delivery;
     Alcotest.test_case "crash drops in-flight messages" `Quick test_world_crash_drops_messages;
